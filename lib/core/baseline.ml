@@ -71,6 +71,61 @@ let guarded (r : Run_result.t) =
          (Telemetry.run_label r) r.Run_result.validation_errors);
   of_run r
 
+(* Protocol-variant cells: every shape of the Method C protocol that the
+   grid above leaves out — the router tier, two masters in batch and
+   serving mode, serving under replay-class faults, and dynamic update
+   forwarding across a slave crash.  Each scenario gets its own name so
+   the keys stay distinct. *)
+let variant_entries ~spec =
+  let jobs = spec.Experiment.Spec.jobs in
+  let sc = Experiment.Spec.scenario spec in
+  let renamed suffix =
+    Workload.Scenario.with_name (sc.Workload.Scenario.name ^ suffix) sc
+  in
+  let c3 = Methods.C3 in
+  let keys, queries = Runner.workload sc in
+  let parse_exn parse s =
+    match parse s with Ok v -> v | Error e -> invalid_arg e
+  in
+  let hier = Method_c_hier.run sc ~routers:2 ~variant:c3 ~keys ~queries () in
+  let two_masters =
+    Runner.run
+      (Workload.Scenario.with_masters 2 (renamed "-2m"))
+      ~method_id:c3 ~keys ~queries
+  in
+  let serve name refine =
+    let spec = serve_spec ~jobs in
+    let sc = Experiment.Spec.scenario spec |> Workload.Scenario.with_name name in
+    List.map
+      (fun { Serve.run; _ } -> run)
+      (Serve.run
+         (spec
+         |> Experiment.Spec.with_scenario sc
+         |> Experiment.Spec.with_methods [ c3 ]
+         |> refine))
+  in
+  let serve_two_masters =
+    serve "ci-serve-2m" (fun spec ->
+        Experiment.Spec.with_scenario
+          (Workload.Scenario.with_masters 2 (Experiment.Spec.scenario spec))
+          spec)
+  in
+  let serve_faulted =
+    serve "ci-serve-faulted"
+      (Experiment.Spec.with_faults
+         (parse_exn Fault.Spec.parse "drop:p=0.02+slow:node=2,factor=4"))
+  in
+  let dynamic_crash, _ =
+    Dynamic.run
+      ~faults:(parse_exn Fault.Spec.parse "crash:node=3,at=1e6")
+      (renamed "-dyn-crash")
+      ~updates:(parse_exn Workload.Mutation.parse "0.1")
+      ~method_id:c3
+  in
+  List.map guarded
+    ((hier :: two_masters :: serve_two_masters)
+    @ serve_faulted @ [ dynamic_crash ])
+
 let capture ~spec =
   let rows = Experiment.fig3 spec in
   let batch_entries =
@@ -83,7 +138,7 @@ let capture ~spec =
       (fun { Serve.run; _ } -> guarded run)
       (Serve.run (serve_spec ~jobs:spec.Experiment.Spec.jobs))
   in
-  batch_entries @ serve_entries
+  batch_entries @ serve_entries @ variant_entries ~spec
 
 (* ------------------------------------------------------------------ *)
 (* JSON round trip *)

@@ -42,7 +42,11 @@ val serve_spec : jobs:int -> Experiment.Spec.t
 
 val capture : spec:Experiment.Spec.t -> entry list
 (** Run the sweep (the fig3 grid of [spec], then {!serve_spec} at the
-    same worker count) and summarize each cell.  Raises [Failure] if
+    same worker count, then one C-3 cell per Method C protocol variant
+    the grid leaves out: two routers and two masters over [spec]'s
+    scenario, two masters and [drop:p=0.02+slow:node=2,factor=4] faults
+    under {!serve_spec}, and dynamic forwarding at 0.1 updates/query
+    across [crash:node=3,at=1e6]) and summarize each cell.  Raises [Failure] if
     any run reports validation errors — a broken run must not become a
     baseline. *)
 

@@ -267,8 +267,9 @@ let tiny_spec =
 
 let test_baseline_roundtrip () =
   let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
-  (* Two fig3 grid cells plus the two ci-serve serving cells. *)
-  check_int "one entry per grid cell" 4 (List.length entries);
+  (* Two fig3 grid cells, the two ci-serve serving cells, and five
+     Method C protocol-variant cells. *)
+  check_int "one entry per grid cell" 9 (List.length entries);
   check_int "serving cells keyed under ci-serve" 2
     (List.length
        (List.filter
