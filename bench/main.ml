@@ -507,8 +507,8 @@ let main jobs faults metrics_path trace_path timeline timeline_window save
   | _, _, Some path, None -> run_throughput ~path ~label:throughput_label
   | _, _, None, Some path -> run_throughput_smoke ~path
   | Some path, None, None, None ->
-      (* The baseline covers the zero-fault path only (see BENCH_003.json
-         note in EXPERIMENTS.md); --faults does not alter the gate. *)
+      (* The gate's cells carry their own fault specs (see
+         Baseline.capture); --faults does not alter it. *)
       let spec = Dispatch.Baseline.default_spec ~jobs in
       Dispatch.Baseline.save ~path ~spec (Dispatch.Baseline.capture ~spec);
       Printf.printf "wrote %s\n" path;

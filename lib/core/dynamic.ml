@@ -1,8 +1,8 @@
 open Simcore
 
-(* Dynamic-index method drivers (ROADMAP item 2): the batch drivers
-   re-run with a log-structured [Index.Segments] index and an
-   interleaved update/query stream from [Workload.Mutation].
+(* Dynamic-index method drivers: the batch drivers re-run with a
+   log-structured [Index.Segments] index and an interleaved update/query
+   stream from [Workload.Mutation].
 
    - Methods A and B are replicated-index methods: one simulated node
      processes the whole stream, applying every update to its local
@@ -135,7 +135,7 @@ let replicated_result (sc : Workload.Scenario.t) ~method_id ~eng ~m ~lat
       messages = 0;
       bytes_sent = 0;
       validation_errors = errors;
-      cache = Cachesim.Hierarchy.stats (Machine.hierarchy m);
+      cache = (Telemetry.rollup ~raw [ [| m |] ]).Telemetry.cache;
       overflow_flushes = 0;
       mean_response_ns = Latency.mean lat;
       p95_response_ns = Latency.percentile lat 0.95;
@@ -280,15 +280,8 @@ let run_b (sc : Workload.Scenario.t) ~(updates : Workload.Mutation.t) ~keys
     ~update_ns:!update_ns ~stats ~n
 
 (* ------------------------------------------------------------------ *)
-(* Method C: master-mediated update forwarding.  Ops are encoded one
-   word each — [tag * Key.sentinel + key] with tag 0 = query,
-   1 = insert, 2 = delete — so updates ride the query staging buffers
-   and batch transfers unchanged. *)
-
-let q_tag = 0
-let i_tag = 1
-let d_tag = 2
-let encode tag k = (tag * Index.Key.sentinel) + k
+(* Method C: master-mediated update forwarding — the {!Method_c}
+   protocol over an [Updates] op stream. *)
 
 let check_fault_support (spec : Fault.Spec.t) =
   if spec.Fault.Spec.drop_p > 0.0 || spec.Fault.Spec.dup_p > 0.0
@@ -304,371 +297,31 @@ let check_fault_support (spec : Fault.Spec.t) =
 
 let run_c ?faults (sc : Workload.Scenario.t)
     ~(updates : Workload.Mutation.t) ~variant ~keys ~queries ~ops =
-  let params = sc.Workload.Scenario.params in
-  let net_profile = sc.Workload.Scenario.net in
-  let n_nodes = sc.Workload.Scenario.n_nodes in
   if sc.Workload.Scenario.n_masters <> 1 then
     invalid_arg
       "Dynamic: method C requires a single master (per-slave update order \
        is defined by one staging stream)";
-  if n_nodes < 2 then invalid_arg "Dynamic: need a master and a slave";
-  let n_slaves = n_nodes - 1 in
-  let n = Array.length queries in
-  let n_ops = Array.length ops in
-  let batch_keys = max 1 (Workload.Scenario.queries_per_batch sc) in
-  let eng = Engine.create () in
-  let plan =
-    match faults with
-    | Some spec when not (Fault.Spec.is_none spec) ->
-        check_fault_support spec;
-        Some (Fault.Plan.create spec ~seed:sc.Workload.Scenario.seed)
-    | _ -> None
-  in
-  let net = Netsim.Network.create ?faults:plan eng net_profile ~nodes:n_nodes in
-  let part = Partition.make ~keys ~parts:n_slaves in
-  let word = params.Cachesim.Mem_params.word_bytes in
-  let overhead = net_profile.Netsim.Profile.host_overhead_ns in
-  let master = Machine.create eng ~name:"master" params in
-  let slaves =
-    Array.init n_slaves (fun s ->
-        Machine.create eng ~name:(Printf.sprintf "slave%d" s) params)
-  in
-  let slave_seg =
-    Array.init n_slaves (fun s ->
-        Index.Segments.create slaves.(s)
-          ~policy:(Workload.Mutation.policy updates)
-          (Partition.slice part s))
-  in
-  (* Per-slave oracle, advanced at master staging time: one master and
-     non-overtaking channels make staging order = processing order. *)
-  let oracles =
-    Array.init n_slaves (fun s ->
-        Index.Ref_impl.Dyn.create (Partition.slice part s))
-  in
-  let expected = Array.make (max 1 n) (-1) in
-  let errors = ref 0 in
-  let lat = Latency.create () in
-  let read_at = Array.make (max 1 n) 0.0 in
-  let next_batch_id = ref 0 in
-  let in_flight : (int, Failover.pending) Hashtbl.t = Hashtbl.create 256 in
-  (* Updates per in-flight batch, for lost-update accounting. *)
-  let batch_updates : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let lost_updates = ref 0 in
-  let fo =
-    match plan with
-    | None -> None
-    | Some p ->
-        let timeout_default =
-          8.0
-          *. (net_profile.Netsim.Profile.latency_ns
-             +. Netsim.Profile.transfer_ns net_profile
-                  sc.Workload.Scenario.batch_bytes
-             +. net_profile.Netsim.Profile.host_overhead_ns)
-        in
-        Some (Failover.create p ~timeout_default ~nodes:n_nodes)
-  in
-  (* --- Master: route the op stream through the delimiter table into
-     per-slave staging buffers; queries under "dispatch", updates under
-     "update_forward". *)
-  let spawn_master () =
-    let m = master in
-    let delims_lo = Machine.words_allocated m in
-    let delims = Index.Sorted_array.build m (Partition.delimiters part) in
-    Machine.label_region m ~label:"partition" ~base:delims_lo
-      ~words:(Machine.words_allocated m - delims_lo);
-    let o_base = Machine.labelled_alloc m ~label:"queries" (max 1 n_ops) in
-    Machine.poke_array m o_base
-      (Array.map
-         (function
-           | Workload.Mutation.Query qi -> encode q_tag queries.(qi)
-           | Workload.Mutation.Insert k -> encode i_tag k
-           | Workload.Mutation.Delete k -> encode d_tag k)
-         ops);
-    let out_bufs =
-      Array.init n_slaves (fun _ ->
-          Machine.labelled_alloc m ~label:"mpi_staging" batch_keys)
-    in
-    let out_lens = Array.make n_slaves 0 in
-    let out_qids = Array.init n_slaves (fun _ -> Array.make batch_keys 0) in
-    let out_qlens = Array.make n_slaves 0 in
-    let out_upds = Array.make n_slaves 0 in
-    let flush s =
-      let len = out_lens.(s) in
-      if len > 0 then begin
-        Machine.sync m;
-        Machine.set_phase m "batch_xfer";
-        Machine.compute m overhead;
-        Machine.sync m;
-        let payload =
-          Array.init len (fun j -> Machine.peek m (out_bufs.(s) + j))
-        in
-        let id = !next_batch_id in
-        incr next_batch_id;
-        Hashtbl.add in_flight id
-          (Failover.make_pending
-             ~qids:(Array.sub out_qids.(s) 0 out_qlens.(s))
-             ~payload ~dst:(1 + s) ~home:0 ~now:(Engine.now eng));
-        Hashtbl.replace batch_updates id out_upds.(s);
-        Netsim.Network.isend net ~src:0 ~dst:(1 + s) ~tag:Proto.data_tag
-          ~phase:"batch_xfer" ~size:(len * word)
-          (Proto.Data (id, payload));
-        Machine.set_phase m "dispatch";
-        out_lens.(s) <- 0;
-        out_qlens.(s) <- 0;
-        out_upds.(s) <- 0
-      end
-    in
-    let cap = max 1 (batch_keys / n_slaves) in
-    let stage s w =
-      Machine.write m (out_bufs.(s) + out_lens.(s)) w;
-      out_lens.(s) <- out_lens.(s) + 1;
-      if out_lens.(s) = cap then flush s
-    in
-    Machine.set_phase m "dispatch";
-    Engine.spawn eng ~name:"master" (fun () ->
-        Array.iteri
-          (fun i op ->
-            let w = Machine.read m (o_base + i) in
-            let k = w mod Index.Key.sentinel in
-            (match op with
-            | Workload.Mutation.Query qi ->
-                read_at.(qi) <- Engine.now eng +. Machine.pending_ns m;
-                let s = Index.Sorted_array.search delims k in
-                expected.(qi) <- Index.Ref_impl.Dyn.rank oracles.(s) k;
-                out_qids.(s).(out_qlens.(s)) <- qi;
-                out_qlens.(s) <- out_qlens.(s) + 1;
-                stage s w
-            | Workload.Mutation.Insert _ ->
-                Machine.set_phase m "update_forward";
-                let s = Index.Sorted_array.search delims k in
-                ignore (Index.Ref_impl.Dyn.insert oracles.(s) k);
-                out_upds.(s) <- out_upds.(s) + 1;
-                stage s w;
-                Machine.set_phase m "dispatch"
-            | Workload.Mutation.Delete _ ->
-                Machine.set_phase m "update_forward";
-                let s = Index.Sorted_array.search delims k in
-                ignore (Index.Ref_impl.Dyn.delete oracles.(s) k);
-                out_upds.(s) <- out_upds.(s) + 1;
-                stage s w;
-                Machine.set_phase m "dispatch");
-            if i land 8191 = 8191 then begin
-              Machine.sync m;
-              Machine.sample_residency m
-            end)
-          ops;
-        for s = 0 to n_slaves - 1 do
-          flush s
-        done;
-        Machine.sync m;
-        Machine.sample_residency m;
-        for s = 0 to n_slaves - 1 do
-          Netsim.Network.isend net ~src:0 ~dst:(1 + s) ~tag:Proto.term_tag
-            ~phase:"control" ~size:0 Proto.Term
-        done;
-        (* Tell the target dispatch is over: the stream may end in
-           update-only batches (zero replies pending against the query
-           quota), so the target must keep draining [in_flight] until
-           this marker plus every outstanding batch has resolved. *)
-        Netsim.Network.isend net ~src:0 ~dst:0 ~tag:Proto.term_tag
-          ~phase:"control" ~size:0 Proto.Term)
-  in
-  spawn_master ();
-  (* --- Slaves: decode each batch word; queries probe the dynamic
-     partition, updates mutate it in arrival order.  Replies carry the
-     partition-local ranks of the batch's queries, in batch order. *)
-  for s = 0 to n_slaves - 1 do
-    let node = 1 + s in
-    let m = slaves.(s) in
-    let seg = slave_seg.(s) in
-    let rx =
-      [|
-        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
-        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
-      |]
-    in
-    let reply = Machine.labelled_alloc m ~label:"mpi_staging" batch_keys in
-    Engine.spawn eng ~name:(Printf.sprintf "slave@%d" node) (fun () ->
-        let terms = ref 0 in
-        let rx_sel = ref 0 in
-        while !terms < 1 do
-          let env = Netsim.Network.recv net ~dst:node in
-          let crashed =
-            match plan with
-            | Some p -> Fault.Plan.crashed p ~node ~now:(Engine.now eng)
-            | None -> false
-          in
-          match env.Netsim.Network.payload with
-          | _ when crashed -> terms := 1
-          | Proto.Term -> incr terms
-          | Proto.Reply _ -> failwith "slave received a reply"
-          | Proto.Data (id, ws) ->
-              Machine.set_phase m "batch_xfer";
-              Machine.compute m overhead;
-              let cnt = Array.length ws in
-              let buf = rx.(!rx_sel) in
-              Machine.dma_write m buf ws;
-              Machine.set_phase m "lookup";
-              let rlen = ref 0 in
-              for j = 0 to cnt - 1 do
-                let w = Machine.read m (buf + j) in
-                let tag = w / Index.Key.sentinel in
-                let k = w mod Index.Key.sentinel in
-                if tag = q_tag then begin
-                  Machine.write m (reply + !rlen) (Index.Segments.search seg k);
-                  incr rlen
-                end
-                else if tag = i_tag then ignore (Index.Segments.insert seg k)
-                else ignore (Index.Segments.delete seg k)
-              done;
-              Machine.set_phase m "batch_xfer";
-              Machine.compute m overhead;
-              Machine.sync m;
-              Machine.sample_residency m;
-              let ranks =
-                Array.init !rlen (fun j -> Machine.peek m (reply + j))
-              in
-              Netsim.Network.isend net ~src:node
-                ~dst:env.Netsim.Network.src ~tag:Proto.reply_tag
-                ~phase:"reply" ~size:(!rlen * word)
-                (Proto.Reply (id, ranks));
-              rx_sel := 1 - !rx_sel
-        done)
-  done;
-  (* Replies carry partition-local ranks validated against the
-     enqueue-time oracle expectations — exact, never silently wrong. *)
-  let record_reply ~qids ~ranks =
-    if Array.length qids <> Array.length ranks then incr errors
-    else
-      Array.iteri
-        (fun j rank ->
-          if rank <> expected.(qids.(j)) then incr errors;
-          Latency.add lat (Engine.now eng -. read_at.(qids.(j))))
-        ranks
-  in
-  (* --- Target: collect replies; a batch resolves when its reply lands
-     or (degraded runs) when failover abandons it.  Update-only batches
-     carry zero queries but still resolve, so the loop drains
-     [in_flight], not just the query quota. *)
-  (match fo with
-  | None ->
-      Engine.spawn eng ~name:"target" (fun () ->
-          let dispatch_done = ref false in
-          while (not !dispatch_done) || Hashtbl.length in_flight > 0 do
-            let env = Netsim.Network.recv net ~dst:0 in
-            match env.Netsim.Network.payload with
-            | Proto.Term -> dispatch_done := true
-            | Proto.Reply (id, ranks) -> (
-                match Hashtbl.find_opt in_flight id with
-                | None -> incr errors
-                | Some p ->
-                    Hashtbl.remove in_flight id;
-                    record_reply ~qids:p.Failover.qids ~ranks)
-            | Proto.Data _ -> failwith "target received a data batch"
-          done)
-  | Some fo ->
-      let resend id (p : Failover.pending) =
-        Netsim.Network.isend net ~src:p.Failover.home ~dst:p.Failover.dst
-          ~tag:Proto.data_tag ~phase:"retry"
-          ~size:(Array.length p.Failover.payload * word)
-          (Proto.Data (id, p.Failover.payload))
-      in
-      (* The destination is dead.  No fallback under updates (the
-         master's snapshot is stale): account the batch lost — its
-         queries to [degraded], its updates to [lost_updates]. *)
-      let redispatch id (p : Failover.pending) =
-        let len = Array.length p.Failover.qids in
-        Failover.note_lost fo ~queries:len;
-        lost_updates :=
-          !lost_updates
-          + Option.value ~default:0 (Hashtbl.find_opt batch_updates id)
-      in
-      Engine.spawn eng ~name:"target" (fun () ->
-          let dispatch_done = ref false in
-          while (not !dispatch_done) || Hashtbl.length in_flight > 0 do
-            (match
-               Netsim.Network.recv_timeout net ~dst:0
-                 ~timeout_ns:(Failover.timeout_ns fo)
-             with
-            | Some env -> (
-                match env.Netsim.Network.payload with
-                | Proto.Term -> dispatch_done := true
-                | Proto.Reply (id, ranks) -> (
-                    match Hashtbl.find_opt in_flight id with
-                    | None -> ()
-                    | Some p ->
-                        Hashtbl.remove in_flight id;
-                        record_reply ~qids:p.Failover.qids ~ranks)
-                | Proto.Data _ -> failwith "target received a data batch")
-            | None -> ());
-            Failover.sweep fo ~now:(Engine.now eng) ~in_flight ~resend
-              ~redispatch
-          done;
-          Failover.note_finish fo ~now:(Engine.now eng)));
-  Engine.run eng;
-  let raw =
-    match fo with
-    | None -> Engine.now eng
-    | Some f ->
-        let fa = Failover.finish_at f in
-        if fa > 0.0 then fa else Engine.now eng
-  in
-  if Hashtbl.length in_flight <> 0 then incr errors;
-  let idle_sum = ref 0.0 in
-  Array.iter
-    (fun m -> idle_sum := !idle_sum +. (1.0 -. (Machine.busy_ns m /. raw)))
-    slaves;
-  let degraded =
-    match fo with
-    | None -> Run_result.no_degradation
-    | Some f -> Failover.degraded f
-  in
-  let stats =
+  Option.iter check_fault_support faults;
+  let stats segs ~lost_updates =
     collect
-      ~updates:(Workload.Mutation.n_updates updates ~n_queries:n)
-      ~lost_updates:!lost_updates
-      (Array.to_list slave_seg)
+      ~updates:
+        (Workload.Mutation.n_updates updates ~n_queries:(Array.length queries))
+      ~lost_updates segs
   in
-  let sum_stats ms =
-    Array.fold_left
-      (fun acc m ->
-        Cachesim.Hierarchy.add_stats acc
-          (Cachesim.Hierarchy.stats (Machine.hierarchy m)))
-      Cachesim.Hierarchy.zero_stats ms
+  let o =
+    Method_c.drive ~faults sc ~source:Method_c.Batch
+      ~ops:
+        (Method_c.Updates
+           {
+             ops;
+             policy = Workload.Mutation.policy updates;
+             counters =
+               (fun segs ~lost_updates -> counters (stats segs ~lost_updates));
+           })
+      ~topology:Method_c.Flat ~variant ~keys ~queries
   in
-  ( {
-      Run_result.method_id = variant;
-      scenario = sc.Workload.Scenario.name;
-      n_queries = n;
-      n_nodes;
-      batch_bytes = sc.Workload.Scenario.batch_bytes;
-      total_ns = raw;
-      raw_ns = raw;
-      per_key_ns = raw /. float_of_int (max 1 n);
-      slave_idle = !idle_sum /. float_of_int n_slaves;
-      master_busy = Machine.busy_ns master /. raw;
-      messages = Netsim.Network.messages_sent net;
-      bytes_sent = Netsim.Network.bytes_sent net;
-      validation_errors = !errors;
-      cache =
-        Cachesim.Hierarchy.add_stats (sum_stats [| master |])
-          (sum_stats slaves);
-      overflow_flushes = 0;
-      mean_response_ns = Latency.mean lat;
-      p95_response_ns = Latency.percentile lat 0.95;
-      metrics =
-        Telemetry.snapshot ~eng ~net ~machines:(Array.append [| master |] slaves)
-          ~latency:lat ~validation_errors:!errors ~counters:(counters stats)
-          ?degraded:(match fo with None -> None | Some _ -> Some degraded)
-          ();
-      trace = None;
-      profile = None;
-      degraded;
-      serving = None;
-      timeline = None;
-      scope = None;
-    },
-    stats )
+  ( o.Method_c.run,
+    stats o.Method_c.segments ~lost_updates:o.Method_c.lost_updates )
 
 (* ------------------------------------------------------------------ *)
 

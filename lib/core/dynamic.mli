@@ -1,6 +1,6 @@
-(** Dynamic-index method drivers (ROADMAP item 2): the batch methods
-    re-run over a log-structured {!Index.Segments} index with an
-    interleaved update/query stream from {!Workload.Mutation}.
+(** Dynamic-index method drivers: the batch methods re-run over a
+    log-structured {!Index.Segments} index with an interleaved
+    update/query stream from {!Workload.Mutation}.
 
     Methods A and B apply updates locally on the replicated node and
     eat the cache dirtying; the cluster-time normalization divides only
@@ -8,7 +8,8 @@
     node).  The Method C family forwards each update to the owning
     slave's partition, master-mediated like query dispatch (phase
     ["update_forward"]), with the slave partitions held as dynamic
-    [Segments] over the static delimiter ranges for every C variant.
+    [Segments] over the static delimiter ranges for every C variant —
+    the {!Method_c.drive} protocol over an [Updates] op stream.
 
     Every returned rank is validated against a {!Index.Ref_impl.Dyn}
     oracle replayed to the same stream point — never silently wrong.

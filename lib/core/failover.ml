@@ -39,7 +39,6 @@ let create plan ~timeout_default ~nodes =
 
 let plan t = t.plan
 let timeout_ns t = t.timeout_ns
-let is_dead t node = t.dead.(node)
 let note_finish t ~now = if now > t.finish_at then t.finish_at <- now
 let finish_at t = t.finish_at
 
@@ -74,9 +73,6 @@ let note_fallback t n = t.fallback_lookups <- t.fallback_lookups + n
 let note_lost t ~queries =
   t.lost_batches <- t.lost_batches + 1;
   t.lost_queries <- t.lost_queries + queries
-
-let retries t = t.retries
-let redispatches t = t.redispatches
 
 let degraded t =
   let stats = Fault.Plan.stats t.plan in

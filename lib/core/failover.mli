@@ -32,7 +32,6 @@ val create : Fault.Plan.t -> timeout_default:float -> nodes:int -> t
 
 val plan : t -> Fault.Plan.t
 val timeout_ns : t -> float
-val is_dead : t -> int -> bool
 
 val note_finish : t -> now:float -> unit
 (** Record a completion time; {!finish_at} keeps the maximum.  Degraded
@@ -63,9 +62,6 @@ val note_fallback : t -> int -> unit
 
 val note_lost : t -> queries:int -> unit
 (** One batch abandoned, losing [queries] queries. *)
-
-val retries : t -> int
-val redispatches : t -> int
 
 val degraded : t -> Run_result.degraded
 (** Roll up the failover counters and the plan's injection stats. *)

@@ -3,10 +3,10 @@ open Simcore
 let run (sc : Workload.Scenario.t) ~keys ~queries =
   let eng = Engine.create () in
   let m = Machine.create eng ~name:"worker" sc.Workload.Scenario.params in
-  let tree_lo = Machine.words_allocated m in
-  let tree = Index.Nary_tree.build m keys in
-  Machine.label_region m ~label:"partition" ~base:tree_lo
-    ~words:(Machine.words_allocated m - tree_lo);
+  let tree =
+    Machine.labelled m ~label:"partition" (fun () ->
+        Index.Nary_tree.build m keys)
+  in
   let n = Array.length queries in
   let q_base = Machine.labelled_alloc m ~label:"queries" n in
   let r_base = Machine.labelled_alloc m ~label:"results" n in
@@ -73,7 +73,7 @@ let run (sc : Workload.Scenario.t) ~keys ~queries =
     messages = 0;
     bytes_sent = 0;
     validation_errors = !errors;
-    cache = Cachesim.Hierarchy.stats (Machine.hierarchy m);
+    cache = (Telemetry.rollup ~raw [ [| m |] ]).Telemetry.cache;
     overflow_flushes = 0;
     mean_response_ns = Latency.mean lat;
     p95_response_ns = Latency.percentile lat 0.95;

@@ -3,10 +3,10 @@ open Simcore
 let run (sc : Workload.Scenario.t) ~keys ~queries =
   let eng = Engine.create () in
   let m = Machine.create eng ~name:"worker" sc.Workload.Scenario.params in
-  let tree_lo = Machine.words_allocated m in
-  let tree = Index.Nary_tree.build m keys in
-  Machine.label_region m ~label:"partition" ~base:tree_lo
-    ~words:(Machine.words_allocated m - tree_lo);
+  let tree =
+    Machine.labelled m ~label:"partition" (fun () ->
+        Index.Nary_tree.build m keys)
+  in
   let batch_keys = Workload.Scenario.queries_per_batch sc in
   let buffered = Index.Buffered.create ~max_batch:batch_keys tree in
   let n = Array.length queries in
@@ -77,7 +77,7 @@ let run (sc : Workload.Scenario.t) ~keys ~queries =
     messages = 0;
     bytes_sent = 0;
     validation_errors = !errors;
-    cache = Cachesim.Hierarchy.stats (Machine.hierarchy m);
+    cache = (Telemetry.rollup ~raw [ [| m |] ]).Telemetry.cache;
     overflow_flushes = Index.Buffered.overflow_flushes buffered;
     mean_response_ns = Latency.mean lat;
     p95_response_ns = Latency.percentile lat 0.95;

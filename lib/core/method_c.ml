@@ -1,25 +1,58 @@
 open Simcore
 
-(* Split [0, n) into [parts] contiguous chunks of near-equal size. *)
-let chunk_bounds n parts =
-  let base = n / parts and extra = n mod parts in
-  let bounds = Array.make (parts + 1) 0 in
-  for i = 1 to parts do
-    bounds.(i) <- bounds.(i - 1) + base + (if i <= extra then 1 else 0)
-  done;
-  bounds
+type source =
+  | Batch
+  | Serve of {
+      arrivals : float array;
+      start_at : float array;
+      done_at : float array;
+      series : Obs.Series.builder option;
+    }
 
-let run ?faults (sc : Workload.Scenario.t) ~variant ~keys ~queries =
+type ops =
+  | Queries
+  | Updates of {
+      ops : Workload.Mutation.op array;
+      policy : Index.Segments.policy;
+      counters :
+        Index.Segments.t list -> lost_updates:int -> (string * float) list;
+    }
+
+type topology = Flat | Routers of int
+
+type outcome = {
+  run : Run_result.t;
+  segments : Index.Segments.t list;
+  lost_updates : int;
+}
+
+let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
+    ~keys ~queries =
   let params = sc.Workload.Scenario.params in
   let net_profile = sc.Workload.Scenario.net in
   let n_nodes = sc.Workload.Scenario.n_nodes in
-  let n_masters = sc.Workload.Scenario.n_masters in
-  if n_masters < 1 then invalid_arg "Method_c.run: need at least one master";
-  if n_nodes < n_masters + 1 then
-    invalid_arg "Method_c.run: need a master and a slave";
-  let n_slaves = n_nodes - n_masters in
+  let batch = match source with Batch -> true | Serve _ -> false in
+  let dynamic = match ops with Queries -> false | Updates _ -> true in
+  let n_routers = match topology with Flat -> 0 | Routers r -> r in
+  (* The router tier and update forwarding each run exactly one master:
+     per-slave update order is defined by one staging stream. *)
+  let n_masters =
+    match (topology, ops) with
+    | Flat, Queries -> sc.Workload.Scenario.n_masters
+    | Routers _, Updates _ ->
+        invalid_arg "Method_c: update forwarding has no router tier"
+    | _ -> 1
+  in
+  if n_masters < 1 then invalid_arg "Method_c: need at least one master";
+  if topology <> Flat && n_routers < 1 then
+    invalid_arg "Method_c: need at least one router";
+  let n_slaves = n_nodes - n_masters - n_routers in
+  if n_slaves < max 1 n_routers then
+    invalid_arg "Method_c: need a master, and a slave per router";
+  (* Node layout: masters, then routers, then slaves. *)
+  let first_slave = n_masters + n_routers in
   let n = Array.length queries in
-  let batch_keys = Workload.Scenario.queries_per_batch sc in
+  let batch_keys = max 1 (Workload.Scenario.queries_per_batch sc) in
   let eng = Engine.create () in
   (* A fault plan only exists for a non-empty spec, so the fault-free run
      takes exactly the pre-fault-support code paths (bit-identical). *)
@@ -33,345 +66,574 @@ let run ?faults (sc : Workload.Scenario.t) ~variant ~keys ~queries =
   let part = Partition.make ~keys ~parts:n_slaves in
   let word = params.Cachesim.Mem_params.word_bytes in
   let overhead = net_profile.Netsim.Profile.host_overhead_ns in
-  (* --- Master nodes (0 .. n_masters-1): replicated delimiter table +
-     per-slave batch buffers; the external query stream is split into one
-     contiguous chunk per master (§3.2: "multiple master nodes, with
-     replicates of the top level data structure"). *)
+  let machine name = Machine.create eng ~name params in
+  (* Single-master modes name their master plainly. *)
   let masters =
     Array.init n_masters (fun i ->
-        Machine.create eng ~name:(Printf.sprintf "master%d" i) params)
+        machine
+          (if topology = Flat && not dynamic then Printf.sprintf "master%d" i
+           else "master"))
   in
-  let chunks = chunk_bounds n n_masters in
-  (* --- Slave nodes (n_masters .. n_nodes-1). *)
+  let routers =
+    Array.init n_routers (fun r -> machine (Printf.sprintf "router%d" r))
+  in
   let slaves =
-    Array.init n_slaves (fun s ->
-        Machine.create eng ~name:(Printf.sprintf "slave%d" s) params)
+    Array.init n_slaves (fun s -> machine (Printf.sprintf "slave%d" s))
   in
   let slave_idx =
     Array.init n_slaves (fun s ->
-        Slave_node.build variant slaves.(s) (Partition.slice part s)
-          ~batch_keys ~params)
+        let slice = Partition.slice part s in
+        match ops with
+        | Queries ->
+            Slave_node.build variant slaves.(s) slice ~batch_keys ~params
+        | Updates u ->
+            Slave_node.build_segments slaves.(s) slice ~policy:u.policy)
   in
-  (* --- Host-side oracle and bookkeeping. *)
-  let expected = Array.map (fun q -> Index.Ref_impl.rank keys q) queries in
+  (* --- Host-side oracle and bookkeeping.  Under update forwarding the
+     per-slave oracles advance at master staging time: one master and
+     non-overtaking channels make staging order = processing order, so
+     staging-time expectations are exact. *)
+  let oracles =
+    match ops with
+    | Queries -> [||]
+    | Updates _ ->
+        Array.init n_slaves (fun s ->
+            Index.Ref_impl.Dyn.create (Partition.slice part s))
+  in
+  let expected =
+    match ops with
+    | Queries -> Array.map (fun q -> Index.Ref_impl.rank keys q) queries
+    | Updates _ -> Array.make (max 1 n) (-1)
+  in
   let errors = ref 0 in
   let lat = Latency.create () in
   let prof = Obs.Profile.current () in
   (* Per-batch slave-side cost breakdowns, recorded by the slaves and
      joined with replies at the targets (tail-query inspector). *)
   let batch_profile =
-    match prof with Some _ -> Some (Hashtbl.create 512) | None -> None
+    match prof with Some _ when batch -> Some (Hashtbl.create 512) | _ -> None
   in
-  let read_at = Array.make (max 1 n) 0.0 in
+  let read_at = if batch then Array.make (max 1 n) 0.0 else [||] in
+  let series = match source with Serve s -> s.series | Batch -> None in
   let next_batch_id = ref 0 in
   let in_flight : (int, Failover.pending) Hashtbl.t = Hashtbl.create 256 in
+  let lost_updates = ref 0 in
   (* --- Failover state (degraded runs only).  The timeout default is
-     several end-to-end batch times, so a healthy reply can never race
-     it. *)
+     several end-to-end batch times (both hops under a router tier), so
+     a healthy reply can never race it. *)
   let fo =
-    match plan with
-    | None -> None
-    | Some p ->
+    Option.map
+      (fun p ->
+        let hops = if n_routers > 0 then 2.0 else 1.0 in
         let timeout_default =
           8.0
-          *. (net_profile.Netsim.Profile.latency_ns
-             +. Netsim.Profile.transfer_ns net_profile
-                  sc.Workload.Scenario.batch_bytes
-             +. net_profile.Netsim.Profile.host_overhead_ns)
+          *. (hops
+              *. (net_profile.Netsim.Profile.latency_ns
+                 +. Netsim.Profile.transfer_ns net_profile
+                      sc.Workload.Scenario.batch_bytes)
+             +. overhead)
         in
-        Some (Failover.create p ~timeout_default ~nodes:n_nodes)
+        Failover.create p ~timeout_default ~nodes:n_nodes)
+      plan
   in
   (* Master-resident full-key sorted arrays, for resolving a dead
-     slave's batches locally.  Built only for degraded runs (they cost
-     untimed pokes but show up in the allocation gauges). *)
-  let fallback_idx =
-    match fo with
-    | None -> [||]
-    | Some _ ->
-        Array.map
-          (fun m ->
-            let lo = Machine.words_allocated m in
-            let idx = Index.Sorted_array.build m keys in
-            Machine.label_region m ~label:"fallback" ~base:lo
-              ~words:(Machine.words_allocated m - lo);
-            idx)
-          masters
+     destination's batches locally (degraded query runs only: under
+     updates a static snapshot cannot answer).  The flat layout places
+     it below the delimiter table, the router tier above. *)
+  let fallback_idx = Array.make n_masters None in
+  let build_fallback mi =
+    if Option.is_some fo && not dynamic then
+      let m = masters.(mi) in
+      fallback_idx.(mi) <-
+        Some
+          (Machine.labelled m ~label:"fallback" (fun () ->
+               Index.Sorted_array.build m keys))
   in
-  (* --- One master process per master node. *)
-  let spawn_master mi =
-    let m = masters.(mi) in
-    let delims_lo = Machine.words_allocated m in
-    let delims = Index.Sorted_array.build m (Partition.delimiters part) in
-    Machine.label_region m ~label:"partition" ~base:delims_lo
-      ~words:(Machine.words_allocated m - delims_lo);
-    let lo = chunks.(mi) and hi = chunks.(mi + 1) in
-    let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 (hi - lo)) in
-    Machine.poke_array m q_base (Array.sub queries lo (hi - lo));
-    let out_bufs =
-      Array.init n_slaves (fun _ ->
+  (* Delimiters between consecutive slave groups [bounds]: the first key
+     of every group but the first. *)
+  let delimiters m bounds =
+    Machine.labelled m ~label:"partition" (fun () ->
+        Index.Sorted_array.build m
+          (Array.init
+             (Array.length bounds - 2)
+             (fun i -> keys.(Partition.base part bounds.(i + 1)))))
+  in
+  (* --- One staging/flush routine for every dispatching node (master or
+     router): one buffer per downstream node, each shipped as a [Data]
+     batch the moment it holds [batch_keys / n_slaves] words (the
+     master's share when it feeds routers), so messages flow
+     continuously and dispatch stays pipelined with slave lookups at
+     every batch size — the paper's Figure 3 stays flat up to 4 MB
+     batches with only ~20% slave idle time, which rules out any flush
+     barrier.  Returns [stage] and [flush_all]. *)
+  let stager m ~src ~home ~dsts ~phase ~cap =
+    let k = Array.length dsts in
+    let bufs =
+      Array.init k (fun _ ->
           Machine.labelled_alloc m ~label:"mpi_staging" batch_keys)
     in
-    let out_lens = Array.make n_slaves 0 in
-    let out_qids = Array.init n_slaves (fun _ -> Array.make batch_keys 0) in
+    let lens = Array.make k 0 in
+    let qids = Array.init k (fun _ -> Array.make batch_keys 0) in
+    let n_qids = Array.make k 0 in
     let flush s =
-      let len = out_lens.(s) in
+      let len = lens.(s) in
       if len > 0 then begin
         Machine.sync m;
         Machine.set_phase m "batch_xfer";
         Machine.compute m overhead;
         Machine.sync m;
-        let payload = Array.init len (fun j -> Machine.peek m (out_bufs.(s) + j)) in
+        let payload = Array.init len (fun j -> Machine.peek m (bufs.(s) + j)) in
         let id = !next_batch_id in
         incr next_batch_id;
         Hashtbl.add in_flight id
           (Failover.make_pending
-             ~qids:(Array.sub out_qids.(s) 0 len)
-             ~payload ~dst:(n_masters + s) ~home:mi ~now:(Engine.now eng));
-        Netsim.Network.isend net ~src:mi ~dst:(n_masters + s)
-          ~tag:Proto.data_tag ~phase:"batch_xfer" ~size:(len * word)
+             ~qids:(Array.sub qids.(s) 0 n_qids.(s))
+             ~payload ~dst:dsts.(s) ~home ~now:(Engine.now eng));
+        Netsim.Network.isend net ~src ~dst:dsts.(s) ~tag:Proto.data_tag
+          ~phase:"batch_xfer" ~size:(len * word)
           (Proto.Data (id, payload));
-        Machine.set_phase m "dispatch";
-        out_lens.(s) <- 0
+        Machine.set_phase m phase;
+        lens.(s) <- 0;
+        n_qids.(s) <- 0
       end
     in
-    (* Each slave's staging buffer holds batch/n_slaves keys and is
-       shipped the moment it fills, so messages flow continuously and
-       dispatch stays pipelined with slave lookups at every batch size —
-       the paper's Figure 3 stays flat up to 4 MB batches with only ~20%
-       slave idle time, which rules out any flush barrier. *)
-    let cap = max 1 (batch_keys / n_slaves) in
+    (* [qid < 0] marks an update word. *)
+    let stage s w ~qid =
+      Machine.write m (bufs.(s) + lens.(s)) w;
+      if qid >= 0 then begin
+        qids.(s).(n_qids.(s)) <- qid;
+        n_qids.(s) <- n_qids.(s) + 1
+      end;
+      lens.(s) <- lens.(s) + 1;
+      if lens.(s) = cap then flush s
+    in
+    let flush_all () =
+      for s = 0 to k - 1 do
+        flush s
+      done
+    in
+    (stage, flush_all)
+  in
+  let term ~src dsts =
+    Array.iter
+      (fun dst ->
+        Netsim.Network.isend net ~src ~dst ~tag:Proto.term_tag ~phase:"control"
+          ~size:0 Proto.Term)
+      dsts
+  in
+  (* Unresolved queries per master; a target finishes at zero. *)
+  let rem = Array.make n_masters 0 in
+  (* --- Masters (nodes 0 .. n_masters-1): each holds a replica of the
+     top-level delimiter table (§3.2: "multiple master nodes, with
+     replicates of the top level data structure") and dispatches its
+     share of the op stream: a contiguous chunk in batch mode, a
+     round-robin deal of the arrivals when serving. *)
+  let groups =
+    match topology with
+    | Flat -> Array.init (n_slaves + 1) Fun.id
+    | Routers r -> Partition.chunk_bounds n_slaves r
+  in
+  let chunks = Partition.chunk_bounds n n_masters in
+  let assign =
+    match source with
+    | Serve _ -> Partition.round_robin n n_masters
+    | Batch -> [||]
+  in
+  let spawn_master mi =
+    let m = masters.(mi) in
+    if n_routers = 0 then build_fallback mi;
+    let delims = delimiters m groups in
+    if n_routers > 0 then build_fallback mi;
+    (* The master's stream: the words it reads, and the query id behind
+       each query word. *)
+    let words, qid_at =
+      match (ops, source) with
+      | Updates u, _ ->
+          ( Array.map (Proto.op_word queries) u.ops,
+            fun j ->
+              match u.ops.(j) with Workload.Mutation.Query qi -> qi | _ -> -1 )
+      | Queries, Batch ->
+          let lo = chunks.(mi) and hi = chunks.(mi + 1) in
+          (Array.sub queries lo (hi - lo), fun j -> lo + j)
+      | Queries, Serve _ ->
+          let my = assign.(mi) in
+          (Array.map (fun qid -> queries.(qid)) my, fun j -> my.(j))
+    in
+    let cnt = Array.length words in
+    rem.(mi) <- cnt;
+    let base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
+    Machine.poke_array m base words;
+    let dsts =
+      Array.init (Array.length groups - 1) (fun d -> n_masters + d)
+    in
+    let stage, flush_all =
+      stager m ~src:mi ~home:mi ~dsts ~phase:"dispatch"
+        ~cap:(max 1 (batch_keys / Array.length dsts))
+    in
     Machine.set_phase m "dispatch";
     Engine.spawn eng ~name:(Printf.sprintf "master%d" mi) (fun () ->
-        for i = 0 to hi - lo - 1 do
-          let q = Machine.read m (q_base + i) in
-          read_at.(lo + i) <- Engine.now eng +. Machine.pending_ns m;
-          let s = Index.Sorted_array.search delims q in
-          Machine.write m (out_bufs.(s) + out_lens.(s)) q;
-          out_qids.(s).(out_lens.(s)) <- lo + i;
-          out_lens.(s) <- out_lens.(s) + 1;
-          if out_lens.(s) = cap then flush s;
-          if i land 8191 = 8191 then begin
-            Machine.sync m;
-            Machine.sample_residency m
+        for j = 0 to cnt - 1 do
+          (* Serving: per-query admission.  About to go idle, ship the
+             partial buffers first so no already-admitted query waits
+             out the lull, then sleep to the next admission. *)
+          (match source with
+          | Serve s ->
+              let qid = qid_at j in
+              let t = s.arrivals.(qid) in
+              Machine.sync m;
+              if Engine.now eng < t then begin
+                flush_all ();
+                Machine.sync m;
+                let now = Engine.now eng in
+                if now < t then Engine.delay eng (t -. now)
+              end;
+              s.start_at.(qid) <- Engine.now eng
+          | Batch -> ());
+          let w = Machine.read m (base + j) in
+          let k = Proto.key w and op = Proto.op w in
+          if op = Proto.query_op then begin
+            let qid = qid_at j in
+            if batch then
+              read_at.(qid) <- Engine.now eng +. Machine.pending_ns m;
+            let s = Index.Sorted_array.search delims k in
+            if dynamic then
+              expected.(qid) <-
+                Partition.base part s + Index.Ref_impl.Dyn.rank oracles.(s) k;
+            stage s w ~qid
           end
+          else begin
+            Machine.set_phase m "update_forward";
+            let s = Index.Sorted_array.search delims k in
+            let oracle = oracles.(s) in
+            ignore
+              (if op = Proto.insert_op then Index.Ref_impl.Dyn.insert oracle k
+               else Index.Ref_impl.Dyn.delete oracle k);
+            stage s w ~qid:(-1);
+            Machine.set_phase m "dispatch"
+          end;
+          if batch then begin
+            if j land 8191 = 8191 then begin
+              Machine.sync m;
+              Machine.sample_residency m
+            end
+          end
+          else if qid_at j land 63 = 0 then Machine.sample_residency m
         done;
-        for s = 0 to n_slaves - 1 do
-          flush s
-        done;
+        flush_all ();
         Machine.sync m;
         Machine.sample_residency m;
-        for s = 0 to n_slaves - 1 do
-          Netsim.Network.isend net ~src:mi ~dst:(n_masters + s)
-            ~tag:Proto.term_tag ~phase:"control" ~size:0 Proto.Term
-        done)
+        term ~src:mi dsts;
+        (* Update streams may end in update-only batches (no replies owed
+           against any quota): tell the target dispatch is over, so it
+           drains [in_flight] until this marker and every batch resolve. *)
+        if dynamic then term ~src:mi [| mi |])
   in
   for mi = 0 to n_masters - 1 do
     spawn_master mi
   done;
-  (* --- Slave processes: answer batches from any master in arrival
-     order; reply to the originating master's node. *)
-  for s = 0 to n_slaves - 1 do
-    Slave_node.spawn eng net slaves.(s) ~node:(n_masters + s)
-      ~terms_expected:n_masters ~batch_keys ~index:slave_idx.(s)
-      ~reply_dst:(fun ~src -> src) ~overhead_ns:overhead ?batch_profile
-      ?faults:plan ()
-  done;
-  (* Validate one reply's ranks and record per-query latency (shared by
-     the healthy and degraded target loops; the healthy loop calls it
-     with exactly the operations of the pre-fault code). *)
-  let record_reply ~s ~id ~qids ~ranks =
-    if Array.length qids <> Array.length ranks then incr errors
-    else
-      Array.iteri
-        (fun j rank ->
-          if Partition.base part s + rank <> expected.(qids.(j)) then
-            incr errors;
-          let resp = Engine.now eng -. read_at.(qids.(j)) in
-          Latency.add lat resp;
-          match prof with
-          | Some p when Obs.Tail.qualifies (Obs.Profile.tail p) resp ->
-              let bd =
-                match batch_profile with
-                | Some tbl ->
-                    Option.value ~default:[] (Hashtbl.find_opt tbl id)
-                | None -> []
-              in
-              let slave_ns =
-                List.fold_left (fun acc (_, x) -> acc +. x) 0.0 bd
-              in
-              Obs.Tail.note (Obs.Profile.tail p) ~id:qids.(j) ~ns:resp
-                ~batch:(Array.length ranks)
-                ~breakdown:(("queue_and_net", resp -. slave_ns) :: bd)
-          | Some _ | None -> ())
-        ranks
+  (* --- Routers: re-batch incoming batches per slave of their group,
+     using the group's own delimiter slice. *)
+  let spawn_router r =
+    let m = routers.(r) and node = n_masters + r in
+    let g_lo = groups.(r) and g_hi = groups.(r + 1) in
+    let delims =
+      delimiters m (Array.init (g_hi - g_lo + 1) (fun i -> g_lo + i))
+    in
+    let rx =
+      [|
+        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
+        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
+      |]
+    in
+    let dsts = Array.init (g_hi - g_lo) (fun i -> first_slave + g_lo + i) in
+    let stage, flush_all =
+      stager m ~src:node ~home:0 ~dsts ~phase:"route"
+        ~cap:(max 1 (batch_keys / n_slaves))
+    in
+    Machine.set_phase m "route";
+    Engine.spawn eng ~name:(Printf.sprintf "router%d" r) (fun () ->
+        let rx_sel = ref 0 in
+        let serving = ref true in
+        while !serving do
+          let env = Netsim.Network.recv net ~dst:node in
+          match env.Netsim.Network.payload with
+          | Proto.Term ->
+              flush_all ();
+              Machine.sync m;
+              term ~src:node dsts;
+              serving := false
+          | Proto.Reply _ -> failwith "router received a reply"
+          | Proto.Data (id, ks) -> (
+              Machine.set_phase m "batch_xfer";
+              Machine.compute m overhead;
+              Machine.set_phase m "route";
+              match Hashtbl.find_opt in_flight id with
+              | None ->
+                  (* Under faults a duplicate or an already-redispatched
+                     batch can reach the router; consume and ignore it. *)
+                  if Option.is_none plan then
+                    failwith "router received an unknown batch"
+              | Some p ->
+                  Hashtbl.remove in_flight id;
+                  let buf = rx.(!rx_sel) in
+                  Machine.dma_write m buf ks;
+                  Array.iteri
+                    (fun j qid ->
+                      let q = Machine.read m (buf + j) in
+                      stage (Index.Sorted_array.search delims q) q ~qid)
+                    p.Failover.qids;
+                  Machine.sync m;
+                  rx_sel := 1 - !rx_sel)
+        done)
   in
-  (* --- One target per master node: collects and validates the results
-     of that master's chunk as they arrive.  The paper sends results "to
-     the target" off the critical path; we charge it no CPU (each node is
-     a dual-processor machine, and validation is oracle bookkeeping
-     anyway).  Replies carry partition-local ranks; the target adds the
-     slave's base rank. *)
-  (match fo with
-  | None ->
-      for mi = 0 to n_masters - 1 do
-        let quota = chunks.(mi + 1) - chunks.(mi) in
-        Engine.spawn eng ~name:(Printf.sprintf "target%d" mi) (fun () ->
-            let remaining = ref quota in
-            while !remaining > 0 do
-              let env = Netsim.Network.recv net ~dst:mi in
+  for r = 0 to n_routers - 1 do
+    spawn_router r
+  done;
+  (* --- Slaves: answer batches from any upstream node in arrival order;
+     reply to the originating master (every batch's home is node 0
+     under a router tier). *)
+  for s = 0 to n_slaves - 1 do
+    Slave_node.spawn eng net slaves.(s) ~node:(first_slave + s)
+      ~terms_expected:(if n_routers = 0 then n_masters else 1)
+      ~batch_keys ~index:slave_idx.(s)
+      ~reply_dst:(if n_routers = 0 then fun ~src -> src else fun ~src:_ -> 0)
+      ~overhead_ns:overhead ?batch_profile ?faults:plan ()
+  done;
+  (* --- Delivery: one query's answer reaches its target.  Batch runs
+     time the response from the master's read; serving runs from
+     admission, and split it into queueing and service. *)
+  let deliver ~batch:len ~detail qid =
+    let now = Engine.now eng in
+    let resp =
+      match source with
+      | Batch -> now -. read_at.(qid)
+      | Serve s ->
+          s.done_at.(qid) <- now;
+          now -. s.arrivals.(qid)
+    in
+    Latency.add lat resp;
+    match prof with
+    | Some p when Obs.Tail.qualifies (Obs.Profile.tail p) resp ->
+        let breakdown =
+          match source with
+          | Batch -> detail resp
+          | Serve s ->
+              let started = s.start_at.(qid) in
+              [
+                ("queue", started -. s.arrivals.(qid));
+                ("service", now -. started);
+              ]
+        in
+        Obs.Tail.note (Obs.Profile.tail p) ~id:qid ~ns:resp ~batch:len
+          ~breakdown
+    | Some _ | None -> ()
+  in
+  (* Queries stranded by a router that died between consuming a master
+     batch and cutting its sub-batches: no in-flight entry covers them. *)
+  let stranding = n_routers > 0 && Option.is_some fo in
+  let resolved = if stranding then Array.make (max 1 n) false else [||] in
+  let settle home qids =
+    if stranding then Array.iter (fun q -> resolved.(q) <- true) qids;
+    rem.(home) <- rem.(home) - Array.length qids
+  in
+  (* Validate one reply's partition-local ranks and deliver its queries. *)
+  let record_reply ~src ~id (p : Failover.pending) ranks =
+    let qids = p.Failover.qids in
+    (if Array.length qids <> Array.length ranks then incr errors
+     else
+       let base = Partition.base part (src - first_slave) in
+       let detail resp =
+         let bd =
+           match batch_profile with
+           | Some tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl id)
+           | None -> []
+         in
+         let slave_ns = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 bd in
+         ("queue_and_net", resp -. slave_ns) :: bd
+       in
+       Array.iteri
+         (fun j rank ->
+           if base + rank <> expected.(qids.(j)) then incr errors;
+           deliver ~batch:(Array.length ranks) ~detail qids.(j))
+         ranks);
+    settle p.Failover.home qids
+  in
+  (* --- Failover (degraded runs only). *)
+  let note f =
+    match series with Some b -> f b (Engine.now eng) | None -> ()
+  in
+  (* Re-send a stale batch from its home, charging the host overhead to
+     the [retry] phase. *)
+  let resend id (p : Failover.pending) =
+    (match prof with
+    | Some pr ->
+        Obs.Profile.charge pr ~path:[ "retry"; "host_overhead" ] overhead
+    | None -> ());
+    note (fun b at -> Obs.Series.note_retry b ~at ());
+    Netsim.Network.isend net ~src:p.Failover.home ~dst:p.Failover.dst
+      ~tag:Proto.data_tag ~phase:"retry"
+      ~size:(Array.length p.Failover.payload * word)
+      (Proto.Data (id, p.Failover.payload))
+  in
+  (* Resolve queries at their home master's full-key index, or account
+     them lost (with any updates riding the same batch). *)
+  let resolve fo home qids payload =
+    let len = Array.length qids in
+    (match fallback_idx.(home) with
+    | Some fb when Fault.Plan.fallback (Failover.plan fo) ->
+        let m = masters.(home) in
+        Machine.set_phase m "redispatch";
+        Array.iteri
+          (fun j q ->
+            if Index.Sorted_array.search fb q <> expected.(qids.(j)) then
+              incr errors)
+          payload;
+        Machine.sync m;
+        Machine.set_phase m "dispatch";
+        Failover.note_fallback fo len;
+        note (fun b at -> Obs.Series.note_fallback b ~at ~n:len ());
+        Array.iter
+          (deliver ~batch:len ~detail:(fun resp -> [ ("redispatch", resp) ]))
+          qids
+    | Some _ | None ->
+        Failover.note_lost fo ~queries:len;
+        lost_updates := !lost_updates + Array.length payload - len;
+        note (fun b at ->
+            for _ = 1 to len do
+              Obs.Series.note_lost b ~at
+            done));
+    settle home qids
+  in
+  let redispatch fo _id (p : Failover.pending) =
+    note (fun b at ->
+        Obs.Series.note_redispatch b ~at ();
+        Obs.Series.note_event b ~at
+          ~label:(Printf.sprintf "redispatch:node=%d" p.Failover.dst));
+    resolve fo p.Failover.home p.Failover.qids p.Failover.payload
+  in
+  (* --- One target per master: collects and validates the replies to
+     that master's batches as they arrive.  The paper sends results "to
+     the target" off the critical path; we charge it no CPU (each node
+     is a dual-processor machine, and validation is oracle bookkeeping
+     anyway).  Under update forwarding a target drains until its
+     master's end marker has arrived and nothing is in flight; otherwise
+     until every query of its master is resolved. *)
+  let drained = Array.make n_masters false in
+  let receive dst =
+    match fo with
+    | None -> Some (Netsim.Network.recv net ~dst)
+    | Some fo ->
+        Netsim.Network.recv_timeout net ~dst
+          ~timeout_ns:(Failover.timeout_ns fo)
+  in
+  for mi = 0 to n_masters - 1 do
+    let pending () =
+      if dynamic then (not drained.(mi)) || Hashtbl.length in_flight > 0
+      else rem.(mi) > 0
+    in
+    Engine.spawn eng ~name:(Printf.sprintf "target%d" mi) (fun () ->
+        let idle = ref 0 in
+        while pending () do
+          (match receive mi with
+          | Some env -> (
+              idle := 0;
               match env.Netsim.Network.payload with
-              | Proto.Reply (id, ranks) ->
-                  let s = env.Netsim.Network.src - n_masters in
-                  (match Hashtbl.find_opt in_flight id with
-                  | None -> incr errors
+              | Proto.Reply (id, ranks) -> (
+                  match Hashtbl.find_opt in_flight id with
+                  | None ->
+                      (* Late or duplicate reply for a batch already
+                         resolved: benign under faults. *)
+                      if Option.is_none fo then incr errors
                   | Some p ->
                       Hashtbl.remove in_flight id;
-                      record_reply ~s ~id ~qids:p.Failover.qids ~ranks);
-                  remaining := !remaining - Array.length ranks
-              | Proto.Data _ | Proto.Term ->
-                  failwith "target received a non-reply"
-            done)
-      done
-  | Some fo ->
-      let fplan = Failover.plan fo in
-      (* Shared across targets: a sweep at one master may redispatch a
-         batch owned by another. *)
-      let rem =
-        Array.init n_masters (fun mi -> chunks.(mi + 1) - chunks.(mi))
-      in
-      (* Re-send a stale batch, charging the host overhead to the home
-         master's [retry] phase. *)
-      let resend id (p : Failover.pending) =
-        (match prof with
-        | Some pr ->
-            Obs.Profile.charge pr ~path:[ "retry"; "host_overhead" ] overhead
-        | None -> ());
-        Netsim.Network.isend net ~src:p.Failover.home ~dst:p.Failover.dst
-          ~tag:Proto.data_tag ~phase:"retry"
-          ~size:(Array.length p.Failover.payload * word)
-          (Proto.Data (id, p.Failover.payload))
-      in
-      (* The destination is dead: answer the batch from the home
-         master's full-key index (fallback enabled) or abandon it. *)
-      let redispatch _id (p : Failover.pending) =
-        let len = Array.length p.Failover.qids in
-        if Fault.Plan.fallback fplan then begin
-          let m = masters.(p.Failover.home) in
-          let fb = fallback_idx.(p.Failover.home) in
-          Machine.set_phase m "redispatch";
-          Array.iteri
-            (fun j q ->
-              let rank = Index.Sorted_array.search fb q in
-              if rank <> expected.(p.Failover.qids.(j)) then incr errors)
-            p.Failover.payload;
-          Machine.sync m;
-          Machine.set_phase m "dispatch";
-          Failover.note_fallback fo len;
-          Array.iter
-            (fun qid ->
-              let resp = Engine.now eng -. read_at.(qid) in
-              Latency.add lat resp;
-              match prof with
-              | Some pr when Obs.Tail.qualifies (Obs.Profile.tail pr) resp ->
-                  Obs.Tail.note (Obs.Profile.tail pr) ~id:qid ~ns:resp
-                    ~batch:len
-                    ~breakdown:[ ("redispatch", resp) ]
-              | Some _ | None -> ())
-            p.Failover.qids
-        end
-        else Failover.note_lost fo ~queries:len;
-        rem.(p.Failover.home) <- rem.(p.Failover.home) - len
-      in
-      for mi = 0 to n_masters - 1 do
-        Engine.spawn eng ~name:(Printf.sprintf "target%d" mi) (fun () ->
-            while rem.(mi) > 0 do
-              (match
-                 Netsim.Network.recv_timeout net ~dst:mi
-                   ~timeout_ns:(Failover.timeout_ns fo)
-               with
-              | Some env -> (
-                  match env.Netsim.Network.payload with
-                  | Proto.Reply (id, ranks) -> (
-                      let s = env.Netsim.Network.src - n_masters in
-                      match Hashtbl.find_opt in_flight id with
-                      | None ->
-                          (* Late or duplicate reply for a batch already
-                             resolved: benign under faults. *)
-                          ()
-                      | Some p ->
-                          Hashtbl.remove in_flight id;
-                          record_reply ~s ~id ~qids:p.Failover.qids ~ranks;
-                          rem.(mi) <- rem.(mi) - Array.length ranks)
-                  | Proto.Data _ | Proto.Term ->
-                      failwith "target received a non-reply")
-              | None -> ());
+                      record_reply ~src:env.Netsim.Network.src ~id p ranks)
+              | Proto.Term -> drained.(mi) <- true
+              | Proto.Data _ -> failwith "target received a data batch")
+          | None -> if Hashtbl.length in_flight = 0 then incr idle);
+          match fo with
+          | None -> ()
+          | Some fo ->
               Failover.sweep fo ~now:(Engine.now eng) ~in_flight ~resend
-                ~redispatch
-            done;
-            Failover.note_finish fo ~now:(Engine.now eng))
-      done);
+                ~redispatch:(redispatch fo);
+              (* Stranded queries: after two full silent timeouts with an
+                 empty table, resolve whatever is left. *)
+              if stranding && !idle >= 2 && rem.(mi) > 0 then begin
+                let qids =
+                  Array.of_list
+                    (List.filter
+                       (fun i -> not resolved.(i))
+                       (List.init n Fun.id))
+                in
+                resolve fo mi qids (Array.map (fun i -> queries.(i)) qids)
+              end
+        done;
+        Option.iter
+          (fun fo -> Failover.note_finish fo ~now:(Engine.now eng))
+          fo)
+  done;
   Engine.run eng;
   (* Degraded runs leave stale recv_timeout timer events that keep the
      engine clock ticking after the last target finished; use the
      recorded completion time instead. *)
   let raw =
     match fo with
-    | None -> Engine.now eng
-    | Some f ->
-        let fa = Failover.finish_at f in
-        if fa > 0.0 then fa else Engine.now eng
+    | Some f when Failover.finish_at f > 0.0 -> Failover.finish_at f
+    | _ -> Engine.now eng
   in
   if Hashtbl.length in_flight <> 0 then incr errors;
-  let idle_sum = ref 0.0 in
-  Array.iter
-    (fun m -> idle_sum := !idle_sum +. (1.0 -. (Machine.busy_ns m /. raw)))
-    slaves;
-  let master_busy =
-    Array.fold_left (fun acc m -> acc +. (Machine.busy_ns m /. raw)) 0.0 masters
-    /. float_of_int n_masters
-  in
-  let sum_stats ms =
-    Array.fold_left
-      (fun acc m ->
-        Cachesim.Hierarchy.add_stats acc
-          (Cachesim.Hierarchy.stats (Machine.hierarchy m)))
-      Cachesim.Hierarchy.zero_stats ms
-  in
+  let cluster = Telemetry.rollup ~raw [ masters; routers; slaves ] in
   let degraded =
     match fo with
     | None -> Run_result.no_degradation
     | Some f -> Failover.degraded f
   in
-  {
-    Run_result.method_id = variant;
-    scenario = sc.Workload.Scenario.name;
-    n_queries = n;
-    n_nodes;
-    batch_bytes = sc.Workload.Scenario.batch_bytes;
-    total_ns = raw;
-    raw_ns = raw;
-    per_key_ns = raw /. float_of_int (max 1 n);
-    slave_idle = !idle_sum /. float_of_int n_slaves;
-    master_busy;
-    messages = Netsim.Network.messages_sent net;
-    bytes_sent = Netsim.Network.bytes_sent net;
-    validation_errors = !errors;
-    cache = Cachesim.Hierarchy.add_stats (sum_stats masters) (sum_stats slaves);
-    overflow_flushes =
-      Array.fold_left
-        (fun acc i -> acc + Slave_node.overflow_flushes i)
-        0 slave_idx;
-    mean_response_ns = Latency.mean lat;
-    p95_response_ns = Latency.percentile lat 0.95;
-    metrics =
-      Telemetry.snapshot ~eng ~net ~machines:(Array.append masters slaves)
-        ~latency:lat ~validation_errors:!errors
-        ?degraded:(match fo with None -> None | Some _ -> Some degraded)
-        ();
-    trace = None;
-    profile = None;
-    degraded;
-    serving = None;
-    timeline = None;
-    scope = None;
-  }
+  let segments =
+    List.filter_map Slave_node.segments (Array.to_list slave_idx)
+  in
+  let lost_updates = !lost_updates in
+  let run =
+    {
+      Run_result.method_id = variant;
+      scenario = sc.Workload.Scenario.name;
+      n_queries = n;
+      n_nodes;
+      batch_bytes = sc.Workload.Scenario.batch_bytes;
+      total_ns = raw;
+      raw_ns = raw;
+      per_key_ns = raw /. float_of_int (max 1 n);
+      slave_idle = cluster.Telemetry.idle;
+      master_busy = cluster.Telemetry.busy;
+      messages = Netsim.Network.messages_sent net;
+      bytes_sent = Netsim.Network.bytes_sent net;
+      validation_errors = !errors;
+      cache = cluster.Telemetry.cache;
+      overflow_flushes =
+        Array.fold_left
+          (fun acc i -> acc + Slave_node.overflow_flushes i)
+          0 slave_idx;
+      mean_response_ns = Latency.mean lat;
+      p95_response_ns = Latency.percentile lat 0.95;
+      metrics =
+        Telemetry.snapshot ~eng ~net
+          ~machines:(Array.concat [ masters; routers; slaves ])
+          ~latency:lat ~validation_errors:!errors
+          ~counters:
+            (match ops with
+            | Updates u -> u.counters segments ~lost_updates
+            | Queries -> [])
+          ?degraded:(Option.map (fun _ -> degraded) fo)
+          ();
+      trace = None;
+      profile = None;
+      degraded;
+      serving = None;
+      timeline = None;
+      scope = None;
+    }
+  in
+  { run; segments; lost_updates }
+
+let run ?faults sc ~variant ~keys ~queries =
+  (drive ~faults sc ~source:Batch ~ops:Queries ~topology:Flat ~variant ~keys
+     ~queries)
+    .run

@@ -1,473 +1,8 @@
-open Simcore
-
-let chunk_bounds n parts =
-  let base = n / parts and extra = n mod parts in
-  let bounds = Array.make (parts + 1) 0 in
-  for i = 1 to parts do
-    bounds.(i) <- bounds.(i - 1) + base + (if i <= extra then 1 else 0)
-  done;
-  bounds
-
 let run (sc : Workload.Scenario.t) ?(routers = 2) ?faults ~variant ~keys
     ~queries () =
-  let params = sc.Workload.Scenario.params in
-  let net_profile = sc.Workload.Scenario.net in
-  let n_nodes = sc.Workload.Scenario.n_nodes in
-  if routers < 1 then invalid_arg "Method_c_hier.run: need at least one router";
-  let n_slaves = n_nodes - 1 - routers in
-  if n_slaves < routers then
-    invalid_arg "Method_c_hier.run: need at least one slave per router";
-  let n = Array.length queries in
-  let batch_keys = Workload.Scenario.queries_per_batch sc in
-  let eng = Engine.create () in
-  let plan =
-    match faults with
-    | Some spec when not (Fault.Spec.is_none spec) ->
-        Some (Fault.Plan.create spec ~seed:sc.Workload.Scenario.seed)
-    | _ -> None
+  let o =
+    Method_c.drive ~faults sc ~source:Method_c.Batch ~ops:Method_c.Queries
+      ~topology:(Method_c.Routers routers) ~variant ~keys ~queries
   in
-  let net = Netsim.Network.create ?faults:plan eng net_profile ~nodes:n_nodes in
-  let part = Partition.make ~keys ~parts:n_slaves in
-  let word = params.Cachesim.Mem_params.word_bytes in
-  let overhead = net_profile.Netsim.Profile.host_overhead_ns in
-  (* Node ids: 0 = master (and target), 1..routers = routers,
-     routers+1 .. = slaves. *)
-  let slave_node s = 1 + routers + s in
-  (* Router r owns the contiguous slave group [groups.(r), groups.(r+1)). *)
-  let groups = chunk_bounds n_slaves routers in
-  (* --- Machines. *)
-  let master = Machine.create eng ~name:"master" params in
-  let router_machines =
-    Array.init routers (fun r -> Machine.create eng ~name:(Printf.sprintf "router%d" r) params)
-  in
-  let slaves =
-    Array.init n_slaves (fun s ->
-        Machine.create eng ~name:(Printf.sprintf "slave%d" s) params)
-  in
-  let slave_idx =
-    Array.init n_slaves (fun s ->
-        Slave_node.build variant slaves.(s) (Partition.slice part s)
-          ~batch_keys ~params)
-  in
-  (* --- Oracle and bookkeeping. *)
-  let expected = Array.map (fun q -> Index.Ref_impl.rank keys q) queries in
-  let errors = ref 0 in
-  let lat = Latency.create () in
-  let prof = Obs.Profile.current () in
-  let batch_profile =
-    match prof with Some _ -> Some (Hashtbl.create 512) | None -> None
-  in
-  let read_at = Array.make (max 1 n) 0.0 in
-  let next_batch_id = ref 0 in
-  let in_flight : (int, Failover.pending) Hashtbl.t = Hashtbl.create 256 in
-  (* Two generations of batches share the table: master->router batches
-     and the sub-batches routers cut from them.  Either can time out;
-     both are re-sent (from node 0, straight to [dst]) and eventually
-     redispatched with [home = 0]. *)
-  let fresh_batch ~dst ~payload qids =
-    let id = !next_batch_id in
-    incr next_batch_id;
-    Hashtbl.add in_flight id
-      (Failover.make_pending ~qids ~payload ~dst ~home:0
-         ~now:(Engine.now eng));
-    id
-  in
-  (* --- Failover state (degraded runs only); the default timeout covers
-     the two-hop master->router->slave journey. *)
-  let fo =
-    match plan with
-    | None -> None
-    | Some p ->
-        let timeout_default =
-          8.0
-          *. ((2.0
-              *. (net_profile.Netsim.Profile.latency_ns
-                 +. Netsim.Profile.transfer_ns net_profile
-                      sc.Workload.Scenario.batch_bytes))
-             +. net_profile.Netsim.Profile.host_overhead_ns)
-        in
-        Some (Failover.create p ~timeout_default ~nodes:n_nodes)
-  in
-  (* --- Master: routes each key to the responsible *router group* using
-     the top-level delimiters (first key of each group). *)
-  let top_delims =
-    Array.init (routers - 1) (fun r -> keys.(Partition.base part groups.(r + 1)))
-  in
-  let delims_lo = Machine.words_allocated master in
-  let delims = Index.Sorted_array.build master top_delims in
-  Machine.label_region master ~label:"partition" ~base:delims_lo
-    ~words:(Machine.words_allocated master - delims_lo);
-  (* Master-resident full-key index for resolving dead destinations'
-     batches locally (degraded runs only). *)
-  let fallback_idx =
-    match fo with
-    | None -> None
-    | Some _ ->
-        let lo = Machine.words_allocated master in
-        let idx = Index.Sorted_array.build master keys in
-        Machine.label_region master ~label:"fallback" ~base:lo
-          ~words:(Machine.words_allocated master - lo);
-        Some idx
-  in
-  let q_base = Machine.labelled_alloc master ~label:"queries" (max 1 n) in
-  Machine.poke_array master q_base queries;
-  let out_bufs =
-    Array.init routers (fun _ ->
-        Machine.labelled_alloc master ~label:"mpi_staging" batch_keys)
-  in
-  let out_lens = Array.make routers 0 in
-  let out_qids = Array.init routers (fun _ -> Array.make batch_keys 0) in
-  let flush_master r =
-    let len = out_lens.(r) in
-    if len > 0 then begin
-      Machine.sync master;
-      Machine.set_phase master "batch_xfer";
-      Machine.compute master overhead;
-      Machine.sync master;
-      let payload =
-        Array.init len (fun j -> Machine.peek master (out_bufs.(r) + j))
-      in
-      let id =
-        fresh_batch ~dst:(1 + r) ~payload (Array.sub out_qids.(r) 0 len)
-      in
-      Netsim.Network.isend net ~src:0 ~dst:(1 + r) ~tag:Proto.data_tag
-        ~phase:"batch_xfer" ~size:(len * word)
-        (Proto.Data (id, payload));
-      Machine.set_phase master "dispatch";
-      out_lens.(r) <- 0
-    end
-  in
-  let master_cap = max 1 (batch_keys / routers) in
-  Machine.set_phase master "dispatch";
-  Engine.spawn eng ~name:"master" (fun () ->
-      for i = 0 to n - 1 do
-        let q = Machine.read master (q_base + i) in
-        read_at.(i) <- Engine.now eng +. Machine.pending_ns master;
-        let r = Index.Sorted_array.search delims q in
-        Machine.write master (out_bufs.(r) + out_lens.(r)) q;
-        out_qids.(r).(out_lens.(r)) <- i;
-        out_lens.(r) <- out_lens.(r) + 1;
-        if out_lens.(r) = master_cap then flush_master r;
-        if i land 8191 = 8191 then begin
-          Machine.sync master;
-          Machine.sample_residency master
-        end
-      done;
-      for r = 0 to routers - 1 do
-        flush_master r
-      done;
-      Machine.sync master;
-      Machine.sample_residency master;
-      for r = 0 to routers - 1 do
-        Netsim.Network.isend net ~src:0 ~dst:(1 + r) ~tag:Proto.term_tag
-          ~phase:"control" ~size:0 Proto.Term
-      done);
-  (* --- Routers: re-batch incoming query batches per slave of the
-     group, using the group's own delimiter slice. *)
-  let spawn_router r =
-    let m = router_machines.(r) in
-    let g_lo = groups.(r) and g_hi = groups.(r + 1) in
-    let width = g_hi - g_lo in
-    let local_delims =
-      Array.init (width - 1) (fun i ->
-          keys.(Partition.base part (g_lo + i + 1)))
-    in
-    let delims_lo = Machine.words_allocated m in
-    let delims = Index.Sorted_array.build m local_delims in
-    Machine.label_region m ~label:"partition" ~base:delims_lo
-      ~words:(Machine.words_allocated m - delims_lo);
-    let rx =
-      [|
-        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
-        Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
-      |]
-    in
-    let out_bufs =
-      Array.init width (fun _ ->
-          Machine.labelled_alloc m ~label:"mpi_staging" batch_keys)
-    in
-    let out_lens = Array.make width 0 in
-    let out_qids = Array.init width (fun _ -> Array.make batch_keys 0) in
-    let flush ls =
-      let len = out_lens.(ls) in
-      if len > 0 then begin
-        Machine.sync m;
-        Machine.set_phase m "batch_xfer";
-        Machine.compute m overhead;
-        Machine.sync m;
-        let payload =
-          Array.init len (fun j -> Machine.peek m (out_bufs.(ls) + j))
-        in
-        let id =
-          fresh_batch ~dst:(slave_node (g_lo + ls)) ~payload
-            (Array.sub out_qids.(ls) 0 len)
-        in
-        Netsim.Network.isend net ~src:(1 + r) ~dst:(slave_node (g_lo + ls))
-          ~tag:Proto.data_tag ~phase:"batch_xfer" ~size:(len * word)
-          (Proto.Data (id, payload));
-        Machine.set_phase m "route";
-        out_lens.(ls) <- 0
-      end
-    in
-    let cap = max 1 (batch_keys / n_slaves) in
-    Machine.set_phase m "route";
-    Engine.spawn eng ~name:(Printf.sprintf "router%d" r) (fun () ->
-        let rx_sel = ref 0 in
-        let serving = ref true in
-        while !serving do
-          let env = Netsim.Network.recv net ~dst:(1 + r) in
-          match env.Netsim.Network.payload with
-          | Proto.Term ->
-              for ls = 0 to width - 1 do
-                flush ls
-              done;
-              Machine.sync m;
-              for ls = 0 to width - 1 do
-                Netsim.Network.isend net ~src:(1 + r)
-                  ~dst:(slave_node (g_lo + ls)) ~tag:Proto.term_tag
-                  ~phase:"control" ~size:0 Proto.Term
-              done;
-              serving := false
-          | Proto.Reply _ -> failwith "router received a reply"
-          | Proto.Data (id, ks) -> (
-              Machine.set_phase m "batch_xfer";
-              Machine.compute m overhead;
-              Machine.set_phase m "route";
-              match Hashtbl.find_opt in_flight id with
-              | None ->
-                  (* Under faults a duplicate or an already-redispatched
-                     batch can reach the router; consume and ignore it. *)
-                  if plan = None then
-                    failwith "router received an unknown batch"
-              | Some p ->
-                  Hashtbl.remove in_flight id;
-                  let qids = p.Failover.qids in
-                  let cnt = Array.length ks in
-                  let buf = rx.(!rx_sel) in
-                  Machine.dma_write m buf ks;
-                  for j = 0 to cnt - 1 do
-                    let q = Machine.read m (buf + j) in
-                    let ls = Index.Sorted_array.search delims q in
-                    Machine.write m (out_bufs.(ls) + out_lens.(ls)) q;
-                    out_qids.(ls).(out_lens.(ls)) <- qids.(j);
-                    out_lens.(ls) <- out_lens.(ls) + 1;
-                    if out_lens.(ls) = cap then flush ls
-                  done;
-                  Machine.sync m;
-                  rx_sel := 1 - !rx_sel)
-        done)
-  in
-  for r = 0 to routers - 1 do
-    spawn_router r
-  done;
-  (* --- Slaves: exactly the flat Method C slave, replying straight to
-     the target on node 0 (one Term, from their router). *)
-  for s = 0 to n_slaves - 1 do
-    Slave_node.spawn eng net slaves.(s) ~node:(slave_node s)
-      ~terms_expected:1 ~batch_keys ~index:slave_idx.(s)
-      ~reply_dst:(fun ~src:_ -> 0) ~overhead_ns:overhead ?batch_profile
-      ?faults:plan ()
-  done;
-  (* Validate one reply's ranks and record per-query latency (shared by
-     the healthy and degraded target loops). *)
-  let record_reply ~s ~id ~qids ~ranks =
-    if Array.length qids <> Array.length ranks then incr errors
-    else
-      Array.iteri
-        (fun j rank ->
-          if Partition.base part s + rank <> expected.(qids.(j)) then
-            incr errors;
-          let resp = Engine.now eng -. read_at.(qids.(j)) in
-          Latency.add lat resp;
-          match prof with
-          | Some p when Obs.Tail.qualifies (Obs.Profile.tail p) resp ->
-              let bd =
-                match batch_profile with
-                | Some tbl ->
-                    Option.value ~default:[] (Hashtbl.find_opt tbl id)
-                | None -> []
-              in
-              let slave_ns =
-                List.fold_left (fun acc (_, x) -> acc +. x) 0.0 bd
-              in
-              Obs.Tail.note (Obs.Profile.tail p) ~id:qids.(j) ~ns:resp
-                ~batch:(Array.length ranks)
-                ~breakdown:(("queue_and_net", resp -. slave_ns) :: bd)
-          | Some _ | None -> ())
-        ranks
-  in
-  (* --- Target on node 0. *)
-  (match fo with
-  | None ->
-      Engine.spawn eng ~name:"target" (fun () ->
-          let remaining = ref n in
-          while !remaining > 0 do
-            let env = Netsim.Network.recv net ~dst:0 in
-            match env.Netsim.Network.payload with
-            | Proto.Reply (id, ranks) ->
-                let s = env.Netsim.Network.src - 1 - routers in
-                (match Hashtbl.find_opt in_flight id with
-                | None -> incr errors
-                | Some p ->
-                    Hashtbl.remove in_flight id;
-                    record_reply ~s ~id ~qids:p.Failover.qids ~ranks);
-                remaining := !remaining - Array.length ranks
-            | Proto.Data _ | Proto.Term ->
-                failwith "target received a non-reply"
-          done)
-  | Some fo ->
-      let fplan = Failover.plan fo in
-      let fb = Option.get fallback_idx in
-      let resolved = Array.make (max 1 n) false in
-      let rem = ref n in
-      (* Resolve queries at the master's full-key index, charged under
-         phase [redispatch]. *)
-      let fallback_resolve qids payload =
-        Machine.set_phase master "redispatch";
-        Array.iteri
-          (fun j q ->
-            let rank = Index.Sorted_array.search fb q in
-            if rank <> expected.(qids.(j)) then incr errors)
-          payload;
-        Machine.sync master;
-        Machine.set_phase master "dispatch";
-        Failover.note_fallback fo (Array.length qids);
-        Array.iter
-          (fun qid ->
-            let resp = Engine.now eng -. read_at.(qid) in
-            Latency.add lat resp;
-            match prof with
-            | Some pr when Obs.Tail.qualifies (Obs.Profile.tail pr) resp ->
-                Obs.Tail.note (Obs.Profile.tail pr) ~id:qid ~ns:resp
-                  ~batch:(Array.length qids)
-                  ~breakdown:[ ("redispatch", resp) ]
-            | Some _ | None -> ())
-          qids
-      in
-      let settle qids =
-        Array.iter (fun qid -> resolved.(qid) <- true) qids;
-        rem := !rem - Array.length qids
-      in
-      let resend id (p : Failover.pending) =
-        (match prof with
-        | Some pr ->
-            Obs.Profile.charge pr ~path:[ "retry"; "host_overhead" ] overhead
-        | None -> ());
-        Netsim.Network.isend net ~src:0 ~dst:p.Failover.dst
-          ~tag:Proto.data_tag ~phase:"retry"
-          ~size:(Array.length p.Failover.payload * word)
-          (Proto.Data (id, p.Failover.payload))
-      in
-      let redispatch _id (p : Failover.pending) =
-        if Fault.Plan.fallback fplan then
-          fallback_resolve p.Failover.qids p.Failover.payload
-        else Failover.note_lost fo ~queries:(Array.length p.Failover.qids);
-        settle p.Failover.qids
-      in
-      Engine.spawn eng ~name:"target" (fun () ->
-          let idle = ref 0 in
-          while !rem > 0 do
-            (match
-               Netsim.Network.recv_timeout net ~dst:0
-                 ~timeout_ns:(Failover.timeout_ns fo)
-             with
-            | Some env -> (
-                idle := 0;
-                match env.Netsim.Network.payload with
-                | Proto.Reply (id, ranks) -> (
-                    let s = env.Netsim.Network.src - 1 - routers in
-                    match Hashtbl.find_opt in_flight id with
-                    | None -> () (* late or duplicate reply: benign *)
-                    | Some p ->
-                        Hashtbl.remove in_flight id;
-                        record_reply ~s ~id ~qids:p.Failover.qids ~ranks;
-                        settle p.Failover.qids)
-                | Proto.Data _ | Proto.Term ->
-                    failwith "target received a non-reply")
-            | None -> if Hashtbl.length in_flight = 0 then incr idle);
-            Failover.sweep fo ~now:(Engine.now eng) ~in_flight ~resend
-              ~redispatch;
-            (* Stranded queries: a router died between consuming a
-               master batch and cutting its sub-batches, so no in-flight
-               entry covers them and nothing can arrive.  After two full
-               silent timeouts with an empty table, resolve whatever is
-               left. *)
-            if !idle >= 2 && !rem > 0 then begin
-              let qids =
-                Array.of_list
-                  (List.filter
-                     (fun i -> not resolved.(i))
-                     (List.init n (fun i -> i)))
-              in
-              let payload = Array.map (fun i -> queries.(i)) qids in
-              if Fault.Plan.fallback fplan then fallback_resolve qids payload
-              else Failover.note_lost fo ~queries:(Array.length qids);
-              settle qids
-            end
-          done;
-          Failover.note_finish fo ~now:(Engine.now eng)));
-  Engine.run eng;
-  let raw =
-    match fo with
-    | None -> Engine.now eng
-    | Some f ->
-        let fa = Failover.finish_at f in
-        if fa > 0.0 then fa else Engine.now eng
-  in
-  if Hashtbl.length in_flight <> 0 then incr errors;
-  let idle_sum = ref 0.0 in
-  Array.iter
-    (fun m -> idle_sum := !idle_sum +. (1.0 -. (Machine.busy_ns m /. raw)))
-    slaves;
-  let sum_stats ms =
-    Array.fold_left
-      (fun acc m ->
-        Cachesim.Hierarchy.add_stats acc
-          (Cachesim.Hierarchy.stats (Machine.hierarchy m)))
-      Cachesim.Hierarchy.zero_stats ms
-  in
-  {
-    Run_result.method_id = variant;
-    scenario = sc.Workload.Scenario.name ^ "+hier";
-    n_queries = n;
-    n_nodes;
-    batch_bytes = sc.Workload.Scenario.batch_bytes;
-    total_ns = raw;
-    raw_ns = raw;
-    per_key_ns = raw /. float_of_int (max 1 n);
-    slave_idle = !idle_sum /. float_of_int n_slaves;
-    master_busy = Machine.busy_ns master /. raw;
-    messages = Netsim.Network.messages_sent net;
-    bytes_sent = Netsim.Network.bytes_sent net;
-    validation_errors = !errors;
-    cache =
-      Cachesim.Hierarchy.add_stats
-        (Cachesim.Hierarchy.stats (Machine.hierarchy master))
-        (Cachesim.Hierarchy.add_stats (sum_stats router_machines)
-           (sum_stats slaves));
-    overflow_flushes =
-      Array.fold_left
-        (fun acc i -> acc + Slave_node.overflow_flushes i)
-        0 slave_idx;
-    mean_response_ns = Latency.mean lat;
-    p95_response_ns = Latency.percentile lat 0.95;
-    metrics =
-      Telemetry.snapshot ~eng ~net
-        ~machines:
-          (Array.append [| master |] (Array.append router_machines slaves))
-        ~latency:lat ~validation_errors:!errors
-        ?degraded:
-          (match fo with
-          | None -> None
-          | Some f -> Some (Failover.degraded f))
-        ();
-    trace = None;
-    profile = None;
-    degraded =
-      (match fo with
-      | None -> Run_result.no_degradation
-      | Some f -> Failover.degraded f);
-    serving = None;
-    timeline = None;
-    scope = None;
-  }
+  { o.Method_c.run with
+    Run_result.scenario = sc.Workload.Scenario.name ^ "+hier" }

@@ -35,10 +35,11 @@ val run :
     nodes [1..routers] as routers and the remaining
     [sc.n_nodes - 1 - routers] nodes as slaves (every router gets a
     near-equal contiguous group of slaves).  [routers] defaults to 2.
-    Validation and accounting are as in {!Method_c.run}, as is
-    [?faults] — with one addition: a router that dies between consuming
-    a master batch and cutting its sub-batches leaves queries no
-    in-flight entry covers, so after two consecutive silent timeouts
-    with an empty in-flight table the target resolves all outstanding
-    queries through the master's fallback index (or reports them
-    lost). *)
+    It is {!Method_c.drive} over the [Routers] topology: validation,
+    accounting and [?faults] are the flat protocol's — with one
+    addition: a router that dies between consuming a master batch and
+    cutting its sub-batches leaves queries no in-flight entry covers,
+    so after two consecutive silent timeouts with an empty in-flight
+    table the target resolves all outstanding queries through the
+    master's fallback index (or reports them lost).  The result's
+    scenario is the input scenario's name with ["+hier"] appended. *)

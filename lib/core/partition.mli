@@ -10,6 +10,18 @@
 
 type t
 
+val chunk_bounds : int -> int -> int array
+(** [chunk_bounds n parts] splits [[0, n)] into [parts] contiguous
+    chunks of near-equal size: chunk [i] is [[b.(i), b.(i+1))], and the
+    first [n mod parts] chunks hold one element more.  Slices, query
+    chunks of several masters and router groups all split this way. *)
+
+val round_robin : int -> int -> int array array
+(** [round_robin n parts] deals [[0, n)] over [parts] dealers: dealer
+    [p] gets [p, p+parts, ...].  Serving runs deal arrivals to engines
+    this way: every part spans the whole horizon, where a contiguous
+    split would leave all but one part idle at any moment. *)
+
 val make : keys:int array -> parts:int -> t
 (** [make ~keys ~parts] partitions the strictly-increasing [keys] into
     [parts >= 1] slices.  Requires [Array.length keys >= parts]. *)

@@ -8,8 +8,9 @@ val run :
   queries:int array ->
   Run_result.t
 (** [?faults] applies to the Method C family only (A and B are
-    single-node reference methods with no interconnect to degrade); see
-    {!Method_c.run}. *)
+    single-node reference methods with no interconnect to degrade); the
+    C family runs {!Method_c.run}, the flat batch form of the one
+    {!Method_c.drive} protocol. *)
 
 val workload :
   Workload.Scenario.t -> int array * int array

@@ -1,6 +1,6 @@
 (** Online serving drivers: open-loop query streams with SLO accounting.
 
-    The batch drivers ({!Method_a}, {!Method_b}, {!Method_c}) answer the
+    The batch drivers ({!Method_a}, {!Method_b}, {!Method_c.run}) answer the
     paper's question — how fast can each method drain a fixed query
     set — but they cannot show what a query {e experiences} under load:
     a query that arrives while the engine is behind waits, and that
@@ -62,7 +62,10 @@ val run_method :
 (** One open-loop serving run of one method on a prepared workload.
     [arrival] must be the same spec [workload] generated from (it is
     recorded, not re-generated).  Faults apply to the Method C family
-    only, exactly as in the batch drivers.  With [timeline] (default
+    only, exactly as in the batch drivers: the C family runs the one
+    {!Method_c.drive} protocol under a [Serve] source, with retries,
+    redispatches, fallbacks and losses noted on the timeline.  With
+    [timeline] (default
     false) the run records an {!Obs.Series} onto
     [run.Run_result.timeline]: windows of [timeline_window_ns]
     (default: horizon/32) with per-window load/latency/queue/busy/SLO

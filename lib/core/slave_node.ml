@@ -4,31 +4,33 @@ type index =
   | S_csb of Index.Csb_tree.t
   | S_buffered of Index.Buffered.t
   | S_array of Index.Sorted_array.t
+  | S_segments of Index.Segments.t
 
 let build variant machine slice ~batch_keys ~(params : Cachesim.Mem_params.t) =
-  let lo = Machine.words_allocated machine in
-  let index =
-    match (variant : Methods.id) with
-    | Methods.C1 -> S_csb (Index.Csb_tree.build machine slice)
-    | Methods.C2 ->
-        let tree = Index.Nary_tree.build machine slice in
-        (* Zhou-Ross buffering against the L1: subtrees must fit in half
-           the L1 alongside their buffers (Section 3.2). *)
-        S_buffered
-          (Index.Buffered.create
-             ~budget_bytes:(params.Cachesim.Mem_params.l1_size / 2)
-             ~max_batch:batch_keys tree)
-    | Methods.C3 -> S_array (Index.Sorted_array.build machine slice)
-    | Methods.A | Methods.B ->
-        invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3"
-  in
-  Machine.label_region machine ~label:"partition" ~base:lo
-    ~words:(Machine.words_allocated machine - lo);
-  index
+  Machine.labelled machine ~label:"partition" (fun () ->
+      match (variant : Methods.id) with
+      | Methods.C1 -> S_csb (Index.Csb_tree.build machine slice)
+      | Methods.C2 ->
+          let tree = Index.Nary_tree.build machine slice in
+          (* Zhou-Ross buffering against the L1: subtrees must fit in half
+             the L1 alongside their buffers (Section 3.2). *)
+          S_buffered
+            (Index.Buffered.create
+               ~budget_bytes:(params.Cachesim.Mem_params.l1_size / 2)
+               ~max_batch:batch_keys tree)
+      | Methods.C3 -> S_array (Index.Sorted_array.build machine slice)
+      | Methods.A | Methods.B ->
+          invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3")
+
+(* [Segments] labels its own base and delta regions. *)
+let build_segments machine slice ~policy =
+  S_segments (Index.Segments.create machine ~policy slice)
 
 let overflow_flushes = function
   | S_buffered b -> Index.Buffered.overflow_flushes b
-  | S_csb _ | S_array _ -> 0
+  | S_csb _ | S_array _ | S_segments _ -> 0
+
+let segments = function S_segments s -> Some s | _ -> None
 
 let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
     ~overhead_ns ?batch_profile ?faults () =
@@ -85,20 +87,41 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
               else 0.0
             in
             Machine.set_phase m "lookup";
-            (match index with
-            | S_array sa ->
-                for j = 0 to cnt - 1 do
-                  let q = Machine.read m (buf + j) in
-                  Machine.write m (reply + j) (Index.Sorted_array.search sa q)
-                done
-            | S_csb ct ->
-                for j = 0 to cnt - 1 do
-                  let q = Machine.read m (buf + j) in
-                  Machine.write m (reply + j) (Index.Csb_tree.search ct q)
-                done
-            | S_buffered b ->
-                Index.Buffered.process_batch b ~queries:buf ~results:reply
-                  ~n:cnt);
+            (* [n_ranks]: the batch's query count (updates answer nothing). *)
+            let n_ranks =
+              match index with
+              | S_array sa ->
+                  for j = 0 to cnt - 1 do
+                    let q = Machine.read m (buf + j) in
+                    Machine.write m (reply + j) (Index.Sorted_array.search sa q)
+                  done;
+                  cnt
+              | S_csb ct ->
+                  for j = 0 to cnt - 1 do
+                    let q = Machine.read m (buf + j) in
+                    Machine.write m (reply + j) (Index.Csb_tree.search ct q)
+                  done;
+                  cnt
+              | S_buffered b ->
+                  Index.Buffered.process_batch b ~queries:buf ~results:reply
+                    ~n:cnt;
+                  cnt
+              | S_segments seg ->
+                  let r = ref 0 in
+                  for j = 0 to cnt - 1 do
+                    let w = Machine.read m (buf + j) in
+                    let k = Proto.key w and op = Proto.op w in
+                    if op = Proto.query_op then begin
+                      Machine.write m (reply + !r)
+                        (Index.Segments.search seg k);
+                      incr r
+                    end
+                    else if op = Proto.insert_op then
+                      ignore (Index.Segments.insert seg k)
+                    else ignore (Index.Segments.delete seg k)
+                  done;
+                  !r
+            in
             (* A slow node's computation takes [slow_factor] times as
                long: charge the surplus over the measured lookup time. *)
             if slow_factor > 1.0 then begin
@@ -131,10 +154,12 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
                   (("cpu", cpu)
                   :: Cachesim.Hierarchy.stats_breakdown params ds)
             | None -> ());
-            let ranks = Array.init cnt (fun j -> Machine.peek m (reply + j)) in
+            let ranks =
+              Array.init n_ranks (fun j -> Machine.peek m (reply + j))
+            in
             Netsim.Network.isend net ~src:node
               ~dst:(reply_dst ~src:env.Netsim.Network.src)
-              ~tag:Proto.reply_tag ~phase:"reply" ~size:(cnt * word)
+              ~tag:Proto.reply_tag ~phase:"reply" ~size:(n_ranks * word)
               (Proto.Reply (id, ranks));
             rx_sel := 1 - !rx_sel
       done)

@@ -1,10 +1,12 @@
 (** The slave side of the Method C family: a cache-resident partition
-    index plus the serving loop, shared by the flat ({!Method_c}) and
-    hierarchical ({!Method_c_hier}) dispatch topologies. *)
+    index plus the serving loop, shared by every variant of the
+    {!Method_c} protocol (batch and serving, static and dynamic, flat
+    and router-tier). *)
 
 type index
-(** A built slave-side index: CSB+ tree (C-1), buffered n-ary tree (C-2)
-    or sorted array (C-3). *)
+(** A built slave-side index: CSB+ tree (C-1), buffered n-ary tree (C-2),
+    sorted array (C-3), or — under update forwarding — a log-structured
+    {!Index.Segments} partition for every variant. *)
 
 val build :
   Methods.id ->
@@ -16,8 +18,16 @@ val build :
 (** Build the structure for the given sub-method over the slice of keys.
     Raises [Invalid_argument] for methods [A]/[B]. *)
 
+val build_segments :
+  Machine.t -> int array -> policy:Index.Segments.policy -> index
+(** A log-structured partition over the slice, for update forwarding
+    (every C variant serves its dynamic partition the same way). *)
+
 val overflow_flushes : index -> int
 (** Early buffer drains (C-2 only; 0 otherwise). *)
+
+val segments : index -> Index.Segments.t option
+(** The dynamic partition, for update accounting. *)
 
 val spawn :
   Simcore.Engine.t ->
@@ -37,7 +47,10 @@ val spawn :
     upstream dispatcher in arrival order, DMA them into a rotating pair
     of receive buffers, answer against the partition index, and ship the
     local ranks as a [Reply] (same batch id) to [reply_dst ~src] where
-    [src] is the sender of the data batch.  The process exits after
+    [src] is the sender of the data batch.  A {!Index.Segments}
+    partition decodes each {!Proto} op word: queries are answered in
+    batch order, inserts and deletes mutate the partition in arrival
+    order and add nothing to the reply.  The process exits after
     [terms_expected] [Term] messages.  Each message charges
     [overhead_ns] of CPU on receive and on reply.
 

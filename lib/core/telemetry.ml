@@ -37,6 +37,33 @@ let snapshot ~eng ?(more_engines = []) ?net ~machines ~latency
         (List.length d.Run_result.dead_nodes));
   Obs.Metrics.snapshot reg
 
+type rollup = {
+  cache : Cachesim.Hierarchy.stats;
+  busy : float;
+  idle : float;
+}
+
+let rollup ~raw groups =
+  let sum ms =
+    Array.fold_left
+      (fun acc m ->
+        Cachesim.Hierarchy.add_stats acc
+          (Cachesim.Hierarchy.stats (Machine.hierarchy m)))
+      Cachesim.Hierarchy.zero_stats ms
+  in
+  let mean f ms =
+    Array.fold_left (fun acc m -> acc +. f (Machine.busy_ns m /. raw)) 0.0 ms
+    /. float_of_int (Array.length ms)
+  in
+  {
+    cache =
+      List.fold_right
+        (fun g acc -> Cachesim.Hierarchy.add_stats (sum g) acc)
+        groups Cachesim.Hierarchy.zero_stats;
+    busy = mean Fun.id (List.hd groups);
+    idle = mean (fun b -> 1.0 -. b) (List.nth groups (List.length groups - 1));
+  }
+
 let run_label (r : Run_result.t) =
   Printf.sprintf "%s %s batch=%dKB"
     (Methods.to_string r.Run_result.method_id)

@@ -35,6 +35,21 @@ val snapshot :
     counters; omitting it keeps the snapshot identical to a build
     without fault support. *)
 
+type rollup = {
+  cache : Cachesim.Hierarchy.stats;
+      (** Every node's hierarchy stats: summed within each group in
+          node order, then the group sums added right to left. *)
+  busy : float;  (** Mean busy fraction of the first group. *)
+  idle : float;  (** Mean idle fraction of the last group. *)
+}
+
+val rollup : raw:float -> Machine.t array list -> rollup
+(** The cluster roll-up every driver reports: [groups] lists the node
+    classes, dispatchers first and servers last (Method C: masters,
+    routers, slaves; a replicated method: its one class of nodes).
+    Fractions are of [raw] simulated nanoseconds.  The summation order
+    is fixed, so results are bit-identical run to run. *)
+
 val run_label : Run_result.t -> string
 (** Stable label identifying a run inside a metrics/trace file:
     ["<method> <scenario> batch=<n>KB"]. *)

@@ -152,6 +152,12 @@ let label_region t ~label ~base ~words =
         ~hi:((base + words) * t.p.word_bytes)
   | None -> ()
 
+let labelled t ~label build =
+  let base = t.brk in
+  let x = build () in
+  label_region t ~label ~base ~words:(t.brk - base);
+  x
+
 let labelled_alloc t ?align_words ~label n =
   let base = alloc t ?align_words n in
   label_region t ~label ~base ~words:n;

@@ -101,6 +101,10 @@ val label_region : t -> label:string -> base:int -> words:int -> unit
     ("partition", "queries", "mpi_staging", ...) for reuse-distance and
     residency telemetry.  Label a range before accessing it. *)
 
+val labelled : t -> label:string -> (unit -> 'a) -> 'a
+(** [labelled t ~label build] runs [build] (typically an index
+    constructor) and labels every word it allocated. *)
+
 val labelled_alloc : t -> ?align_words:int -> label:string -> int -> int
 (** {!alloc} + {!label_region} in one step. *)
 

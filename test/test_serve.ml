@@ -138,14 +138,39 @@ let test_serve_reports_sane () =
     reports
 
 (* The SLO report must be byte-identical at any worker count: the CSV
-   lines (what @serve-smoke pins down) compare equal across jobs. *)
+   lines (what @serve-smoke pins down) compare equal across jobs.  The
+   second input serves C-3 from two masters, each dealt every other
+   arrival: all answers validate, every query crosses the wire exactly
+   twice (its key to a slave, its rank back), and the whole report is
+   identical at jobs 1 and 2. *)
 let test_serve_jobs_invariant () =
-  let lines jobs =
-    Dispatch.Serve.csv_lines (Dispatch.Serve.run (Spec.with_jobs jobs serve_spec))
+  let two_masters =
+    serve_spec
+    |> Spec.with_scenario (Workload.Scenario.with_masters 2 serve_sc)
+    |> Spec.with_methods [ Dispatch.Methods.C3 ]
   in
-  let j1 = lines 1 in
-  check_bool "jobs 1 = 2" true (j1 = lines 2);
-  check_bool "jobs 1 = 4" true (j1 = lines 4)
+  List.iter
+    (fun spec ->
+      let lines jobs =
+        Dispatch.Serve.csv_lines (Dispatch.Serve.run (Spec.with_jobs jobs spec))
+      in
+      let j1 = lines 1 in
+      check_bool "jobs 1 = 2" true (j1 = lines 2);
+      check_bool "jobs 1 = 4" true (j1 = lines 4))
+    [ serve_spec; two_masters ];
+  match
+    ( Dispatch.Serve.run two_masters,
+      Dispatch.Serve.run (Spec.with_jobs 2 two_masters) )
+  with
+  | [ ({ Dispatch.Serve.run; serving } as r1) ], [ r2 ] ->
+      check_int "two masters validated" 0
+        run.Dispatch.Run_result.validation_errors;
+      check_int "a key and a rank per query"
+        (2 * serving.Dispatch.Run_result.arrived
+        * serve_sc.Workload.Scenario.params.Cachesim.Mem_params.word_bytes)
+        run.Dispatch.Run_result.bytes_sent;
+      check_bool "two masters report jobs 1 = 2" true (Stdlib.compare r1 r2 = 0)
+  | _ -> Alcotest.fail "expected one report per run"
 
 (* Dynamic serving: method A over a log-structured Segments replica with
    updates interleaved into the arrival stream.  Every answer is
