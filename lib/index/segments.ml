@@ -1,6 +1,6 @@
 (* Log-structured dynamic index: an immutable sorted base run plus
-   in-memory delta segments (ROADMAP item 2, after Asadi & Lin's
-   incremental in-memory indexing).  Every entry records an *effective*
+   in-memory delta segments (after Asadi & Lin's incremental in-memory
+   indexing).  Every entry records an *effective*
    state flip — an insert of a key that was live, or a delete of a key
    that was dead, is rejected at apply time — so per key the recorded
    ops strictly alternate insert/delete.  That invariant is what makes

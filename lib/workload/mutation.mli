@@ -1,7 +1,7 @@
-(** Update-stream specification for the dynamic-index experiments
-    (ROADMAP item 2): how many index mutations ride along a query
-    stream, their insert/delete mix, and the log-structured merge
-    policy the dynamic index runs under.
+(** Update-stream specification for the dynamic-index experiments: how
+    many index mutations ride along a query stream, their insert/delete
+    mix, and the log-structured merge policy the dynamic index runs
+    under.
 
     Grammar (the [--updates] flag; clause style shared with
     [Fault.Spec] and {!Arrival}):
