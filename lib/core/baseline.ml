@@ -59,7 +59,7 @@ let serve_spec ~jobs =
   in
   Experiment.Spec.default
   |> Experiment.Spec.with_scenario sc
-  |> Experiment.Spec.with_methods [ Methods.B; Methods.C3 ]
+  |> Experiment.Spec.with_methods [ Methods.A; Methods.B; Methods.C3 ]
   |> Experiment.Spec.with_arrival (Workload.Arrival.poisson 2e5)
   |> Experiment.Spec.with_slo 1e6
   |> Experiment.Spec.with_jobs jobs
@@ -74,8 +74,9 @@ let guarded (r : Run_result.t) =
 (* Protocol-variant cells: every shape of the Method C protocol that the
    grid above leaves out — the router tier, two masters in batch and
    serving mode, serving under replay-class faults, and dynamic update
-   forwarding across a slave crash.  Each scenario gets its own name so
-   the keys stay distinct. *)
+   forwarding across a slave crash — plus the replicated methods over a
+   moving index: batch A and B at 0.1 updates/query and dynamic serving
+   for A.  Each scenario gets its own name so the keys stay distinct. *)
 let variant_entries ~spec =
   let jobs = spec.Experiment.Spec.jobs in
   let sc = Experiment.Spec.scenario spec in
@@ -93,7 +94,7 @@ let variant_entries ~spec =
       (Workload.Scenario.with_masters 2 (renamed "-2m"))
       ~method_id:c3 ~keys ~queries
   in
-  let serve name refine =
+  let serve ?(methods = [ c3 ]) name refine =
     let spec = serve_spec ~jobs in
     let sc = Experiment.Spec.scenario spec |> Workload.Scenario.with_name name in
     List.map
@@ -101,7 +102,7 @@ let variant_entries ~spec =
       (Serve.run
          (spec
          |> Experiment.Spec.with_scenario sc
-         |> Experiment.Spec.with_methods [ c3 ]
+         |> Experiment.Spec.with_methods methods
          |> refine))
   in
   let serve_two_masters =
@@ -115,16 +116,25 @@ let variant_entries ~spec =
       (Experiment.Spec.with_faults
          (parse_exn Fault.Spec.parse "drop:p=0.02+slow:node=2,factor=4"))
   in
+  let updates = parse_exn Workload.Mutation.parse "0.1" in
   let dynamic_crash, _ =
     Dynamic.run
       ~faults:(parse_exn Fault.Spec.parse "crash:node=3,at=1e6")
-      (renamed "-dyn-crash")
-      ~updates:(parse_exn Workload.Mutation.parse "0.1")
-      ~method_id:c3
+      (renamed "-dyn-crash") ~updates ~method_id:c3
+  in
+  let dynamic_replicated =
+    List.map
+      (fun method_id -> fst (Dynamic.run (renamed "-dyn") ~updates ~method_id))
+      [ Methods.A; Methods.B ]
+  in
+  let serve_dynamic =
+    serve ~methods:[ Methods.A ] "ci-serve-dyn"
+      (Experiment.Spec.with_updates
+         (parse_exn Workload.Mutation.parse "mix:ratio=0.2,inserts=0.6"))
   in
   List.map guarded
     ((hier :: two_masters :: serve_two_masters)
-    @ serve_faulted @ [ dynamic_crash ])
+    @ serve_faulted @ (dynamic_crash :: dynamic_replicated) @ serve_dynamic)
 
 let capture ~spec =
   let rows = Experiment.fig3 spec in

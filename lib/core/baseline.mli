@@ -36,8 +36,8 @@ val default_spec : jobs:int -> Experiment.Spec.t
 
 val serve_spec : jobs:int -> Experiment.Spec.t
 (** The gated serving cell: the CI workload renamed ["ci-serve"],
-    served open-loop (Poisson 2e5 qps over a 2 ms horizon, methods B
-    and C-3) so queueing and SLO cost models are gated alongside the
+    served open-loop (Poisson 2e5 qps over a 2 ms horizon, methods A,
+    B and C-3) so queueing and SLO cost models are gated alongside the
     batch sweep.  Captured by {!capture} after the fig3 cells. *)
 
 val capture : spec:Experiment.Spec.t -> entry list
@@ -46,9 +46,11 @@ val capture : spec:Experiment.Spec.t -> entry list
     the grid leaves out: two routers and two masters over [spec]'s
     scenario, two masters and [drop:p=0.02+slow:node=2,factor=4] faults
     under {!serve_spec}, and dynamic forwarding at 0.1 updates/query
-    across [crash:node=3,at=1e6]) and summarize each cell.  Raises [Failure] if
-    any run reports validation errors — a broken run must not become a
-    baseline. *)
+    across [crash:node=3,at=1e6]; then dynamic batch A and B at 0.1
+    updates/query and dynamic serving of A under
+    [mix:ratio=0.2,inserts=0.6]) and summarize each cell.  Raises
+    [Failure] if any run reports validation errors — a broken run must
+    not become a baseline. *)
 
 val of_run : Run_result.t -> entry
 

@@ -267,10 +267,10 @@ let tiny_spec =
 
 let test_baseline_roundtrip () =
   let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
-  (* Two fig3 grid cells, the two ci-serve serving cells, and five
-     Method C protocol-variant cells. *)
-  check_int "one entry per grid cell" 9 (List.length entries);
-  check_int "serving cells keyed under ci-serve" 2
+  (* Two fig3 grid cells, the three ci-serve serving cells, five
+     Method C protocol-variant cells, and three dynamic A/B cells. *)
+  check_int "one entry per grid cell" 13 (List.length entries);
+  check_int "serving cells keyed under ci-serve" 3
     (List.length
        (List.filter
           (fun (e : Dispatch.Baseline.entry) ->
