@@ -1,15 +1,17 @@
-(** Dynamic-index method drivers: the batch methods re-run over a
+(** Dynamic-index runs: the batch protocols re-run over a
     log-structured {!Index.Segments} index with an interleaved
-    update/query stream from {!Workload.Mutation}.
+    update/query stream from {!Workload.Mutation}.  This module holds
+    the update/segment stats, the op-stream workload and the fault
+    guard; {!run} hands one [Updates] op stream to a protocol core.
 
-    Methods A and B apply updates locally on the replicated node and
-    eat the cache dirtying; the cluster-time normalization divides only
-    the query work by [n_nodes] (replicated update work runs on every
-    node).  The Method C family forwards each update to the owning
-    slave's partition, master-mediated like query dispatch (phase
+    Methods A and B run {!Replicated.drive}: the replicated node applies
+    every update locally and eats the cache dirtying; the cluster-time
+    normalization divides only the query work by [n_nodes] (replicated
+    update work runs on every node).  The Method C family runs
+    {!Method_c.drive}, forwarding each update to the owning slave's
+    partition, master-mediated like query dispatch (phase
     ["update_forward"]), with the slave partitions held as dynamic
-    [Segments] over the static delimiter ranges for every C variant —
-    the {!Method_c.drive} protocol over an [Updates] op stream.
+    [Segments] over the static delimiter ranges for every C variant.
 
     Every returned rank is validated against a {!Index.Ref_impl.Dyn}
     oracle replayed to the same stream point — never silently wrong.

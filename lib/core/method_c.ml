@@ -52,7 +52,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   (* Node layout: masters, then routers, then slaves. *)
   let first_slave = n_masters + n_routers in
   let n = Array.length queries in
-  let batch_keys = max 1 (Workload.Scenario.queries_per_batch sc) in
+  let batch_keys = Workload.Scenario.queries_per_batch sc in
   let eng = Engine.create () in
   (* A fault plan only exists for a non-empty spec, so the fault-free run
      takes exactly the pre-fault-support code paths (bit-identical). *)

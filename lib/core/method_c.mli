@@ -23,6 +23,9 @@
     - {!ops}: queries only, or an interleaved query/insert/delete stream;
     - {!topology}: masters feeding slaves directly, or through routers.
 
+    {!source}, {!ops} and {!outcome} are shared with
+    {!Replicated.drive}, the one core for Methods A and B.
+
     Multiple masters (the paper's §3.2 remedy for master overload) are
     supported via [Scenario.n_masters] in the flat query topology: nodes
     [0 .. n_masters-1] each run a replica of the delimiter table over a

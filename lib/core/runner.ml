@@ -1,7 +1,9 @@
 let run ?faults sc ~method_id ~keys ~queries =
   match (method_id : Methods.id) with
-  | Methods.A -> Method_a.run sc ~keys ~queries
-  | Methods.B -> Method_b.run sc ~keys ~queries
+  | Methods.A | Methods.B ->
+      (Replicated.drive ~jobs:1 sc ~source:Method_c.Batch ~ops:Method_c.Queries
+         ~method_id ~keys ~queries)
+        .Method_c.run
   | Methods.C1 | Methods.C2 | Methods.C3 ->
       Method_c.run sc ?faults ~variant:method_id ~keys ~queries
 

@@ -7,10 +7,12 @@ val run :
   keys:int array ->
   queries:int array ->
   Run_result.t
-(** [?faults] applies to the Method C family only (A and B are
-    single-node reference methods with no interconnect to degrade); the
-    C family runs {!Method_c.run}, the flat batch form of the one
-    {!Method_c.drive} protocol. *)
+(** A and B run {!Replicated.drive} under a [Batch] source: one node
+    drains the whole stream over a static tree, and its time is divided
+    by the cluster size.  [?faults] applies to the Method C family only
+    (A and B have no interconnect to degrade); the C family runs
+    {!Method_c.run}, the flat batch form of the one {!Method_c.drive}
+    protocol. *)
 
 val workload :
   Workload.Scenario.t -> int array * int array

@@ -1,5 +1,3 @@
-open Simcore
-
 type report = {
   run : Run_result.t;
   serving : Run_result.serving;
@@ -170,375 +168,12 @@ let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
     warm_p99_ns = warm_p99;
   }
 
-(* Tail-inspector entry for one delivered query, split into its
-   queueing and service components — only when a profiler is ambient
-   and the response qualifies for the kept set.  [prof] is the ambient
-   profiler frozen once at the top of the run: the recorder is
-   installed around the whole run, so per-delivery [Obs.Profile.current]
-   lookups (a Domain.DLS read each) would always return the same
-   answer. *)
-let note_tail ~prof ~qid ~batch ~arrived ~started ~finished =
-  match prof with
-  | Some p when Obs.Tail.qualifies (Obs.Profile.tail p) (finished -. arrived)
-    ->
-      Obs.Tail.note (Obs.Profile.tail p) ~id:qid ~ns:(finished -. arrived)
-        ~batch
-        ~breakdown:
-          [ ("queue", started -. arrived); ("service", finished -. started) ]
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel node epochs.  In methods A and B the nodes never
-   communicate: each one serves its own round-robin slice of the
-   arrivals against its own replica, so a node's entire timeline is one
-   epoch that can run on its own engine — and, when nothing is
-   recording, on its own domain.  Every accumulator is kept per node
-   and merged in node-index order afterwards, so the merged result is
-   one canonical value however the epochs were scheduled: jobs 1, 2
-   and 4 are byte-identical by construction.  The serving rollup needs
-   no merge at all — it reads the admission/delivery timestamp arrays,
-   which the nodes fill at disjoint indices. *)
-
-type epoch = {
-  ep_eng : Engine.t;
-  ep_machine : Machine.t;
-  ep_lat : Latency.t;
-  ep_errors : int;
-  ep_flushes : int;
-}
-
-(* Ambient recorders are domain-local: a worker domain would not see
-   the profiler/tracer/scope installed on the caller, so instrumented
-   runs keep every epoch inline.  The epoch structure (and thus every
-   output) is the same either way; only the scheduling differs. *)
-let recording () =
-  Obs.Profile.current () <> None
-  || Trace.current () <> None
-  || Obs.Cachescope.current () <> None
-
-let run_epochs ~jobs n_nodes sim =
-  if n_nodes < 1 then invalid_arg "Serve: need at least one node";
-  let thunks = List.init n_nodes (fun node () -> sim node) in
-  if jobs > 1 && not (recording ()) then
-    Array.of_list (Exec.Pool.run ~jobs:(min jobs n_nodes) thunks)
-  else Array.of_list (List.map (fun f -> f ()) thunks)
-
-let merge_epochs epochs =
-  let lat = Latency.create () in
-  Array.iter (fun e -> Latency.merge_into lat e.ep_lat) epochs;
-  let errors = Array.fold_left (fun a e -> a + e.ep_errors) 0 epochs in
-  (* The shared-engine clock after a run is the time of the last event,
-     i.e. the maximum over all nodes' final clocks. *)
-  let raw =
-    Array.fold_left (fun a e -> Float.max a (Engine.now e.ep_eng)) 0.0 epochs
-  in
-  (lat, errors, raw)
-
-let epoch_metrics epochs ~lat ~errors =
-  let engines = Array.to_list (Array.map (fun e -> e.ep_eng) epochs) in
-  Telemetry.snapshot
-    ~eng:(List.hd engines)
-    ~more_engines:(List.tl engines)
-    ~machines:(Array.map (fun e -> e.ep_machine) epochs)
-    ~latency:lat ~validation_errors:errors ()
-
-(* ------------------------------------------------------------------ *)
-(* Method A: replicated tree on every node, arrivals dealt round-robin,
-   one timed traversal per query.  The per-query [sync] is what lets a
-   node fall visibly behind: accumulated lookup cost pushes the clock
-   past the next admission time and the gap is queueing delay. *)
-
-let serve_a ?(updates = Workload.Mutation.none) ?(ops = [||])
-    (sc : Workload.Scenario.t) ~jobs ~keys ~queries ~arrivals
-    ~start_at ~done_at ~finish =
-  let params = sc.Workload.Scenario.params in
-  let n_nodes = sc.Workload.Scenario.n_nodes in
-  let n = Array.length arrivals in
-  let assign = Partition.round_robin n n_nodes in
-  let prof = Obs.Profile.current () in
-  (* Dynamic serving epoch: the replica is a log-structured [Segments]
-     index and every node walks the full op stream — updates are
-     replicated work (each node applies all of them, interleaved in
-     stream order), queries are served only by their round-robin owner.
-     Update cost lands on the node clock, so a burst of mutations
-     visibly delays the queries queued behind it.  Answers are checked
-     online against a [Ref_impl.Dyn] oracle advanced to the same stream
-     point (the index moves, so a post-run peek cannot validate). *)
-  let sim_dyn node =
-    let my = assign.(node) in
-    let eng = Engine.create () in
-    let m = Machine.create eng ~name:(Printf.sprintf "node%d" node) params in
-    let seg =
-      Index.Segments.create m ~policy:(Workload.Mutation.policy updates) keys
-    in
-    let dyn = Index.Ref_impl.Dyn.create keys in
-    let lat = Latency.create () in
-    let cnt = Array.length my in
-    let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
-    let r_base = Machine.labelled_alloc m ~label:"results" (max 1 cnt) in
-    Machine.poke_array m q_base (Array.map (fun qid -> queries.(qid)) my);
-    let errors = ref 0 in
-    Machine.set_phase m "serve";
-    Engine.spawn eng ~name:(Printf.sprintf "node%d" node) (fun () ->
-        Array.iter
-          (fun op ->
-            match (op : Workload.Mutation.op) with
-            | Workload.Mutation.Insert k ->
-                if Index.Segments.insert seg k
-                   <> Index.Ref_impl.Dyn.insert dyn k
-                then incr errors
-            | Workload.Mutation.Delete k ->
-                if Index.Segments.delete seg k
-                   <> Index.Ref_impl.Dyn.delete dyn k
-                then incr errors
-            | Workload.Mutation.Query qid when qid mod n_nodes = node ->
-                let j = qid / n_nodes in
-                Machine.sync m;
-                let t = arrivals.(qid) in
-                let now = Engine.now eng in
-                if now < t then Engine.delay eng (t -. now);
-                start_at.(qid) <- Engine.now eng;
-                let q = Machine.read m (q_base + j) in
-                let rank = Index.Segments.search seg q in
-                if rank <> Index.Ref_impl.Dyn.rank dyn q then incr errors;
-                Machine.write m (r_base + j) rank;
-                Machine.sync m;
-                let fin = Engine.now eng in
-                done_at.(qid) <- fin;
-                note_tail ~prof ~qid ~batch:1 ~arrived:t
-                  ~started:start_at.(qid) ~finished:fin;
-                Latency.add lat (fin -. t);
-                if qid land 63 = 0 then Machine.sample_residency m
-            | Workload.Mutation.Query _ -> ())
-          ops);
-    Engine.run eng;
-    { ep_eng = eng; ep_machine = m; ep_lat = lat; ep_errors = !errors;
-      ep_flushes = 0 }
-  in
-  let sim node =
-    let my = assign.(node) in
-    let eng = Engine.create () in
-    let m = Machine.create eng ~name:(Printf.sprintf "node%d" node) params in
-    let tree =
-      Machine.labelled m ~label:"partition" (fun () ->
-          Index.Nary_tree.build m keys)
-    in
-    let lat = Latency.create () in
-    let cnt = Array.length my in
-    let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
-    let r_base = Machine.labelled_alloc m ~label:"results" (max 1 cnt) in
-    Machine.poke_array m q_base (Array.map (fun qid -> queries.(qid)) my);
-    Machine.set_phase m "serve";
-    Engine.spawn eng ~name:(Printf.sprintf "node%d" node) (fun () ->
-        Array.iteri
-          (fun j qid ->
-            Machine.sync m;
-            let t = arrivals.(qid) in
-            let now = Engine.now eng in
-            if now < t then Engine.delay eng (t -. now);
-            start_at.(qid) <- Engine.now eng;
-            let q = Machine.read m (q_base + j) in
-            let rank = Index.Nary_tree.search tree q in
-            Machine.write m (r_base + j) rank;
-            Machine.sync m;
-            let fin = Engine.now eng in
-            done_at.(qid) <- fin;
-            note_tail ~prof ~qid ~batch:1 ~arrived:t ~started:start_at.(qid)
-              ~finished:fin;
-            Latency.add lat (fin -. t);
-            if qid land 63 = 0 then Machine.sample_residency m)
-          my);
-    Engine.run eng;
-    let errors = ref 0 in
-    Array.iteri
-      (fun j qid ->
-        if Machine.peek m (r_base + j) <> Index.Ref_impl.rank keys queries.(qid)
-        then incr errors)
-      my;
-    { ep_eng = eng; ep_machine = m; ep_lat = lat; ep_errors = !errors;
-      ep_flushes = 0 }
-  in
-  let epochs =
-    run_epochs ~jobs n_nodes (if Array.length ops = 0 then sim else sim_dyn)
-  in
-  let lat, errors, raw = merge_epochs epochs in
-  let cluster =
-    Telemetry.rollup ~raw [ Array.map (fun e -> e.ep_machine) epochs ]
-  in
-  {
-    Run_result.method_id = Methods.A;
-    scenario = sc.Workload.Scenario.name;
-    n_queries = n;
-    n_nodes;
-    batch_bytes = sc.Workload.Scenario.batch_bytes;
-    total_ns = raw;
-    raw_ns = raw;
-    per_key_ns = raw /. float_of_int (max 1 n);
-    slave_idle = cluster.Telemetry.idle;
-    master_busy = 0.0;
-    messages = 0;
-    bytes_sent = 0;
-    validation_errors = errors;
-    cache = cluster.Telemetry.cache;
-    overflow_flushes = 0;
-    mean_response_ns = Latency.mean lat;
-    p95_response_ns = Latency.percentile lat 0.95;
-    metrics = epoch_metrics epochs ~lat ~errors;
-    trace = None;
-    profile = None;
-    degraded = Run_result.no_degradation;
-    serving = Some (finish ());
-    timeline = None;
-    scope = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Method B: greedy batching per node.  Each node waits for its next
-   query, then drains everything that has arrived in the meantime (up
-   to the buffer capacity) through one buffered-tree pass; every
-   member of the pass is delivered when the pass ends.  At low load
-   batches are singletons (no added latency); as load rises the batch
-   grows and amortizes, which is exactly the buffered method's
-   batch-size/latency tension under live traffic. *)
-
-let serve_b (sc : Workload.Scenario.t) ~jobs ~keys ~queries ~arrivals
-    ~start_at ~done_at ~finish =
-  let params = sc.Workload.Scenario.params in
-  let n_nodes = sc.Workload.Scenario.n_nodes in
-  let batch_keys = Workload.Scenario.queries_per_batch sc in
-  let n = Array.length arrivals in
-  let assign = Partition.round_robin n n_nodes in
-  let prof = Obs.Profile.current () in
-  let sim node =
-    let my = assign.(node) in
-    let eng = Engine.create () in
-    let m = Machine.create eng ~name:(Printf.sprintf "node%d" node) params in
-    let tree =
-      Machine.labelled m ~label:"partition" (fun () ->
-          Index.Nary_tree.build m keys)
-    in
-    let buffered = Index.Buffered.create ~max_batch:batch_keys tree in
-    let lat = Latency.create () in
-    let cnt = Array.length my in
-    let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
-    let r_base = Machine.labelled_alloc m ~label:"results" (max 1 cnt) in
-    Machine.poke_array m q_base (Array.map (fun qid -> queries.(qid)) my);
-    Machine.set_phase m "serve";
-    Engine.spawn eng ~name:(Printf.sprintf "node%d" node) (fun () ->
-        let pos = ref 0 in
-        while !pos < cnt do
-          Machine.sync m;
-          let t0 = arrivals.(my.(!pos)) in
-          let now = Engine.now eng in
-          if now < t0 then Engine.delay eng (t0 -. now);
-          let started = Engine.now eng in
-          let j = ref (!pos + 1) in
-          while
-            !j < cnt && !j - !pos < batch_keys
-            && arrivals.(my.(!j)) <= started
-          do
-            incr j
-          done;
-          let len = !j - !pos in
-          for k = !pos to !j - 1 do
-            start_at.(my.(k)) <- started
-          done;
-          Index.Buffered.process_batch buffered
-            ~queries:(q_base + !pos) ~results:(r_base + !pos) ~n:len;
-          Machine.sync m;
-          let fin = Engine.now eng in
-          for k = !pos to !j - 1 do
-            let qid = my.(k) in
-            done_at.(qid) <- fin;
-            note_tail ~prof ~qid ~batch:len ~arrived:arrivals.(qid)
-              ~started ~finished:fin;
-            Latency.add lat (fin -. arrivals.(qid))
-          done;
-          Machine.sample_residency m;
-          pos := !j
-        done);
-    Engine.run eng;
-    let errors = ref 0 in
-    Array.iteri
-      (fun j qid ->
-        if Machine.peek m (r_base + j) <> Index.Ref_impl.rank keys queries.(qid)
-        then incr errors)
-      my;
-    { ep_eng = eng; ep_machine = m; ep_lat = lat; ep_errors = !errors;
-      ep_flushes = Index.Buffered.overflow_flushes buffered }
-  in
-  let epochs = run_epochs ~jobs n_nodes sim in
-  let lat, errors, raw = merge_epochs epochs in
-  let cluster =
-    Telemetry.rollup ~raw [ Array.map (fun e -> e.ep_machine) epochs ]
-  in
-  {
-    Run_result.method_id = Methods.B;
-    scenario = sc.Workload.Scenario.name;
-    n_queries = n;
-    n_nodes;
-    batch_bytes = sc.Workload.Scenario.batch_bytes;
-    total_ns = raw;
-    raw_ns = raw;
-    per_key_ns = raw /. float_of_int (max 1 n);
-    slave_idle = cluster.Telemetry.idle;
-    master_busy = 0.0;
-    messages = 0;
-    bytes_sent = 0;
-    validation_errors = errors;
-    cache = cluster.Telemetry.cache;
-    overflow_flushes =
-      Array.fold_left (fun acc e -> acc + e.ep_flushes) 0 epochs;
-    mean_response_ns = Latency.mean lat;
-    p95_response_ns = Latency.percentile lat 0.95;
-    metrics = epoch_metrics epochs ~lat ~errors;
-    trace = None;
-    profile = None;
-    degraded = Run_result.no_degradation;
-    serving = Some (finish ());
-    timeline = None;
-    scope = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Method C: live master dispatch over the distributed in-cache index —
-   the {!Method_c} protocol under a [Serve] source: per-query admission
-   pacing with a flush-everything-before-going-idle rule, so buffer
-   residence never outlives the backlog, and response timestamps
-   measured from admission, not from the master read.  The master's
-   serial dispatch loop plus its single NIC are the funnel every query
-   passes through — this is where C saturates first. *)
-
-let serve_c ?faults ?series (sc : Workload.Scenario.t) ~variant ~keys ~queries
-    ~arrivals ~start_at ~done_at ~finish =
-  (* Pin the fault plan's scheduled events to the timeline before the
-     run: a crash or slow node is knowable from the spec, so the event
-     lane carries the cause next to the windows showing the effect. *)
-  (match (series, faults) with
-  | Some b, Some spec when not (Fault.Spec.is_none spec) ->
-      List.iter
-        (fun (node, at) ->
-          Obs.Series.note_event b ~at
-            ~label:(Printf.sprintf "crash:node=%d" node))
-        spec.Fault.Spec.crashes;
-      List.iter
-        (fun (node, _factor) ->
-          Obs.Series.note_event b ~at:0.0
-            ~label:(Printf.sprintf "slow:node=%d" node))
-        spec.Fault.Spec.slow
-  | _ -> ());
-  let o =
-    Method_c.drive ~faults sc
-      ~source:(Method_c.Serve { arrivals; start_at; done_at; series })
-      ~ops:Method_c.Queries ~topology:Method_c.Flat ~variant ~keys ~queries
-  in
-  { o.Method_c.run with Run_result.serving = Some (finish ()) }
-
 (* ------------------------------------------------------------------ *)
 
 let run_method ?faults ?(timeline = false) ?timeline_window_ns ?(jobs = 1)
-    ?updates ?(ops = [||]) (sc : Workload.Scenario.t) ~arrival ~slo_ns
-    ~method_id ~keys ~queries ~arrivals =
+    ?(updates = Workload.Mutation.none) ?(ops = [||])
+    (sc : Workload.Scenario.t) ~arrival ~slo_ns ~method_id ~keys ~queries
+    ~arrivals =
   let n = Array.length arrivals in
   let start_at = Array.make (max 1 n) 0.0 in
   let done_at = Array.make (max 1 n) (-1.0) in
@@ -554,24 +189,48 @@ let run_method ?faults ?(timeline = false) ?timeline_window_ns ?(jobs = 1)
            ~window_ns:(effective_window_ns sc ~timeline_window_ns)
            ~slo_ns ~horizon_ns:sc.Workload.Scenario.duration_ns ())
   in
+  if Array.length ops > 0 && method_id <> Methods.A then
+    invalid_arg
+      "Serve: --updates is supported for method A only (use `repro \
+       ablation updates` for the batch methods)";
+  let source = Method_c.Serve { arrivals; start_at; done_at; series } in
   let drive () =
-    match (method_id : Methods.id) with
-    | Methods.A ->
-        serve_a ?updates ~ops sc ~jobs ~keys ~queries ~arrivals ~start_at
-          ~done_at ~finish
-    | Methods.B ->
-        if Array.length ops > 0 then
-          invalid_arg
-            "Serve: --updates is supported for method A only (use `repro \
-             ablation updates` for the batch methods)";
-        serve_b sc ~jobs ~keys ~queries ~arrivals ~start_at ~done_at ~finish
-    | Methods.C1 | Methods.C2 | Methods.C3 ->
-        if Array.length ops > 0 then
-          invalid_arg
-            "Serve: --updates is supported for method A only (use `repro \
-             ablation updates` for the batch methods)";
-        serve_c ?faults ?series sc ~variant:method_id ~keys ~queries ~arrivals
-          ~start_at ~done_at ~finish
+    let o =
+      match (method_id : Methods.id) with
+      | Methods.A | Methods.B ->
+          Replicated.drive ~jobs sc ~source
+            ~ops:
+              (if Array.length ops = 0 then Method_c.Queries
+               else
+                 Method_c.Updates
+                   {
+                     ops;
+                     policy = Workload.Mutation.policy updates;
+                     counters = (fun _ ~lost_updates:_ -> []);
+                   })
+            ~method_id ~keys ~queries
+      | Methods.C1 | Methods.C2 | Methods.C3 ->
+          (* Pin the fault plan's scheduled events to the timeline before
+             the run: a crash or slow node is knowable from the spec, so
+             the event lane carries the cause next to the windows
+             showing the effect. *)
+          (match (series, faults) with
+          | Some b, Some spec when not (Fault.Spec.is_none spec) ->
+              List.iter
+                (fun (node, at) ->
+                  Obs.Series.note_event b ~at
+                    ~label:(Printf.sprintf "crash:node=%d" node))
+                spec.Fault.Spec.crashes;
+              List.iter
+                (fun (node, _factor) ->
+                  Obs.Series.note_event b ~at:0.0
+                    ~label:(Printf.sprintf "slow:node=%d" node))
+                spec.Fault.Spec.slow
+          | _ -> ());
+          Method_c.drive ~faults sc ~source ~ops:Method_c.Queries
+            ~topology:Method_c.Flat ~variant:method_id ~keys ~queries
+    in
+    { o.Method_c.run with Run_result.serving = Some (finish ()) }
   in
   let run =
     match series with

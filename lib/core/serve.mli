@@ -1,7 +1,7 @@
 (** Online serving drivers: open-loop query streams with SLO accounting.
 
-    The batch drivers ({!Method_a}, {!Method_b}, {!Method_c.run}) answer the
-    paper's question — how fast can each method drain a fixed query
+    The batch drivers ({!Runner.run} over {!Replicated.drive} and
+    {!Method_c.drive}) answer the paper's question — how fast can each method drain a fixed query
     set — but they cannot show what a query {e experiences} under load:
     a query that arrives while the engine is behind waits, and that
     queueing delay is invisible to any throughput sweep.  These drivers
@@ -73,6 +73,7 @@ val run_method :
     [timeline_window_ns] also moves the cold/warm split of the serving
     rollup (always at four windows), with or without [timeline].
 
+    Methods A and B run {!Replicated.drive} under a [Serve] source.
     [?ops] (with the [?updates] spec that generated it) switches
     method A to dynamic serving over a log-structured {!Index.Segments}
     replica: every node applies every update in stream order (updates

@@ -212,29 +212,40 @@ let test_serve_dynamic () =
 (* QCheck form of the jobs invariance, aimed at the epoch-parallel
    methods: across random offered loads, the whole report — Run_result
    (cache counters, latency moments, metrics snapshot) plus the serving
-   rollup — compares structurally equal at jobs 1, 2 and 4.  This is
-   stronger than the CSV gate above: it pins every per-node accumulator
-   the node-ordered merge touches, not just the rendered columns. *)
+   rollup — compares structurally equal at jobs 1, 2 and 4, for A and B
+   over a static replica and for A over a Segments replica with updates
+   interleaved into the arrivals.  This is stronger than the CSV gates
+   above: it pins every per-node accumulator the node-ordered merge
+   touches, not just the rendered columns. *)
 let prop_parallel_epochs_reproduce_sequential =
+  let updates =
+    match Workload.Mutation.parse "mix:ratio=0.2,inserts=0.6" with
+    | Ok u -> u
+    | Error e -> failwith e
+  in
   QCheck.Test.make ~name:"parallel node epochs = sequential at jobs 1/2/4"
     ~count:4
-    QCheck.(pair (int_range 50 400) bool)
-    (fun (rate_kqps, use_b) ->
+    QCheck.(int_range 50 400)
+    (fun rate_kqps ->
       let arrival =
         Workload.Arrival.poisson (1e3 *. float_of_int rate_kqps)
       in
-      let method_id =
-        if use_b then Dispatch.Methods.B else Dispatch.Methods.A
-      in
-      let keys, queries, arrivals, _ops =
-        Dispatch.Serve.workload serve_sc ~arrival
-      in
-      let report jobs =
-        Dispatch.Serve.run_method ~jobs serve_sc ~arrival ~slo_ns:1e6
-          ~method_id ~keys ~queries ~arrivals
-      in
-      let r1 = report 1 in
-      Stdlib.compare r1 (report 2) = 0 && Stdlib.compare r1 (report 4) = 0)
+      List.for_all
+        (fun (method_id, updates) ->
+          let keys, queries, arrivals, ops =
+            Dispatch.Serve.workload ?updates serve_sc ~arrival
+          in
+          let report jobs =
+            Dispatch.Serve.run_method ~jobs ?updates ~ops serve_sc ~arrival
+              ~slo_ns:1e6 ~method_id ~keys ~queries ~arrivals
+          in
+          let r1 = report 1 in
+          Stdlib.compare r1 (report 2) = 0 && Stdlib.compare r1 (report 4) = 0)
+        [
+          (Dispatch.Methods.A, None);
+          (Dispatch.Methods.B, None);
+          (Dispatch.Methods.A, Some updates);
+        ])
 
 (* Serving composes with fault injection: a mid-run slave crash degrades
    the run (lost or fallback-answered queries) but never produces a
