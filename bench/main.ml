@@ -276,10 +276,25 @@ let print_results results =
 (* ------------------------------------------------------------------ *)
 (* Paper-shaped output at bench scale *)
 
-let print_paper_shapes ~jobs ~faults ~metrics_path ~trace_path ~timeline
-    ~timeline_window =
-  let keys, _ = Lazy.force workload in
-  ignore keys;
+(* The session's terminal readings and files for one artefact's runs. *)
+let observed ~generator (spec : Dispatch.Experiment.Spec.t) runs =
+  let obs = spec.Dispatch.Experiment.Spec.observe in
+  let runs = List.map (fun r -> (Dispatch.Telemetry.run_label r, r)) runs in
+  print_string (Dispatch.Observe.report obs runs);
+  List.iter
+    (Printf.printf "\nwrote %s\n")
+    (Dispatch.Observe.export obs ~generator
+       ~fields:
+         (Dispatch.Telemetry.manifest_fields
+            ~faults:spec.Dispatch.Experiment.Spec.faults
+            (Dispatch.Experiment.Spec.scenario spec)
+            ~methods:spec.Dispatch.Experiment.Spec.methods
+            ~batches:spec.Dispatch.Experiment.Spec.batches)
+       runs)
+
+(* The fig3 sweep records every batch clause of [observe]; the serving
+   runs record its timeline. *)
+let print_paper_shapes ~jobs ~faults ~observe =
   print_endline "\n===== paper artefacts at bench scale =====\n";
   print_endline "--- Table 1 ---";
   print_string
@@ -296,26 +311,14 @@ let print_paper_shapes ~jobs ~faults ~metrics_path ~trace_path ~timeline
     |> Dispatch.Experiment.Spec.with_batches
          [ 8 * 1024; 32 * 1024; 128 * 1024; 512 * 1024 ]
     |> Dispatch.Experiment.Spec.with_jobs jobs
-    |> (match metrics_path with
-       | Some p -> Dispatch.Experiment.Spec.with_metrics p
-       | None -> Fun.id)
-    |> (match trace_path with
-       | Some p -> Dispatch.Experiment.Spec.with_trace p
-       | None -> Fun.id)
+    |> Dispatch.Experiment.Spec.with_observe
+         { observe with Dispatch.Observe.timeline = None }
     |> Dispatch.Experiment.Spec.with_faults faults
   in
   let rows = Dispatch.Experiment.fig3 spec in
   print_string (Dispatch.Experiment.render_fig3 ~scenario:sweep_sc rows);
-  let runs =
-    List.concat_map
-      (fun { Dispatch.Experiment.results; _ } ->
-        List.map (fun r -> (Dispatch.Telemetry.run_label r, r)) results)
-      rows
-  in
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"bench fig3" runs;
-  List.iter
-    (fun p -> Printf.printf "\nwrote %s\n" p)
-    (List.filter_map Fun.id [ metrics_path; trace_path ]);
+  observed ~generator:"bench fig3" spec
+    (List.concat_map (fun { Dispatch.Experiment.results; _ } -> results) rows);
   print_endline "\n--- Table 3 ---";
   let t3_sc = Workload.Scenario.with_queries (1 lsl 18) bench_scenario in
   let t3_spec =
@@ -333,56 +336,20 @@ let print_paper_shapes ~jobs ~faults ~metrics_path ~trace_path ~timeline
   let serve_spec =
     serve_spec
     |> Dispatch.Experiment.Spec.with_jobs jobs
-    |> (match timeline with
-       | Some b -> Dispatch.Experiment.Spec.with_timeline b
-       | None -> Fun.id)
-    |> (match timeline_window with
-       | Some w -> Dispatch.Experiment.Spec.with_timeline_window w
-       | None -> Fun.id)
+    |> Dispatch.Experiment.Spec.with_observe
+         { Dispatch.Observe.none with timeline = observe.Dispatch.Observe.timeline }
   in
   let serve_reports = Dispatch.Serve.run serve_spec in
   print_string (Dispatch.Serve.render ~scenario:serve_scenario serve_reports);
-  match timeline with
-  | None -> ()
-  | Some base ->
-      let text = Dispatch.Serve.render_timeline serve_reports in
-      if text <> "" then begin
-        print_newline ();
-        print_string text
-      end;
-      if base <> "-" then begin
-        Out_channel.with_open_text (base ^ ".csv") (fun oc ->
-            List.iter
-              (fun line ->
-                output_string oc line;
-                output_char oc '\n')
-              (Dispatch.Serve.timeline_csv_lines serve_reports));
-        let named =
-          List.filter_map
-            (fun { Dispatch.Serve.run; _ } ->
-              Option.map
-                (fun t -> (Dispatch.Telemetry.run_label run, t))
-                run.Dispatch.Run_result.timeline)
-            serve_reports
-        in
-        Dispatch.Telemetry.write_json (base ^ ".json")
-          (Dispatch.Telemetry.timeline_document ~generator:"bench serve"
-             ~fields:
-               (Dispatch.Telemetry.manifest_fields serve_scenario
-                  ~methods:serve_spec.Dispatch.Experiment.Spec.methods
-                  ~batches:serve_spec.Dispatch.Experiment.Spec.batches)
-             named);
-        Printf.printf "\nwrote %s.csv\nwrote %s.json\n" base base
-      end
+  observed ~generator:"bench serve" serve_spec
+    (List.map (fun r -> r.Dispatch.Serve.run) serve_reports)
 
-let run_benchmarks ~jobs ~faults ~metrics_path ~trace_path ~timeline
-    ~timeline_window =
+let run_benchmarks ~jobs ~faults ~observe =
   print_endline "===== microbenchmarks (bechamel) =====";
   print_results (benchmark (micro_tests ~jobs));
   print_endline "\n===== paper-artefact benchmarks (bechamel) =====";
   print_results (benchmark (artefact_tests ()));
-  print_paper_shapes ~jobs ~faults ~metrics_path ~trace_path ~timeline
-    ~timeline_window
+  print_paper_shapes ~jobs ~faults ~observe
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
@@ -493,8 +460,8 @@ let run_throughput_smoke ~path =
           else List.iter print_endline warnings);
       0
 
-let main jobs faults metrics_path trace_path timeline timeline_window save
-    check throughput throughput_label throughput_smoke =
+let main jobs faults observe save check throughput throughput_label
+    throughput_smoke =
   match (save, check, throughput, throughput_smoke) with
   | Some _, Some _, _, _ ->
       prerr_endline
@@ -519,8 +486,7 @@ let main jobs faults metrics_path trace_path timeline timeline_window save
       print_endline (Dispatch.Baseline.render_drift drifts);
       if drifts = [] then 0 else 1
   | None, None, None, None ->
-      run_benchmarks ~jobs ~faults ~metrics_path ~trace_path ~timeline
-        ~timeline_window;
+      run_benchmarks ~jobs ~faults ~observe;
       0
 
 let () =
@@ -533,8 +499,7 @@ let () =
   in
   let term =
     Term.(
-      const main $ Cli.jobs_arg $ Cli.faults_arg $ Cli.metrics_arg
-      $ Cli.trace_json_arg $ Cli.timeline_arg $ Cli.timeline_window_arg
+      const main $ Cli.jobs_arg $ Cli.faults_arg $ Cli.observe_arg
       $ save_baseline_arg $ check_baseline_arg $ throughput_arg
       $ throughput_label_arg $ throughput_smoke_arg)
   in

@@ -54,49 +54,47 @@ let print_degraded runs =
           (Dispatch.Run_result.completeness r))
     runs
 
-(* The cost trees go to stdout with the artefact when --profile was
-   given; --profile-folded output is handled by [emit_telemetry]. *)
-let print_profiles spec runs =
-  if spec.Spec.profile then begin
-    print_newline ();
-    print_string (Dispatch.Experiment.profile_report runs)
-  end
+(* The observation clauses a run-producing subcommand honours; any
+   other clause is a usage error, raised before anything runs. *)
+let batch_clauses = [ "metrics"; "trace"; "profile"; "scope" ]
 
-(* Cache-microscope report to stdout; the BASE.csv / BASE.json exports
-   are written by [emit_telemetry], so call this after it. *)
-let print_scope spec runs =
-  match spec.Spec.cache_scope with
-  | None -> ()
-  | Some base ->
-      let scoped =
-        List.filter_map
-          (fun (label, r) ->
-            Option.map (fun sc -> (label, sc)) r.Dispatch.Run_result.scope)
-          runs
-      in
-      let text = Dispatch.Scope_report.render scoped in
-      if text <> "" then begin
-        print_newline ();
-        print_string text
-      end;
-      if base <> "-" && scoped <> [] then begin
-        say "wrote %s.csv" base;
-        say "wrote %s.json" base
-      end
+let observing spec ~honours =
+  match Dispatch.Observe.check ~honours spec.Spec.observe with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "repro: %s\n" msg;
+      exit 2
+
+(* The tail every run-producing subcommand shares: degraded-run lines,
+   the session's terminal readings and files, then the oracle verdict. *)
+let finish spec ~generator runs =
+  print_degraded runs;
+  print_string (Dispatch.Observe.report spec.Spec.observe runs);
+  List.iter (say "wrote %s")
+    (Dispatch.Observe.export spec.Spec.observe ~generator
+       ~fields:
+         (Dispatch.Telemetry.manifest_fields ~faults:spec.Spec.faults
+            (Spec.scenario spec) ~methods:spec.Spec.methods
+            ~batches:spec.Spec.batches)
+       runs);
+  check_validation runs
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands *)
 
 let run_table1 spec =
+  observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
   say "Table 1: the index structure setup@\n@\n%s"
     (Report.Table.render (Dispatch.Experiment.table1 spec))
 
 let run_table2 spec =
+  observing spec ~honours:[];
   say "Table 2: parameters measured on the simulated cluster@\n@\n%s"
     (Report.Table.render (Dispatch.Experiment.table2 spec))
 
 let run_table3 spec =
+  observing spec ~honours:batch_clauses;
   let sc = Spec.scenario spec in
   say "%a@\n" Workload.Scenario.pp sc;
   let rows = Dispatch.Experiment.table3 spec in
@@ -104,13 +102,10 @@ let run_table3 spec =
   let runs =
     labelled (List.map (fun r -> r.Dispatch.Experiment.run) rows)
   in
-  print_degraded runs;
-  print_profiles spec runs;
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"repro table3" runs;
-  print_scope spec runs;
-  check_validation runs
+  finish spec ~generator:"repro table3" runs
 
 let run_fig3 spec csv =
+  observing spec ~honours:batch_clauses;
   let sc = Spec.scenario spec in
   say "%a@\n" Workload.Scenario.pp sc;
   let rows = Dispatch.Experiment.fig3 spec in
@@ -144,13 +139,10 @@ let run_fig3 spec csv =
          (fun { Dispatch.Experiment.results; _ } -> results)
          rows)
   in
-  print_degraded runs;
-  print_profiles spec runs;
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"repro fig3" runs;
-  print_scope spec runs;
-  check_validation runs
+  finish spec ~generator:"repro fig3" runs
 
 let run_fig4 spec years =
+  observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
   print_string
     (Dispatch.Experiment.render_fig4 (Dispatch.Experiment.fig4 ~years spec))
@@ -159,6 +151,7 @@ let run_fig4 spec years =
    dyn.* update accounting) — it gets the full run treatment the other
    ablation tables don't need. *)
 let run_ablation_updates spec csv =
+  observing spec ~honours:batch_clauses;
   let sc = Spec.scenario spec in
   say "%a@\n" Workload.Scenario.pp sc;
   let tbl, rows = Dispatch.Ablation.updates spec in
@@ -188,12 +181,7 @@ let run_ablation_updates spec csv =
           r ))
       rows
   in
-  print_degraded runs;
-  print_profiles spec runs;
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"repro ablation updates"
-    runs;
-  print_scope spec runs;
-  check_validation runs
+  finish spec ~generator:"repro ablation updates" runs
 
 let run_ablation spec which csv =
   if String.lowercase_ascii which = "updates" then begin
@@ -201,6 +189,7 @@ let run_ablation spec which csv =
     `Ok ()
   end
   else
+  let () = observing spec ~honours:[] in
   let table =
     match String.lowercase_ascii which with
     | "batch-overhead" -> Ok (Dispatch.Ablation.batch_overhead spec)
@@ -227,6 +216,7 @@ let run_ablation spec which csv =
             other )
 
 let run_timeline spec =
+  observing spec ~honours:batch_clauses;
   (* C-3 unless --methods narrows the set; the timeline traces one run. *)
   let method_id =
     match spec.Spec.methods with
@@ -237,15 +227,12 @@ let run_timeline spec =
   let rendered, r = Dispatch.Experiment.timeline_traced ~method_id spec in
   print_string rendered;
   let runs = labelled [ r ] in
-  print_degraded runs;
-  print_profiles spec runs;
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"repro timeline" runs;
-  print_scope spec runs;
-  check_validation runs
+  finish spec ~generator:"repro timeline" runs
 
 (* Open-loop serving with SLO accounting.  One run per method at the
    spec's offered load, or a load sweep when --loads is given. *)
 let run_serve spec csv loads =
+  observing spec ~honours:("timeline" :: batch_clauses);
   let sc = Spec.scenario spec in
   say "%a@\n" Workload.Scenario.pp sc;
   let reports =
@@ -263,48 +250,11 @@ let run_serve spec csv loads =
              Dispatch.Run_result.serving_cells run serving)
            reports);
       say "wrote %s" path);
-  (match spec.Spec.timeline with
-  | None -> ()
-  | Some base ->
-      let text = Dispatch.Serve.render_timeline reports in
-      if text <> "" then begin
-        print_newline ();
-        print_string text
-      end;
-      if base <> "-" then begin
-        Out_channel.with_open_text (base ^ ".csv") (fun oc ->
-            List.iter
-              (fun line ->
-                output_string oc line;
-                output_char oc '\n')
-              (Dispatch.Serve.timeline_csv_lines reports));
-        say "wrote %s.csv" base;
-        let named =
-          List.filter_map
-            (fun { Dispatch.Serve.run; _ } ->
-              Option.map
-                (fun t -> (Dispatch.Telemetry.run_label run, t))
-                run.Dispatch.Run_result.timeline)
-            reports
-        in
-        Dispatch.Telemetry.write_json (base ^ ".json")
-          (Dispatch.Telemetry.timeline_document ~generator:"repro serve"
-             ~fields:
-               (Dispatch.Telemetry.manifest_fields ~faults:spec.Spec.faults sc
-                  ~methods:spec.Spec.methods ~batches:spec.Spec.batches)
-             named);
-        say "wrote %s.json" base
-      end);
-  let runs =
-    labelled (List.map (fun r -> r.Dispatch.Serve.run) reports)
-  in
-  print_degraded runs;
-  print_profiles spec runs;
-  Dispatch.Experiment.emit_telemetry ~spec ~generator:"repro serve" runs;
-  print_scope spec runs;
-  check_validation runs
+  finish spec ~generator:"repro serve"
+    (labelled (List.map (fun r -> r.Dispatch.Serve.run) reports))
 
 let run_all spec =
+  observing spec ~honours:[];
   run_table1 spec;
   run_table2 spec;
   run_fig3 spec None;

@@ -105,50 +105,36 @@ let csv_arg =
   let doc = "Also write raw results to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let metrics_arg =
+let observe_arg =
   let doc =
-    "Write a metrics JSON file: a run manifest (seed, scenario, methods, \
-     network, git revision, schema version) followed by every run's \
-     telemetry snapshot — cache, network, engine and response-time \
-     series.  Deterministic at any --jobs value; set SOURCE_DATE_EPOCH \
-     for byte-reproducible output."
+    "Observation session: 'none' (default) or '+'-joined clauses \
+     metrics:out=FILE | trace:out=FILE | profile[:out=FILE,tail=K] | \
+     timeline[:out=BASE,window=NS] | scope[:out=BASE].  metrics writes a \
+     manifest-headed metrics JSON file; trace writes Chrome trace_event \
+     JSON (ui.perfetto.dev); profile prints each run's cost tree with its \
+     K slowest queries (default 8); timeline (serve only) prints a \
+     windowed timeline of each serving run (window default: 1/32 of the \
+     horizon); scope prints the cache microscope (3C misses, reuse \
+     distances, residency, set pressure).  Without out= a clause prints \
+     only; with out=, profile also writes collapsed-stack flamegraph \
+     lines and timeline and scope write BASE.csv and BASE.json.  A clause \
+     the command cannot honour is a usage error.  Every file is \
+     byte-identical at any --jobs value; set SOURCE_DATE_EPOCH for \
+     byte-reproducible manifests."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let trace_json_arg =
-  let doc =
-    "Record event traces (per-node busy spans, message sends, in-flight \
-     counters) and write them as Chrome trace_event JSON, loadable at \
-     ui.perfetto.dev or chrome://tracing."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
-
-let profile_arg =
-  let doc =
-    "Record a cost-attribution profile of every run and print the cost \
-     tree (per phase and component, with the K slowest queries broken \
-     down).  Attributed time sums exactly to the run's simulated time."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
-let profile_folded_arg =
-  let doc =
-    "Record cost-attribution profiles and write them as collapsed-stack \
-     flamegraph lines ('run;phase;component <ns>') to $(docv), one file \
-     for the whole sweep — feed to flamegraph.pl or speedscope."
+  let observe_conv =
+    Arg.conv
+      ( (fun s ->
+          match Dispatch.Observe.parse s with
+          | Ok t -> Ok t
+          | Error msg -> Error (`Msg msg)),
+        fun fmt t -> Format.pp_print_string fmt (Dispatch.Observe.to_string t)
+      )
   in
   Arg.(
     value
-    & opt (some string) None
-    & info [ "profile-folded" ] ~docv:"FILE" ~doc)
-
-let tail_arg =
-  let doc =
-    "Keep the $(docv) slowest queries (with per-component breakdowns) in \
-     each profiled run's tail inspector; 0 disables it."
-  in
-  Arg.(value & opt int 8 & info [ "tail" ] ~docv:"K" ~doc)
+    & opt observe_conv Dispatch.Observe.none
+    & info [ "observe" ] ~docv:"SPEC" ~doc)
 
 let faults_arg =
   let doc =
@@ -218,49 +204,6 @@ let clients_arg =
   let doc = "Simulated client populations feeding the arrival process." in
   Arg.(value & opt (some int) None & info [ "clients" ] ~docv:"N" ~doc)
 
-let timeline_arg =
-  let doc =
-    "Record a windowed timeline of every serving run (offered/achieved \
-     qps, latency quantiles, queue depth, per-node busy fractions, SLO \
-     burn-rate, fault events pinned to their window) and render it as \
-     terminal heat rows.  With a $(docv), also write deterministic \
-     $(docv).csv and manifest-headed $(docv).json exports; '-' renders \
-     only.  Simulated-time windows: byte-identical at any --jobs value."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "-") (some string) None
-    & info [ "timeline" ] ~docv:"BASE" ~doc)
-
-let timeline_window_arg =
-  let doc =
-    "Timeline window width in simulated nanoseconds (default: 1/32 of \
-     the serving horizon).  Also moves the cold/warm split of the \
-     serving rollup (always four windows)."
-  in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeline-window" ] ~docv:"NS" ~doc)
-
-let cache_scope_arg =
-  let doc =
-    "Turn on the cache microscope: classify every cache miss as \
-     compulsory / capacity / conflict (3C, via an exact stack-distance \
-     shadow LRU), accumulate reuse-distance histograms per address \
-     region (index partition, query buffers, MPI staging), track \
-     per-region cache residency at sync points and per-set miss \
-     pressure, and print the report.  With a $(docv), also write \
-     deterministic $(docv).csv and manifest-headed $(docv).json \
-     exports; '-' renders only.  Off by default and zero-cost when \
-     off.  Simulated-order readings: byte-identical at any --jobs \
-     value."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "-") (some string) None
-    & info [ "cache-scope" ] ~docv:"BASE" ~doc)
-
 let updates_arg =
   let doc =
     "Update stream for the dynamic-index experiments: 'none' (default), \
@@ -289,9 +232,8 @@ let override v f x = match v with Some v -> f v x | None -> x
 
 let spec_term =
   let build scale queries keys nodes masters batch batches network seed jobs
-      methods metrics trace_json profile profile_folded tail_k faults arrival
-      slo duration offered_load clients timeline timeline_window cache_scope
-      updates =
+      methods observe faults arrival slo duration offered_load clients updates
+      =
     let base =
       match String.lowercase_ascii scale with
       | "paper" -> Ok Workload.Scenario.paper
@@ -328,25 +270,16 @@ let spec_term =
           |> Spec.with_jobs jobs
           |> (match methods with [] -> Fun.id | ms -> Spec.with_methods ms)
           |> override seed Spec.with_seed
-          |> override metrics Spec.with_metrics
-          |> override trace_json Spec.with_trace
-          |> (if profile then Spec.with_profile else Fun.id)
-          |> override profile_folded Spec.with_profile_folded
-          |> Spec.with_tail_k tail_k
+          |> Spec.with_observe observe
           |> Spec.with_faults faults
           |> override arrival Spec.with_arrival
           |> override slo Spec.with_slo
           |> override batches Spec.with_batches
-          |> override timeline Spec.with_timeline
-          |> override timeline_window Spec.with_timeline_window
-          |> override cache_scope Spec.with_cache_scope
           |> Spec.with_updates updates)
   in
   Term.(
     term_result ~usage:true
       (const build $ scale_arg $ queries_arg $ keys_arg $ nodes_arg
      $ masters_arg $ batch_arg $ batches_arg $ network_arg $ seed_arg
-     $ jobs_arg $ methods_arg $ metrics_arg $ trace_json_arg $ profile_arg
-     $ profile_folded_arg $ tail_arg $ faults_arg $ arrival_arg $ slo_arg
-     $ duration_arg $ offered_load_arg $ clients_arg $ timeline_arg
-     $ timeline_window_arg $ cache_scope_arg $ updates_arg))
+     $ jobs_arg $ methods_arg $ observe_arg $ faults_arg $ arrival_arg
+     $ slo_arg $ duration_arg $ offered_load_arg $ clients_arg $ updates_arg))

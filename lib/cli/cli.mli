@@ -1,9 +1,9 @@
 (** Shared Cmdliner vocabulary for the [repro] and [bench] executables.
 
-    {!spec_term} folds every workload/telemetry/profiling flag into one
+    {!spec_term} folds every workload/observation flag into one
     {!Dispatch.Experiment.Spec.t}; the individual [Arg]s are exposed for
     executables that compose a narrower flag set (the bench harness
-    reuses [--jobs], [--metrics] and [--trace-json] without the workload
+    reuses [--jobs], [--faults] and [--observe] without the workload
     overrides).  Both executables get unknown-flag rejection and
     [--help] from Cmdliner for free. *)
 
@@ -12,13 +12,11 @@ open Cmdliner
 val spec_term : Dispatch.Experiment.Spec.t Term.t
 (** [--scale], workload overrides ([--queries], [--keys], [--nodes],
     [--masters], [--batch], [--batches], [--network], [--seed]),
-    [--jobs], [--methods], telemetry outputs ([--metrics],
-    [--trace-json]), profiling ([--profile], [--profile-folded],
-    [--tail]), fault injection ([--faults], see {!Fault.Spec.parse} for
-    the grammar) and serving knobs ([--arrival], [--slo], [--duration],
-    [--offered-load], [--clients], see {!Workload.Arrival.parse}),
-    timeline telemetry ([--timeline], [--timeline-window]) and the
-    cache microscope ([--cache-scope]). *)
+    [--jobs], [--methods], the observation session ([--observe], see
+    {!Dispatch.Observe.parse} for the grammar), fault injection
+    ([--faults], see {!Fault.Spec.parse}), serving knobs ([--arrival],
+    [--slo], [--duration], [--offered-load], [--clients], see
+    {!Workload.Arrival.parse}) and the update stream ([--updates]). *)
 
 (** {2 Individual arguments} *)
 
@@ -37,30 +35,17 @@ val seed_arg : int option Term.t
 val jobs_arg : int Term.t
 val methods_arg : Dispatch.Methods.id list Term.t
 val csv_arg : string option Term.t
-val metrics_arg : string option Term.t
-val trace_json_arg : string option Term.t
-val profile_arg : bool Term.t
-val profile_folded_arg : string option Term.t
-val tail_arg : int Term.t
+
+val observe_arg : Dispatch.Observe.t Term.t
+(** [--observe SPEC]: the observation session, {!Dispatch.Observe.none}
+    by default. *)
+
 val faults_arg : Fault.Spec.t Term.t
 val arrival_arg : Workload.Arrival.t option Term.t
 val slo_arg : float option Term.t
 val duration_arg : float option Term.t
 val offered_load_arg : float option Term.t
 val clients_arg : int option Term.t
-
-val timeline_arg : string option Term.t
-(** [--timeline \[BASE\]]: record serving timelines; [Some "-"] (the
-    bare-flag default) renders only, any other base also writes
-    [BASE.csv] and [BASE.json]. *)
-
-val timeline_window_arg : float option Term.t
-
-val cache_scope_arg : string option Term.t
-(** [--cache-scope \[BASE\]]: record cache-microscope readings (3C miss
-    classification, reuse-distance profiles, partition residency, set
-    pressure); [Some "-"] (the bare-flag default) renders only, any
-    other base also writes [BASE.csv] and [BASE.json]. *)
 
 val updates_arg : Workload.Mutation.t Term.t
 (** [--updates SPEC]: interleaved update stream for the dynamic-index

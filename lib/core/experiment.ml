@@ -7,17 +7,10 @@ module Spec = struct
     batches : int list;
     jobs : int;
     seed_override : int option;
-    metrics_path : string option;
-    trace_path : string option;
-    profile : bool;
-    profile_folded : string option;
-    tail_k : int;
+    observe : Observe.t;
     faults : Fault.Spec.t;
     arrival : Workload.Arrival.t;
     slo_ns : float;
-    timeline : string option;
-    timeline_window_ns : float option;
-    cache_scope : string option;
     updates : Workload.Mutation.t;
   }
 
@@ -28,17 +21,10 @@ module Spec = struct
       batches = Workload.Scenario.fig3_batches;
       jobs = 1;
       seed_override = None;
-      metrics_path = None;
-      trace_path = None;
-      profile = false;
-      profile_folded = None;
-      tail_k = 8;
+      observe = Observe.none;
       faults = Fault.Spec.none;
       arrival = Workload.Arrival.default;
       slo_ns = 1e6;
-      timeline = None;
-      timeline_window_ns = None;
-      cache_scope = None;
       updates = Workload.Mutation.none;
     }
 
@@ -47,11 +33,27 @@ module Spec = struct
   let with_batches batches t = { t with batches }
   let with_jobs jobs t = { t with jobs = max 1 jobs }
   let with_seed seed t = { t with seed_override = Some seed }
-  let with_metrics path t = { t with metrics_path = Some path }
-  let with_trace path t = { t with trace_path = Some path }
-  let with_profile t = { t with profile = true }
-  let with_profile_folded path t = { t with profile_folded = Some path }
-  let with_tail_k k t = { t with tail_k = max 0 k }
+  let with_observe observe t = { t with observe }
+
+  let with_profile t =
+    match t.observe.Observe.profile with
+    | Some _ -> t
+    | None ->
+        with_observe
+          { t.observe with Observe.profile = Some Observe.default_profile }
+          t
+
+  let with_tail_k k t =
+    with_observe
+      {
+        t.observe with
+        Observe.profile =
+          Option.map
+            (fun p -> { p with Observe.tail_k = max 0 k })
+            t.observe.Observe.profile;
+      }
+      t
+
   let with_faults faults t = { t with faults }
   let with_arrival arrival t = { t with arrival }
 
@@ -59,18 +61,7 @@ module Spec = struct
     if slo_ns <= 0.0 then invalid_arg "Spec.with_slo: budget must be positive";
     { t with slo_ns }
 
-  let with_timeline base t = { t with timeline = Some base }
-
-  let with_timeline_window window_ns t =
-    if window_ns <= 0.0 then
-      invalid_arg "Spec.with_timeline_window: width must be positive";
-    { t with timeline_window_ns = Some window_ns }
-
-  let with_cache_scope base t = { t with cache_scope = Some base }
   let with_updates updates t = { t with updates }
-  let timelining t = t.timeline <> None
-  let cache_scoping t = t.cache_scope <> None
-  let profiling t = t.profile || t.profile_folded <> None
   let faulted t = not (Fault.Spec.is_none t.faults)
   let dynamic t = not (Workload.Mutation.is_none t.updates)
 
@@ -80,125 +71,7 @@ module Spec = struct
     | Some seed -> { t.scenario with Workload.Scenario.seed }
 end
 
-(* Wrap a run's body so layer instrumentation (machine sync spans,
-   network send instants, in-flight counter samples) lands on a per-run
-   recorder, kept on the result.  Recording is skipped entirely unless
-   the spec asks for a trace file. *)
-let with_run_trace spec body =
-  if spec.Spec.trace_path = None then body ()
-  else begin
-    let tr = Simcore.Trace.create () in
-    let r = Simcore.Trace.with_recording tr body in
-    { r with Run_result.trace = Some tr }
-  end
-
-(* Same shape for cost attribution: every charge the run's layers make
-   lands on a per-run profiler, which is then closed against the run's
-   raw simulated time.  Conservation is an invariant, not a best
-   effort — a run whose books do not balance is a bug in a charge hook,
-   so fail loudly rather than ship an unbalanced profile. *)
-let with_run_profile spec body =
-  if not (Spec.profiling spec) then body ()
-  else begin
-    let p = Obs.Profile.create ~tail_k:spec.Spec.tail_k () in
-    let r = Obs.Profile.with_recording p body in
-    Obs.Profile.finalize p ~total_ns:r.Run_result.raw_ns;
-    if not (Obs.Profile.conserved p) then
-      failwith
-        (Printf.sprintf
-           "Experiment: profile not conserved for %s/%s: attributed %.17g \
-            vs total %.17g"
-           (Methods.to_string r.Run_result.method_id)
-           r.Run_result.scenario
-           (Obs.Profile.attributed_ns p)
-           r.Run_result.raw_ns);
-    { r with Run_result.profile = Some p }
-  end
-
-(* Cache microscope: machines created inside the body attach to a
-   per-run scope, which classifies the whole demand stream.  The scope
-   lives per job (like the trace and profile recorders), so parallel
-   sweeps stay deterministic for free. *)
-let with_run_scope spec body =
-  if not (Spec.cache_scoping spec) then body ()
-  else begin
-    let sc = Obs.Cachescope.create () in
-    let r = Obs.Cachescope.with_recording sc body in
-    { r with Run_result.scope = Some sc }
-  end
-
-(* All recorders at once, profile outermost (it needs the finished
-   run's [raw_ns] to close the books). *)
-let with_run_instrumented spec body =
-  with_run_profile spec (fun () ->
-      with_run_scope spec (fun () -> with_run_trace spec body))
-
-let profile_report runs =
-  String.concat "\n"
-    (List.filter_map
-       (fun (label, r) ->
-         Option.map
-           (fun p -> Obs.Profile.render ~label p)
-           r.Run_result.profile)
-       runs)
-
-let emit_telemetry ~spec ~generator runs =
-  let sc = Spec.scenario spec in
-  let fields =
-    Telemetry.manifest_fields ~faults:spec.Spec.faults sc
-      ~methods:spec.Spec.methods ~batches:spec.Spec.batches
-  in
-  (match spec.Spec.metrics_path with
-  | Some path ->
-      Telemetry.write_json path
-        (Telemetry.metrics_document ~generator ~fields
-           (List.map
-              (fun (label, r) -> (label, r.Run_result.metrics))
-              runs))
-  | None -> ());
-  (match spec.Spec.trace_path with
-  | Some path ->
-      let named =
-        List.filter_map
-          (fun (label, r) ->
-            Option.map (fun tr -> (label, tr)) r.Run_result.trace)
-          runs
-      in
-      Telemetry.write_json path (Telemetry.trace_document named)
-  | None -> ());
-  (match spec.Spec.profile_folded with
-  | Some path ->
-      let lines =
-        List.concat_map
-          (fun (label, r) ->
-            match r.Run_result.profile with
-            | Some p -> Obs.Profile.folded_lines ~prefix:label p
-            | None -> [])
-          runs
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines)
-  | None -> ());
-  match spec.Spec.cache_scope with
-  | Some base when base <> "-" ->
-      let scoped =
-        List.filter_map
-          (fun (label, r) ->
-            Option.map (fun sc -> (label, sc)) r.Run_result.scope)
-          runs
-      in
-      Out_channel.with_open_text (base ^ ".csv") (fun oc ->
-          Out_channel.output_string oc (Scope_report.csv scoped));
-      Telemetry.write_json (base ^ ".json")
-        (Telemetry.cachescope_document ~generator ~fields scoped)
-  | Some _ | None -> ()
+let with_run_instrumented spec body = Observe.record spec.Spec.observe body
 
 let scratch_tree (sc : Workload.Scenario.t) ~keys =
   let m = Machine.create (Engine.create ()) ~name:"scratch" sc.Workload.Scenario.params in
@@ -518,13 +391,21 @@ let timeline_traced ?(method_id = Methods.C3) (spec : Spec.t) =
   in
   let sc = { sc with Workload.Scenario.n_queries } in
   let keys, queries = Runner.workload sc in
-  let tr = Simcore.Trace.create () in
+  (* The Gantt chart reads the run's spans: from the session's tracer
+     under a [trace] clause, else from a private one. *)
   let r =
-    with_run_profile spec (fun () ->
-        Simcore.Trace.with_recording tr (fun () ->
-            Runner.run ~faults:spec.Spec.faults sc ~method_id ~keys ~queries))
+    with_run_instrumented spec (fun () ->
+        let tr =
+          Option.value (Simcore.Trace.current ())
+            ~default:(Simcore.Trace.create ())
+        in
+        let r =
+          Simcore.Trace.with_recording tr (fun () ->
+              Runner.run ~faults:spec.Spec.faults sc ~method_id ~keys ~queries)
+        in
+        { r with Run_result.trace = Some tr })
   in
-  let r = { r with Run_result.trace = Some tr } in
+  let tr = Option.get r.Run_result.trace in
   let rendered =
     Printf.sprintf
       "Method %s, %d queries, batch %d KB (%d messages, %.1f ns/key):\n\n%s"

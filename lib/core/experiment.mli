@@ -27,22 +27,9 @@ module Spec : sig
     jobs : int;  (** Worker domains for sweeps; [1] = run in caller. *)
     seed_override : int option;
         (** When set, replaces the scenario's workload seed. *)
-    metrics_path : string option;
-        (** When set, drivers invoked through {!emit_telemetry} write a
-            manifest-headed metrics JSON file here. *)
-    trace_path : string option;
-        (** When set, runs record event traces and {!emit_telemetry}
-            writes a Chrome [trace_event] JSON file here. *)
-    profile : bool;
-        (** When set, runs record cost-attribution profiles
-            ({!Obs.Profile}) for the text report. *)
-    profile_folded : string option;
-        (** When set, runs record profiles and {!emit_telemetry} writes
-            collapsed-stack flamegraph lines here (one file for the
-            whole sweep, each run prefixed by its label). *)
-    tail_k : int;
-        (** Size of each profiled run's tail-query inspector
-            (default 8; 0 disables it). *)
+    observe : Observe.t;
+        (** The observation session every run of the sweep records
+            under ({!Observe.record}); {!Observe.none} by default. *)
     faults : Fault.Spec.t;
         (** Fault-injection spec applied to every Method C family run of
             the sweep (A and B have no interconnect to degrade).
@@ -56,24 +43,6 @@ module Spec : sig
     slo_ns : float;
         (** Response-time budget for {!Serve} SLO accounting, simulated
             nanoseconds (default 1e6 = 1 ms). *)
-    timeline : string option;
-        (** When set, {!Serve} runs record an {!Obs.Series} timeline
-            onto [Run_result.timeline].  ["-"] renders to the terminal
-            only; any other value is the base path for deterministic
-            [BASE.csv] / [BASE.json] exports. *)
-    timeline_window_ns : float option;
-        (** Timeline window width in simulated nanoseconds; [None] =
-            1/32 of the scenario's serving horizon.  Also sets the
-            cold/warm split point (four windows). *)
-    cache_scope : string option;
-        (** When set, every run records an {!Obs.Cachescope} — 3C miss
-            classification, reuse-distance profiles, partition
-            residency, set pressure — onto [Run_result.scope].  ["-"]
-            renders to the terminal only; any other value is the base
-            path for deterministic [BASE.csv] / [BASE.json] exports.
-            [None] (the default) takes the pre-scope code paths: no
-            shadow structures are allocated and per-access hooks reduce
-            to one [None] check. *)
     updates : Workload.Mutation.t;
         (** Update-stream spec for the dynamic-index runs (the
             [--updates] flag).  {!Workload.Mutation.none} (the default)
@@ -92,30 +61,22 @@ module Spec : sig
   (** Clamped to at least 1. *)
 
   val with_seed : int -> t -> t
-  val with_metrics : string -> t -> t
-  val with_trace : string -> t -> t
+  val with_observe : Observe.t -> t -> t
+
   val with_profile : t -> t
-  val with_profile_folded : string -> t -> t
+  (** Adds a terminal-only [profile] clause unless one is set. *)
+
   val with_tail_k : int -> t -> t
+  (** Sets the [profile] clause's tail size (clamped to at least 0); no
+      effect without a [profile] clause. *)
+
   val with_faults : Fault.Spec.t -> t -> t
   val with_arrival : Workload.Arrival.t -> t -> t
 
   val with_slo : float -> t -> t
   (** Must be positive. *)
 
-  val with_timeline : string -> t -> t
-  val with_timeline_window : float -> t -> t
-  (** Must be positive. *)
-
-  val with_cache_scope : string -> t -> t
   val with_updates : Workload.Mutation.t -> t -> t
-
-  val timelining : t -> bool
-  (** A timeline destination is set — {!Serve} runs record windows. *)
-
-  val cache_scoping : t -> bool
-  (** A cache-scope destination is set — runs carry
-      [Run_result.scope]. *)
 
   val faulted : t -> bool
   (** A non-[none] fault spec is set — degraded-run columns and manifest
@@ -123,10 +84,6 @@ module Spec : sig
 
   val dynamic : t -> bool
   (** A non-[none] update spec is set — drivers run the dynamic index. *)
-
-  val profiling : t -> bool
-  (** [profile] set or a folded output path given — either implies runs
-      carry a finalized, conservation-checked {!Obs.Profile}. *)
 
   val scenario : t -> Workload.Scenario.t
   (** The scenario with [seed_override] applied — what the drivers
@@ -201,44 +158,14 @@ val timeline : ?method_id:Methods.id -> Spec.t -> string
     the paper's slave-idle observations in §4.1. *)
 
 val timeline_traced : ?method_id:Methods.id -> Spec.t -> string * Run_result.t
-(** {!timeline}, also returning the run itself with its recorded trace
-    attached ([run.trace = Some _]) for metrics/trace export. *)
+(** {!timeline}, also returning the run itself, recorded under the
+    spec's session with its trace attached ([run.trace = Some _]). *)
 
 (** {2 Per-run instrumentation} *)
 
 val with_run_instrumented : Spec.t -> (unit -> Run_result.t) -> Run_result.t
-(** Run one driver body with the spec's requested recorders installed
-    ambiently: an event trace when [trace_path] is set (attached as
-    [run.trace]), a cost profile when {!Spec.profiling} (finalized
-    against the run's [raw_ns], conservation-checked, attached as
-    [run.profile]) and a cache microscope when {!Spec.cache_scoping}
-    (attached as [run.scope]).  A no-op wrapper otherwise.  {!Serve}
-    shares this with the batch drivers so
-    [--profile]/[--trace-json]/[--cache-scope] mean the same thing in
-    both modes. *)
-
-(** {2 Telemetry export} *)
-
-val emit_telemetry :
-  spec:Spec.t ->
-  generator:string ->
-  (string * Run_result.t) list ->
-  unit
-(** Write the spec's [metrics_path] / [trace_path] / [profile_folded] /
-    [cache_scope] files (whichever are set) from labelled runs: the
-    metrics file is [{manifest, runs: [{run, metrics}]}] (see
-    {!Telemetry}), the trace file a combined Chrome [trace_event]
-    document over every run that carries a trace, the folded file
-    collapsed-stack flamegraph lines over every run that carries a
-    profile (root frame = run label), and — when [cache_scope] is a
-    base path other than ["-"] — [BASE.csv] ({!Scope_report.csv}) and
-    [BASE.json] ({!Telemetry.cachescope_document}) over every run that
-    carries a scope. *)
-
-val profile_report : (string * Run_result.t) list -> string
-(** Concatenated {!Obs.Profile.render} cost trees (with tail-query
-    inspectors) over every labelled run that carries a profile; [""]
-    when none do. *)
+(** [Observe.record spec.observe]: run one driver body under the spec's
+    observation session. *)
 
 (** {2 Shared plumbing} *)
 

@@ -24,15 +24,10 @@ type epoch = {
    the profiler/tracer/scope installed on the caller, so instrumented
    runs keep every epoch inline.  The epoch structure (and thus every
    output) is the same either way; only the scheduling differs. *)
-let recording () =
-  Obs.Profile.current () <> None
-  || Trace.current () <> None
-  || Obs.Cachescope.current () <> None
-
 let run_epochs ~jobs n_epochs epoch =
   if n_epochs < 1 then invalid_arg "Replicated: need at least one node";
   let thunks = List.init n_epochs (fun node () -> epoch node) in
-  if jobs > 1 && not (recording ()) then
+  if jobs > 1 && not (Observe.recording ()) then
     Array.of_list (Exec.Pool.run ~jobs:(min jobs n_epochs) thunks)
   else Array.of_list (List.map (fun f -> f ()) thunks)
 

@@ -53,8 +53,8 @@ type serving = {
   cold_until_ns : float;
       (** End of the cold-start phase: deliveries before this simulated
           time are "cold" (caches filling, queues draining the initial
-          burst), the rest "warm".  Defaults to four timeline windows;
-          follows [--timeline-window] when one is given. *)
+          burst), the rest "warm": one eighth of the serving
+          horizon. *)
   cold_completed : int;
   cold_p50_ns : float;
   cold_p95_ns : float;
@@ -112,11 +112,11 @@ type t = {
           {!Telemetry.snapshot}).  Deterministic — identical for
           identical runs at any worker count. *)
   trace : Simcore.Trace.t option;
-      (** Event trace of the run, when the caller requested tracing
-          (e.g. [--trace-json]); [None] otherwise. *)
+      (** Event trace of the run, under a [trace] clause of
+          {!Observe}; [None] otherwise. *)
   profile : Obs.Profile.t option;
       (** Cost-attribution profile of the run, when the caller
-          requested profiling (e.g. [--profile], [--profile-folded]);
+          requested profiling (a [profile] clause of {!Observe});
           finalized against [raw_ns], so
           [Obs.Profile.conserved p = true].  Carries the tail-query
           inspector.  [None] otherwise. *)
@@ -127,12 +127,12 @@ type t = {
           sweeps, whose output stays byte-identical to before. *)
   timeline : Obs.Series.t option;
       (** Windowed time-resolved telemetry ({!Obs.Series}) when the
-          caller asked for it ([--timeline]); [None] otherwise.  Built
+          caller asked for it (a [timeline] clause); [None] otherwise.  Built
           from simulated time only, so identical at any worker count. *)
   scope : Obs.Cachescope.t option;
       (** Cache-microscope readings (3C classification, reuse-distance
           profiles, partition residency, set pressure) when the caller
-          asked for them ([--cache-scope]); [None] otherwise.  Driven
+          asked for them (a [scope] clause); [None] otherwise.  Driven
           by the demand stream in simulated order, so identical at any
           worker count. *)
 }

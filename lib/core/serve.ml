@@ -45,26 +45,12 @@ let generate_workload ?(updates = Workload.Mutation.none)
 let workload ?updates sc ~arrival =
   generate_workload ?updates sc (effective sc arrival)
 
-(* ------------------------------------------------------------------ *)
-(* Timeline windowing.  The default splits the serving horizon into 32
-   windows; --timeline-window overrides the width.  The cold/warm
-   split rides on the same grid: the first four windows are the
-   cold-start phase (caches filling, the initial burst draining). *)
-
-let default_windows = 32
-
-let effective_window_ns (sc : Workload.Scenario.t) ~timeline_window_ns =
-  match timeline_window_ns with
-  | Some w -> w
-  | None ->
-      let d = sc.Workload.Scenario.duration_ns in
-      if d > 0.0 then d /. float_of_int default_windows else 1e5
-
-let cold_windows = 4
-
-let cold_until (sc : Workload.Scenario.t) ~timeline_window_ns =
-  float_of_int cold_windows
-  *. effective_window_ns sc ~timeline_window_ns
+(* The first eighth of the horizon is the cold-start phase (caches
+   filling, the initial burst draining): four windows of the default
+   timeline. *)
+let cold_until (sc : Workload.Scenario.t) =
+  let d = sc.Workload.Scenario.duration_ns in
+  if d > 0.0 then d /. 8.0 else 4e5
 
 (* ------------------------------------------------------------------ *)
 (* SLO rollup over the admission / service-start / delivery
@@ -170,29 +156,24 @@ let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
 
 (* ------------------------------------------------------------------ *)
 
-let run_method ?faults ?(timeline = false) ?timeline_window_ns ?(jobs = 1)
+let run_method ?faults ?(observe = Observe.none) ?(jobs = 1)
     ?(updates = Workload.Mutation.none) ?(ops = [||])
     (sc : Workload.Scenario.t) ~arrival ~slo_ns ~method_id ~keys ~queries
     ~arrivals =
   let n = Array.length arrivals in
   let start_at = Array.make (max 1 n) 0.0 in
   let done_at = Array.make (max 1 n) (-1.0) in
-  let cold_until_ns = cold_until sc ~timeline_window_ns in
+  let cold_until_ns = cold_until sc in
   let finish () =
     rollup ~arrival ~slo_ns ~cold_until_ns ~sc ~arrivals ~start_at ~done_at
   in
   let series =
-    if not timeline then None
-    else
-      Some
-        (Obs.Series.builder
-           ~window_ns:(effective_window_ns sc ~timeline_window_ns)
-           ~slo_ns ~horizon_ns:sc.Workload.Scenario.duration_ns ())
+    Observe.series observe ~slo_ns ~horizon_ns:sc.Workload.Scenario.duration_ns
   in
-  if Array.length ops > 0 && method_id <> Methods.A then
+  if Array.length ops > 0 && Methods.is_distributed method_id then
     invalid_arg
-      "Serve: --updates is supported for method A only (use `repro \
-       ablation updates` for the batch methods)";
+      "Serve: --updates is supported for methods A and B only (use `repro \
+       ablation updates` for the C family)";
   let source = Method_c.Serve { arrivals; start_at; done_at; series } in
   let drive () =
     let o =
@@ -233,82 +214,25 @@ let run_method ?faults ?(timeline = false) ?timeline_window_ns ?(jobs = 1)
     { o.Method_c.run with Run_result.serving = Some (finish ()) }
   in
   let run =
-    match series with
-    | None -> drive ()
-    | Some b ->
-        (* Per-node busy time comes from the machines' sync spans: use
-           the caller's ambient recorder when one is installed (so
-           --trace-json still sees the whole run), else record
-           privately for the harvest. *)
-        let tr, drive =
-          match Simcore.Trace.current () with
-          | Some tr -> (tr, drive)
-          | None ->
-              let tr = Simcore.Trace.create () in
-              (tr, fun () -> Simcore.Trace.with_recording tr drive)
-        in
-        let run = drive () in
-        List.iter
-          (fun (s : Simcore.Trace.span) ->
-            if s.Simcore.Trace.label = "busy" then
-              Obs.Series.note_busy b ~lane:s.Simcore.Trace.lane
-                ~t0:s.Simcore.Trace.t0 ~t1:s.Simcore.Trace.t1)
-          (Simcore.Trace.spans tr);
-        (* Arrivals and deliveries are replayed from the timestamp
-           arrays after the run: simulated-time data only, so the
-           series is identical at any worker count.  Losses were noted
-           live (their timing only exists at the failover decision). *)
-        Array.iteri
-          (fun i at ->
-            Obs.Series.note_arrival b ~at;
-            if done_at.(i) >= 0.0 then
-              Obs.Series.note_delivery b ~arrived:at ~finished:done_at.(i))
-          arrivals;
-        (* When the cache microscope is on, replay each node's L2
-           partition-residency samples as gauge lanes so the timeline
-           shows the index being evicted (and re-warmed) in place. *)
-        (match Obs.Cachescope.current () with
-        | Some sc ->
-            List.iter
-              (fun node ->
-                let lane =
-                  "resid:" ^ Obs.Cachescope.node_name node
-                in
-                List.iter
-                  (fun (at, readings) ->
-                    Array.iter
-                      (fun (level, region, frac) ->
-                        if level = "L2" && region = "partition" then
-                          Obs.Series.note_gauge b ~lane ~at frac)
-                      readings)
-                  (Obs.Cachescope.samples node))
-              (Obs.Cachescope.nodes sc)
-        | None -> ());
-        { run with Run_result.timeline = Some (Obs.Series.finish b) }
+    Observe.record
+      ?serving:
+        (Option.map
+           (fun series -> { Observe.series; arrivals; done_at })
+           series)
+      observe drive
   in
   match run.Run_result.serving with
   | Some serving -> { run; serving }
   | None -> assert false
 
-(* One spec-driven serving run with the spec's recorders (trace,
-   profile, timeline) installed — the body every job of [run] and
-   [load_sweep] executes. *)
+(* One spec-driven serving run under the spec's observation session —
+   the body every job of [run] and [load_sweep] executes. *)
 let run_method_spec (spec : Experiment.Spec.t) sc ~arrival ~method_id ~keys
     ~queries ~arrivals ~ops =
-  let run =
-    Experiment.with_run_instrumented spec (fun () ->
-        (run_method ~faults:spec.Experiment.Spec.faults
-           ~timeline:(Experiment.Spec.timelining spec)
-           ?timeline_window_ns:spec.Experiment.Spec.timeline_window_ns
-           ~jobs:spec.Experiment.Spec.jobs
-           ~updates:spec.Experiment.Spec.updates ~ops sc
-           ~arrival ~slo_ns:spec.Experiment.Spec.slo_ns ~method_id ~keys
-           ~queries ~arrivals)
-          .run)
-  in
-  match run.Run_result.serving with
-  | Some serving -> { run; serving }
-  | None -> assert false
+  run_method ~faults:spec.Experiment.Spec.faults
+    ~observe:spec.Experiment.Spec.observe ~jobs:spec.Experiment.Spec.jobs
+    ~updates:spec.Experiment.Spec.updates ~ops sc ~arrival
+    ~slo_ns:spec.Experiment.Spec.slo_ns ~method_id ~keys ~queries ~arrivals
 
 let run (spec : Experiment.Spec.t) =
   let sc = Experiment.Spec.scenario spec in
@@ -378,167 +302,3 @@ let csv_lines reports =
        (fun { run; serving } ->
          String.concat "," (Run_result.serving_cells run serving))
        reports
-
-(* ------------------------------------------------------------------ *)
-(* Timeline export and rendering *)
-
-let master_lane lane =
-  String.length lane >= 6 && String.sub lane 0 6 = "master"
-
-(* Events pinned to window [i]: at in [t0, t1), with anything at or
-   past the final boundary clamped into the last window so a crash
-   scheduled exactly at the horizon still shows. *)
-let window_events (t : Obs.Series.t) i =
-  let n = Array.length t.Obs.Series.windows in
-  List.filter
-    (fun (e : Obs.Series.event) ->
-      let j =
-        min (n - 1)
-          (max 0 (int_of_float (Float.floor (e.at_ns /. t.Obs.Series.window_ns))))
-      in
-      j = i)
-    t.Obs.Series.events
-
-let timeline_header =
-  [
-    "method"; "scenario"; "window"; "t0_ns"; "t1_ns"; "offered"; "completed";
-    "offered_qps"; "achieved_qps"; "mean_ns"; "p50_ns"; "p95_ns"; "p99_ns";
-    "queue_depth"; "master_busy_frac"; "slave_busy_frac"; "violations";
-    "burn_rate"; "retries"; "redispatches"; "lost"; "fallbacks"; "events";
-  ]
-
-let timeline_rows { run; serving = _ } =
-  match run.Run_result.timeline with
-  | None -> []
-  | Some t ->
-      let lanes = Obs.Series.lanes t in
-      let masters = List.filter master_lane lanes in
-      let slaves = List.filter (fun l -> not (master_lane l)) lanes in
-      (* Busy fraction of a node class inside one window: summed busy
-         nanoseconds over (window width x class size). *)
-      let class_frac (w : Obs.Series.window) cls =
-        match cls with
-        | [] -> 0.0
-        | _ ->
-            List.fold_left
-              (fun acc lane ->
-                acc +. try List.assoc lane w.Obs.Series.busy with Not_found -> 0.0)
-              0.0 cls
-            /. (t.Obs.Series.window_ns *. float_of_int (List.length cls))
-      in
-      Array.to_list
-        (Array.map
-           (fun (w : Obs.Series.window) ->
-             let p50, p95, p99 = Obs.Hist.quantiles w.Obs.Series.latency in
-             [
-               Methods.to_string run.Run_result.method_id;
-               run.Run_result.scenario;
-               string_of_int w.Obs.Series.index;
-               Printf.sprintf "%.0f" w.Obs.Series.t0_ns;
-               Printf.sprintf "%.0f" w.Obs.Series.t1_ns;
-               string_of_int w.Obs.Series.offered;
-               string_of_int w.Obs.Series.completed;
-               Printf.sprintf "%.1f" (Obs.Series.offered_qps t w);
-               Printf.sprintf "%.1f" (Obs.Series.achieved_qps t w);
-               Printf.sprintf "%.1f" (Obs.Hist.mean w.Obs.Series.latency);
-               Printf.sprintf "%.1f" p50;
-               Printf.sprintf "%.1f" p95;
-               Printf.sprintf "%.1f" p99;
-               string_of_int w.Obs.Series.queue_depth;
-               Printf.sprintf "%.4f" (class_frac w masters);
-               Printf.sprintf "%.4f" (class_frac w slaves);
-               string_of_int w.Obs.Series.violations;
-               Printf.sprintf "%.4f" (Obs.Series.burn_rate t w);
-               string_of_int w.Obs.Series.retries;
-               string_of_int w.Obs.Series.redispatches;
-               string_of_int w.Obs.Series.lost;
-               string_of_int w.Obs.Series.fallbacks;
-               String.concat ";"
-                 (List.map
-                    (fun (e : Obs.Series.event) -> e.Obs.Series.label)
-                    (window_events t w.Obs.Series.index));
-             ])
-           t.Obs.Series.windows)
-
-let timeline_csv_lines reports =
-  String.concat "," timeline_header
-  :: List.concat_map
-       (fun r -> List.map (String.concat ",") (timeline_rows r))
-       reports
-
-let render_timeline reports =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun { run; serving = _ } ->
-      match run.Run_result.timeline with
-      | None -> ()
-      | Some t ->
-          let ws = t.Obs.Series.windows in
-          let metric f = Array.map f ws in
-          let qd =
-            metric (fun (w : Obs.Series.window) ->
-                float_of_int w.Obs.Series.queue_depth)
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "method %s timeline: %d windows of %s%s\n"
-               (Methods.to_string run.Run_result.method_id)
-               (Array.length ws)
-               (Simcore.Simtime.to_string t.Obs.Series.window_ns)
-               (match Obs.Series.knee t with
-               | None -> ""
-               | Some k ->
-                   Printf.sprintf ", saturation knee at window %d" k));
-          List.iter
-            (fun (label, values) ->
-              Buffer.add_string buf (Report.Ascii_plot.heat_row ~label values);
-              Buffer.add_char buf '\n')
-            [
-              ("offered_qps", metric (Obs.Series.offered_qps t));
-              ("achieved_qps", metric (Obs.Series.achieved_qps t));
-              ( "p95_ns",
-                metric (fun (w : Obs.Series.window) ->
-                    Obs.Hist.quantile w.Obs.Series.latency 0.95) );
-              ("queue_depth", qd);
-              ("burn_rate", metric (Obs.Series.burn_rate t));
-            ];
-          (* One heat row per node lane, all on a shared 0..window scale
-             so master saturation reads against slave idleness. *)
-          List.iter
-            (fun lane ->
-              let busy =
-                metric (fun (w : Obs.Series.window) ->
-                    try List.assoc lane w.Obs.Series.busy
-                    with Not_found -> 0.0)
-              in
-              Buffer.add_string buf
-                (Report.Ascii_plot.heat_row ~label:("busy " ^ lane) ~v_min:0.0
-                   ~v_max:t.Obs.Series.window_ns busy);
-              Buffer.add_char buf '\n')
-            (Obs.Series.lanes t);
-          (* Coalesce consecutive same-label events (a redispatch storm
-             is one line with a count, not one line per batch). *)
-          let rec emit = function
-            | [] -> ()
-            | (e : Obs.Series.event) :: rest ->
-                let same, rest =
-                  let rec split acc = function
-                    | (x : Obs.Series.event) :: tl
-                      when x.Obs.Series.label = e.Obs.Series.label ->
-                        split (acc + 1) tl
-                    | tl -> (acc, tl)
-                  in
-                  split 0 rest
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "  event @ %s: %s%s\n"
-                     (Simcore.Simtime.to_string e.Obs.Series.at_ns)
-                     e.Obs.Series.label
-                     (if same = 0 then ""
-                      else Printf.sprintf " (x%d)" (same + 1)));
-                emit rest
-          in
-          emit t.Obs.Series.events;
-          Buffer.add_char buf '\n')
-    reports;
-  Buffer.contents buf

@@ -46,8 +46,7 @@ val workload :
 
 val run_method :
   ?faults:Fault.Spec.t ->
-  ?timeline:bool ->
-  ?timeline_window_ns:float ->
+  ?observe:Observe.t ->
   ?jobs:int ->
   ?updates:Workload.Mutation.t ->
   ?ops:Workload.Mutation.op array ->
@@ -64,31 +63,29 @@ val run_method :
     recorded, not re-generated).  Faults apply to the Method C family
     only, exactly as in the batch drivers: the C family runs the one
     {!Method_c.drive} protocol under a [Serve] source, with retries,
-    redispatches, fallbacks and losses noted on the timeline.  With
-    [timeline] (default
-    false) the run records an {!Obs.Series} onto
-    [run.Run_result.timeline]: windows of [timeline_window_ns]
-    (default: horizon/32) with per-window load/latency/queue/busy/SLO
-    readings plus fault events pinned to their window.
-    [timeline_window_ns] also moves the cold/warm split of the serving
-    rollup (always at four windows), with or without [timeline].
+    redispatches, fallbacks and losses noted on the timeline.  The run
+    records under [observe] (default {!Observe.none}): a [timeline]
+    clause windows it onto [run.Run_result.timeline] — per-window
+    load/latency/queue/busy/SLO readings plus fault events pinned to
+    their window.  The serving rollup's cold/warm split is fixed at
+    one eighth of the horizon.
 
     Methods A and B run {!Replicated.drive} under a [Serve] source.
-    [?ops] (with the [?updates] spec that generated it) switches
-    method A to dynamic serving over a log-structured {!Index.Segments}
-    replica: every node applies every update in stream order (updates
-    are replicated work) and serves its own round-robin share of the
+    [?ops] (with the [?updates] spec that generated it) switches them
+    to dynamic serving over a log-structured {!Index.Segments} replica:
+    every node applies every update in stream order (updates are
+    replicated work) and serves its own round-robin share of the
     queries, with answers checked online against a replayed
-    {!Index.Ref_impl.Dyn} oracle.  Methods B and the C family reject a
-    non-empty op stream with [Invalid_argument] — their dynamic
-    behaviour lives in the batch {!Dynamic} drivers.
+    {!Index.Ref_impl.Dyn} oracle.  The C family rejects a non-empty op
+    stream with [Invalid_argument] — its dynamic behaviour lives in the
+    batch {!Dynamic} drivers.
 
     [jobs] (default 1) runs Methods A and B's independent node epochs
     on that many worker domains; outputs are byte-identical at any
     value because every per-node accumulator is merged in node-index
     order.  Runs with a profiler, tracer or cache microscope installed
-    stay sequential (the recorders are domain-local), as does the
-    Method C family (its nodes exchange messages through one engine). *)
+    stay sequential ({!Observe.recording}), as does the Method C family
+    (its nodes exchange messages through one engine). *)
 
 val run : Experiment.Spec.t -> report list
 (** One serving run per [spec.methods] entry on a shared workload,
@@ -105,23 +102,3 @@ val render : scenario:Workload.Scenario.t -> report list -> string
 val csv_lines : report list -> string list
 (** {!Run_result.serving_header} plus one CSV row per report — the
     golden-file format of the [@serve-smoke] alias. *)
-
-(** {2 Timelines} *)
-
-val timeline_header : string list
-(** Columns of {!timeline_csv_lines}: per-window load, latency
-    quantiles (log-bucket upper bounds from {!Obs.Hist}), queue depth,
-    master/slave busy fractions, SLO burn-rate, degraded-mode counters
-    and the [;]-joined event labels pinned to the window. *)
-
-val timeline_csv_lines : report list -> string list
-(** Header plus one row per (report, window) over every report that
-    carries a timeline.  Deterministic: simulated-time data only,
-    byte-identical at any [jobs] value. *)
-
-val render_timeline : report list -> string
-(** Terminal reading of each report's timeline: heat rows (shared
-    ASCII intensity ramp) for offered/achieved qps, p95, queue depth
-    and burn-rate, one busy row per node lane on a shared scale, the
-    saturation knee when {!Obs.Series.knee} finds one, and the event
-    list.  [""] when no report carries a timeline. *)

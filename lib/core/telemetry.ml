@@ -110,7 +110,7 @@ let manifest_fields ?faults (sc : Workload.Scenario.t) ~methods ~batches =
     ("batches", Obs.Json.List (List.map (fun b -> Obs.Json.Int b) batches));
   ]
 
-let metrics_document ~generator ~fields runs =
+let runs_document ~generator ~fields ~key runs =
   let manifest = Obs.Manifest.create ~generator ~host:(host_fields ()) fields in
   Obs.Json.Obj
     [
@@ -118,48 +118,8 @@ let metrics_document ~generator ~fields runs =
       ( "runs",
         Obs.Json.List
           (List.map
-             (fun (label, snap) ->
-               Obs.Json.Obj
-                 [
-                   ("run", Obs.Json.String label);
-                   ("metrics", Obs.Metrics.Snapshot.to_json snap);
-                 ])
-             runs) );
-    ]
-
-let trace_document named = Simcore.Trace.combined_trace_event_json named
-
-let timeline_document ~generator ~fields runs =
-  let manifest = Obs.Manifest.create ~generator ~host:(host_fields ()) fields in
-  Obs.Json.Obj
-    [
-      ("manifest", Obs.Manifest.to_json manifest);
-      ( "runs",
-        Obs.Json.List
-          (List.map
-             (fun (label, series) ->
-               Obs.Json.Obj
-                 [
-                   ("run", Obs.Json.String label);
-                   ("timeline", Obs.Series.to_json series);
-                 ])
-             runs) );
-    ]
-
-let cachescope_document ~generator ~fields runs =
-  let manifest = Obs.Manifest.create ~generator ~host:(host_fields ()) fields in
-  Obs.Json.Obj
-    [
-      ("manifest", Obs.Manifest.to_json manifest);
-      ( "runs",
-        Obs.Json.List
-          (List.map
-             (fun (label, scope) ->
-               Obs.Json.Obj
-                 [
-                   ("run", Obs.Json.String label);
-                   ("cachescope", Obs.Cachescope.to_json scope);
-                 ])
+             (fun (label, reading) ->
+               Obs.Json.Obj [ ("run", Obs.Json.String label); (key, reading) ])
              runs) );
     ]
 

@@ -7,12 +7,11 @@
     functions of the simulation, so a sweep's snapshots are
     byte-identical at any [--jobs] value.
 
-    The [*_document] helpers assemble the [--metrics] / [--trace-json]
-    output files: a metrics file is [{manifest, runs}] with the manifest
+    {!runs_document} assembles the [--observe] JSON files: a
+    [{manifest, runs}] object with the manifest
     carrying seed / scenario / method / batch / network / git-describe /
     schema-version provenance (plus host wall-time stats, suppressed when
-    [SOURCE_DATE_EPOCH] is set); a trace file is Chrome [trace_event]
-    JSON loadable at {{:https://ui.perfetto.dev}ui.perfetto.dev}. *)
+    [SOURCE_DATE_EPOCH] is set). *)
 
 val snapshot :
   eng:Simcore.Engine.t ->
@@ -67,33 +66,15 @@ val manifest_fields :
     ["faults"] field with its canonical rendering; a fault-free manifest
     is unchanged. *)
 
-val metrics_document :
+val runs_document :
   generator:string ->
   fields:(string * Obs.Json.t) list ->
-  (string * Obs.Metrics.Snapshot.t) list ->
+  key:string ->
+  (string * Obs.Json.t) list ->
   Obs.Json.t
-(** [{manifest, runs: [{run, metrics}]}]. *)
-
-val trace_document : (string * Simcore.Trace.t) list -> Obs.Json.t
-(** Combined Chrome [trace_event] document, one process per run. *)
-
-val timeline_document :
-  generator:string ->
-  fields:(string * Obs.Json.t) list ->
-  (string * Obs.Series.t) list ->
-  Obs.Json.t
-(** [{manifest, runs: [{run, timeline}]}] — the [--timeline BASE.json]
-    file: the same manifest head as a metrics file over each labelled
-    run's {!Obs.Series.to_json}.  Deterministic under
+(** [{manifest, runs: [{run, KEY}]}] over labelled per-run readings —
+    the shape of every [--observe] JSON file except the trace (metrics
+    snapshots, timelines, cache scopes).  Deterministic under
     [SOURCE_DATE_EPOCH] at any worker count. *)
-
-val cachescope_document :
-  generator:string ->
-  fields:(string * Obs.Json.t) list ->
-  (string * Obs.Cachescope.t) list ->
-  Obs.Json.t
-(** [{manifest, runs: [{run, cachescope}]}] — the [--cache-scope
-    BASE.json] file over each labelled run's {!Obs.Cachescope.to_json}.
-    Deterministic under [SOURCE_DATE_EPOCH] at any worker count. *)
 
 val write_json : string -> Obs.Json.t -> unit

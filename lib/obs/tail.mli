@@ -6,7 +6,7 @@
     axis (§4.1) is response time, which is governed by the tail — the
     queries that sat longest in a batch or behind a saturated link.
     This keeps exactly the [k] slowest observations (deterministically:
-    ties broken towards the earlier query id) so `repro --profile` can
+    ties broken towards the earlier query id) so `repro --observe profile` can
     show *why* the worst queries were slow, not just that they were.
 
     The [breakdown] is supplied by the caller at [note] time — for

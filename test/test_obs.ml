@@ -641,7 +641,8 @@ let test_traced_run () =
     |> Dispatch.Experiment.Spec.with_scenario sc
     |> Dispatch.Experiment.Spec.with_batches [ 8 * 1024 ]
     |> Dispatch.Experiment.Spec.with_methods [ Dispatch.Methods.C3 ]
-    |> Dispatch.Experiment.Spec.with_trace "/dev/null"
+    |> Dispatch.Experiment.Spec.with_observe
+         { Dispatch.Observe.none with trace = Some "/dev/null" }
   in
   let rows = Dispatch.Experiment.fig3 spec in
   let r =
@@ -650,7 +651,7 @@ let test_traced_run () =
     | _ -> Alcotest.fail "expected one run"
   in
   match r.Dispatch.Run_result.trace with
-  | None -> Alcotest.fail "trace not recorded despite trace_path"
+  | None -> Alcotest.fail "trace not recorded despite a trace clause"
   | Some tr ->
       check_bool "machine busy spans recorded" true
         (Simcore.Trace.spans tr <> []);
@@ -695,7 +696,8 @@ let test_cache_scope_deterministic () =
     |> Dispatch.Experiment.Spec.with_batches [ 8 * 1024 ]
     |> Dispatch.Experiment.Spec.with_methods
          [ Dispatch.Methods.A; Dispatch.Methods.C3 ]
-    |> Dispatch.Experiment.Spec.with_cache_scope "-"
+    |> Dispatch.Experiment.Spec.with_observe
+         { Dispatch.Observe.none with scope = Some None }
   in
   let scoped_at jobs =
     Dispatch.Experiment.fig3 (Dispatch.Experiment.Spec.with_jobs jobs spec)
@@ -704,7 +706,7 @@ let test_cache_scope_deterministic () =
              (fun i (r : Dispatch.Run_result.t) ->
                match r.Dispatch.Run_result.scope with
                | Some s -> (Printf.sprintf "run%d" i, s)
-               | None -> Alcotest.fail "scope missing despite cache_scope")
+               | None -> Alcotest.fail "scope missing despite a scope clause")
              row.Dispatch.Experiment.results)
   in
   let csv jobs = Dispatch.Scope_report.csv (scoped_at jobs) in
@@ -979,6 +981,116 @@ let test_render () =
        (List.length
           (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))))
 
+(* ------------------------------------------------------------------ *)
+(* Observation sessions *)
+
+module Observe = Dispatch.Observe
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let observe_gen =
+  let open QCheck.Gen in
+  let path =
+    map
+      (fun s -> s ^ ".out")
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 6))
+  in
+  let window =
+    oneof [ float_range 1e-3 1e12; map float_of_int (int_range 1 10_000_000) ]
+  in
+  let* metrics = opt path in
+  let* trace = opt path in
+  let* profile =
+    opt
+      (map2
+         (fun folded tail_k -> { Observe.folded; tail_k })
+         (opt path) (int_range 0 20))
+  in
+  let* timeline =
+    opt
+      (map2
+         (fun base window_ns -> { Observe.base; window_ns })
+         (opt path) (opt window))
+  in
+  let+ scope = opt (opt path) in
+  { Observe.metrics; trace; profile; timeline; scope }
+
+let prop_observe_roundtrip =
+  QCheck.Test.make ~name:"observe: to_string/parse round-trip" ~count:500
+    (QCheck.make ~print:Observe.to_string observe_gen)
+    (fun t -> Observe.parse (Observe.to_string t) = Ok t)
+
+let test_observe_grammar () =
+  let ok s =
+    match Observe.parse s with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "parse %S failed: %s" s e
+  in
+  check_string "none" "none" (Observe.to_string (ok "none"));
+  check_bool "empty is none" true (Observe.is_none (ok ""));
+  check_string "canonical clause order"
+    "metrics:out=m.json+profile:tail=4+timeline:out=tl,window=50000+scope"
+    (Observe.to_string
+       (ok "scope+timeline:window=5e4,out=tl+profile:tail=4+metrics:out=m.json"));
+  check_string "default tail is omitted" "profile:out=p.folded"
+    (Observe.to_string (ok "profile:out=p.folded,tail=8"));
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S rejected" s) true
+        (Result.is_error (Observe.parse s)))
+    [
+      "flamegraph";
+      "profile+scope+profile";
+      "profile:depth=3";
+      "timeline:window=0";
+      "timeline:window=-5";
+      "timeline:window=inf";
+      "profile:tail=-1";
+      "metrics";
+      "trace";
+      "trace:out";
+    ]
+
+let test_observe_check () =
+  let t =
+    match Observe.parse "profile+timeline:out=tl" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  check_bool "serve honours both" true
+    (Observe.check ~honours:[ "profile"; "timeline" ] t = Ok ());
+  (match Observe.check ~honours:[ "profile"; "scope" ] t with
+  | Error msg ->
+      check_bool "names the refused clause" true
+        (contains msg "cannot honour timeline")
+  | Ok () -> Alcotest.fail "timeline outside serve accepted");
+  check_bool "a table command honours nothing" true
+    (Result.is_error (Observe.check ~honours:[] t));
+  check_bool "none passes anywhere" true
+    (Observe.check ~honours:[] Observe.none = Ok ())
+
+(* `repro timeline` records under the session like every other driver,
+   so a scope clause reaches its run and its report. *)
+let test_timeline_honours_scope () =
+  let spec =
+    Dispatch.Experiment.Spec.default
+    |> Dispatch.Experiment.Spec.with_scenario small_scenario
+    |> Dispatch.Experiment.Spec.with_observe
+         { Observe.none with scope = Some None }
+  in
+  let gantt, r =
+    Dispatch.Experiment.timeline_traced ~method_id:Dispatch.Methods.C3 spec
+  in
+  check_bool "gantt still drawn" true (String.contains gantt '#');
+  check_bool "scope recorded" true (r.Dispatch.Run_result.scope <> None);
+  check_bool "scope reported" true
+    (contains
+       (Observe.report spec.Dispatch.Experiment.Spec.observe [ ("run", r) ])
+       "L2")
+
 let () =
   Alcotest.run "obs"
     [
@@ -1057,5 +1169,13 @@ let () =
           Alcotest.test_case "cache scope deterministic" `Quick
             test_cache_scope_deterministic;
           Alcotest.test_case "mpi counters" `Quick test_mpi_record_metrics;
+        ] );
+      ( "observe",
+        [
+          QCheck_alcotest.to_alcotest prop_observe_roundtrip;
+          Alcotest.test_case "grammar" `Quick test_observe_grammar;
+          Alcotest.test_case "honoured clauses" `Quick test_observe_check;
+          Alcotest.test_case "timeline honours scope" `Quick
+            test_timeline_honours_scope;
         ] );
     ]

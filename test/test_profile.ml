@@ -153,7 +153,7 @@ let runs_of rows =
     rows
 
 let test_every_method_conserved () =
-  (* with_run_profile already fails loudly on a conservation violation;
+  (* Observe.record already fails loudly on a conservation violation;
      this re-checks the invariant on each returned profile and that the
      expected phases actually got charged. *)
   let rows = Dispatch.Experiment.fig3 profiled_spec in
@@ -243,7 +243,7 @@ let test_profiles_deterministic_across_jobs () =
         (fun r -> (Dispatch.Telemetry.run_label r, r))
         (runs_of rows)
     in
-    ( Dispatch.Experiment.profile_report runs,
+    ( Dispatch.Observe.report profiled_spec.Spec.observe runs,
       List.concat_map
         (fun (label, (r : Dispatch.Run_result.t)) ->
           Obs.Profile.folded_lines ~prefix:label

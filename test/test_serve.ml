@@ -7,6 +7,13 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 module Spec = Dispatch.Experiment.Spec
+module Observe = Dispatch.Observe
+
+let timeline_spec =
+  Spec.with_observe
+    { Observe.none with timeline = Some { base = None; window_ns = None } }
+
+let runs reports = List.map (fun r -> r.Dispatch.Serve.run) reports
 
 let parse_exn s =
   match Workload.Arrival.parse s with
@@ -177,8 +184,9 @@ let test_serve_jobs_invariant () =
    validated online against the replayed dynamic oracle (the index
    moves, so the static post-run peek cannot), all queries complete,
    and the SLO report stays byte-identical at any worker count.
-   Methods B and C-3 must reject a dynamic stream rather than silently
-   serve stale answers. *)
+   Method B serves the same stream from its buffered replicas; the C
+   family must reject a dynamic stream rather than silently serve stale
+   answers. *)
 let test_serve_dynamic () =
   let updates =
     match Workload.Mutation.parse "mix:ratio=0.2,inserts=0.6" with
@@ -197,17 +205,25 @@ let test_serve_dynamic () =
         (serving.Dispatch.Run_result.completed
         = serving.Dispatch.Run_result.arrived)
   | _ -> Alcotest.fail "expected one report");
-  let lines jobs =
+  let lines spec jobs =
     Dispatch.Serve.csv_lines (Dispatch.Serve.run (Spec.with_jobs jobs spec))
   in
-  let j1 = lines 1 in
-  check_bool "dynamic jobs 1 = 2" true (j1 = lines 2);
-  check_bool "dynamic jobs 1 = 4" true (j1 = lines 4);
+  let j1 = lines spec 1 in
+  check_bool "dynamic jobs 1 = 2" true (j1 = lines spec 2);
+  check_bool "dynamic jobs 1 = 4" true (j1 = lines spec 4);
+  let spec_b = Spec.with_methods [ Dispatch.Methods.B ] spec in
+  (match Dispatch.Serve.run spec_b with
+  | [ { Dispatch.Serve.run; _ } ] ->
+      check_int "B validated online" 0 run.Dispatch.Run_result.validation_errors
+  | _ -> Alcotest.fail "expected one B report");
+  let b1 = lines spec_b 1 in
+  check_bool "dynamic B jobs 1 = 2" true (b1 = lines spec_b 2);
+  check_bool "dynamic B jobs 1 = 4" true (b1 = lines spec_b 4);
   match
-    Dispatch.Serve.run (Spec.with_methods [ Dispatch.Methods.B ] spec)
+    Dispatch.Serve.run (Spec.with_methods [ Dispatch.Methods.C3 ] spec)
   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "serve B accepted a dynamic stream"
+  | _ -> Alcotest.fail "serve C-3 accepted a dynamic stream"
 
 (* QCheck form of the jobs invariance, aimed at the epoch-parallel
    methods: across random offered loads, the whole report — Run_result
@@ -299,7 +315,7 @@ let timeline_of run =
   | None -> Alcotest.fail "timeline missing despite --timeline"
 
 let test_timeline_recorded () =
-  let spec = Spec.with_timeline "-" serve_spec in
+  let spec = timeline_spec serve_spec in
   let reports = Dispatch.Serve.run spec in
   check_int "one report per method" 3 (List.length reports);
   List.iter
@@ -319,7 +335,7 @@ let test_timeline_recorded () =
         (t.Obs.Series.events = []);
       check_bool "busy lanes recorded" true (Obs.Series.lanes t <> []))
     reports;
-  let text = Dispatch.Serve.render_timeline reports in
+  let text = Observe.render_timeline (runs reports) in
   List.iter
     (fun needle ->
       check_bool (needle ^ " in render") true (contains text needle))
@@ -331,7 +347,7 @@ let test_timeline_recorded () =
       0 reports
   in
   check_int "csv: header + one row per (method, window)" (1 + total_windows)
-    (List.length (Dispatch.Serve.timeline_csv_lines reports))
+    (List.length (Observe.timeline_csv_lines (runs reports)))
 
 let test_timeline_off_by_default () =
   List.iter
@@ -340,7 +356,7 @@ let test_timeline_off_by_default () =
         (run.Dispatch.Run_result.timeline = None))
     (Dispatch.Serve.run serve_spec);
   check_bool "render empty" true
-    (Dispatch.Serve.render_timeline (Dispatch.Serve.run serve_spec) = "")
+    (Observe.render_timeline (runs (Dispatch.Serve.run serve_spec)) = "")
 
 (* A mid-run crash is pinned, as an instant event, to the window its
    fault-plan time falls in, and the window series shows the failover
@@ -355,7 +371,7 @@ let test_timeline_crash_pinned () =
     serve_spec
     |> Spec.with_methods [ Dispatch.Methods.C3 ]
     |> Spec.with_faults faults
-    |> Spec.with_timeline "-"
+    |> timeline_spec
   in
   match Dispatch.Serve.run spec with
   | [ { Dispatch.Serve.run; _ } ] ->
@@ -395,19 +411,60 @@ let test_timeline_crash_pinned () =
    @runtest-parallel gate enforces end-to-end through the binary. *)
 let test_timeline_jobs_invariant () =
   let lines jobs =
-    Dispatch.Serve.timeline_csv_lines
-      (Dispatch.Serve.run
-         (serve_spec
-         |> Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
-         |> Spec.with_timeline "-"
-         |> Spec.with_jobs jobs))
+    Observe.timeline_csv_lines
+      (runs
+         (Dispatch.Serve.run
+            (serve_spec
+            |> Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
+            |> timeline_spec |> Spec.with_jobs jobs)))
   in
   let j1 = lines 1 in
   check_bool "jobs 1 = 2" true (j1 = lines 2);
   check_bool "jobs 1 = 4" true (j1 = lines 4)
 
+(* The session's cross-recorder check: under a mid-run crash, the
+   timeline's per-window completions sum to the serving rollup's for
+   every method (Observe.record fails the run otherwise), and a run
+   whose delivery record disagrees with its rollup is refused. *)
+let test_timeline_matches_serving () =
+  let faults =
+    match Fault.Spec.parse "crash:node=3,at=1e6" with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "faults: %s" e
+  in
+  let reports =
+    Dispatch.Serve.run
+      (serve_spec
+      |> Spec.with_methods
+           [ Dispatch.Methods.A; Dispatch.Methods.B; Dispatch.Methods.C3 ]
+      |> Spec.with_faults faults |> timeline_spec)
+  in
+  check_int "one report per method" 3 (List.length reports);
+  List.iter
+    (fun { Dispatch.Serve.run; serving } ->
+      let t = timeline_of run in
+      check_int "window completions = serving completions"
+        serving.Dispatch.Run_result.completed
+        (Array.fold_left
+           (fun acc w -> acc + w.Obs.Series.completed)
+           0 t.Obs.Series.windows))
+    reports;
+  let run = (List.hd reports).Dispatch.Serve.run in
+  let observe = (timeline_spec Spec.default).Spec.observe in
+  let series =
+    Option.get (Observe.series observe ~slo_ns:1e6 ~horizon_ns:2e6)
+  in
+  let serving =
+    { Observe.series; arrivals = [| 0.0; 1.0 |]; done_at = [| 5.0; -1.0 |] }
+  in
+  check_bool "mismatched completions fail the run" true
+    (match Observe.record ~serving observe (fun () -> run) with
+    | _ -> false
+    | exception Failure _ -> true)
+
 (* Cold/warm split: the two phases partition the deliveries, and the
-   split point follows the timeline window width. *)
+   split point is fixed at an eighth of the horizon whatever the
+   timeline window. *)
 let test_cold_warm_split () =
   List.iter
     (fun { Dispatch.Serve.serving = s; _ } ->
@@ -426,6 +483,17 @@ let test_cold_warm_split () =
         && s.Dispatch.Run_result.warm_p95_ns
            <= s.Dispatch.Run_result.warm_p99_ns))
     (Dispatch.Serve.run serve_spec);
+  List.iter
+    (fun { Dispatch.Serve.serving = s; _ } ->
+      check_float "a timeline window leaves the split alone" (2e6 /. 8.0)
+        s.Dispatch.Run_result.cold_until_ns)
+    (Dispatch.Serve.run
+       (Spec.with_observe
+          {
+            Observe.none with
+            timeline = Some { base = None; window_ns = Some 1e5 };
+          }
+          serve_spec));
   check_int "serving cells match header width"
     (List.length Dispatch.Run_result.serving_header)
     (match Dispatch.Serve.run serve_spec with
@@ -472,13 +540,14 @@ let test_spec_guards () =
   check_bool "with_arrival stored" true
     (Workload.Arrival.to_string spec.Spec.arrival
     = "mmpp:rate=200000,burst=8,on=1e06,off=9e06");
-  check_bool "timelining off by default" false (Spec.timelining Spec.default);
-  check_bool "timelining on with a base" true
-    (Spec.timelining (Spec.with_timeline "-" Spec.default));
-  check_bool "with_timeline_window rejects 0" true
-    (match Spec.with_timeline_window 0.0 Spec.default with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  check_bool "no observation by default" true
+    (Observe.is_none Spec.default.Spec.observe);
+  check_bool "with_tail_k sets the profile tail" true
+    ((Spec.default |> Spec.with_profile |> Spec.with_tail_k 3).Spec.observe
+       .Observe.profile
+    = Some { Observe.folded = None; tail_k = 3 });
+  check_bool "with_tail_k without a profile observes nothing" true
+    (Observe.is_none (Spec.with_tail_k 3 Spec.default).Spec.observe)
 
 let () =
   let tc = Alcotest.test_case in
@@ -509,6 +578,7 @@ let () =
           tc "off by default" `Quick test_timeline_off_by_default;
           tc "crash pinned to its window" `Quick test_timeline_crash_pinned;
           tc "jobs invariant" `Quick test_timeline_jobs_invariant;
+          tc "completions match serving" `Quick test_timeline_matches_serving;
         ] );
       ("spec", [ tc "builder guards" `Quick test_spec_guards ]);
       ( "properties",
