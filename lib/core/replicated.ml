@@ -69,8 +69,6 @@ let drive ~jobs (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys
                 Some (Index.Buffered.create ~max_batch:batch_keys tree)
               else None )
       | Method_c.Updates u ->
-          (* Replica before oracle: the reverse host heap order makes the
-             oracle's array shifts ~10% slower. *)
           let seg = Index.Segments.create m ~policy:u.policy keys in
           Segments (seg, Index.Ref_impl.Dyn.create keys)
     in

@@ -1,7 +1,7 @@
 (* The int annotations matter: unannotated, the [<=] below compiles to a
    polymorphic comparison call per probe step. *)
-let rank (keys : int array) (q : int) =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+let rank_prefix (keys : int array) (len : int) (q : int) =
+  let lo = ref 0 and hi = ref len in
   (* invariant: keys.(i) <= q for i < lo; keys.(i) > q for i >= hi *)
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -9,62 +9,113 @@ let rank (keys : int array) (q : int) =
   done;
   !lo
 
+let rank keys q = rank_prefix keys (Array.length keys) q
 let partition_of ~delimiters q = rank delimiters q
 
-(* Dynamic oracle: a growable sorted array with O(n) insert/delete.
-   Plain and slow on purpose — it is the reference the log-structured
-   [Segments] index is cross-validated against, so it must be obviously
-   correct rather than fast. *)
+(* Dynamic oracle: a blocked sorted array.  Each block holds a sorted run
+   of at most [block_capacity] keys and owns the key range from its fence
+   up to the next block's; [before] counts the live keys of all earlier
+   blocks, so a rank is one search over the fences plus one inside a
+   block.  An update shifts at most one block and bumps the later blocks'
+   [before]; a full block re-cuts the whole oracle into half-full blocks.
+   The shifts are explicit loops over [int array]s: [Array.blit] on a
+   major-heap array pays a write barrier per word. *)
 module Dyn = struct
-  type t = { mutable keys : int array; mutable len : int }
+  let block_capacity = 1024
+  let cut_fill = block_capacity / 2
+
+  type t = {
+    mutable fences : int array;
+        (* least key block [b] owns; [fences.(0) = min_int] *)
+    mutable blocks : int array array;  (* live prefix of [counts.(b)] keys *)
+    mutable counts : int array;
+    mutable before : int array;  (* live keys in blocks [0, b) *)
+  }
+
+  (* Lay sorted keys out in half-full blocks. *)
+  let cut t keys =
+    let n = Array.length keys in
+    let nb = max 1 ((n + cut_fill - 1) / cut_fill) in
+    t.fences <-
+      Array.init nb (fun b -> if b = 0 then min_int else keys.(b * cut_fill));
+    t.counts <- Array.init nb (fun b -> min cut_fill (n - (b * cut_fill)));
+    t.before <- Array.init nb (fun b -> b * cut_fill);
+    t.blocks <-
+      Array.init nb (fun b ->
+          let blk = Array.make block_capacity 0 in
+          for i = 0 to t.counts.(b) - 1 do
+            blk.(i) <- keys.((b * cut_fill) + i)
+          done;
+          blk)
+
+  let size t =
+    let last = Array.length t.counts - 1 in
+    t.before.(last) + t.counts.(last)
+
+  let to_sorted_array t =
+    let out = Array.make (size t) 0 in
+    Array.iteri
+      (fun b blk ->
+        for i = 0 to t.counts.(b) - 1 do
+          out.(t.before.(b) + i) <- blk.(i)
+        done)
+      t.blocks;
+    out
 
   let create keys =
     Key.check_sorted_unique keys;
-    { keys = Array.copy keys; len = Array.length keys }
+    let t = { fences = [||]; blocks = [||]; counts = [||]; before = [||] } in
+    cut t keys;
+    t
 
-  let size t = t.len
+  (* The block owning [q], and the number of its live keys [<= q]. *)
+  let block_of t q = rank t.fences q - 1
+  let pos t b q = rank_prefix t.blocks.(b) t.counts.(b) q
+  let present t b p k = p > 0 && t.blocks.(b).(p - 1) = k
 
-  (* position of the first element > q within the live prefix *)
-  let pos (t : t) (q : int) =
-    let lo = ref 0 and hi = ref t.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.keys.(mid) <= q then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  let rank = pos
+  let rank t q =
+    let b = block_of t q in
+    t.before.(b) + pos t b q
 
   let mem t k =
-    let p = pos t k in
-    p > 0 && t.keys.(p - 1) = k
+    let b = block_of t k in
+    present t b (pos t b k) k
 
-  let grow t =
-    if t.len >= Array.length t.keys then begin
-      let bigger = Array.make (max 8 (2 * t.len)) 0 in
-      Array.blit t.keys 0 bigger 0 t.len;
-      t.keys <- bigger
+  let shift_before t b d =
+    for i = b + 1 to Array.length t.before - 1 do
+      t.before.(i) <- t.before.(i) + d
+    done
+
+  let rec insert t k =
+    let b = block_of t k in
+    let p = pos t b k in
+    let blk = t.blocks.(b) and c = t.counts.(b) in
+    if present t b p k then false
+    else if c = block_capacity then begin
+      cut t (to_sorted_array t);
+      insert t k
     end
-
-  let insert t k =
-    if mem t k then false
     else begin
-      grow t;
-      let p = pos t k in
-      Array.blit t.keys p t.keys (p + 1) (t.len - p);
-      t.keys.(p) <- k;
-      t.len <- t.len + 1;
+      for i = c downto p + 1 do
+        blk.(i) <- blk.(i - 1)
+      done;
+      blk.(p) <- k;
+      t.counts.(b) <- c + 1;
+      shift_before t b 1;
       true
     end
 
   let delete t k =
-    if not (mem t k) then false
+    let b = block_of t k in
+    let p = pos t b k in
+    let blk = t.blocks.(b) and c = t.counts.(b) in
+    if not (present t b p k) then false
     else begin
-      let p = pos t k in
-      Array.blit t.keys p t.keys (p - 1) (t.len - p);
-      t.len <- t.len - 1;
+      for i = p - 1 to c - 2 do
+        blk.(i) <- blk.(i + 1)
+      done;
+      t.counts.(b) <- c - 1;
+      shift_before t b (-1);
       true
     end
-
-  let to_sorted_array t = Array.sub t.keys 0 t.len
 end

@@ -13,11 +13,19 @@ val partition_of : delimiters:int array -> int -> int
     contains it: with [p] delimiters (the least key of partitions
     [1..p]), the result is in [\[0, p\]]. *)
 
-(** Dynamic oracle: a growable sorted array with O(n) insert/delete —
-    the naive reference the log-structured {!Segments} index is
-    cross-validated against, op for op. *)
+(** Dynamic oracle: a blocked sorted array — the reference the
+    log-structured {!Segments} index is cross-validated against, op for
+    op.  Keys live in sorted blocks of at most {!Dyn.block_capacity}, each
+    owning the key range between fence keys fixed when the oracle was last
+    cut; a per-block count of the live keys before it makes [rank] one
+    search over the fences plus one inside a block, and an update shifts
+    one block.  A full block re-cuts the whole oracle into half-full
+    blocks.  The tests check it against a [Set.Make (Int)] model. *)
 module Dyn : sig
   type t
+
+  val block_capacity : int
+  (** Most keys a block holds. *)
 
   val create : int array -> t
   (** Copy of a strictly-increasing key array. *)

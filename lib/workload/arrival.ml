@@ -261,7 +261,7 @@ let read_replay path ~duration_ns =
          done
        with End_of_file -> ());
       let arr = Array.of_list (List.rev !acc) in
-      Array.stable_sort compare arr;
+      Array.stable_sort Float.compare arr;
       arr)
 
 let generate t ~seed ~clients ~duration_ns =
@@ -296,6 +296,13 @@ let generate t ~seed ~clients ~duration_ns =
             (List.concat (List.init clients (fun c -> stream_of c streams.(c))))
         in
         (* Ties (vanishingly rare but possible) break by client then
-           per-client sequence: deterministic merge. *)
-        Array.sort compare all;
+           per-client sequence: deterministic merge (times are never
+           NaN). *)
+        Array.sort
+          (fun (tm, c, i) (tm', c', i') ->
+            let o = Float.compare tm tm' in
+            if o <> 0 then o
+            else if c <> c' then Int.compare c c'
+            else Int.compare i i')
+          all;
         Array.map (fun (tm, _, _) -> tm) all

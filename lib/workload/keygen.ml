@@ -1,20 +1,63 @@
 let key_space = Index.Key.sentinel
 
+(* LSD radix sort of keys in [\[0, 2^30)]: two stable counting passes
+   over 15-bit digits, low digit first. *)
+let digit_bits = 15
+let digit_mask = (1 lsl digit_bits) - 1
+
+let radix_sort (a : int array) =
+  let n = Array.length a in
+  let tmp = Array.make n 0 in
+  let count = Array.make (1 lsl digit_bits) 0 in
+  let pass (src : int array) (dst : int array) shift =
+    Array.fill count 0 (Array.length count) 0;
+    for i = 0 to n - 1 do
+      let d = (src.(i) lsr shift) land digit_mask in
+      count.(d) <- count.(d) + 1
+    done;
+    let sum = ref 0 in
+    for d = 0 to digit_mask do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to n - 1 do
+      let k = src.(i) in
+      let d = (k lsr shift) land digit_mask in
+      dst.(count.(d)) <- k;
+      count.(d) <- count.(d) + 1
+    done
+  in
+  pass a tmp 0;
+  pass tmp a digit_bits
+
+(* The first [n] distinct draws, deduplicated through an open-addressed
+   table (linear probing, load at most 1/2, [-1] marks an empty slot). *)
 let index_keys g ~n =
   if n < 1 then invalid_arg "Keygen.index_keys: n must be >= 1";
   if n > key_space / 2 then invalid_arg "Keygen.index_keys: n too large";
-  let seen = Hashtbl.create (2 * n) in
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * n do
+    incr bits
+  done;
+  let mask = (1 lsl !bits) - 1 in
+  let table = Array.make (1 lsl !bits) (-1) in
   let out = Array.make n 0 in
   let filled = ref 0 in
   while !filled < n do
     let k = Prng.Splitmix.int g key_space in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
+    (* Multiplicative hashing: the top [bits] of the 63-bit product. *)
+    let slot = ref ((k * 0x2545F4914F6CDD1D) lsr (63 - !bits)) in
+    while table.(!slot) <> k && table.(!slot) >= 0 do
+      slot := (!slot + 1) land mask
+    done;
+    if table.(!slot) < 0 then begin
+      table.(!slot) <- k;
       out.(!filled) <- k;
       incr filled
     end
   done;
-  Array.sort compare out;
+  radix_sort out;
   out
 
 let uniform_queries g ~n =
@@ -38,5 +81,5 @@ let zipf_queries g ~keys ~n ~s =
 
 let sorted_queries g ~n =
   let qs = uniform_queries g ~n in
-  Array.sort compare qs;
+  radix_sort qs;
   qs

@@ -159,20 +159,18 @@ let n_updates t ~n_queries =
 (* Interleave [floor (ratio * n_queries)] updates among the [n_queries]
    query slots.  An update's position [p] (uniform over [0, n_queries])
    means "before query p" ([p = n_queries]: after the last); positions
-   are stable-sorted so the stream is deterministic in the generator and
-   updates spread across the whole run.  Update keys are uniform over
-   the full key domain — collisions with live keys (no-op inserts) and
-   dead keys (no-op deletes) are part of the workload. *)
+   are drawn first and sorted, so the stream is deterministic in the
+   generator and updates spread across the whole run.  Update keys are
+   uniform over the full key domain — collisions with live keys (no-op
+   inserts) and dead keys (no-op deletes) are part of the workload. *)
 let plan t g ~n_queries =
   let n_up = n_updates t ~n_queries in
-  let pos =
-    Array.init n_up (fun i -> (Prng.Splitmix.int g (n_queries + 1), i))
-  in
-  Array.sort compare pos;
+  let pos = Array.init n_up (fun _ -> Prng.Splitmix.int g (n_queries + 1)) in
+  Array.sort Int.compare pos;
   let ops = Array.make (n_queries + n_up) (Query 0) in
   let u = ref 0 and oi = ref 0 in
   let drain_up_to q =
-    while !u < n_up && fst pos.(!u) <= q do
+    while !u < n_up && pos.(!u) <= q do
       let k = Prng.Splitmix.int g Index.Key.sentinel in
       ops.(!oi) <-
         (if Prng.Splitmix.float g 1.0 < t.insert_frac then Insert k

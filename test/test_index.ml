@@ -45,6 +45,112 @@ let test_ref_partition_of () =
   check_int "p3" 3 (Index.Ref_impl.partition_of ~delimiters 999)
 
 (* ------------------------------------------------------------------ *)
+(* Ref_impl.Dyn against a Set.Make (Int) model *)
+
+module IS = Set.Make (Int)
+
+type dyn_op = Ins of int | Del of int | Rank of int
+
+(* Replays [ops] on a [Dyn] built from [keys] and on a set model whose
+   rank of [q] is the cardinality of [{k <= q}].  Every result must
+   agree, and so must [rank] and [mem] at and beside each op's key; at
+   the end, the rank at and just below every live key. *)
+let dyn_agrees_with_model keys ops =
+  let module D = Index.Ref_impl.Dyn in
+  let d = D.create keys in
+  let model = ref (IS.of_list (Array.to_list keys)) in
+  let model_rank q =
+    IS.fold (fun k n -> if k <= q then n + 1 else n) !model 0
+  in
+  let probe k =
+    List.for_all
+      (fun q -> D.rank d q = model_rank q && D.mem d q = IS.mem q !model)
+      [ k - 1; k; k + 1 ]
+  in
+  List.for_all
+    (fun op ->
+      let agrees, k =
+        match op with
+        | Ins k ->
+            let changed = not (IS.mem k !model) in
+            model := IS.add k !model;
+            (D.insert d k = changed, k)
+        | Del k ->
+            let changed = IS.mem k !model in
+            model := IS.remove k !model;
+            (D.delete d k = changed, k)
+        | Rank q -> (true, q)
+      in
+      agrees && probe k)
+    ops
+  && D.size d = IS.cardinal !model
+  && D.to_sorted_array d = Array.of_list (IS.elements !model)
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i k -> D.rank d k = i + 1 && D.rank d (k - 1) = i)
+          (IS.elements !model))
+
+let cap = Index.Ref_impl.Dyn.block_capacity
+
+let test_dyn_dense_burst () =
+  (* Keys 100,000 apart, then more than two blocks' worth of inserts
+     into one gap: the block owning the gap fills, and so does one of
+     the blocks the first re-cut spreads the burst over. *)
+  let keys = Array.init (2 * cap) (fun i -> i * 100_000) in
+  let burst =
+    List.init ((2 * cap) + (cap / 2)) (fun i -> Ins (500_001 + i))
+  in
+  check_bool "ascending burst" true (dyn_agrees_with_model keys burst);
+  check_bool "descending burst" true
+    (dyn_agrees_with_model keys (List.rev burst))
+
+let test_dyn_empty_block () =
+  (* [cap] consecutive keys cover at least one whole block. *)
+  let keys = make_keys (3 * cap) in
+  let run = List.init cap (fun i -> keys.(cap + i)) in
+  check_bool "delete a block, then refill it" true
+    (dyn_agrees_with_model keys
+       (List.map (fun k -> Del k) run
+       @ List.map (fun k -> Rank (k + 1)) run
+       @ List.map (fun k -> Ins k) (List.filteri (fun i _ -> i mod 3 = 0) run)))
+
+let test_dyn_extreme_keys () =
+  let top = Index.Key.sentinel - 1 in
+  let ops =
+    [ Rank 0; Del 0; Del top; Rank top; Ins top; Ins 0; Ins 0; Del top ]
+  in
+  check_bool "from both ends" true (dyn_agrees_with_model [| 0; top |] ops);
+  check_bool "into an empty oracle" true (dyn_agrees_with_model [||] ops)
+
+let test_dyn_create_empty () =
+  (* Answers from one empty block, then past its capacity. *)
+  check_bool "empty, then filled" true
+    (dyn_agrees_with_model [||]
+       (Rank 12345 :: Del 7 :: List.init (cap + 1) (fun i -> Ins (i * 3))))
+
+let prop_dyn_matches_model =
+  QCheck.Test.make ~name:"Ref_impl.Dyn = Set model under interleavings"
+    ~count:40
+    QCheck.(quad int (int_range 0 600) (int_range 0 1500) (int_range 1 6000))
+    (fun (seed, n, n_ops, span) ->
+      (* A narrow [span] packs inserts into few blocks and forces
+         re-cuts; a wide one leaves most deletes no-ops. *)
+      let g = Prng.Splitmix.create seed in
+      let draw () = Prng.Splitmix.int g span in
+      let keys =
+        IS.of_list (List.init n (fun _ -> draw ()))
+        |> IS.elements |> Array.of_list
+      in
+      let ops =
+        List.init n_ops (fun _ ->
+            match Prng.Splitmix.int g 10 with
+            | 0 | 1 -> Rank (draw ())
+            | 2 | 3 | 4 -> Del (draw ())
+            | _ -> Ins (draw ()))
+      in
+      dyn_agrees_with_model keys ops)
+
+(* ------------------------------------------------------------------ *)
 (* Key *)
 
 let test_key_validation () =
@@ -458,6 +564,10 @@ let () =
         [
           tc "rank basics" `Quick test_ref_rank_basics;
           tc "partition_of" `Quick test_ref_partition_of;
+          tc "dyn dense burst" `Quick test_dyn_dense_burst;
+          tc "dyn empty block" `Quick test_dyn_empty_block;
+          tc "dyn extreme keys" `Quick test_dyn_extreme_keys;
+          tc "dyn create empty" `Quick test_dyn_create_empty;
         ] );
       ("key", [ tc "validation" `Quick test_key_validation ]);
       ( "sorted_array",
@@ -500,5 +610,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_nary_level_geometry; prop_buffered_idempotent;
-            prop_all_structures_agree ] );
+            prop_all_structures_agree; prop_dyn_matches_model ] );
     ]

@@ -1,8 +1,8 @@
 (* Tests for the log-structured dynamic index.  The central property:
    under an arbitrary interleaving of insert/delete/search ops,
-   Index.Segments is answer-identical to the naive Ref_impl.Dyn sorted
-   array — for the timed search, the untimed search, the live count and
-   the reconstructed live key set — across merge policies aggressive
+   Index.Segments is answer-identical to the Ref_impl.Dyn oracle — for
+   the timed search, the untimed search, the live count and the
+   reconstructed live key set — across merge policies aggressive
    enough to exercise seals, tiered merges and major compactions. *)
 
 open Simcore

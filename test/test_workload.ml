@@ -67,7 +67,39 @@ let test_sorted_queries_sorted () =
   for i = 1 to Array.length qs - 1 do
     if qs.(i) < qs.(i - 1) then ok := false
   done;
-  check_bool "ascending" true !ok
+  check_bool "ascending" true !ok;
+  let expect = Workload.Keygen.uniform_queries (g ()) ~n:5000 in
+  Array.sort compare expect;
+  Alcotest.(check (array int)) "the uniform stream, sorted" expect qs
+
+(* The reference [index_keys]: the first [n] distinct draws, deduplicated
+   through a [Hashtbl] and sorted with polymorphic [compare]. *)
+let reference_index_keys g ~n =
+  let seen = Hashtbl.create (2 * n) in
+  let out = Array.make n 0 in
+  let filled = ref 0 in
+  while !filled < n do
+    let k = Prng.Splitmix.int g Index.Key.sentinel in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      out.(!filled) <- k;
+      incr filled
+    end
+  done;
+  Array.sort compare out;
+  out
+
+(* The paper's 327,680 keys from the key split [Runner.workload] draws
+   them from. *)
+let test_index_keys_paper_size () =
+  List.iter
+    (fun seed ->
+      let keys_gen () = Prng.Splitmix.split (Prng.Splitmix.create seed) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "seed %d" seed)
+        (reference_index_keys (keys_gen ()) ~n:327_680)
+        (Workload.Keygen.index_keys (keys_gen ()) ~n:327_680))
+    [ 2005; 4242 ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario *)
@@ -116,6 +148,13 @@ let prop_index_keys_strictly_increasing =
         if keys.(i) <= keys.(i - 1) then ok := false
       done;
       !ok)
+
+let prop_index_keys_match_reference =
+  QCheck.Test.make ~name:"index_keys = Hashtbl + sort reference" ~count:100
+    QCheck.(pair int (int_range 1 20_000))
+    (fun (seed, n) ->
+      Workload.Keygen.index_keys (Prng.Splitmix.create seed) ~n
+      = reference_index_keys (Prng.Splitmix.create seed) ~n)
 
 (* Any representable arrival spec survives a render/parse round-trip —
    the property golden serve CSVs and CLI flags depend on.  Floats are
@@ -188,6 +227,7 @@ let () =
           tc "member queries" `Quick test_member_queries_are_members;
           tc "zipf skew" `Quick test_zipf_queries_skewed;
           tc "sorted queries" `Quick test_sorted_queries_sorted;
+          tc "paper size = reference" `Quick test_index_keys_paper_size;
         ] );
       ( "scenario",
         [
@@ -199,5 +239,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_index_keys_strictly_increasing; prop_arrival_roundtrip ] );
+          [
+            prop_index_keys_strictly_increasing;
+            prop_index_keys_match_reference;
+            prop_arrival_roundtrip;
+          ] );
     ]
