@@ -4,6 +4,8 @@
    drift — even one ULP of per-key cost — means a cost model changed,
    deliberately or not. *)
 
+open Dispatch
+
 type entry = {
   key : string;
   method_id : string;
@@ -88,7 +90,7 @@ let variant_entries ~spec =
   let parse_exn parse s =
     match parse s with Ok v -> v | Error e -> invalid_arg e
   in
-  let hier = Method_c_hier.run sc ~routers:2 ~variant:c3 ~keys ~queries () in
+  let hier = Runner.run ~routers:2 sc ~method_id:c3 ~keys ~queries in
   let two_masters =
     Runner.run
       (Workload.Scenario.with_masters 2 (renamed "-2m"))
@@ -166,50 +168,34 @@ let entry_to_json e =
       ("bytes_sent", Obs.Json.Int e.bytes_sent);
     ]
 
-let to_json ~spec entries =
+let manifest ~spec =
   let sc = Experiment.Spec.scenario spec in
-  let manifest =
-    Obs.Manifest.create ~generator:"bench --save-baseline"
-      (Telemetry.manifest_fields sc ~methods:spec.Experiment.Spec.methods
-         ~batches:spec.Experiment.Spec.batches)
-  in
-  Obs.Json.Obj
-    [
-      ("manifest", Obs.Manifest.to_json manifest);
-      ("entries", Obs.Json.List (List.map entry_to_json entries));
-    ]
+  Obs.Manifest.create ~generator:"bench --save-baseline"
+    (Telemetry.manifest_fields sc ~methods:spec.Experiment.Spec.methods
+       ~batches:spec.Experiment.Spec.batches)
 
-let field name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Baseline: missing field %S" name)
+let to_json ~spec entries =
+  Doc.to_json ~manifest:(manifest ~spec) ~section:"entries"
+    (List.map entry_to_json entries)
 
 let entry_of_json j =
   {
-    key = Obs.Json.to_string_exn (field "key" j);
-    method_id = Obs.Json.to_string_exn (field "method" j);
-    scenario = Obs.Json.to_string_exn (field "scenario" j);
-    batch_bytes = Obs.Json.to_int_exn (field "batch_bytes" j);
-    per_key_ns = Obs.Json.to_float_exn (field "per_key_ns" j);
-    raw_ns = Obs.Json.to_float_exn (field "raw_ns" j);
-    messages = Obs.Json.to_int_exn (field "messages" j);
-    bytes_sent = Obs.Json.to_int_exn (field "bytes_sent" j);
+    key = Obs.Json.to_string_exn (Doc.field "key" j);
+    method_id = Obs.Json.to_string_exn (Doc.field "method" j);
+    scenario = Obs.Json.to_string_exn (Doc.field "scenario" j);
+    batch_bytes = Obs.Json.to_int_exn (Doc.field "batch_bytes" j);
+    per_key_ns = Obs.Json.to_float_exn (Doc.field "per_key_ns" j);
+    raw_ns = Obs.Json.to_float_exn (Doc.field "raw_ns" j);
+    messages = Obs.Json.to_int_exn (Doc.field "messages" j);
+    bytes_sent = Obs.Json.to_int_exn (Doc.field "bytes_sent" j);
   }
 
-let of_json j =
-  List.map entry_of_json (Obs.Json.to_list_exn (field "entries" j))
-
-let load path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_json (Obs.Json.of_string_exn text)
+let of_json = Doc.of_json ~section:"entries" entry_of_json
+let load = Doc.load ~section:"entries" entry_of_json
 
 let save ~path ~spec entries =
-  Telemetry.write_json path (to_json ~spec entries)
+  Doc.save path ~manifest:(manifest ~spec) ~section:"entries"
+    (List.map entry_to_json entries)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison *)
@@ -287,6 +273,10 @@ let render_drift = function
       Buffer.contents buf
 
 let check ~path ~spec =
-  let expected = load path in
+  let expected =
+    match load path with
+    | Ok entries -> entries
+    | Error e -> failwith (Printf.sprintf "Baseline: %s: %s" path e)
+  in
   let actual = capture ~spec in
   compare_entries ~expected ~actual

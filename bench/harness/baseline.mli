@@ -9,6 +9,8 @@
     [bench --save-baseline] and committing the result; the
     [@bench-baseline] dune alias runs the check in CI. *)
 
+open Dispatch
+
 type entry = {
   key : string;  (** {!Telemetry.run_label} of the run. *)
   method_id : string;
@@ -58,17 +60,18 @@ val to_json : spec:Experiment.Spec.t -> entry list -> Obs.Json.t
 (** [{manifest, entries}]; float fields in shortest round-tripping
     form, so saved baselines compare exactly after reload. *)
 
-val of_json : Obs.Json.t -> entry list
-(** Raises [Failure] on malformed documents. *)
+val of_json : Obs.Json.t -> (entry list, string) result
+(** {!Doc.of_json} over the ["entries"] section. *)
 
+val load : string -> (entry list, string) result
 val save : path:string -> spec:Experiment.Spec.t -> entry list -> unit
-val load : string -> entry list
 
 val compare_entries : expected:entry list -> actual:entry list -> drift list
 (** Field-exact comparison; keys present on only one side are reported
     as [(entry)] drifts.  [[]] iff the baseline holds. *)
 
 val check : path:string -> spec:Experiment.Spec.t -> drift list
-(** [compare_entries ~expected:(load path) ~actual:(capture ~spec)]. *)
+(** [compare_entries ~expected:(load path) ~actual:(capture ~spec)].
+    Raises [Failure] when [path] does not load. *)
 
 val render_drift : drift list -> string

@@ -19,6 +19,8 @@
    host wall time, best of [repeats] runs (the minimum wall time is the
    least-noise estimator on a shared host). *)
 
+open Dispatch
+
 type cell = {
   key : string;
   queries : int;
@@ -231,82 +233,51 @@ let sample_to_json s =
      | Some g -> [ ("gc", gc_to_json g) ]
      | None -> []))
 
-let to_json samples =
-  let manifest =
-    Obs.Manifest.create ~generator:"bench --throughput"
-      [
-        ("scenario", Obs.Json.String "ci");
-        ("serve_scenario", Obs.Json.String "ci-serve");
-        ( "arrival",
-          Obs.Json.String (Workload.Arrival.to_string serve_arrival) );
-        ( "methods",
-          Obs.Json.List
-            (List.map
-               (fun m -> Obs.Json.String (Methods.to_string m))
-               fig3_methods) );
-        ( "batches",
-          Obs.Json.List (List.map (fun b -> Obs.Json.Int b) fig3_batches) );
-      ]
-  in
-  Obs.Json.Obj
+let manifest () =
+  Obs.Manifest.create ~generator:"bench --throughput"
     [
-      ("manifest", Obs.Manifest.to_json manifest);
-      ("trajectory", Obs.Json.List (List.map sample_to_json samples));
+      ("scenario", Obs.Json.String "ci");
+      ("serve_scenario", Obs.Json.String "ci-serve");
+      ("arrival", Obs.Json.String (Workload.Arrival.to_string serve_arrival));
+      ( "methods",
+        Obs.Json.List
+          (List.map
+             (fun m -> Obs.Json.String (Methods.to_string m))
+             fig3_methods) );
+      ( "batches",
+        Obs.Json.List (List.map (fun b -> Obs.Json.Int b) fig3_batches) );
     ]
-
-let field name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Throughput: missing field %S" name)
 
 let cell_of_json j =
   {
-    key = Obs.Json.to_string_exn (field "key" j);
-    queries = Obs.Json.to_int_exn (field "queries" j);
-    events = Obs.Json.to_int_exn (field "events" j);
-    wall_s = Obs.Json.to_float_exn (field "wall_s" j);
-    qps = Obs.Json.to_float_exn (field "qps" j);
-    eps = Obs.Json.to_float_exn (field "eps" j);
+    key = Obs.Json.to_string_exn (Doc.field "key" j);
+    queries = Obs.Json.to_int_exn (Doc.field "queries" j);
+    events = Obs.Json.to_int_exn (Doc.field "events" j);
+    wall_s = Obs.Json.to_float_exn (Doc.field "wall_s" j);
+    qps = Obs.Json.to_float_exn (Doc.field "qps" j);
+    eps = Obs.Json.to_float_exn (Doc.field "eps" j);
   }
 
 let gc_of_json j =
   {
-    minor_words = Obs.Json.to_float_exn (field "minor_words" j);
-    promoted_words = Obs.Json.to_float_exn (field "promoted_words" j);
-    minor_collections = Obs.Json.to_int_exn (field "minor_collections" j);
-    major_collections = Obs.Json.to_int_exn (field "major_collections" j);
-    top_heap_words = Obs.Json.to_int_exn (field "top_heap_words" j);
+    minor_words = Obs.Json.to_float_exn (Doc.field "minor_words" j);
+    promoted_words = Obs.Json.to_float_exn (Doc.field "promoted_words" j);
+    minor_collections = Obs.Json.to_int_exn (Doc.field "minor_collections" j);
+    major_collections = Obs.Json.to_int_exn (Doc.field "major_collections" j);
+    top_heap_words = Obs.Json.to_int_exn (Doc.field "top_heap_words" j);
   }
 
 let sample_of_json j =
   {
-    label = Obs.Json.to_string_exn (field "label" j);
-    repeats = Obs.Json.to_int_exn (field "repeats" j);
+    label = Obs.Json.to_string_exn (Doc.field "label" j);
+    repeats = Obs.Json.to_int_exn (Doc.field "repeats" j);
     cells =
-      List.map cell_of_json (Obs.Json.to_list_exn (field "cells" j));
+      List.map cell_of_json (Obs.Json.to_list_exn (Doc.field "cells" j));
     gc = Option.map gc_of_json (Obs.Json.member "gc" j);
   }
 
-let of_json j =
-  match Obs.Json.member "trajectory" j with
-  | None -> Error "Throughput: no \"trajectory\" member"
-  | Some (Obs.Json.List l) -> (
-      match Obs.Json.member "manifest" j with
-      | None -> Error "Throughput: no \"manifest\" member"
-      | Some _ -> (
-          try Ok (List.map sample_of_json l)
-          with Failure m -> Error m))
-  | Some _ -> Error "Throughput: \"trajectory\" is not a list"
-
-let load path =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  match Obs.Json.of_string text with
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok j -> of_json j
-
-let save ~path samples =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Obs.Json.to_string (to_json samples)))
+let of_json = Doc.of_json ~section:"trajectory" sample_of_json
+let load = Doc.load ~section:"trajectory" sample_of_json
 
 let append ~path sample =
   let existing =
@@ -315,7 +286,8 @@ let append ~path sample =
     else []
   in
   let samples = existing @ [ sample ] in
-  save ~path samples;
+  Doc.save path ~manifest:(manifest ()) ~section:"trajectory"
+    (List.map sample_to_json samples);
   samples
 
 (* ------------------------------------------------------------------ *)

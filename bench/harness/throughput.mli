@@ -43,14 +43,10 @@ val measure : ?smoke:bool -> label:string -> unit -> sample
     [smoke] runs one reduced cell per family once — the
     [@bench-throughput] CI alias. *)
 
-val to_json : sample list -> Obs.Json.t
-(** Manifest-headed trajectory document. *)
-
 val of_json : Obs.Json.t -> (sample list, string) result
-(** Parse and schema-validate a trajectory document. *)
+(** {!Doc.of_json} over the ["trajectory"] section. *)
 
 val load : string -> (sample list, string) result
-val save : path:string -> sample list -> unit
 
 val append : path:string -> sample -> sample list
 (** Append one sample to the trajectory at [path] (created when
@@ -63,9 +59,6 @@ val advisory : reference:sample -> current:sample -> string list
     from different hosts are not comparable enough to gate on. *)
 
 val advisory_threshold : float
-
-val speedup : from_:sample -> to_:sample -> (string * float) list
-(** Per-cell qps ratio between two samples of one trajectory. *)
 
 val render_sample : sample -> string
 val render_trajectory : sample list -> string

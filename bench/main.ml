@@ -1,12 +1,13 @@
 (* Benchmark harness: one Bechamel test per paper artefact (Tables 1-3,
    Figures 3-4) plus microbenchmarks of the index structures and the
-   simulation substrates.  After the timing pass it regenerates and prints
-   the paper-shaped rows/series at bench scale, so the output doubles as a
-   quick-look reproduction of the evaluation section.
+   simulation substrates.  It times the artefacts and does not print
+   them: `repro` renders every table and figure (for instance
+   `repro fig3 --scale paper --queries 131072 --batches 8,32,128,512`).
 
    Flags are Cmdliner terms shared with `repro` (see {!Cli}), so unknown
    flags are errors and `bench --help` documents everything.  Two
-   baseline-gate modes short-circuit the benchmarks entirely:
+   baseline-gate modes short-circuit the benchmarks entirely (the gate
+   and the throughput trajectory live in {!Bench_harness}):
 
      bench --save-baseline FILE    capture the gated sweep's simulated
                                    costs (promote an intentional change)
@@ -203,8 +204,8 @@ let artefact_tests () =
     Test.make ~name:"extension/method-C3-hier"
       (Staged.stage @@ fun () ->
        let r =
-         Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-           ~keys ~queries ()
+         Dispatch.Runner.run ~routers:2 sc ~method_id:Dispatch.Methods.C3
+           ~keys ~queries
        in
        assert (r.Dispatch.Run_result.validation_errors = 0))
   in
@@ -273,83 +274,11 @@ let print_results results =
     results;
   print_string (Report.Table.render tbl)
 
-(* ------------------------------------------------------------------ *)
-(* Paper-shaped output at bench scale *)
-
-(* The session's terminal readings and files for one artefact's runs. *)
-let observed ~generator (spec : Dispatch.Experiment.Spec.t) runs =
-  let obs = spec.Dispatch.Experiment.Spec.observe in
-  let runs = List.map (fun r -> (Dispatch.Telemetry.run_label r, r)) runs in
-  print_string (Dispatch.Observe.report obs runs);
-  List.iter
-    (Printf.printf "\nwrote %s\n")
-    (Dispatch.Observe.export obs ~generator
-       ~fields:
-         (Dispatch.Telemetry.manifest_fields
-            ~faults:spec.Dispatch.Experiment.Spec.faults
-            (Dispatch.Experiment.Spec.scenario spec)
-            ~methods:spec.Dispatch.Experiment.Spec.methods
-            ~batches:spec.Dispatch.Experiment.Spec.batches)
-       runs)
-
-(* The fig3 sweep records every batch clause of [observe]; the serving
-   runs record its timeline. *)
-let print_paper_shapes ~jobs ~faults ~observe =
-  print_endline "\n===== paper artefacts at bench scale =====\n";
-  print_endline "--- Table 1 ---";
-  print_string
-    (Report.Table.render (Dispatch.Experiment.table1 bench_spec));
-  print_endline "\n--- Table 2 ---";
-  print_string
-    (Report.Table.render (Dispatch.Experiment.table2 bench_spec));
-  Printf.printf "\n--- Figure 3 (reduced sweep, %d worker domain%s) ---\n"
-    jobs (if jobs = 1 then "" else "s");
-  let sweep_sc = Workload.Scenario.with_queries (1 lsl 17) bench_scenario in
-  let spec =
-    Dispatch.Experiment.Spec.default
-    |> Dispatch.Experiment.Spec.with_scenario sweep_sc
-    |> Dispatch.Experiment.Spec.with_batches
-         [ 8 * 1024; 32 * 1024; 128 * 1024; 512 * 1024 ]
-    |> Dispatch.Experiment.Spec.with_jobs jobs
-    |> Dispatch.Experiment.Spec.with_observe
-         { observe with Dispatch.Observe.timeline = None }
-    |> Dispatch.Experiment.Spec.with_faults faults
-  in
-  let rows = Dispatch.Experiment.fig3 spec in
-  print_string (Dispatch.Experiment.render_fig3 ~scenario:sweep_sc rows);
-  observed ~generator:"bench fig3" spec
-    (List.concat_map (fun { Dispatch.Experiment.results; _ } -> results) rows);
-  print_endline "\n--- Table 3 ---";
-  let t3_sc = Workload.Scenario.with_queries (1 lsl 18) bench_scenario in
-  let t3_spec =
-    Dispatch.Experiment.Spec.default
-    |> Dispatch.Experiment.Spec.with_scenario t3_sc
-    |> Dispatch.Experiment.Spec.with_jobs jobs
-  in
-  print_string
-    (Dispatch.Experiment.render_table3 ~scenario:t3_sc
-       (Dispatch.Experiment.table3 t3_spec));
-  print_endline "\n--- Figure 4 ---";
-  print_string
-    (Dispatch.Experiment.render_fig4 (Dispatch.Experiment.fig4 ~years:5 bench_spec));
-  print_endline "\n--- Serving (open loop, bench scale) ---";
-  let serve_spec =
-    serve_spec
-    |> Dispatch.Experiment.Spec.with_jobs jobs
-    |> Dispatch.Experiment.Spec.with_observe
-         { Dispatch.Observe.none with timeline = observe.Dispatch.Observe.timeline }
-  in
-  let serve_reports = Dispatch.Serve.run serve_spec in
-  print_string (Dispatch.Serve.render ~scenario:serve_scenario serve_reports);
-  observed ~generator:"bench serve" serve_spec
-    (List.map (fun r -> r.Dispatch.Serve.run) serve_reports)
-
-let run_benchmarks ~jobs ~faults ~observe =
+let run_benchmarks ~jobs =
   print_endline "===== microbenchmarks (bechamel) =====";
   print_results (benchmark (micro_tests ~jobs));
   print_endline "\n===== paper-artefact benchmarks (bechamel) =====";
-  print_results (benchmark (artefact_tests ()));
-  print_paper_shapes ~jobs ~faults ~observe
+  print_results (benchmark (artefact_tests ()))
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
@@ -411,23 +340,23 @@ let throughput_smoke_arg =
     & info [ "throughput-smoke" ] ~docv:"FILE" ~doc)
 
 let run_throughput ~path ~label =
-  let sample = Dispatch.Throughput.measure ~label () in
-  ignore (Dispatch.Throughput.append ~path sample);
+  let sample = Bench_harness.Throughput.measure ~label () in
+  ignore (Bench_harness.Throughput.append ~path sample);
   (* Also append a reduced-scale companion under the smoke key
      namespace: it is what `--throughput-smoke` (the @bench-throughput
      alias) compares freshly measured smoke cells against, so promoting
      a trajectory entry re-baselines the CI advisory in the same
      commit. *)
   let smoke =
-    Dispatch.Throughput.measure ~smoke:true ~label:(label ^ "-smoke") ()
+    Bench_harness.Throughput.measure ~smoke:true ~label:(label ^ "-smoke") ()
   in
-  let trajectory = Dispatch.Throughput.append ~path smoke in
-  print_string (Dispatch.Throughput.render_trajectory trajectory);
+  let trajectory = Bench_harness.Throughput.append ~path smoke in
+  print_string (Bench_harness.Throughput.render_trajectory trajectory);
   Printf.printf "wrote %s\n" path;
   0
 
 let run_throughput_smoke ~path =
-  match Dispatch.Throughput.load path with
+  match Bench_harness.Throughput.load path with
   | Error e ->
       Printf.eprintf "bench: invalid throughput trajectory: %s\n" e;
       1
@@ -435,15 +364,15 @@ let run_throughput_smoke ~path =
       Printf.printf "%s: schema OK, %d sample%s\n" path
         (List.length trajectory)
         (if List.length trajectory = 1 then "" else "s");
-      let current = Dispatch.Throughput.measure ~smoke:true ~label:"smoke" () in
-      print_string (Dispatch.Throughput.render_sample current);
+      let current = Bench_harness.Throughput.measure ~smoke:true ~label:"smoke" () in
+      print_string (Bench_harness.Throughput.render_sample current);
       (* Compare against the most recent sample that has comparable
          (same-key) cells — normally the committed smoke sample. *)
-      let comparable (s : Dispatch.Throughput.sample) =
+      let comparable (s : Bench_harness.Throughput.sample) =
         List.exists
-          (fun (c : Dispatch.Throughput.cell) ->
+          (fun (c : Bench_harness.Throughput.cell) ->
             List.exists
-              (fun (sc : Dispatch.Throughput.cell) -> sc.key = c.key)
+              (fun (sc : Bench_harness.Throughput.cell) -> sc.key = c.key)
               s.cells)
           current.cells
       in
@@ -452,16 +381,15 @@ let run_throughput_smoke ~path =
           Printf.printf
             "advisory: no sample with comparable cells in trajectory\n"
       | Some reference ->
-          let warnings = Dispatch.Throughput.advisory ~reference ~current in
+          let warnings = Bench_harness.Throughput.advisory ~reference ~current in
           if warnings = [] then
             Printf.printf "advisory: OK vs %S (threshold %.0f%%)\n"
-              reference.Dispatch.Throughput.label
-              (100.0 *. Dispatch.Throughput.advisory_threshold)
+              reference.Bench_harness.Throughput.label
+              (100.0 *. Bench_harness.Throughput.advisory_threshold)
           else List.iter print_endline warnings);
       0
 
-let main jobs faults observe save check throughput throughput_label
-    throughput_smoke =
+let main jobs save check throughput throughput_label throughput_smoke =
   match (save, check, throughput, throughput_smoke) with
   | Some _, Some _, _, _ ->
       prerr_endline
@@ -474,19 +402,17 @@ let main jobs faults observe save check throughput throughput_label
   | _, _, Some path, None -> run_throughput ~path ~label:throughput_label
   | _, _, None, Some path -> run_throughput_smoke ~path
   | Some path, None, None, None ->
-      (* The gate's cells carry their own fault specs (see
-         Baseline.capture); --faults does not alter it. *)
-      let spec = Dispatch.Baseline.default_spec ~jobs in
-      Dispatch.Baseline.save ~path ~spec (Dispatch.Baseline.capture ~spec);
+      let spec = Bench_harness.Baseline.default_spec ~jobs in
+      Bench_harness.Baseline.save ~path ~spec (Bench_harness.Baseline.capture ~spec);
       Printf.printf "wrote %s\n" path;
       0
   | None, Some path, None, None ->
-      let spec = Dispatch.Baseline.default_spec ~jobs in
-      let drifts = Dispatch.Baseline.check ~path ~spec in
-      print_endline (Dispatch.Baseline.render_drift drifts);
+      let spec = Bench_harness.Baseline.default_spec ~jobs in
+      let drifts = Bench_harness.Baseline.check ~path ~spec in
+      print_endline (Bench_harness.Baseline.render_drift drifts);
       if drifts = [] then 0 else 1
   | None, None, None, None ->
-      run_benchmarks ~jobs ~faults ~observe;
+      run_benchmarks ~jobs;
       0
 
 let () =
@@ -494,13 +420,12 @@ let () =
     Cmd.info "bench" ~version:"1.0.0"
       ~doc:
         "Benchmark harness for the index-over-CPU-caches reproduction: \
-         Bechamel microbenchmarks, per-artefact timings, paper-shaped \
-         output at bench scale, and the simulated-cost baseline gate."
+         Bechamel microbenchmarks, per-artefact timings, the \
+         simulated-cost baseline gate and the host throughput trajectory."
   in
   let term =
     Term.(
-      const main $ Cli.jobs_arg $ Cli.faults_arg $ Cli.observe_arg
-      $ save_baseline_arg $ check_baseline_arg $ throughput_arg
+      const main $ Cli.jobs_arg $ save_baseline_arg $ check_baseline_arg $ throughput_arg
       $ throughput_label_arg $ throughput_smoke_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

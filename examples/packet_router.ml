@@ -38,13 +38,12 @@ let () =
   in
 
   let scenario batch_kb =
-    {
-      Workload.Scenario.paper with
-      Workload.Scenario.name = "router";
-      n_keys = n_routes;
-      n_queries = n_packets;
-      batch_bytes = batch_kb * 1024;
-    }
+    Workload.Scenario.with_batch
+      (Workload.Scenario.paper
+      |> Workload.Scenario.with_name "router"
+      |> Workload.Scenario.with_keys n_routes
+      |> Workload.Scenario.with_queries n_packets)
+      (batch_kb * 1024)
   in
 
   (* Sweep the batch size: response time grows with the batch while

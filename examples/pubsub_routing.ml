@@ -46,14 +46,13 @@ let () =
   in
 
   let scenario =
-    {
-      Workload.Scenario.paper with
-      Workload.Scenario.name = "pubsub";
-      n_keys = n_topics;
-      n_queries = n_events;
-      n_nodes = n_brokers;
-      batch_bytes = 64 * 1024;
-    }
+    Workload.Scenario.with_batch
+      (Workload.Scenario.paper
+      |> Workload.Scenario.with_name "pubsub"
+      |> Workload.Scenario.with_keys n_topics
+      |> Workload.Scenario.with_queries n_events
+      |> Workload.Scenario.with_nodes n_brokers)
+      (64 * 1024)
   in
 
   let run method_id =

@@ -7,13 +7,12 @@ let () =
   (* 1. Describe the experiment: the paper's cluster (11 Pentium III
      nodes, Myrinet), a 256k-key index (a ~3 MB tree, well beyond the 512 KB L2), 128k queries in 64 KB batches. *)
   let scenario =
-    {
-      Workload.Scenario.paper with
-      Workload.Scenario.name = "quickstart";
-      n_keys = 1 lsl 18;
-      n_queries = 1 lsl 17;
-      batch_bytes = 64 * 1024;
-    }
+    Workload.Scenario.with_batch
+      (Workload.Scenario.paper
+      |> Workload.Scenario.with_name "quickstart"
+      |> Workload.Scenario.with_keys (1 lsl 18)
+      |> Workload.Scenario.with_queries (1 lsl 17))
+      (64 * 1024)
   in
   Format.printf "Scenario: %a@.@." Workload.Scenario.pp scenario;
 

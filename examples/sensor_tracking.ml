@@ -47,13 +47,12 @@ let () =
   in
 
   let scenario =
-    {
-      Workload.Scenario.paper with
-      Workload.Scenario.name = "sensors";
-      n_keys = n_cells;
-      n_queries = n_updates;
-      batch_bytes = 32 * 1024;
-    }
+    Workload.Scenario.with_batch
+      (Workload.Scenario.paper
+      |> Workload.Scenario.with_name "sensors"
+      |> Workload.Scenario.with_keys n_cells
+      |> Workload.Scenario.with_queries n_updates)
+      (32 * 1024)
   in
 
   let table =

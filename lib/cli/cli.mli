@@ -3,8 +3,7 @@
     {!spec_term} folds every workload/observation flag into one
     {!Dispatch.Experiment.Spec.t}; the individual [Arg]s are exposed for
     executables that compose a narrower flag set (the bench harness
-    reuses [--jobs], [--faults] and [--observe] without the workload
-    overrides).  Both executables get unknown-flag rejection and
+    reuses [--jobs] alone).  Both executables get unknown-flag rejection and
     [--help] from Cmdliner for free. *)
 
 open Cmdliner

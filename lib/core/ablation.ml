@@ -57,8 +57,8 @@ let network ?profiles (spec : Spec.t) =
          (fun ((profile, batch) as key) ->
            Exec.Job.make ~key (fun () ->
                let sc =
-                 { (Workload.Scenario.with_batch sc batch) with
-                   Workload.Scenario.net = profile }
+                 Workload.Scenario.with_net profile
+                   (Workload.Scenario.with_batch sc batch)
                in
                Runner.run sc ~method_id:Methods.C3 ~keys ~queries))
          grid)
@@ -153,11 +153,9 @@ let masters ?(counts = [ 1; 2; 4 ]) (spec : Spec.t) =
          Exec.Job.make ~key:n_masters (fun () ->
              (* Keep the slave pool fixed; masters are additional nodes. *)
              let sc =
-               {
-                 sc with
-                 Workload.Scenario.n_masters;
-                 Workload.Scenario.n_nodes = n_slaves + n_masters;
-               }
+               sc
+               |> Workload.Scenario.with_masters n_masters
+               |> Workload.Scenario.with_nodes (n_slaves + n_masters)
              in
              (sc, Runner.run sc ~method_id:Methods.C3 ~keys ~queries)))
        counts)
@@ -194,7 +192,7 @@ let line_size (spec : Spec.t) =
                Exec.Job.make ~key:(params.Cachesim.Mem_params.name, method_id)
                  (fun () ->
                    Runner.run
-                     { sc with Workload.Scenario.params }
+                     (Workload.Scenario.with_params params sc)
                      ~method_id ~keys ~queries))
              [ Methods.A; Methods.C3 ])
          machines)
@@ -242,7 +240,9 @@ let hierarchy (spec : Spec.t) =
       ( "3 masters", n_slaves + 3,
         fun () ->
           Runner.run
-            { sc with Workload.Scenario.n_masters = 3; n_nodes = n_slaves + 3 }
+            (sc
+            |> Workload.Scenario.with_masters 3
+            |> Workload.Scenario.with_nodes (n_slaves + 3))
             ~method_id:Methods.C3 ~keys ~queries );
     ]
     @ List.map
@@ -250,9 +250,9 @@ let hierarchy (spec : Spec.t) =
           ( Printf.sprintf "tree (%d routers)" routers,
             1 + routers + n_slaves,
             fun () ->
-              Method_c_hier.run
-                { sc with Workload.Scenario.n_nodes = 1 + routers + n_slaves }
-                ~routers ~variant:Methods.C3 ~keys ~queries () ))
+              Runner.run ~routers
+                (Workload.Scenario.with_nodes (1 + routers + n_slaves) sc)
+                ~method_id:Methods.C3 ~keys ~queries ))
         [ 2; 3 ]
   in
   Exec.Sweep.run ~jobs:spec.Spec.jobs

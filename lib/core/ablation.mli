@@ -37,7 +37,7 @@ val line_size : Experiment.Spec.t -> Report.Table.t
 val hierarchy : Experiment.Spec.t -> Report.Table.t
 (** Dispatch-topology comparison over a fixed slave pool: flat single
     master vs replicated masters vs the two-tier router tree of
-    {!Method_c_hier} (the paper's T > 2L sketch).  Shows what the extra
+    [Runner.run ~routers] (the paper's T > 2L sketch).  Shows what the extra
     hop costs in response time and what it buys in dispatch capacity. *)
 
 val structures : Experiment.Spec.t -> Report.Table.t

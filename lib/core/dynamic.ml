@@ -2,7 +2,8 @@
    [Index.Segments] index with an interleaved update/query stream from
    [Workload.Mutation].  This module holds only what is particular to
    them — the update/segment stats, the op-stream workload and the
-   fault guard — and [run] hands one [Updates] op stream to a core:
+   fault guard — and [run] hands one [Updates] op stream to
+   [Runner.drive], which picks the core:
 
    - Methods A and B run [Replicated.drive]: one simulated node
      processes the whole stream, applying every update to its local
@@ -142,19 +143,16 @@ let run ?faults (sc : Workload.Scenario.t) ~updates ~method_id =
           (fun segs ~lost_updates -> counters (stats segs ~lost_updates));
       }
   in
+  if Methods.is_distributed method_id then begin
+    if sc.Workload.Scenario.n_masters <> 1 then
+      invalid_arg
+        "Dynamic: method C requires a single master (per-slave update \
+         order is defined by one staging stream)";
+    Option.iter check_fault_support faults
+  end;
   let o =
-    match (method_id : Methods.id) with
-    | Methods.A | Methods.B ->
-        Replicated.drive ~jobs:1 sc ~source:Method_c.Batch ~ops ~method_id
-          ~keys ~queries
-    | Methods.C1 | Methods.C2 | Methods.C3 ->
-        if sc.Workload.Scenario.n_masters <> 1 then
-          invalid_arg
-            "Dynamic: method C requires a single master (per-slave update \
-             order is defined by one staging stream)";
-        Option.iter check_fault_support faults;
-        Method_c.drive ~faults sc ~source:Method_c.Batch ~ops
-          ~topology:Method_c.Flat ~variant:method_id ~keys ~queries
+    Runner.drive ?faults sc ~source:Method_c.Batch ~ops ~method_id ~keys
+      ~queries
   in
   ( o.Method_c.run,
     stats o.Method_c.segments ~lost_updates:o.Method_c.lost_updates )

@@ -2,7 +2,7 @@
     log-structured {!Index.Segments} index with an interleaved
     update/query stream from {!Workload.Mutation}.  This module holds
     the update/segment stats, the op-stream workload and the fault
-    guard; {!run} hands one [Updates] op stream to a protocol core.
+    guard; {!run} hands one [Updates] op stream to {!Runner.drive}.
 
     Methods A and B run {!Replicated.drive}: the replicated node applies
     every update locally and eats the cache dirtying; the cluster-time

@@ -68,7 +68,7 @@ module Spec = struct
   let scenario t =
     match t.seed_override with
     | None -> t.scenario
-    | Some seed -> { t.scenario with Workload.Scenario.seed }
+    | Some seed -> Workload.Scenario.with_seed seed t.scenario
 end
 
 let with_run_instrumented spec body = Observe.record spec.Spec.observe body
@@ -389,7 +389,7 @@ let timeline_traced ?(method_id = Methods.C3) (spec : Spec.t) =
     min sc.Workload.Scenario.n_queries
       (max (1 lsl 15) (6 * Workload.Scenario.queries_per_batch sc))
   in
-  let sc = { sc with Workload.Scenario.n_queries } in
+  let sc = Workload.Scenario.with_queries n_queries sc in
   let keys, queries = Runner.workload sc in
   (* The Gantt chart reads the run's spans: from the session's tracer
      under a [trace] clause, else from a private one. *)

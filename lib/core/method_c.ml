@@ -632,8 +632,3 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     }
   in
   { run; segments; lost_updates }
-
-let run ?faults sc ~variant ~keys ~queries =
-  (drive ~faults sc ~source:Batch ~ops:Queries ~topology:Flat ~variant ~keys
-     ~queries)
-    .run

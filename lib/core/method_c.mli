@@ -16,9 +16,10 @@
     over L1-sized subtrees, C-3 = sorted array with binary search.
 
     This module is the one implementation of that protocol.  Every
-    Method C driver runs on {!drive} — batch ({!run}), open-loop serving
-    ({!Serve}), update forwarding ({!Dynamic}) and the router tier
-    ({!Method_c_hier}) — and they differ only along three axes:
+    Method C driver reaches {!drive} through {!Runner.drive} — batch and
+    the router tier ({!Runner.run}), open-loop serving ({!Serve}) and
+    update forwarding ({!Dynamic}) — and they differ only along three
+    axes:
     - {!source}: where the ops come from and how a response is timed;
     - {!ops}: queries only, or an interleaved query/insert/delete stream;
     - {!topology}: masters feeding slaves directly, or through routers.
@@ -102,28 +103,3 @@ val drive :
     [A]/[B], for fewer than one master, router or slave where one is
     needed, and for [Updates] over [Routers].  The result's
     [serving] field is left [None] for the serving driver to fill. *)
-
-val run :
-  ?faults:Fault.Spec.t ->
-  Workload.Scenario.t ->
-  variant:Methods.id ->
-  keys:int array ->
-  queries:int array ->
-  Run_result.t
-(** [run sc ~variant ~keys ~queries] with [variant] one of [C1]/[C2]/[C3]:
-    the flat batch protocol.  Uses [sc.n_nodes - sc.n_masters] slaves
-    and [sc.batch_bytes] messages.  Every returned rank is validated
-    against the reference implementation.  Raises [Invalid_argument] for
-    variants [A]/[B] or clusters without a slave.
-
-    [?faults] (default {!Fault.Spec.none}) injects faults, seeded from
-    the scenario seed: the network drops/duplicates/delays messages per
-    the spec, crashed slaves stop serving, and the master side fails
-    over — reply timeouts re-send the batch up to the spec's retry
-    budget, after which the destination is declared dead and its
-    batches are resolved with the master's local full-key index (or
-    reported lost when the spec disables fallback).  The outcome is
-    accounted in the result's [degraded] field; a run never returns a
-    silently-wrong rank.  Passing a spec for which
-    [Fault.Spec.is_none] holds takes the exact fault-free code path
-    (byte-identical result). *)

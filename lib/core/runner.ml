@@ -1,11 +1,28 @@
-let run ?faults sc ~method_id ~keys ~queries =
+let drive ?faults ?(jobs = 1) ?topology sc ~source ~ops ~method_id ~keys
+    ~queries =
   match (method_id : Methods.id) with
-  | Methods.A | Methods.B ->
-      (Replicated.drive ~jobs:1 sc ~source:Method_c.Batch ~ops:Method_c.Queries
-         ~method_id ~keys ~queries)
-        .Method_c.run
+  | Methods.A | Methods.B -> (
+      match topology with
+      | Some (Method_c.Routers _) ->
+          invalid_arg "Runner: methods A and B have no router tier"
+      | Some Method_c.Flat | None ->
+          Replicated.drive ~jobs sc ~source ~ops ~method_id ~keys ~queries)
   | Methods.C1 | Methods.C2 | Methods.C3 ->
-      Method_c.run sc ?faults ~variant:method_id ~keys ~queries
+      Method_c.drive ~faults sc ~source ~ops
+        ~topology:(Option.value topology ~default:Method_c.Flat)
+        ~variant:method_id ~keys ~queries
+
+let run ?faults ?routers sc ~method_id ~keys ~queries =
+  let topology = Option.map (fun r -> Method_c.Routers r) routers in
+  let o =
+    drive ?faults ?topology sc ~source:Method_c.Batch ~ops:Method_c.Queries
+      ~method_id ~keys ~queries
+  in
+  match routers with
+  | None -> o.Method_c.run
+  | Some _ ->
+      { o.Method_c.run with
+        Run_result.scenario = sc.Workload.Scenario.name ^ "+hier" }
 
 let workload (sc : Workload.Scenario.t) =
   let g = Prng.Splitmix.create sc.Workload.Scenario.seed in

@@ -176,40 +176,36 @@ let run_method ?faults ?(observe = Observe.none) ?(jobs = 1)
        ablation updates` for the C family)";
   let source = Method_c.Serve { arrivals; start_at; done_at; series } in
   let drive () =
+    (* Pin the fault plan's scheduled events to the timeline before the
+       run: a crash or slow node is knowable from the spec, so the event
+       lane carries the cause next to the windows showing the effect. *)
+    (match (series, faults) with
+    | Some b, Some spec
+      when Methods.is_distributed method_id && not (Fault.Spec.is_none spec)
+      ->
+        List.iter
+          (fun (node, at) ->
+            Obs.Series.note_event b ~at
+              ~label:(Printf.sprintf "crash:node=%d" node))
+          spec.Fault.Spec.crashes;
+        List.iter
+          (fun (node, _factor) ->
+            Obs.Series.note_event b ~at:0.0
+              ~label:(Printf.sprintf "slow:node=%d" node))
+          spec.Fault.Spec.slow
+    | _ -> ());
+    let ops =
+      if Array.length ops = 0 then Method_c.Queries
+      else
+        Method_c.Updates
+          {
+            ops;
+            policy = Workload.Mutation.policy updates;
+            counters = (fun _ ~lost_updates:_ -> []);
+          }
+    in
     let o =
-      match (method_id : Methods.id) with
-      | Methods.A | Methods.B ->
-          Replicated.drive ~jobs sc ~source
-            ~ops:
-              (if Array.length ops = 0 then Method_c.Queries
-               else
-                 Method_c.Updates
-                   {
-                     ops;
-                     policy = Workload.Mutation.policy updates;
-                     counters = (fun _ ~lost_updates:_ -> []);
-                   })
-            ~method_id ~keys ~queries
-      | Methods.C1 | Methods.C2 | Methods.C3 ->
-          (* Pin the fault plan's scheduled events to the timeline before
-             the run: a crash or slow node is knowable from the spec, so
-             the event lane carries the cause next to the windows
-             showing the effect. *)
-          (match (series, faults) with
-          | Some b, Some spec when not (Fault.Spec.is_none spec) ->
-              List.iter
-                (fun (node, at) ->
-                  Obs.Series.note_event b ~at
-                    ~label:(Printf.sprintf "crash:node=%d" node))
-                spec.Fault.Spec.crashes;
-              List.iter
-                (fun (node, _factor) ->
-                  Obs.Series.note_event b ~at:0.0
-                    ~label:(Printf.sprintf "slow:node=%d" node))
-                spec.Fault.Spec.slow
-          | _ -> ());
-          Method_c.drive ~faults sc ~source ~ops:Method_c.Queries
-            ~topology:Method_c.Flat ~variant:method_id ~keys ~queries
+      Runner.drive ?faults ~jobs sc ~source ~ops ~method_id ~keys ~queries
     in
     { o.Method_c.run with Run_result.serving = Some (finish ()) }
   in

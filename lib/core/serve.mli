@@ -1,8 +1,7 @@
 (** Online serving drivers: open-loop query streams with SLO accounting.
 
-    The batch drivers ({!Runner.run} over {!Replicated.drive} and
-    {!Method_c.drive}) answer the paper's question — how fast can each method drain a fixed query
-    set — but they cannot show what a query {e experiences} under load:
+    The batch driver ({!Runner.run}) answers the paper's question — how
+    fast can each method drain a fixed query set — but it cannot show what a query {e experiences} under load:
     a query that arrives while the engine is behind waits, and that
     queueing delay is invisible to any throughput sweep.  These drivers
     feed a seeded {!Workload.Arrival} stream through the same simulated
@@ -61,9 +60,10 @@ val run_method :
 (** One open-loop serving run of one method on a prepared workload.
     [arrival] must be the same spec [workload] generated from (it is
     recorded, not re-generated).  Faults apply to the Method C family
-    only, exactly as in the batch drivers: the C family runs the one
-    {!Method_c.drive} protocol under a [Serve] source, with retries,
-    redispatches, fallbacks and losses noted on the timeline.  The run
+    only, exactly as in the batch driver: {!Runner.drive} runs the C
+    family's one {!Method_c.drive} protocol under a [Serve] source,
+    with retries, redispatches, fallbacks and losses noted on the
+    timeline.  The run
     records under [observe] (default {!Observe.none}): a [timeline]
     clause windows it onto [run.Run_result.timeline] — per-window
     load/latency/queue/busy/SLO readings plus fault events pinned to

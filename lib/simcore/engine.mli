@@ -52,8 +52,8 @@ val schedule_now : t -> (unit -> unit) -> unit
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t ~name body] starts a process at the current simulation time.
     The body runs under the engine's effect handler, so it may call
-    {!delay}, {!suspend} and the blocking operations of {!Channel},
-    {!Resource} and {!Latch}. *)
+    {!delay}, {!suspend} and the blocking operations of {!Channel} and
+    {!Resource}. *)
 
 val suspend : (t -> (unit -> unit) -> unit) -> unit
 (** [suspend park] blocks the calling process.  [park engine resume] is

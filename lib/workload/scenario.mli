@@ -11,12 +11,9 @@
 
     Construction: start from a preset ({!paper}, {!scaled}, {!ci}) and
     refine it with the [with_*] builders, mirroring [Experiment.Spec].
-    Direct record construction outside [lib/workload] is deprecated —
-    it breaks every time a field is added (the serving fields below are
-    exactly such an extension), whereas builder chains and functional
-    updates do not. *)
+    The record is private: fields are read directly, never built. *)
 
-type t = {
+type t = private {
   name : string;
   n_keys : int;  (** Indexed keys (Table 1: 327,680). *)
   n_queries : int;  (** Search keys (paper: 2^23). *)

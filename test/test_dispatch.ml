@@ -20,14 +20,13 @@ end
 (* A scenario big enough that the A/B tree overflows the L2 (the paper's
    premise) but small enough for fast tests. *)
 let small_sc =
-  {
-    Workload.Scenario.ci with
-    Workload.Scenario.name = "test";
-    n_keys = 1 lsl 16;
-    n_queries = 1 lsl 15;
-    n_nodes = 6;
-    batch_bytes = 16 * 1024;
-  }
+  Workload.Scenario.with_batch
+    (Workload.Scenario.ci
+    |> Workload.Scenario.with_name "test"
+    |> Workload.Scenario.with_keys (1 lsl 16)
+    |> Workload.Scenario.with_queries (1 lsl 15)
+    |> Workload.Scenario.with_nodes 6)
+    (16 * 1024)
 
 let workload = lazy (Dispatch.Runner.workload small_sc)
 
@@ -195,22 +194,25 @@ let test_method_c_rejects_bad_config () =
   let keys, queries = Lazy.force workload in
   check_bool "one node rejected" true
     (match
-       Dispatch.Method_c.run
-         { small_sc with Workload.Scenario.n_nodes = 1 }
-         ~variant:Dispatch.Methods.C3 ~keys ~queries
+       Dispatch.Runner.run
+         (Workload.Scenario.with_nodes 1 small_sc)
+         ~method_id:Dispatch.Methods.C3 ~keys ~queries
      with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  check_bool "variant A rejected" true
+  check_bool "variant A rejected by the C core" true
     (match
-       Dispatch.Method_c.run small_sc ~variant:Dispatch.Methods.A ~keys ~queries
+       Dispatch.Method_c.drive ~faults:None small_sc
+         ~source:Dispatch.Method_c.Batch ~ops:Dispatch.Method_c.Queries
+         ~topology:Dispatch.Method_c.Flat ~variant:Dispatch.Methods.A ~keys
+         ~queries
      with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 let test_more_slaves_help_method_c () =
   let keys, queries = Lazy.force workload in
-  let with_nodes n = { small_sc with Workload.Scenario.n_nodes = n } in
+  let with_nodes n = Workload.Scenario.with_nodes n small_sc in
   let r3 = Dispatch.Runner.run (with_nodes 3) ~method_id:Dispatch.Methods.C3 ~keys ~queries in
   let r11 = Dispatch.Runner.run (with_nodes 11) ~method_id:Dispatch.Methods.C3 ~keys ~queries in
   check_int "r3 correct" 0 r3.Dispatch.Run_result.validation_errors;
@@ -332,10 +334,9 @@ let test_gige_needs_bigger_batches () =
   (* Paper §2.2: on a high-latency network, small batches are
      latency-dominated; growing the batch recovers most of the loss. *)
   let sc =
-    { tiny_sc with
-      Workload.Scenario.net = Netsim.Profile.gigabit_ethernet;
-      n_queries = 1 lsl 15;
-    }
+    tiny_sc
+    |> Workload.Scenario.with_net Netsim.Profile.gigabit_ethernet
+    |> Workload.Scenario.with_queries (1 lsl 15)
   in
   let keys, queries = Dispatch.Runner.workload sc in
   let at batch =

@@ -108,9 +108,7 @@ let test_run_deterministic_rejects_impure_jobs () =
    bit-identical to the sequential one.  Tiny scenario, two batches, two
    methods — enough to cross domains without slowing the suite. *)
 let test_simulation_sweep_deterministic () =
-  let sc =
-    { Workload.Scenario.ci with Workload.Scenario.n_queries = 1 lsl 12 }
-  in
+  let sc = Workload.Scenario.with_queries (1 lsl 12) Workload.Scenario.ci in
   let keys, queries = Dispatch.Runner.workload sc in
   let thunks =
     List.concat_map

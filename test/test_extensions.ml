@@ -127,14 +127,13 @@ let test_latency_percentile_sampled () =
 (* Response-time measurement in the methods *)
 
 let sc =
-  {
-    Workload.Scenario.ci with
-    Workload.Scenario.name = "ext";
-    n_keys = 1 lsl 15;
-    n_queries = 1 lsl 14;
-    n_nodes = 6;
-    batch_bytes = 16 * 1024;
-  }
+  Workload.Scenario.with_batch
+    (Workload.Scenario.ci
+    |> Workload.Scenario.with_name "ext"
+    |> Workload.Scenario.with_keys (1 lsl 15)
+    |> Workload.Scenario.with_queries (1 lsl 14)
+    |> Workload.Scenario.with_nodes 6)
+    (16 * 1024)
 
 let workload = lazy (Dispatch.Runner.workload sc)
 
@@ -189,11 +188,9 @@ let test_multi_master_correct () =
   List.iter
     (fun n_masters ->
       let sc =
-        {
-          sc with
-          Workload.Scenario.n_masters;
-          n_nodes = 5 + n_masters;
-        }
+        sc
+        |> Workload.Scenario.with_masters n_masters
+        |> Workload.Scenario.with_nodes (5 + n_masters)
       in
       let r = Dispatch.Runner.run sc ~method_id:Dispatch.Methods.C3 ~keys ~queries in
       check_int
@@ -208,7 +205,9 @@ let test_multi_master_relieves_master_bottleneck () =
   let keys, queries = Lazy.force workload in
   let with_masters m =
     Dispatch.Runner.run
-      { sc with Workload.Scenario.n_masters = m; n_nodes = 5 + m }
+      (sc
+      |> Workload.Scenario.with_masters m
+      |> Workload.Scenario.with_nodes (5 + m))
       ~method_id:Dispatch.Methods.C3 ~keys ~queries
   in
   let r1 = with_masters 1 and r2 = with_masters 2 in
@@ -220,7 +219,9 @@ let test_multi_master_relieves_master_bottleneck () =
 
 let test_multi_master_all_variants () =
   let keys, queries = Lazy.force workload in
-  let sc = { sc with Workload.Scenario.n_masters = 2; n_nodes = 7 } in
+  let sc =
+    sc |> Workload.Scenario.with_masters 2 |> Workload.Scenario.with_nodes 7
+  in
   List.iter
     (fun v ->
       let r = Dispatch.Runner.run sc ~method_id:v ~keys ~queries in
@@ -234,7 +235,9 @@ let test_masters_bad_configs () =
   let bad n_masters n_nodes =
     match
       Dispatch.Runner.run
-        { sc with Workload.Scenario.n_masters; n_nodes }
+        (sc
+        |> Workload.Scenario.with_masters n_masters
+        |> Workload.Scenario.with_nodes n_nodes)
         ~method_id:Dispatch.Methods.C3 ~keys ~queries
     with
     | _ -> false
@@ -248,12 +251,10 @@ let test_masters_bad_configs () =
 
 let test_hier_correct_all_variants () =
   let keys, queries = Lazy.force workload in
-  let sc = { sc with Workload.Scenario.n_nodes = 8 } in
+  let sc = Workload.Scenario.with_nodes 8 sc in
   List.iter
     (fun v ->
-      let r =
-        Dispatch.Method_c_hier.run sc ~routers:2 ~variant:v ~keys ~queries ()
-      in
+      let r = Dispatch.Runner.run ~routers:2 sc ~method_id:v ~keys ~queries in
       check_int
         (Printf.sprintf "hier %s correct" (Dispatch.Methods.to_string v))
         0 r.Dispatch.Run_result.validation_errors)
@@ -263,10 +264,10 @@ let test_hier_byte_accounting () =
   (* Every key crosses the wire three times: master->router,
      router->slave, slave->target. *)
   let keys, queries = Lazy.force workload in
-  let sc = { sc with Workload.Scenario.n_nodes = 8 } in
+  let sc = Workload.Scenario.with_nodes 8 sc in
   let r =
-    Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-      ~keys ~queries ()
+    Dispatch.Runner.run ~routers:2 sc ~method_id:Dispatch.Methods.C3 ~keys
+      ~queries
   in
   check_int "3 hops x 4 bytes" (3 * sc.Workload.Scenario.n_queries * 4)
     r.Dispatch.Run_result.bytes_sent
@@ -276,9 +277,9 @@ let test_hier_response_above_flat () =
   let keys, queries = Lazy.force workload in
   let flat = run Dispatch.Methods.C3 in
   let hier =
-    Dispatch.Method_c_hier.run
-      { sc with Workload.Scenario.n_nodes = 8 }
-      ~routers:2 ~variant:Dispatch.Methods.C3 ~keys ~queries ()
+    Dispatch.Runner.run ~routers:2
+      (Workload.Scenario.with_nodes 8 sc)
+      ~method_id:Dispatch.Methods.C3 ~keys ~queries
   in
   check_bool "tree adds response time" true
     (hier.Dispatch.Run_result.mean_response_ns
@@ -291,25 +292,25 @@ let test_hier_bad_configs () =
   in
   check_bool "zero routers" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run sc ~routers:0 ~variant:Dispatch.Methods.C3
-           ~keys ~queries ()));
+         Dispatch.Runner.run ~routers:0 sc ~method_id:Dispatch.Methods.C3 ~keys
+           ~queries));
   check_bool "more routers than slaves" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run
-           { sc with Workload.Scenario.n_nodes = 6 }
-           ~routers:4 ~variant:Dispatch.Methods.C3 ~keys ~queries ()));
-  check_bool "variant A" true
+         Dispatch.Runner.run ~routers:4
+           (Workload.Scenario.with_nodes 6 sc)
+           ~method_id:Dispatch.Methods.C3 ~keys ~queries));
+  check_bool "method A has no router tier" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run
-           { sc with Workload.Scenario.n_nodes = 8 }
-           ~routers:2 ~variant:Dispatch.Methods.A ~keys ~queries ()))
+         Dispatch.Runner.run ~routers:2
+           (Workload.Scenario.with_nodes 8 sc)
+           ~method_id:Dispatch.Methods.A ~keys ~queries))
 
 let test_hier_determinism () =
   let keys, queries = Lazy.force workload in
-  let sc = { sc with Workload.Scenario.n_nodes = 8 } in
+  let sc = Workload.Scenario.with_nodes 8 sc in
   let go () =
-    (Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-       ~keys ~queries ())
+    (Dispatch.Runner.run ~routers:2 sc ~method_id:Dispatch.Methods.C3 ~keys
+       ~queries)
       .Dispatch.Run_result.total_ns
   in
   check_bool "bit-identical" true (go () = go ())

@@ -207,8 +207,7 @@ let test_lossless_plan_delivers_all () =
 (* ------------------------------------------------------------------ *)
 (* Method C under faults *)
 
-let small_sc =
-  { Workload.Scenario.ci with Workload.Scenario.n_queries = 4096 }
+let small_sc = Workload.Scenario.with_queries 4096 Workload.Scenario.ci
 
 let workload = lazy (Dispatch.Runner.workload small_sc)
 
@@ -413,17 +412,15 @@ let test_faulted_sweep_jobs_deterministic () =
 (* The hierarchical extension survives a crash too. *)
 let test_hier_crash_failover () =
   let sc =
-    {
-      Workload.Scenario.ci with
-      Workload.Scenario.n_queries = 4096;
-      n_nodes = 9;
-    }
+    Workload.Scenario.ci
+    |> Workload.Scenario.with_queries 4096
+    |> Workload.Scenario.with_nodes 9
   in
   let keys, queries = Dispatch.Runner.workload sc in
   let r =
-    Dispatch.Method_c_hier.run sc ~routers:2
+    Dispatch.Runner.run ~routers:2
       ~faults:(parse_exn "crash:node=5,at=5e4")
-      ~variant:Dispatch.Methods.C3 ~keys ~queries ()
+      sc ~method_id:Dispatch.Methods.C3 ~keys ~queries
   in
   check_int "no validation errors" 0 r.Dispatch.Run_result.validation_errors;
   check_bool "run degraded" true

@@ -571,8 +571,7 @@ let test_trace_event_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: harvested run telemetry *)
 
-let small_scenario =
-  { Workload.Scenario.ci with Workload.Scenario.n_queries = 8192 }
+let small_scenario = Workload.Scenario.with_queries 8192 Workload.Scenario.ci
 
 let test_run_metrics_deterministic () =
   let sc = small_scenario in

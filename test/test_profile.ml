@@ -138,8 +138,7 @@ let test_tail () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: conservation for every method driver *)
 
-let small_scenario =
-  { Workload.Scenario.ci with Workload.Scenario.n_queries = 8192 }
+let small_scenario = Workload.Scenario.with_queries 8192 Workload.Scenario.ci
 
 let profiled_spec =
   Spec.default
@@ -189,15 +188,15 @@ let test_every_method_conserved () =
 let test_hier_conserved () =
   let sc =
     Workload.Scenario.with_batch
-      { small_scenario with Workload.Scenario.n_nodes = 8 }
+      (Workload.Scenario.with_nodes 8 small_scenario)
       (32 * 1024)
   in
   let keys, queries = Dispatch.Runner.workload sc in
   let p = Obs.Profile.create () in
   let r =
     Obs.Profile.with_recording p (fun () ->
-        Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-          ~keys ~queries ())
+        Dispatch.Runner.run ~routers:2 sc ~method_id:Dispatch.Methods.C3 ~keys
+          ~queries)
   in
   check_int "hier run valid" 0 r.Dispatch.Run_result.validation_errors;
   Obs.Profile.finalize p ~total_ns:r.Dispatch.Run_result.raw_ns;
@@ -260,38 +259,39 @@ let test_profiles_deterministic_across_jobs () =
 
 let tiny_spec =
   Spec.default
-  |> Spec.with_scenario
-       { Workload.Scenario.ci with Workload.Scenario.n_queries = 4096 }
+  |> Spec.with_scenario (Workload.Scenario.with_queries 4096 Workload.Scenario.ci)
   |> Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
   |> Spec.with_batches [ 32 * 1024 ]
 
 let test_baseline_roundtrip () =
-  let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
+  let entries = Bench_harness.Baseline.capture ~spec:tiny_spec in
   (* Two fig3 grid cells, the three ci-serve serving cells, five
      Method C protocol-variant cells, and three dynamic A/B cells. *)
   check_int "one entry per grid cell" 13 (List.length entries);
   check_int "serving cells keyed under ci-serve" 3
     (List.length
        (List.filter
-          (fun (e : Dispatch.Baseline.entry) ->
-            e.Dispatch.Baseline.scenario = "ci-serve")
+          (fun (e : Bench_harness.Baseline.entry) ->
+            e.Bench_harness.Baseline.scenario = "ci-serve")
           entries));
-  let j = Dispatch.Baseline.to_json ~spec:tiny_spec entries in
+  let j = Bench_harness.Baseline.to_json ~spec:tiny_spec entries in
   let back =
-    Dispatch.Baseline.of_json (Obs.Json.of_string_exn (Obs.Json.to_string j))
+    Bench_harness.Baseline.of_json
+      (Obs.Json.of_string_exn (Obs.Json.to_string j))
   in
-  check_bool "JSON round-trip is exact (floats included)" true (back = entries)
+  check_bool "JSON round-trip is exact (floats included)" true
+    (back = Ok entries)
 
 let test_baseline_no_drift () =
-  let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
-  let again = Dispatch.Baseline.capture ~spec:tiny_spec in
+  let entries = Bench_harness.Baseline.capture ~spec:tiny_spec in
+  let again = Bench_harness.Baseline.capture ~spec:tiny_spec in
   check_bool "identical sweeps produce no drift" true
-    (Dispatch.Baseline.compare_entries ~expected:entries ~actual:again = [])
+    (Bench_harness.Baseline.compare_entries ~expected:entries ~actual:again = [])
 
 let test_baseline_detects_cost_change () =
   (* Perturb one cost parameter (the B2 random-access penalty) and the
      gate must fire: per-key simulated cost is compared exactly. *)
-  let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
+  let entries = Bench_harness.Baseline.capture ~spec:tiny_spec in
   let sc = Spec.scenario tiny_spec in
   let params =
     {
@@ -301,37 +301,79 @@ let test_baseline_detects_cost_change () =
     }
   in
   let perturbed =
-    Spec.with_scenario { sc with Workload.Scenario.params } tiny_spec
+    Spec.with_scenario (Workload.Scenario.with_params params sc) tiny_spec
   in
-  let actual = Dispatch.Baseline.capture ~spec:perturbed in
-  let drifts = Dispatch.Baseline.compare_entries ~expected:entries ~actual in
+  let actual = Bench_harness.Baseline.capture ~spec:perturbed in
+  let drifts = Bench_harness.Baseline.compare_entries ~expected:entries ~actual in
   check_bool "perturbed cost parameter detected" true (drifts <> []);
   check_bool "drift names a cost field" true
     (List.exists
-       (fun (d : Dispatch.Baseline.drift) ->
-         d.Dispatch.Baseline.field = "per_key_ns"
-         || d.Dispatch.Baseline.field = "raw_ns")
+       (fun (d : Bench_harness.Baseline.drift) ->
+         d.Bench_harness.Baseline.field = "per_key_ns"
+         || d.Bench_harness.Baseline.field = "raw_ns")
        drifts)
 
 let test_baseline_entry_mismatch () =
-  let entries = Dispatch.Baseline.capture ~spec:tiny_spec in
+  let entries = Bench_harness.Baseline.capture ~spec:tiny_spec in
   let missing = List.tl entries in
   let drifts =
-    Dispatch.Baseline.compare_entries ~expected:entries ~actual:missing
+    Bench_harness.Baseline.compare_entries ~expected:entries ~actual:missing
   in
   check_bool "missing run reported" true
     (List.exists
-       (fun (d : Dispatch.Baseline.drift) ->
-         d.Dispatch.Baseline.field = "(entry)")
+       (fun (d : Bench_harness.Baseline.drift) ->
+         d.Bench_harness.Baseline.field = "(entry)")
        drifts);
   let extra =
-    Dispatch.Baseline.compare_entries ~expected:missing ~actual:entries
+    Bench_harness.Baseline.compare_entries ~expected:missing ~actual:entries
   in
   check_bool "extra run reported" true
     (List.exists
-       (fun (d : Dispatch.Baseline.drift) ->
-         d.Dispatch.Baseline.field = "(entry)")
+       (fun (d : Bench_harness.Baseline.drift) ->
+         d.Bench_harness.Baseline.field = "(entry)")
        extra)
+
+(* One codec reads both committed artefacts: a document without a
+   manifest, or with a manifest of another schema version, is refused by
+   either loader. *)
+let test_codec_rejects_foreign_manifest () =
+  let doc ?manifest section =
+    Obs.Json.Obj
+      ((match manifest with
+       | Some m -> [ ("manifest", m) ]
+       | None -> [])
+      @ [ (section, Obs.Json.List []) ])
+  in
+  let v2 = Obs.Json.Obj [ ("schema_version", Obs.Json.Int 2) ] in
+  let v1 =
+    Obs.Json.Obj
+      [ ("schema_version", Obs.Json.Int Obs.Manifest.schema_version) ]
+  in
+  let is_error = function Ok _ -> false | Error _ -> true in
+  List.iter
+    (fun (name, section, load) ->
+      check_bool (name ^ " rejects a missing manifest") true
+        (is_error (load (doc section)));
+      check_bool (name ^ " rejects schema_version 2") true
+        (is_error (load (doc ~manifest:v2 section)));
+      check_bool (name ^ " accepts the current schema") false
+        (is_error (load (doc ~manifest:v1 section))))
+    [
+      ( "baseline",
+        "entries",
+        fun j -> Result.map List.length (Bench_harness.Baseline.of_json j) );
+      ( "trajectory",
+        "trajectory",
+        fun j -> Result.map List.length (Bench_harness.Throughput.of_json j) );
+    ]
+
+let test_committed_artefacts_load () =
+  (match Bench_harness.Baseline.load "../BENCH_003.json" with
+  | Ok entries -> check_int "baseline entries" 26 (List.length entries)
+  | Error e -> Alcotest.fail e);
+  match Bench_harness.Throughput.load "../BENCH_009.json" with
+  | Ok samples -> check_int "trajectory samples" 7 (List.length samples)
+  | Error e -> Alcotest.fail e
 
 let () =
   Alcotest.run "profile"
@@ -368,5 +410,9 @@ let () =
             test_baseline_detects_cost_change;
           Alcotest.test_case "entry set mismatch" `Quick
             test_baseline_entry_mismatch;
+          Alcotest.test_case "codec rejects foreign manifests" `Quick
+            test_codec_rejects_foreign_manifest;
+          Alcotest.test_case "committed artefacts load" `Quick
+            test_committed_artefacts_load;
         ] );
     ]

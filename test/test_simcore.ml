@@ -311,43 +311,6 @@ let test_resource_handoff_no_steal () =
     (List.rev !order)
 
 (* ------------------------------------------------------------------ *)
-(* Latch *)
-
-let test_latch_joins () =
-  let eng = Engine.create () in
-  let l = Latch.create 3 in
-  let joined_at = ref nan in
-  Engine.spawn eng (fun () ->
-      Latch.await eng l;
-      joined_at := Engine.now eng);
-  for i = 1 to 3 do
-    Engine.spawn eng (fun () ->
-        Engine.delay eng (float_of_int (10 * i));
-        Latch.arrive eng l)
-  done;
-  Engine.run eng;
-  check_float "opens at last arrival" 30.0 !joined_at
-
-let test_latch_zero_is_open () =
-  let eng = Engine.create () in
-  let l = Latch.create 0 in
-  let passed = ref false in
-  Engine.spawn eng (fun () ->
-      Latch.await eng l;
-      passed := true);
-  Engine.run eng;
-  check_bool "no blocking" true !passed
-
-let test_latch_over_arrival_rejected () =
-  let eng = Engine.create () in
-  let l = Latch.create 1 in
-  Engine.spawn eng (fun () -> Latch.arrive eng l);
-  Engine.run eng;
-  Alcotest.check_raises "over-arrive"
-    (Invalid_argument "Latch.arrive: latch already open") (fun () ->
-      Latch.arrive eng l)
-
-(* ------------------------------------------------------------------ *)
 (* Simtime *)
 
 let test_simtime_units () =
@@ -479,12 +442,6 @@ let () =
           tc "utilization" `Quick test_resource_utilization;
           tc "release unheld" `Quick test_resource_release_unheld_rejected;
           tc "hand-off, no steal" `Quick test_resource_handoff_no_steal;
-        ] );
-      ( "latch",
-        [
-          tc "joins" `Quick test_latch_joins;
-          tc "zero open" `Quick test_latch_zero_is_open;
-          tc "over-arrival rejected" `Quick test_latch_over_arrival_rejected;
         ] );
       ( "simtime",
         [
