@@ -151,21 +151,10 @@ let micro_tests ~jobs =
          (Exec.Sweep.map ~jobs ~f:(fun i -> i * i)
             (List.init 64 (fun i -> i))))
   in
-  let test_pool_chunked =
-    (* Same fan-out with interleaved chunks of 8: one pool task per
-       chunk instead of per cell — the dispatch-overhead regime chunking
-       exists for. *)
-    Test.make ~name:(Printf.sprintf "exec/pool-64-jobs-chunk8-%dw" jobs)
-      (Staged.stage @@ fun () ->
-       ignore
-         (Exec.Sweep.map ~jobs ~chunk:8 ~f:(fun i -> i * i)
-            (List.init 64 (fun i -> i))))
-  in
   Test.make_grouped ~name:"micro"
     [ test_sorted_array; test_nary; test_csb; test_buffered;
       test_eytzinger; test_cache_access; test_cache_access_scoped;
-      test_engine; test_mpi_collectives; test_pool_overhead;
-      test_pool_chunked ]
+      test_engine; test_mpi_collectives; test_pool_overhead ]
 
 (* ------------------------------------------------------------------ *)
 (* One test per paper artefact *)

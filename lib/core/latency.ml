@@ -61,9 +61,8 @@ let add_many t v k =
   end
 
 (* Fold [src] into [dst] (node-ordered merge of per-node accumulators
-   from a parallel serving run).  Reservoir samples append in call
-   order, so merging node 0, 1, ... always yields the same reservoir
-   regardless of how many domains ran the nodes. *)
+   from a serving run).  Reservoir samples append in call order, so
+   merging node 0, 1, ... always yields the same reservoir. *)
 let merge_into dst src =
   if dst == src then invalid_arg "Latency.merge_into: dst and src must differ";
   Obs.Hist.merge_into dst.hist src.hist;

@@ -18,8 +18,7 @@ val add_many : t -> float -> int -> unit
 val merge_into : t -> t -> unit
 (** [merge_into dst src] folds [src]'s counts, sums, histogram and
     reservoir samples into [dst].  Merging per-node accumulators in a
-    fixed node order yields one canonical result however the nodes were
-    executed — the basis of the parallel serving path's determinism. *)
+    fixed node order yields one canonical result. *)
 
 val count : t -> int
 val mean : t -> float

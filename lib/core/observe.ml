@@ -175,11 +175,6 @@ let check ~honours t =
 (* ------------------------------------------------------------------ *)
 (* Recording *)
 
-let recording () =
-  Obs.Profile.current () <> None
-  || Simcore.Trace.current () <> None
-  || Obs.Cachescope.current () <> None
-
 let series t ~slo_ns ~horizon_ns =
   Option.map
     (fun tl ->

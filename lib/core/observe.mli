@@ -82,11 +82,6 @@ val check : honours:string list -> t -> (unit, string) result
 
 (** {2 Recording} *)
 
-val recording : unit -> bool
-(** A profiler, tracer or cache microscope is installed on this domain.
-    They are domain-local, so a run that spawns worker domains must
-    stay on this one while this holds. *)
-
 val series :
   t -> slo_ns:float -> horizon_ns:float -> Obs.Series.builder option
 (** The live timeline a serving run notes losses and fault events into:

@@ -20,19 +20,7 @@ type epoch = {
   segments : Index.Segments.t list;
 }
 
-(* Ambient recorders are domain-local: a worker domain would not see
-   the profiler/tracer/scope installed on the caller, so instrumented
-   runs keep every epoch inline.  The epoch structure (and thus every
-   output) is the same either way; only the scheduling differs. *)
-let run_epochs ~jobs n_epochs epoch =
-  if n_epochs < 1 then invalid_arg "Replicated: need at least one node";
-  let thunks = List.init n_epochs (fun node () -> epoch node) in
-  if jobs > 1 && not (Observe.recording ()) then
-    Array.of_list (Exec.Pool.run ~jobs:(min jobs n_epochs) thunks)
-  else Array.of_list (List.map (fun f -> f ()) thunks)
-
-let drive ~jobs (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys
-    ~queries =
+let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
   let params = sc.Workload.Scenario.params in
   let n_nodes = sc.Workload.Scenario.n_nodes in
   let n = Array.length queries in
@@ -294,8 +282,9 @@ let drive ~jobs (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys
       segments = (match replica with Segments (s, _) -> [ s ] | Tree _ -> []);
     }
   in
-  let epochs = run_epochs ~jobs stride epoch in
-  (* Merge in node order: one canonical value however the epochs ran. *)
+  if stride < 1 then invalid_arg "Replicated: need at least one node";
+  (* Epochs run in node order and merge in node order. *)
+  let epochs = Array.init stride epoch in
   let lat = Latency.create () in
   Array.iter (fun e -> Latency.merge_into lat e.lat) epochs;
   let sum f = Array.fold_left (fun a e -> a + f e) 0 epochs in

@@ -12,8 +12,8 @@
 
     This module is the one implementation of that protocol.  The nodes
     never communicate, so each node's timeline is one epoch on its own
-    engine and machine; epochs merge in node order, and the merged
-    result is the same however they were scheduled.  The driver varies
+    engine and machine; epochs run one after another on the calling
+    domain and merge in node order.  The driver varies
     only along the axes of its inputs:
     - [source]: under {!Method_c.Batch}, one node (machine ["worker"])
       drains the whole stream and its time is divided by [n_nodes] —
@@ -38,7 +38,6 @@
       per-key drain over [Segments]. *)
 
 val drive :
-  jobs:int ->
   Workload.Scenario.t ->
   source:Method_c.source ->
   ops:Method_c.ops ->
@@ -46,12 +45,9 @@ val drive :
   keys:int array ->
   queries:int array ->
   Method_c.outcome
-(** Run A or B once over [keys] and [queries].  Serving epochs run on up
-    to [jobs] worker domains when no profiler, tracer or cache
-    microscope is installed (the recorders are domain-local); outputs
-    are byte-identical at any value.  The outcome's [segments] are the
-    epochs' [Segments] replicas in node order ([[]] over a static tree),
-    and [Updates] counters see them with [~lost_updates:0].  The
-    source's [series] is not read, and the result's [serving] field is
-    left [None] for the serving driver to fill.  Raises
-    [Invalid_argument] for the Method C family. *)
+(** Run A or B once over [keys] and [queries].  The outcome's
+    [segments] are the epochs' [Segments] replicas in node order ([[]]
+    over a static tree), and [Updates] counters see them with
+    [~lost_updates:0].  The source's [series] is not read, and the
+    result's [serving] field is left [None] for the serving driver to
+    fill.  Raises [Invalid_argument] for the Method C family. *)

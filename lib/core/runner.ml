@@ -1,12 +1,11 @@
-let drive ?faults ?(jobs = 1) ?topology sc ~source ~ops ~method_id ~keys
-    ~queries =
+let drive ?faults ?topology sc ~source ~ops ~method_id ~keys ~queries =
   match (method_id : Methods.id) with
   | Methods.A | Methods.B -> (
       match topology with
       | Some (Method_c.Routers _) ->
           invalid_arg "Runner: methods A and B have no router tier"
       | Some Method_c.Flat | None ->
-          Replicated.drive ~jobs sc ~source ~ops ~method_id ~keys ~queries)
+          Replicated.drive sc ~source ~ops ~method_id ~keys ~queries)
   | Methods.C1 | Methods.C2 | Methods.C3 ->
       Method_c.drive ~faults sc ~source ~ops
         ~topology:(Option.value topology ~default:Method_c.Flat)

@@ -5,7 +5,6 @@
 
 val drive :
   ?faults:Fault.Spec.t ->
-  ?jobs:int ->
   ?topology:Method_c.topology ->
   Workload.Scenario.t ->
   source:Method_c.source ->
@@ -14,10 +13,9 @@ val drive :
   keys:int array ->
   queries:int array ->
   Method_c.outcome
-(** Run [method_id] once on its core.  A and B ignore [?faults] and
-    raise [Invalid_argument] under a [Routers] topology; [?jobs]
-    (default 1) bounds their serving epochs' worker domains and is not
-    read by the C family.  [?topology] defaults to [Flat]. *)
+(** Run [method_id] once on its core, on the calling domain.  A and B
+    ignore [?faults] and raise [Invalid_argument] under a [Routers]
+    topology.  [?topology] defaults to [Flat]. *)
 
 val run :
   ?faults:Fault.Spec.t ->

@@ -156,10 +156,9 @@ let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
 
 (* ------------------------------------------------------------------ *)
 
-let run_method ?faults ?(observe = Observe.none) ?(jobs = 1)
-    ?(updates = Workload.Mutation.none) ?(ops = [||])
-    (sc : Workload.Scenario.t) ~arrival ~slo_ns ~method_id ~keys ~queries
-    ~arrivals =
+let run_method ?faults ?(observe = Observe.none)
+    ?(updates = Workload.Mutation.none) ?(ops = [||]) (sc : Workload.Scenario.t)
+    ~arrival ~slo_ns ~method_id ~keys ~queries ~arrivals =
   let n = Array.length arrivals in
   let start_at = Array.make (max 1 n) 0.0 in
   let done_at = Array.make (max 1 n) (-1.0) in
@@ -204,9 +203,7 @@ let run_method ?faults ?(observe = Observe.none) ?(jobs = 1)
             counters = (fun _ ~lost_updates:_ -> []);
           }
     in
-    let o =
-      Runner.drive ?faults ~jobs sc ~source ~ops ~method_id ~keys ~queries
-    in
+    let o = Runner.drive ?faults sc ~source ~ops ~method_id ~keys ~queries in
     { o.Method_c.run with Run_result.serving = Some (finish ()) }
   in
   let run =
@@ -226,9 +223,9 @@ let run_method ?faults ?(observe = Observe.none) ?(jobs = 1)
 let run_method_spec (spec : Experiment.Spec.t) sc ~arrival ~method_id ~keys
     ~queries ~arrivals ~ops =
   run_method ~faults:spec.Experiment.Spec.faults
-    ~observe:spec.Experiment.Spec.observe ~jobs:spec.Experiment.Spec.jobs
-    ~updates:spec.Experiment.Spec.updates ~ops sc ~arrival
-    ~slo_ns:spec.Experiment.Spec.slo_ns ~method_id ~keys ~queries ~arrivals
+    ~observe:spec.Experiment.Spec.observe ~updates:spec.Experiment.Spec.updates
+    ~ops sc ~arrival ~slo_ns:spec.Experiment.Spec.slo_ns ~method_id ~keys
+    ~queries ~arrivals
 
 let run (spec : Experiment.Spec.t) =
   let sc = Experiment.Spec.scenario spec in

@@ -46,7 +46,6 @@ val workload :
 val run_method :
   ?faults:Fault.Spec.t ->
   ?observe:Observe.t ->
-  ?jobs:int ->
   ?updates:Workload.Mutation.t ->
   ?ops:Workload.Mutation.op array ->
   Workload.Scenario.t ->
@@ -80,12 +79,8 @@ val run_method :
     stream with [Invalid_argument] — its dynamic behaviour lives in the
     batch {!Dynamic} drivers.
 
-    [jobs] (default 1) runs Methods A and B's independent node epochs
-    on that many worker domains; outputs are byte-identical at any
-    value because every per-node accumulator is merged in node-index
-    order.  Runs with a profiler, tracer or cache microscope installed
-    stay sequential ({!Observe.recording}), as does the Method C family
-    (its nodes exchange messages through one engine). *)
+    The run uses the calling domain only; {!run} and {!load_sweep}
+    spread whole runs over [Experiment.Spec.jobs] worker domains. *)
 
 val run : Experiment.Spec.t -> report list
 (** One serving run per [spec.methods] entry on a shared workload,

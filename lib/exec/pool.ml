@@ -193,7 +193,7 @@ let map t ~f xs =
 let run ~jobs thunks =
   match thunks with
   | [] -> []
-  | _ when jobs <= 1 ->
+  | _ when jobs <= 1 || List.compare_length_with thunks 1 = 0 ->
       let b0 = Unix.gettimeofday () in
       let results =
         List.map
@@ -210,11 +210,3 @@ let run ~jobs thunks =
       let arr = Array.of_list thunks in
       with_pool ~jobs:(min jobs (Array.length arr)) (fun t ->
           Array.to_list (map t ~f:(fun f -> f ()) arr))
-
-exception Nondeterministic
-
-let run_deterministic ~jobs thunks =
-  let par = run ~jobs thunks in
-  let seq = List.map (fun f -> f ()) thunks in
-  if Stdlib.compare par seq <> 0 then raise Nondeterministic;
-  par

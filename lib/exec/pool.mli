@@ -41,19 +41,8 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 val run : jobs:int -> (unit -> 'a) list -> 'a list
 (** Transient-pool convenience: run the thunks with [jobs] workers and
-    return results in submission order.  [jobs <= 1] runs everything in
-    the calling domain without spawning. *)
-
-exception Nondeterministic
-(** Raised by {!run_deterministic} when the parallel and sequential
-    results differ — i.e. a job body was not a pure function of its
-    inputs (shared mutable state, ambient PRNG, ...). *)
-
-val run_deterministic : jobs:int -> (unit -> 'a) list -> 'a list
-(** Self-check harness: runs the thunks through a [jobs]-worker pool
-    {e and} sequentially in the calling domain, compares the two result
-    lists structurally, and raises {!Nondeterministic} on any mismatch.
-    Thunks are therefore executed twice and must be idempotent. *)
+    return results in submission order.  [jobs <= 1] or a single thunk
+    runs in the calling domain without spawning. *)
 
 (** {2 Host-side accounting}
 

@@ -1,41 +1,5 @@
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-let map_serial ~f xs =
-  (* Inline, but still through Pool.run so host wall-time accounting
-     sees sequential sweeps too. *)
-  Pool.run ~jobs:1 (List.map (fun x () -> f x) xs)
+let map ?(jobs = 1) ~f xs = Pool.run ~jobs (List.map (fun x () -> f x) xs)
 
-let map ?(jobs = 1) ?(chunk = 1) ~f xs =
-  if chunk < 1 then invalid_arg "Sweep.map: chunk must be >= 1";
-  if jobs <= 1 || List.compare_length_with xs 1 <= 0 then map_serial ~f xs
-  else if chunk = 1 then
-    Pool.with_pool ~jobs:(min jobs (List.length xs)) (fun t ->
-        Array.to_list (Pool.map t ~f (Array.of_list xs)))
-  else begin
-    (* Interleaved chunking: chunk [c] takes cells [c], [c + n_chunks],
-       [c + 2 * n_chunks], ...  Grid enumerations tend to cluster cells
-       of similar cost (a method's batch sizes are adjacent, the slow
-       methods come last), so contiguous chunks would hand one worker
-       the whole expensive tail to run serially; striding deals every
-       cost class across all chunks.  Each result lands at its cell's
-       original index, so collection stays in submission order exactly
-       as with [chunk = 1]. *)
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    let n_chunks = (n + chunk - 1) / chunk in
-    let slots = Array.make n None in
-    let thunk c () =
-      let i = ref c in
-      while !i < n do
-        slots.(!i) <- Some (f arr.(!i));
-        i := !i + n_chunks
-      done
-    in
-    ignore (Pool.run ~jobs:(min jobs n_chunks) (List.init n_chunks thunk));
-    Array.to_list
-      (Array.map
-         (function Some v -> v | None -> assert false (* all i < n covered *))
-         slots)
-  end
-
-let run ?jobs ?chunk js = map ?jobs ?chunk ~f:(fun j -> (Job.key j, Job.run j)) js
+let run ?jobs js = map ?jobs ~f:(fun j -> (Job.key j, Job.run j)) js

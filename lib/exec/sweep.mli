@@ -9,21 +9,13 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (one domain is the
     submitting caller), floor 1.  The default for every [--jobs] flag. *)
 
-val map : ?jobs:int -> ?chunk:int -> f:('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] preserving order.  [jobs <= 1] (the default) is
-    exactly [List.map] in the calling domain — no domains are spawned,
-    which keeps single-job runs the bit-identical baseline.
+val map : ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
+(** Parallel [List.map] preserving order, one cell per pool task.
+    [jobs <= 1] (the default) or a single cell runs in the calling
+    domain — no domains are spawned, which keeps single-job runs the
+    bit-identical baseline.  Results are collected at their cells'
+    submission indices, so the output list is independent of [jobs]. *)
 
-    [chunk] (default 1) groups cells into pool tasks of about that many
-    cells each, cutting per-task dispatch overhead on large sweeps of
-    cheap cells.  Chunks are {e interleaved} — chunk [c] takes cells
-    [c], [c + n_chunks], [c + 2 * n_chunks], ... — so when a grid
-    enumeration clusters its expensive cells (it usually does: a
-    method's batch sizes are adjacent, the slow methods come last), no
-    single worker inherits the whole slow run serially.  Results are
-    always collected at their cells' submission indices, so the output
-    list is independent of [chunk] and [jobs]. *)
-
-val run : ?jobs:int -> ?chunk:int -> ('k, 'a) Job.t list -> ('k * 'a) list
+val run : ?jobs:int -> ('k, 'a) Job.t list -> ('k * 'a) list
 (** Run keyed jobs; each result is paired with its job's key, in
-    submission order.  [chunk] as in {!map}. *)
+    submission order. *)

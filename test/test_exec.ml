@@ -1,6 +1,6 @@
 (* Tests for the lib/exec domain-pool sweep executor: submission-order
-   determinism, exception surfacing without deadlock, and the
-   parallel-vs-sequential self-check on real simulation jobs. *)
+   determinism, exception surfacing without deadlock, and a parallel
+   sweep of real simulation jobs against a sequential one. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -78,7 +78,7 @@ let test_first_exception_in_submission_order () =
       | exception Boom i -> check_int "lowest failing index wins" 10 i)
 
 (* ------------------------------------------------------------------ *)
-(* run / run_deterministic *)
+(* run *)
 
 let test_run_matches_sequential () =
   let thunks = List.init 23 (fun i () -> i * i) in
@@ -87,45 +87,32 @@ let test_run_matches_sequential () =
     (List.map (fun f -> f ()) thunks)
     (Exec.Pool.run ~jobs:4 thunks)
 
-let test_run_deterministic_accepts_pure_jobs () =
-  let thunks = List.init 12 (fun i () -> float_of_int i *. 1.5) in
-  Alcotest.(check (list (float 0.0)))
-    "self-check passes"
-    (List.map (fun f -> f ()) thunks)
-    (Exec.Pool.run_deterministic ~jobs:3 thunks)
-
-let test_run_deterministic_rejects_impure_jobs () =
-  (* A job whose result depends on execution count is the exact failure
-     mode the self-check exists to catch. *)
-  let calls = Atomic.make 0 in
-  let thunks = [ (fun () -> Atomic.fetch_and_add calls 1) ] in
-  check_bool "impure job detected" true
-    (match Exec.Pool.run_deterministic ~jobs:2 thunks with
-    | _ -> false
-    | exception Exec.Pool.Nondeterministic -> true)
-
-(* The tentpole guarantee on real work: a parallel simulation sweep is
-   bit-identical to the sequential one.  Tiny scenario, two batches, two
-   methods — enough to cross domains without slowing the suite. *)
+(* The guarantee on real work: a parallel simulation sweep is
+   bit-identical to a sequential [List.map].  Tiny scenario, two
+   batches, two methods — enough to cross domains without slowing the
+   suite. *)
 let test_simulation_sweep_deterministic () =
   let sc = Workload.Scenario.with_queries (1 lsl 12) Workload.Scenario.ci in
   let keys, queries = Dispatch.Runner.workload sc in
-  let thunks =
+  let grid =
     List.concat_map
       (fun batch ->
         List.map
-          (fun method_id () ->
-            let r =
-              Dispatch.Runner.run
-                (Workload.Scenario.with_batch sc batch)
-                ~method_id ~keys ~queries
-            in
-            (r.Dispatch.Run_result.total_ns, r.Dispatch.Run_result.messages))
+          (fun method_id -> (batch, method_id))
           [ Dispatch.Methods.A; Dispatch.Methods.C3 ])
       [ 8 * 1024; 32 * 1024 ]
   in
-  let results = Exec.Pool.run_deterministic ~jobs:2 thunks in
-  check_int "all grid points ran" 4 (List.length results)
+  let cell (batch, method_id) =
+    Dispatch.Runner.run
+      (Workload.Scenario.with_batch sc batch)
+      ~method_id ~keys ~queries
+  in
+  let par =
+    Exec.Sweep.run ~jobs:2
+      (List.map (fun k -> Exec.Job.make ~key:k (fun () -> cell k)) grid)
+  in
+  let seq = List.map (fun k -> (k, cell k)) grid in
+  check_bool "parallel = sequential" true (Stdlib.compare par seq = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep *)
@@ -142,24 +129,6 @@ let test_sweep_keyed_order () =
 
 let test_sweep_default_jobs_positive () =
   check_bool "default jobs >= 1" true (Exec.Sweep.default_jobs () >= 1)
-
-let test_sweep_chunk_rejects_zero () =
-  check_bool "chunk:0 rejected" true
-    (match Exec.Sweep.map ~jobs:2 ~chunk:0 ~f:Fun.id [ 1; 2; 3 ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-(* Interleaved chunked submission must be invisible in the output: any
-   (n, jobs, chunk) triple collects the same list as a plain map,
-   including the edge shapes (empty, chunk > n, n not a multiple of the
-   chunk count). *)
-let prop_sweep_chunked_matches_map =
-  QCheck.Test.make ~name:"chunked interleaved sweep = List.map" ~count:40
-    QCheck.(triple (int_range 0 150) (int_range 1 4) (int_range 1 19))
-    (fun (n, jobs, chunk) ->
-      let f i = (i * 31) + 7 in
-      let xs = List.init n (fun i -> i) in
-      Exec.Sweep.map ~jobs ~chunk ~f xs = List.map f xs)
 
 let () =
   let tc = Alcotest.test_case in
@@ -180,17 +149,11 @@ let () =
       ( "determinism",
         [
           tc "run matches sequential" `Quick test_run_matches_sequential;
-          tc "self-check accepts pure jobs" `Quick test_run_deterministic_accepts_pure_jobs;
-          tc "self-check rejects impure jobs" `Quick test_run_deterministic_rejects_impure_jobs;
           tc "simulation sweep bit-identical" `Quick test_simulation_sweep_deterministic;
         ] );
       ( "sweep",
         [
           tc "keyed submission order" `Quick test_sweep_keyed_order;
           tc "default jobs" `Quick test_sweep_default_jobs_positive;
-          tc "chunk guard" `Quick test_sweep_chunk_rejects_zero;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_sweep_chunked_matches_map ] );
     ]

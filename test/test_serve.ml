@@ -225,43 +225,45 @@ let test_serve_dynamic () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "serve C-3 accepted a dynamic stream"
 
-(* QCheck form of the jobs invariance, aimed at the epoch-parallel
-   methods: across random offered loads, the whole report — Run_result
-   (cache counters, latency moments, metrics snapshot) plus the serving
-   rollup — compares structurally equal at jobs 1, 2 and 4, for A and B
-   over a static replica and for A over a Segments replica with updates
-   interleaved into the arrivals.  This is stronger than the CSV gates
-   above: it pins every per-node accumulator the node-ordered merge
-   touches, not just the rendered columns. *)
-let prop_parallel_epochs_reproduce_sequential =
-  let updates =
-    match Workload.Mutation.parse "mix:ratio=0.2,inserts=0.6" with
-    | Ok u -> u
-    | Error e -> failwith e
+(* The saturation sweep: reports come load-major, then in method order,
+   each load's slice is exactly [run] at that offered load, and the CSV
+   is byte-identical at jobs 1, 2 and 4. *)
+let test_load_sweep () =
+  let loads = [ 1e5; 3e5 ] in
+  let methods = [ Dispatch.Methods.A; Dispatch.Methods.C3 ] in
+  let spec = Spec.with_methods methods serve_spec in
+  let sweep jobs = Dispatch.Serve.load_sweep (Spec.with_jobs jobs spec) ~loads in
+  let reports = sweep 1 in
+  Alcotest.(check (list string))
+    "load-major, then method order"
+    (List.concat_map
+       (fun _ -> List.map Dispatch.Methods.to_string methods)
+       loads)
+    (List.map
+       (fun r ->
+         Dispatch.Methods.to_string
+           r.Dispatch.Serve.run.Dispatch.Run_result.method_id)
+       reports);
+  (match reports with
+  | [ lo; _; hi; _ ] ->
+      check_bool "loads ascend" true
+        (lo.Dispatch.Serve.serving.Dispatch.Run_result.offered_qps
+        < hi.Dispatch.Serve.serving.Dispatch.Run_result.offered_qps)
+  | _ -> Alcotest.fail "expected 2 loads x 2 methods");
+  let per_load =
+    List.concat_map
+      (fun qps ->
+        Dispatch.Serve.run
+          (Spec.with_scenario
+             (Workload.Scenario.with_offered_load qps serve_sc)
+             spec))
+      loads
   in
-  QCheck.Test.make ~name:"parallel node epochs = sequential at jobs 1/2/4"
-    ~count:4
-    QCheck.(int_range 50 400)
-    (fun rate_kqps ->
-      let arrival =
-        Workload.Arrival.poisson (1e3 *. float_of_int rate_kqps)
-      in
-      List.for_all
-        (fun (method_id, updates) ->
-          let keys, queries, arrivals, ops =
-            Dispatch.Serve.workload ?updates serve_sc ~arrival
-          in
-          let report jobs =
-            Dispatch.Serve.run_method ~jobs ?updates ~ops serve_sc ~arrival
-              ~slo_ns:1e6 ~method_id ~keys ~queries ~arrivals
-          in
-          let r1 = report 1 in
-          Stdlib.compare r1 (report 2) = 0 && Stdlib.compare r1 (report 4) = 0)
-        [
-          (Dispatch.Methods.A, None);
-          (Dispatch.Methods.B, None);
-          (Dispatch.Methods.A, Some updates);
-        ])
+  let lines = Dispatch.Serve.csv_lines reports in
+  check_bool "each load = run at that load" true
+    (lines = Dispatch.Serve.csv_lines per_load);
+  check_bool "jobs 1 = 2" true (lines = Dispatch.Serve.csv_lines (sweep 2));
+  check_bool "jobs 1 = 4" true (lines = Dispatch.Serve.csv_lines (sweep 4))
 
 (* Serving composes with fault injection: a mid-run slave crash degrades
    the run (lost or fallback-answered queries) but never produces a
@@ -567,6 +569,7 @@ let () =
           tc "reports sane" `Quick test_serve_reports_sane;
           tc "jobs invariant" `Quick test_serve_jobs_invariant;
           tc "dynamic serving" `Quick test_serve_dynamic;
+          tc "load sweep" `Quick test_load_sweep;
           tc "crash smoke" `Quick test_serve_with_crash;
           tc "render" `Quick test_serve_render;
           tc "cold/warm split" `Quick test_cold_warm_split;
@@ -581,7 +584,4 @@ let () =
           tc "completions match serving" `Quick test_timeline_matches_serving;
         ] );
       ("spec", [ tc "builder guards" `Quick test_spec_guards ]);
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_parallel_epochs_reproduce_sequential ] );
     ]
