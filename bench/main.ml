@@ -107,6 +107,34 @@ let micro_tests ~jobs =
       (Staged.stage @@ fun () ->
        Array.iter (fun a -> ignore (Cachesim.Hierarchy.access h ~addr:a ~write:false)) addrs)
   in
+  let test_cache_sequential =
+    (* A word-by-word walk: seven of every eight references repeat the
+       previous L1 line, the case the repeat-line memo serves. *)
+    let h = Cachesim.Hierarchy.create Cachesim.Mem_params.pentium3 in
+    Test.make ~name:"cachesim/4k-sequential-words"
+      (Staged.stage @@ fun () ->
+       for w = 0 to 4095 do
+         ignore (Cachesim.Hierarchy.access h ~addr:(w * 4) ~write:false)
+       done)
+  in
+  let test_cache_tlb_strided =
+    (* 48 resident pages 128 pages apart, visited at random: power-of-two
+       buffer strides like these made TLB hits share one slot of a
+       [page land 127] index.  Page [k] is touched only in its line [k],
+       so the 48 lines sit in distinct L1 and L2 sets and every reference
+       after the first pass is a TLB hit and an L1 hit. *)
+    let h = Cachesim.Hierarchy.create Cachesim.Mem_params.pentium3 in
+    let g = Prng.Splitmix.create 5 in
+    let page = Cachesim.Mem_params.pentium3.page_bytes in
+    let addrs =
+      Array.init 4096 (fun _ ->
+          let k = Prng.Splitmix.int g 48 in
+          (k * 128 * page) + (k * 32) + (4 * Prng.Splitmix.int g 8))
+    in
+    Test.make ~name:"cachesim/4k-tlb-strided"
+      (Staged.stage @@ fun () ->
+       Array.iter (fun a -> ignore (Cachesim.Hierarchy.access h ~addr:a ~write:false)) addrs)
+  in
   let test_cache_access_scoped =
     (* Same access stream as cachesim/4k-accesses but with a cache
        microscope attached: the delta is the classifier's overhead
@@ -153,7 +181,8 @@ let micro_tests ~jobs =
   in
   Test.make_grouped ~name:"micro"
     [ test_sorted_array; test_nary; test_csb; test_buffered;
-      test_eytzinger; test_cache_access; test_cache_access_scoped;
+      test_eytzinger; test_cache_access; test_cache_sequential;
+      test_cache_tlb_strided; test_cache_access_scoped;
       test_engine; test_mpi_collectives; test_pool_overhead ]
 
 (* ------------------------------------------------------------------ *)

@@ -34,17 +34,9 @@ type t = {
      immediate ints, so caching them allocates nothing. *)
   mutable probe_line : int;
   mutable probe_base : int;
-  (* Way-hint table: [hint.(line land hint_mask)] caches [slot + 1] of a
-     line known to be resident ([0] = no hint).  A hint is only a guess:
-     the probe verifies the slot's tag before trusting it and falls back
-     to the full way scan on mismatch, so a stale hint can never change
-     an outcome — a line occupies at most one way (fills happen only
-     after a missing probe), so finding it via the hint or via the scan
-     yields the same slot.  This turns the hit path of a highly
-     associative cache (the 64-way fully-associative TLB) from an
-     O(ways) scan into O(1). *)
-  hint : int array;
-  hint_mask : int;
+  mutable last_slot : int;
+      (* slot of the line most recently hit or filled, which [rehit]
+         charges; 0 before the first, so it is always in bounds *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -62,19 +54,6 @@ let create ?(name = "cache") ~size_bytes ~line_bytes ~ways () =
   let n_sets = size_bytes / (line_bytes * ways) in
   if not (is_pow2 n_sets) then
     invalid_arg "Cache.create: set count must be a power of two";
-  (* A real hint table only pays for highly associative caches (the
-     64-way fully-associative TLB), where it replaces an O(ways) scan.
-     For 4/8-way sets the scan is a handful of reads while a
-     proportional table would add hundreds of kilobytes of host
-     footprint per cache; they get a single shared slot instead — same
-     outcomes (the tag check rejects whatever is cached there), just a
-     lower hit rate on a structure they barely need. *)
-  let hint_size =
-    if ways < 16 then 1
-    else
-      let rec up s = if s >= 2 * n_sets * ways then s else up (2 * s) in
-      up 1
-  in
   {
     cache_name = name;
     size = size_bytes;
@@ -94,8 +73,7 @@ let create ?(name = "cache") ~size_bytes ~line_bytes ~ways () =
     last_victim = -1;
     probe_line = -1;
     probe_base = 0;
-    hint = Array.make hint_size 0;
-    hint_mask = hint_size - 1;
+    last_slot = 0;
   }
 
 let name t = t.cache_name
@@ -127,32 +105,27 @@ let probe t ~addr ~write =
   let base = (line land t.set_mask) * t.n_ways in
   t.probe_line <- line;
   t.probe_base <- base;
-  let h = line land t.hint_mask in
-  let s = Array.unsafe_get t.hint h in
-  (* [s - 1] was once a valid slot of [line]'s set, so it is in bounds;
-     the tag check rejects hints gone stale through eviction. *)
-  if s > 0 && Array.unsafe_get t.meta (2 * (s - 1)) = line then begin
+  let w = find_way t base line in
+  if w >= 0 then begin
+    let i = base + w in
+    t.last_slot <- i;
     t.hits <- t.hits + 1;
     t.tick <- t.tick + 1;
-    Array.unsafe_set t.meta ((2 * (s - 1)) + 1) t.tick;
-    if write then Bytes.unsafe_set t.dirty (s - 1) '\001';
+    Array.unsafe_set t.meta ((2 * i) + 1) t.tick;
+    if write then Bytes.unsafe_set t.dirty i '\001';
     true
   end
   else begin
-    let w = find_way t base line in
-    if w >= 0 then begin
-      Array.unsafe_set t.hint h (base + w + 1);
-      t.hits <- t.hits + 1;
-      t.tick <- t.tick + 1;
-      Array.unsafe_set t.meta ((2 * (base + w)) + 1) t.tick;
-      if write then Bytes.unsafe_set t.dirty (base + w) '\001';
-      true
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      false
-    end
+    t.misses <- t.misses + 1;
+    false
   end
+
+(* The line in [last_slot] already holds its set's newest stamp, so a
+   repeat hit leaves LRU order as it is: only the counter and the dirty
+   bit change. *)
+let rehit t ~write =
+  t.hits <- t.hits + 1;
+  if write then Bytes.unsafe_set t.dirty t.last_slot '\001'
 
 let access = probe
 let probed_line t = t.probe_line
@@ -194,7 +167,7 @@ let fill_probed t ~write =
   Array.unsafe_set t.meta (2 * i) line;
   Array.unsafe_set t.meta ((2 * i) + 1) t.tick;
   Bytes.unsafe_set t.dirty i (if write then '\001' else '\000');
-  Array.unsafe_set t.hint (line land t.hint_mask) (i + 1);
+  t.last_slot <- i;
   wrote_back
 
 let fill t ~addr ~write =
@@ -225,10 +198,7 @@ let flush t =
     t.meta.(2 * i) <- -1;
     t.meta.((2 * i) + 1) <- 0
   done;
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  (* Stale hints would merely fail their tag check, but flush is cold so
-     drop them wholesale. *)
-  Array.fill t.hint 0 (Array.length t.hint) 0
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
 type stats = { hits : int; misses : int; evictions : int; writebacks : int }
 

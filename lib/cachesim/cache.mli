@@ -5,8 +5,10 @@
     write-backs.  The cache stores no data — the simulated machine keeps
     the actual words — it only models residency and cost-relevant events.
 
-    A cache with [sets = 1] is fully associative; this is how the TLB is
-    modelled (line = page). *)
+    A cache with [sets = 1] is fully associative, but a probe scans every
+    way of its set, so a highly associative cache is slow to probe; the
+    TLB is the fully associative {!Tlb} instead, which gives the same
+    outcomes in O(1). *)
 
 type t
 
@@ -42,6 +44,14 @@ val fill_probed : t -> write:bool -> bool
     eviction wrote back a dirty line.  Only meaningful directly after a
     missing probe of the same cache — the fused miss path of
     {!Hierarchy.access}. *)
+
+val rehit : t -> write:bool -> unit
+(** Count a hit on the line most recently hit or filled, setting its
+    dirty bit if [write].  This is exactly what {!probe} does for an
+    address in that line, provided no other line was hit or filled
+    since and the line was not invalidated or flushed: it then holds its
+    set's newest LRU stamp, so LRU state is left as it is.  The
+    repeat-line path of {!Hierarchy.access_into}. *)
 
 val probed_line : t -> int
 (** Line number cached by the most recent {!probe} / {!fill} ([-1]

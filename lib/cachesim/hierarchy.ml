@@ -2,8 +2,14 @@ type t = {
   p : Mem_params.t;
   l1c : Cache.t;
   l2c : Cache.t;
-  tlb : Cache.t option;
+  tlb : Tlb.t option;
   pf : Prefetcher.t;
+  repeat_shift : int;
+      (* log2 of the smaller of an L1 line and a page: two addresses
+         equal after this shift share both their L1 line and their page *)
+  mutable last : int;
+      (* [addr lsr repeat_shift] of the previous fast-path access, -1 =
+         none: the repeat-line memo of [access_fast] *)
   mutable accesses : int;
   mutable l1_hits : int;
   mutable l2_hits : int;
@@ -31,6 +37,10 @@ type t = {
   mutable scope : Obs.Cachescope.node option;
 }
 
+let log2 n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
+  go 0 n
+
 let create (p : Mem_params.t) =
   let l1c =
     Cache.create ~name:"L1" ~size_bytes:p.l1_size ~line_bytes:p.l1_line
@@ -42,10 +52,7 @@ let create (p : Mem_params.t) =
   in
   let tlb =
     if p.tlb_entries > 0 then
-      Some
-        (Cache.create ~name:"TLB"
-           ~size_bytes:(p.tlb_entries * p.page_bytes)
-           ~line_bytes:p.page_bytes ~ways:p.tlb_entries ())
+      Some (Tlb.create ~entries:p.tlb_entries ~page_bytes:p.page_bytes)
     else None
   in
   {
@@ -54,6 +61,8 @@ let create (p : Mem_params.t) =
     l2c;
     tlb;
     pf = Prefetcher.create ();
+    repeat_shift = log2 (min p.l1_line p.page_bytes);
+    last = -1;
     accesses = 0;
     l1_hits = 0;
     l2_hits = 0;
@@ -78,8 +87,6 @@ let create (p : Mem_params.t) =
   }
 
 let params t = t.p
-let l1 t = t.l1c
-let l2 t = t.l2c
 let set_phase t phase = t.phase <- phase
 let phase t = t.phase
 
@@ -87,10 +94,6 @@ let phase t = t.phase
 (* Cache microscope.  The scope levels mirror the demand hierarchy (L1
    then L2; the TLB is not a data cache and stays out).  When no scope
    is attached every hook below is one [None] match. *)
-
-let log2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
 
 let level_specs t =
   let spec (c : Cache.t) =
@@ -106,6 +109,7 @@ let level_specs t =
 let attach_scope t scope ~node_name =
   let node = Obs.Cachescope.add_node scope ~name:node_name (level_specs t) in
   t.scope <- Some node;
+  t.last <- -1;
   node
 
 let scope t = t.scope
@@ -139,8 +143,7 @@ let access_slow t ~addr ~write =
   let cost = ref 0.0 in
   (match t.tlb with
   | Some tlb ->
-      if not (Cache.probe tlb ~addr ~write:false) then begin
-        ignore (Cache.fill_probed tlb ~write:false);
+      if not (Tlb.access tlb ~addr) then begin
         t.tlb_misses <- t.tlb_misses + 1;
         cost := !cost +. t.p.tlb_penalty_ns;
         attr "tlb_miss" t.p.tlb_penalty_ns
@@ -203,44 +206,67 @@ let access_slow t ~addr ~write =
    slow path's [cost := !cost +. x] sequence add for add) and lands in
    [t.acc] and the caller's [charge] pair.  Keeping every intermediate
    in float arrays rather than let-bound branch joins guarantees no
-   boxing on this path. *)
+   boxing on this path.
+
+   Repeat-line memo: when this access falls in the L1 line (and so the
+   page) of the previous one, that line and page already hold the
+   newest LRU position in L1 and the TLB, the prefetcher — which acts
+   only on L2 misses — is not involved, so the full path would find a
+   TLB hit and an L1 hit and change nothing else.  The repeat counts
+   exactly that, sets the dirty bit on a write, and adds the L1-hit
+   addend.  Anything else that changes L1 or the TLB ([flush],
+   [invalidate_range]) or routes accesses to [access_slow]
+   ([attach_scope]) clears the memo. *)
 let access_fast t ~addr ~write ~charge =
   t.accesses <- t.accesses + 1;
   let s = t.scratch in
   let costs = t.costs in
   Array.unsafe_set s 0 0.0;
-  (match t.tlb with
-  | None -> ()
-  | Some tlb ->
-      if not (Cache.probe tlb ~addr ~write:false) then begin
-        ignore (Cache.fill_probed tlb ~write:false);
-        t.tlb_misses <- t.tlb_misses + 1;
-        Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 3)
-      end);
-  if Cache.probe t.l1c ~addr ~write then begin
+  let key = addr lsr t.repeat_shift in
+  if key = t.last then begin
+    (match t.tlb with None -> () | Some tlb -> Tlb.rehit tlb);
+    Cache.rehit t.l1c ~write;
     t.l1_hits <- t.l1_hits + 1;
     Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 0)
   end
-  else if Cache.probe t.l2c ~addr ~write then begin
-    t.l2_hits <- t.l2_hits + 1;
-    Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 1);
-    ignore (Cache.fill_probed t.l1c ~write)
-  end
   else begin
-    let line = Cache.probed_line t.l2c in
-    if Prefetcher.note_miss t.pf ~line then begin
-      t.seq_misses <- t.seq_misses + 1;
-      Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 4)
+    t.last <- key;
+    (match t.tlb with
+    | None -> ()
+    | Some tlb ->
+        if not (Tlb.access tlb ~addr) then begin
+          t.tlb_misses <- t.tlb_misses + 1;
+          Array.unsafe_set s 0
+            (Array.unsafe_get s 0 +. Array.unsafe_get costs 3)
+        end);
+    if Cache.probe t.l1c ~addr ~write then begin
+      t.l1_hits <- t.l1_hits + 1;
+      Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 0)
+    end
+    else if Cache.probe t.l2c ~addr ~write then begin
+      t.l2_hits <- t.l2_hits + 1;
+      Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 1);
+      ignore (Cache.fill_probed t.l1c ~write)
     end
     else begin
-      t.rand_misses <- t.rand_misses + 1;
-      Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 2)
-    end;
-    if Cache.fill_probed t.l2c ~write then begin
-      t.writebacks <- t.writebacks + 1;
-      Array.unsafe_set s 0 (Array.unsafe_get s 0 +. Array.unsafe_get costs 4)
-    end;
-    ignore (Cache.fill_probed t.l1c ~write)
+      let line = Cache.probed_line t.l2c in
+      if Prefetcher.note_miss t.pf ~line then begin
+        t.seq_misses <- t.seq_misses + 1;
+        Array.unsafe_set s 0
+          (Array.unsafe_get s 0 +. Array.unsafe_get costs 4)
+      end
+      else begin
+        t.rand_misses <- t.rand_misses + 1;
+        Array.unsafe_set s 0
+          (Array.unsafe_get s 0 +. Array.unsafe_get costs 2)
+      end;
+      if Cache.fill_probed t.l2c ~write then begin
+        t.writebacks <- t.writebacks + 1;
+        Array.unsafe_set s 0
+          (Array.unsafe_get s 0 +. Array.unsafe_get costs 4)
+      end;
+      ignore (Cache.fill_probed t.l1c ~write)
+    end
   end;
   Array.unsafe_set t.acc 0 (Array.unsafe_get t.acc 0 +. Array.unsafe_get s 0);
   Array.unsafe_set charge 0
@@ -265,9 +291,10 @@ let access t ~addr ~write =
   | _ -> access_slow t ~addr ~write
 
 let flush t =
+  t.last <- -1;
   Cache.flush t.l1c;
   Cache.flush t.l2c;
-  (match t.tlb with Some tlb -> Cache.flush tlb | None -> ());
+  (match t.tlb with Some tlb -> Tlb.flush tlb | None -> ());
   Prefetcher.reset t.pf;
   match t.scope with
   | Some node ->
@@ -277,6 +304,7 @@ let flush t =
 
 let invalidate_range t ~addr ~bytes =
   if bytes > 0 then begin
+    t.last <- -1;
     let invalidate_in level c =
       let line = Cache.line_bytes c in
       let first = addr / line and last = (addr + bytes - 1) / line in
@@ -323,7 +351,10 @@ let reset_stats (t : t) =
   t.rand_misses <- 0;
   t.tlb_misses <- 0;
   t.writebacks <- 0;
-  t.acc.(0) <- 0.0
+  t.acc.(0) <- 0.0;
+  Cache.reset_stats t.l1c;
+  Cache.reset_stats t.l2c;
+  match t.tlb with Some tlb -> Tlb.reset_stats tlb | None -> ()
 
 let zero_stats =
   {
@@ -403,7 +434,7 @@ let record_metrics (t : t) ?(labels = []) reg =
   Cache.record_metrics t.l1c ~labels reg;
   Cache.record_metrics t.l2c ~labels reg;
   (match t.tlb with
-  | Some tlb -> Cache.record_metrics tlb ~labels reg
+  | Some tlb -> Tlb.record_metrics tlb ~labels reg
   | None -> ());
   match t.scope with
   | Some node -> Obs.Cachescope.record_metrics node ~labels reg

@@ -39,7 +39,17 @@ val access_into : t -> addr:int -> write:bool -> charge:float array -> unit
     fill share one set-location computation per level, the way scans are
     unchecked ({!Cache} index-validity invariant), and all cost
     arithmetic happens through float-array loads and stores.  [charge]
-    must have at least two slots. *)
+    must have at least two slots.
+
+    The path memoises the L1 line of the previous access.  An access to
+    that same line counts a TLB hit and an L1 hit, sets the line's dirty
+    bit on a write and adds [l1_hit_ns] without probing anything.  This
+    is exact because of one invariant: between two accesses nothing but
+    {!flush}, {!invalidate_range} and {!attach_scope} touches the caches
+    or the TLB, and each of those clears the memo.  So the memoised line
+    holds the newest LRU position in both L1 and the TLB, and since the
+    prefetcher only sees L2 misses, a full probe would change nothing
+    but the counters and the dirty bit. *)
 
 val set_phase : t -> string -> unit
 (** Set the attribution phase (first profile path component) for
@@ -57,9 +67,6 @@ val invalidate_range : t -> addr:int -> bytes:int -> unit
 (** Invalidate every L1/L2 line overlapping [\[addr, addr+bytes)] —
     coherent-DMA semantics for incoming network buffers.  The TLB is
     unaffected. *)
-
-val l1 : t -> Cache.t
-val l2 : t -> Cache.t
 
 (** {2 Cache microscope} *)
 
@@ -93,6 +100,14 @@ type stats = {
 
 val stats : t -> stats
 val reset_stats : t -> unit
+(** Zero the classification counters, the accumulated cost and each
+    level's {!Cache} and {!Tlb} counters, so {!record_metrics} after a
+    reset reports the interval since it.  Residency, LRU state and the
+    prefetcher's stream table are kept, and so are the prefetcher's
+    cumulative prediction counters ([prefetch_fills] / [_useful] /
+    [_useless]): a prediction issued before the reset may be consumed
+    after it. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val add_stats : stats -> stats -> stats
@@ -115,8 +130,8 @@ val record_metrics : t -> ?labels:(string * string) list -> Obs.Metrics.t -> uni
     ([mem_accesses], [mem_l1_hits], [mem_l2_hits], [mem_seq_misses],
     [mem_rand_misses], [mem_tlb_misses], [mem_writebacks] and the
     accumulated [mem_cost_ns]), then each level's raw cache counters via
-    {!Cache.record_metrics}.  Extra [labels] (e.g. [node=3]) are attached
-    to every series.  Prefetcher prediction accounting is split out as
+    {!Cache.record_metrics} and {!Tlb.record_metrics}.  Extra [labels]
+    (e.g. [node=3]) are attached to every series.  Prefetcher prediction accounting is split out as
     [prefetch_fills] / [prefetch_useful] / [prefetch_useless] so demand
     hit/miss counters stay unpolluted; with a scope attached, its 3C /
     reuse-distance / cold-line readings ride along via

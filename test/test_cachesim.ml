@@ -1,4 +1,4 @@
-(* Tests for the set-associative cache, prefetcher, TLB behaviour and the
+(* Tests for the set-associative cache, the TLB, the prefetcher and the
    two-level hierarchy cost model. *)
 
 open Cachesim
@@ -117,12 +117,12 @@ let test_cache_bad_geometry_rejected () =
     (Invalid_argument "Cache.create: size not a multiple of line * ways")
     (fun () -> ignore (Cache.create ~size_bytes:100 ~line_bytes:32 ~ways:2 ()))
 
-(* Reference model for the optimized cache: the same LRU semantics
-   written with none of the production tricks — separate tag/stamp/dirty
-   arrays instead of the interleaved [meta] array, no way-hint table, no
-   unsafe accesses.  The production fast path must be bit-identical to
-   this over arbitrary operation streams; in particular a hint hit and
-   the full way scan must pick the same slot. *)
+(* Reference model for the optimized cache and the TLB: the same LRU
+   semantics written with none of the production tricks — separate
+   tag/stamp/dirty arrays instead of the interleaved [meta] array, a
+   stamp scan instead of the TLB's hash table and linked list, no unsafe
+   accesses.  The production paths must be bit-identical to this over
+   arbitrary operation streams. *)
 module Ref_cache = struct
   type t = {
     sets : int;
@@ -250,13 +250,12 @@ let cache_op_print (addr, op, write) =
   Printf.sprintf "(addr=%d, op=%d, write=%b)" addr op write
 
 (* Geometries chosen to cover the production shapes: low-associativity
-   sets (hint table degenerates to one shared slot) and a small
-   fully-associative "TLB" at ways >= 16 (real hint table). *)
+   sets like L1 and L2, and one set of many ways. *)
 let cache_geometries =
   [
     (1024, 32, 4);    (* 8 sets x 4 ways *)
     (512, 64, 2);     (* 4 sets x 2 ways *)
-    (1024, 64, 16);   (* fully associative, hinted *)
+    (1024, 64, 16);   (* fully associative, 16 ways *)
   ]
 
 let prop_cache_fast_path_matches_reference =
@@ -325,6 +324,86 @@ let prop_cache_occupancy_bounded =
         |> List.length
       in
       distinct_resident <= Cache.lines c)
+
+(* ------------------------------------------------------------------ *)
+(* TLB *)
+
+let page = 4096
+
+let test_tlb_lru () =
+  let t = Tlb.create ~entries:2 ~page_bytes:page in
+  check_bool "cold miss" false (Tlb.access t ~addr:0);
+  check_bool "same page hits" true (Tlb.access t ~addr:(page - 4));
+  check_bool "second page misses" false (Tlb.access t ~addr:page);
+  (* Touch page 0 so page 1 becomes LRU. *)
+  check_bool "page 0 hits" true (Tlb.access t ~addr:0);
+  check_bool "third page misses" false (Tlb.access t ~addr:(2 * page));
+  check_bool "older page survives" true (Tlb.access t ~addr:0);
+  check_bool "LRU page was evicted" false (Tlb.access t ~addr:page);
+  let s = Tlb.stats t in
+  check_int "hits" 3 s.Cache.hits;
+  check_int "misses" 4 s.Cache.misses;
+  check_int "evictions" 2 s.Cache.evictions;
+  Tlb.flush t;
+  check_bool "flushed" false (Tlb.access t ~addr:0);
+  check_int "flush keeps stats" 5 (Tlb.stats t).Cache.misses;
+  Tlb.reset_stats t;
+  check_int "reset" 0 (Tlb.stats t).Cache.misses;
+  Alcotest.check_raises "bad page size"
+    (Invalid_argument "Tlb.create: page size must be a power of two")
+    (fun () -> ignore (Tlb.create ~entries:4 ~page_bytes:3000))
+
+(* Page-strided streams: [k * stride] pages for a random [k < n].
+   Strides that are multiples of 128 pages are the power-of-two buffer
+   spacings that defeat an index of [page land 127]; [n] around the 64
+   entries makes the stream hit, miss and evict. *)
+let tlb_op_gen =
+  QCheck.Gen.(
+    pair (oneofl [ 1; 3; 128; 256; 384; 1024 ]) (int_range 1 96)
+    >>= fun (stride, n) ->
+    list_size (int_range 0 600)
+      (frequency
+         [
+           (1, return None);
+           ( 60,
+             map2
+               (fun k off -> Some (((k * stride) * page) + off))
+               (int_range 0 (n - 1))
+               (int_range 0 (page - 1)) );
+         ]))
+
+let prop_tlb_matches_reference =
+  QCheck.Test.make ~name:"Tlb = reference LRU" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           list (function None -> "flush" | Some a -> string_of_int a))
+       tlb_op_gen)
+    (fun ops ->
+      let entries = 64 in
+      let t = Tlb.create ~entries ~page_bytes:page in
+      let r =
+        Ref_cache.create ~size_bytes:(entries * page) ~line_bytes:page
+          ~ways:entries
+      in
+      List.for_all
+        (function
+          | None ->
+              Tlb.flush t;
+              Ref_cache.flush r;
+              true
+          | Some addr ->
+              let hit = Tlb.access t ~addr in
+              let hit' = Ref_cache.probe r ~addr ~write:false in
+              if not hit' then ignore (Ref_cache.fill_probed r ~write:false);
+              hit = hit')
+        ops
+      &&
+      let s = Tlb.stats t in
+      s.Cache.hits = r.Ref_cache.hits
+      && s.Cache.misses = r.Ref_cache.misses
+      && s.Cache.evictions = r.Ref_cache.evictions
+      && s.Cache.writebacks = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Prefetcher *)
@@ -524,6 +603,66 @@ let test_hierarchy_invalidate_range_spans_lines () =
   let s = Hierarchy.stats h in
   check_int "7 lines re-missed" 7 (s.Hierarchy.seq_misses + s.Hierarchy.rand_misses)
 
+(* The fast path memoises the previous access's L1 line.  Invalidating
+   exactly that line must drop the memo too, or the next access would
+   count a hit on a line that is gone. *)
+let test_hierarchy_invalidate_memoised_line () =
+  let h = Hierarchy.create p3 in
+  ignore (Hierarchy.access h ~addr:64 ~write:false);
+  Hierarchy.invalidate_range h ~addr:64 ~bytes:32;
+  Hierarchy.reset_stats h;
+  ignore (Hierarchy.access h ~addr:68 ~write:false);
+  let s = Hierarchy.stats h in
+  check_int "no L1 hit" 0 s.Hierarchy.l1_hits;
+  check_int "re-missed to RAM" 1 (s.Hierarchy.seq_misses + s.Hierarchy.rand_misses)
+
+let counter snap ?labels name =
+  match Obs.Metrics.Snapshot.find snap ?labels name with
+  | Some (Obs.Metrics.Snapshot.Counter v) -> int_of_float v
+  | _ -> Alcotest.failf "counter %s missing" name
+
+(* A write that repeats the line a read just brought in must still
+   dirty it: evicting the line from L1 later is a write-back.  (L1 stride
+   of one set: 128 sets x 32 B = 4 KB.) *)
+let test_hierarchy_repeat_write_dirties () =
+  let h = Hierarchy.create p3 in
+  ignore (Hierarchy.access h ~addr:0 ~write:false);
+  ignore (Hierarchy.access h ~addr:4 ~write:true);
+  for i = 1 to 4 do
+    ignore (Hierarchy.access h ~addr:(i * 4096) ~write:false)
+  done;
+  let reg = Obs.Metrics.create () in
+  Hierarchy.record_metrics h reg;
+  check_int "dirty L1 eviction written back" 1
+    (counter (Obs.Metrics.snapshot reg) ~labels:[ ("level", "L1") ]
+       "cache_writebacks")
+
+let test_hierarchy_reset_stats_all_levels () =
+  let h = Hierarchy.create p3 in
+  for w = 0 to 4095 do
+    ignore (Hierarchy.access h ~addr:(w * 64) ~write:(w land 1 = 0))
+  done;
+  Hierarchy.reset_stats h;
+  for w = 0 to 255 do
+    ignore (Hierarchy.access h ~addr:(w * 4) ~write:false)
+  done;
+  let reg = Obs.Metrics.create () in
+  Hierarchy.record_metrics h reg;
+  let snap = Obs.Metrics.snapshot reg in
+  let level l name = counter snap ~labels:[ ("level", l) ] name in
+  let s = Hierarchy.stats h in
+  check_int "accesses" 256 (counter snap "mem_accesses");
+  check_int "L1 hits = cache_hits{L1}" (counter snap "mem_l1_hits")
+    (level "L1" "cache_hits");
+  check_int "L1 misses" (s.Hierarchy.accesses - s.Hierarchy.l1_hits)
+    (level "L1" "cache_misses");
+  check_int "L2 hits = cache_hits{L2}" (counter snap "mem_l2_hits")
+    (level "L2" "cache_hits");
+  check_int "TLB misses = cache_misses{TLB}" (counter snap "mem_tlb_misses")
+    (level "TLB" "cache_misses");
+  check_int "TLB probes = accesses" 256
+    (level "TLB" "cache_hits" + level "TLB" "cache_misses")
+
 let test_pentium4_profile_sane () =
   let p = Mem_params.pentium4 in
   check_int "wide lines" 128 p.Mem_params.l2_line;
@@ -675,6 +814,112 @@ let test_hierarchy_stats_add () =
   check_int "accesses" 7 c.Hierarchy.accesses;
   check_float "cost" 12.5 c.Hierarchy.cost_ns
 
+(* The fast path (no recorder: repeat-line memo, no hooks) against the
+   instrumented path (a hierarchy built under an ambient profile) over
+   one word stream: runs of consecutive words, repeats, writes,
+   invalidations and flushes.  Every per-access cost must be bit-equal,
+   and so must the statistics and the metrics. *)
+type hier_op =
+  | Run of int * int * bool (* first word address, words, write *)
+  | Again of bool (* the previous address once more, write *)
+  | Invalidate of int * int (* byte address, bytes *)
+  | Invalidate_last of int (* bytes from the previous address *)
+  | Flush
+
+let hier_op_gen ~span =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 20,
+          map3
+            (fun w n write -> Run (w * 4, n, write))
+            (int_range 0 ((span / 4) - 1))
+            (int_range 1 24) bool );
+        (4, map (fun write -> Again write) bool);
+        (2, map (fun n -> Invalidate_last n) (int_range 1 64));
+        ( 2,
+          map2
+            (fun a n -> Invalidate (a, n))
+            (int_range 0 (span - 1))
+            (int_range 0 96) );
+        (1, return Flush);
+      ])
+
+let hier_op_print = function
+  | Run (a, n, w) -> Printf.sprintf "Run(%d,%d,%b)" a n w
+  | Again w -> Printf.sprintf "Again(%b)" w
+  | Invalidate_last n -> Printf.sprintf "Invalidate_last(%d)" n
+  | Invalidate (a, n) -> Printf.sprintf "Invalidate(%d,%d)" a n
+  | Flush -> "Flush"
+
+(* A hierarchy small enough that short streams evict at every level:
+   pages (16 B) smaller than an L1 line in one, a real 4 KB page over
+   the paper's caches in the other. *)
+let fast_slow_params =
+  [
+    ({ tiny_params with Mem_params.tlb_entries = 4; page_bytes = 16 }, 2048);
+    (p3, 4 * 1024 * 1024);
+  ]
+
+let prop_fast_path_matches_instrumented =
+  QCheck.Test.make ~name:"fast path = instrumented path" ~count:150
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list hier_op_print))
+       QCheck.Gen.(
+         int_range 0 (List.length fast_slow_params - 1) >>= fun i ->
+         let span = snd (List.nth fast_slow_params i) in
+         pair (return i) (list_size (int_range 0 200) (hier_op_gen ~span))))
+    (fun (i, ops) ->
+      let params = fst (List.nth fast_slow_params i) in
+      let fast = Hierarchy.create params in
+      let slow =
+        Obs.Profile.with_recording (Obs.Profile.create ()) (fun () ->
+            Hierarchy.create params)
+      in
+      let bits c = Int64.bits_of_float c.(0) in
+      let last = ref 0 in
+      let invalidate a n =
+        Hierarchy.invalidate_range fast ~addr:a ~bytes:n;
+        Hierarchy.invalidate_range slow ~addr:a ~bytes:n;
+        true
+      in
+      let same_access addr write =
+        last := addr;
+        let cf = [| 0.0; 0.0 |] and cs = [| 0.0; 0.0 |] in
+        Hierarchy.access_into fast ~addr ~write ~charge:cf;
+        Hierarchy.access_into slow ~addr ~write ~charge:cs;
+        bits cf = bits cs
+      in
+      let ok =
+        List.for_all
+          (function
+            | Run (a, n, write) ->
+                List.for_all
+                  (fun k ->
+                    (* Every word twice: a run of repeats per line. *)
+                    same_access (a + (4 * (k / 2))) write)
+                  (List.init (2 * n) Fun.id)
+            | Again write -> same_access !last write
+            | Invalidate (a, n) -> invalidate a n
+            | Invalidate_last n -> invalidate !last n
+            | Flush ->
+                Hierarchy.flush fast;
+                Hierarchy.flush slow;
+                true)
+          ops
+      in
+      let metrics h =
+        let reg = Obs.Metrics.create () in
+        Hierarchy.record_metrics h reg;
+        Obs.Metrics.snapshot reg
+      in
+      let sf = Hierarchy.stats fast and ss = Hierarchy.stats slow in
+      ok
+      && { sf with Hierarchy.cost_ns = 0.0 } = { ss with Hierarchy.cost_ns = 0.0 }
+      && Int64.bits_of_float sf.Hierarchy.cost_ns
+         = Int64.bits_of_float ss.Hierarchy.cost_ns
+      && metrics fast = metrics slow)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "cachesim"
@@ -693,6 +938,7 @@ let () =
           tc "fully associative" `Quick test_cache_fully_associative;
           tc "bad geometry" `Quick test_cache_bad_geometry_rejected;
         ] );
+      ("tlb", [ tc "LRU" `Quick test_tlb_lru ]);
       ( "prefetcher",
         [
           tc "detects stream" `Quick test_prefetcher_detects_stream;
@@ -717,6 +963,9 @@ let () =
           tc "flush recolds" `Quick test_hierarchy_flush_recolds;
           tc "invalidate range" `Quick test_hierarchy_invalidate_range;
           tc "invalidate spans lines" `Quick test_hierarchy_invalidate_range_spans_lines;
+          tc "invalidate memoised line" `Quick test_hierarchy_invalidate_memoised_line;
+          tc "repeat write dirties" `Quick test_hierarchy_repeat_write_dirties;
+          tc "reset stats all levels" `Quick test_hierarchy_reset_stats_all_levels;
           tc "pentium4 profile" `Quick test_pentium4_profile_sane;
           tc "stats add" `Quick test_hierarchy_stats_add;
         ] );
@@ -731,5 +980,7 @@ let () =
             prop_cache_resident_after_fill;
             prop_cache_occupancy_bounded;
             prop_cache_fast_path_matches_reference;
+            prop_tlb_matches_reference;
+            prop_fast_path_matches_instrumented;
           ] );
     ]
