@@ -1,14 +1,23 @@
-(* Tags store the full line number (not the set-relative tag); a slot is
-   empty when its tag is -1.  LRU is a per-slot monotone stamp: the victim
-   is the way with the smallest stamp.  Both probe and victim search scan
-   the [ways] slots of one set, which is a handful of array reads.
+(* Each set is a run of [n_ways] slots in one [slots] array, kept in
+   recency order: the most recently used line first, empty slots (-1)
+   last.  A slot holds [line * 2 + dirty], the full line number (not the
+   set-relative tag) with the dirty bit in bit 0.
 
-   Tag and stamp live interleaved in one [meta] array — slot [i]'s tag at
-   [2 * i], its stamp at [2 * i + 1] — so the stamp write that follows
-   every tag match lands on the host cache line the scan just pulled in.
-   With several simulated machines interleaving through one host core the
-   slot arrays are usually cold, and touching one line per probe instead
-   of two is a measurable share of simulation speed. *)
+   A hit at way [w] moves that entry to the front by shifting the [w]
+   entries before it back one slot; a fill drops the last slot (the LRU
+   line, or an empty slot when the set is not full) and inserts the new
+   line at the front the same way.  This is LRU exactly as a per-slot
+   stamp model states it (the reference in test_cachesim): recency
+   order is stamp order and empty slots collect at the tail, so the last
+   slot is the way "first empty, else smallest stamp" picks.  Which slot
+   a line sits in is not observable: [last_victim] and [probed_line]
+   report line numbers.
+
+   One word per slot keeps a set's metadata on one or two host cache
+   lines, and the shifts touch only words the probe scan just read.
+   With several simulated machines interleaving through one host core
+   the slot arrays are usually cold, so their host footprint is a
+   measurable share of simulation speed. *)
 
 type t = {
   cache_name : string;
@@ -18,12 +27,7 @@ type t = {
   n_sets : int;
   set_mask : int;
   n_ways : int;
-  meta : int array; (* 2 * n_sets * n_ways: tag at 2i, stamp at 2i+1 *)
-  dirty : Bytes.t; (* one byte per slot, '\000' = clean — a bool array
-                      would spend a full word per flag, and the host
-                      cache footprint of the slot arrays is what bounds
-                      simulation speed *)
-  mutable tick : int;
+  slots : int array; (* n_sets * n_ways: line * 2 + dirty, -1 = empty *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -36,7 +40,8 @@ type t = {
   mutable probe_base : int;
   mutable last_slot : int;
       (* slot of the line most recently hit or filled, which [rehit]
-         charges; 0 before the first, so it is always in bounds *)
+         charges: the front of its set; 0 before the first, so it is
+         always in bounds *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -62,10 +67,7 @@ let create ?(name = "cache") ~size_bytes ~line_bytes ~ways () =
     n_sets;
     set_mask = n_sets - 1;
     n_ways = ways;
-    meta =
-      Array.init (2 * n_sets * ways) (fun j -> if j land 1 = 0 then -1 else 0);
-    dirty = Bytes.make (n_sets * ways) '\000';
-    tick = 0;
+    slots = Array.make (n_sets * ways) (-1);
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -84,21 +86,29 @@ let sets t = t.n_sets
 let lines t = t.size / t.line
 let line_of_addr t addr = addr lsr t.line_shift
 
-(* Index-validity invariant for the unsafe scans below: every slot index
-   is [base + w] with [base = (line land set_mask) * n_ways
-   <= (n_sets - 1) * n_ways] and [w < n_ways], so
-   [2 * (base + w) + 1 < 2 * n_sets * n_ways], the length of [meta],
-   and [base + w < n_sets * n_ways], the length of [dirty]. *)
+(* Index-validity invariant for the unsafe accesses below: every slot
+   index is [base + w] with [base = (line land set_mask) * n_ways
+   <= (n_sets - 1) * n_ways] and [0 <= w < n_ways], so
+   [base + w < n_sets * n_ways], the length of [slots]. *)
 
 (* Top-level recursion with explicit arguments: a local [let rec]
    capturing [t]/[base]/[line] would allocate a closure on every call
-   without flambda. *)
-let rec find_way_from meta n_ways base line w =
+   without flambda.  [key = line * 2 + 1] matches a slot of [line] with
+   either dirty bit ([e lor 1]); an empty slot ([-1]) never matches. *)
+let rec find_way_from slots n_ways base key w =
   if w = n_ways then -1
-  else if Array.unsafe_get meta (2 * (base + w)) = line then w
-  else find_way_from meta n_ways base line (w + 1)
+  else if Array.unsafe_get slots (base + w) lor 1 = key then w
+  else find_way_from slots n_ways base key (w + 1)
 
-let find_way t base line = find_way_from t.meta t.n_ways base line 0
+let find_way t base line = find_way_from t.slots t.n_ways base ((line * 2) + 1) 0
+
+(* Move the entries at [base, base + w) back one slot, to
+   [base + 1, base + w]; the entry at [base + w] is overwritten. *)
+let rec shift_back slots base w =
+  if w > 0 then begin
+    Array.unsafe_set slots (base + w) (Array.unsafe_get slots (base + w - 1));
+    shift_back slots base (w - 1)
+  end
 
 let probe t ~addr ~write =
   let line = addr lsr t.line_shift in
@@ -107,12 +117,11 @@ let probe t ~addr ~write =
   t.probe_base <- base;
   let w = find_way t base line in
   if w >= 0 then begin
-    let i = base + w in
-    t.last_slot <- i;
+    let e = Array.unsafe_get t.slots (base + w) in
+    shift_back t.slots base w;
+    Array.unsafe_set t.slots base (if write then e lor 1 else e);
+    t.last_slot <- base;
     t.hits <- t.hits + 1;
-    t.tick <- t.tick + 1;
-    Array.unsafe_set t.meta ((2 * i) + 1) t.tick;
-    if write then Bytes.unsafe_set t.dirty i '\001';
     true
   end
   else begin
@@ -120,55 +129,35 @@ let probe t ~addr ~write =
     false
   end
 
-(* The line in [last_slot] already holds its set's newest stamp, so a
-   repeat hit leaves LRU order as it is: only the counter and the dirty
-   bit change. *)
+(* The line in [last_slot] is already at the front of its set, so a
+   repeat hit leaves recency order as it is: only the counter and the
+   dirty bit change. *)
 let rehit t ~write =
   t.hits <- t.hits + 1;
-  if write then Bytes.unsafe_set t.dirty t.last_slot '\001'
+  if write then
+    Array.unsafe_set t.slots t.last_slot
+      (Array.unsafe_get t.slots t.last_slot lor 1)
 
 let access = probe
 let probed_line t = t.probe_line
 
-(* Prefer the first empty way; otherwise evict the way with the
-   smallest stamp (first minimum wins ties) — same selection as the
-   historical two-ref loop, folded into one accumulator scan. *)
-let rec pick_way meta n_ways base w empty lru_way lru_stamp =
-  if w = n_ways then if empty >= 0 then empty else lru_way
-  else begin
-    let i = 2 * (base + w) in
-    let empty =
-      if empty = -1 && Array.unsafe_get meta i = -1 then w else empty
-    in
-    let s = Array.unsafe_get meta (i + 1) in
-    if s < lru_stamp then pick_way meta n_ways base (w + 1) empty w s
-    else pick_way meta n_ways base (w + 1) empty lru_way lru_stamp
-  end
-
 let fill_probed t ~write =
-  let line = t.probe_line in
   let base = t.probe_base in
-  let w = pick_way t.meta t.n_ways base 0 (-1) 0 max_int in
-  let i = base + w in
-  let prev = Array.unsafe_get t.meta (2 * i) in
-  t.last_victim <- prev;
-  let wrote_back =
-    if prev <> -1 then begin
-      t.evictions <- t.evictions + 1;
-      if Bytes.unsafe_get t.dirty i <> '\000' then begin
-        t.writebacks <- t.writebacks + 1;
-        true
-      end
-      else false
+  let last = t.n_ways - 1 in
+  let prev = Array.unsafe_get t.slots (base + last) in
+  t.last_victim <- prev asr 1;
+  shift_back t.slots base last;
+  Array.unsafe_set t.slots base ((t.probe_line * 2) + if write then 1 else 0);
+  t.last_slot <- base;
+  if prev = -1 then false
+  else begin
+    t.evictions <- t.evictions + 1;
+    if prev land 1 = 0 then false
+    else begin
+      t.writebacks <- t.writebacks + 1;
+      true
     end
-    else false
-  in
-  t.tick <- t.tick + 1;
-  Array.unsafe_set t.meta (2 * i) line;
-  Array.unsafe_set t.meta ((2 * i) + 1) t.tick;
-  Bytes.unsafe_set t.dirty i (if write then '\001' else '\000');
-  t.last_slot <- i;
-  wrote_back
+  end
 
 let fill t ~addr ~write =
   let line = addr lsr t.line_shift in
@@ -183,22 +172,24 @@ let resident t ~addr =
   let base = (line land t.set_mask) * t.n_ways in
   find_way t base line >= 0
 
+(* Move the entries at [(i, last]] forward one slot, to [[i, last)]. *)
+let rec shift_forward slots i last =
+  if i < last then begin
+    Array.unsafe_set slots i (Array.unsafe_get slots (i + 1));
+    shift_forward slots (i + 1) last
+  end
+
 let invalidate t ~addr =
   let line = addr lsr t.line_shift in
   let base = (line land t.set_mask) * t.n_ways in
   let w = find_way t base line in
   if w >= 0 then begin
-    t.meta.(2 * (base + w)) <- -1;
-    t.meta.((2 * (base + w)) + 1) <- 0;
-    Bytes.set t.dirty (base + w) '\000'
+    let last = base + t.n_ways - 1 in
+    shift_forward t.slots (base + w) last;
+    Array.unsafe_set t.slots last (-1)
   end
 
-let flush t =
-  for i = 0 to (Array.length t.meta / 2) - 1 do
-    t.meta.(2 * i) <- -1;
-    t.meta.((2 * i) + 1) <- 0
-  done;
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
+let flush t = Array.fill t.slots 0 (Array.length t.slots) (-1)
 
 type stats = { hits : int; misses : int; evictions : int; writebacks : int }
 

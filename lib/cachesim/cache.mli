@@ -5,6 +5,11 @@
     write-backs.  The cache stores no data — the simulated machine keeps
     the actual words — it only models residency and cost-relevant events.
 
+    Each set is kept in recency order, most recent line first, as one
+    word per way (line number and dirty bit); a hit or fill moves its
+    line to the front and a fill evicts the last way.  There are no LRU
+    stamps and no victim scan.
+
     A cache with [sets = 1] is fully associative, but a probe scans every
     way of its set, so a highly associative cache is slow to probe; the
     TLB is the fully associative {!Tlb} instead, which gives the same
@@ -49,8 +54,8 @@ val rehit : t -> write:bool -> unit
 (** Count a hit on the line most recently hit or filled, setting its
     dirty bit if [write].  This is exactly what {!probe} does for an
     address in that line, provided no other line was hit or filled
-    since and the line was not invalidated or flushed: it then holds its
-    set's newest LRU stamp, so LRU state is left as it is.  The
+    since and the line was not invalidated or flushed: it then sits at
+    the front of its set, so recency order is left as it is.  The
     repeat-line path of {!Hierarchy.access_into}. *)
 
 val probed_line : t -> int
@@ -68,7 +73,7 @@ val fill : t -> addr:int -> write:bool -> bool
 
 val last_victim : t -> int
 (** Line number evicted by the most recent {!fill}, or [-1] if it used
-    an empty way (undefined before the first fill) — how the residency
+    an empty way ([-1] before the first fill) — how the residency
     telemetry learns which line a fill displaced. *)
 
 val resident : t -> addr:int -> bool

@@ -22,6 +22,14 @@ let create ?(streams = 16) () =
     useless = 0;
   }
 
+(* Top-level recursion with explicit arguments: a local [let rec]
+   capturing [t]/[line] would allocate a closure on every L2 miss
+   without flambda. *)
+let rec find_stream last_lines prev i =
+  if i = Array.length last_lines then -1
+  else if Array.unsafe_get last_lines i = prev then i
+  else find_stream last_lines prev (i + 1)
+
 (* Prediction accounting is purely observational: every live stream at
    line [l] holds one outstanding prediction of [l + 1].  A demand miss
    that extends the stream consumed it (useful) and issues the next
@@ -30,10 +38,7 @@ let create ?(streams = 16) () =
    demand hit/miss statistics stay unpolluted. *)
 let note_miss t ~line =
   let n = Array.length t.last_lines in
-  let rec find i =
-    if i = n then -1 else if t.last_lines.(i) = line - 1 then i else find (i + 1)
-  in
-  match find 0 with
+  match find_stream t.last_lines (line - 1) 0 with
   | i when i >= 0 ->
       t.last_lines.(i) <- line;
       if t.pending.(i) then t.useful <- t.useful + 1;

@@ -3,7 +3,7 @@ type t = {
   node_name : string;
   p : Cachesim.Mem_params.t;
   hier : Cachesim.Hierarchy.t;
-  mutable mem : int array;
+  mutable mem : Bytes.t; (* 4 bytes per word, native byte order *)
   mutable brk : int; (* next free word *)
   acc : float array; (* [|pending; busy|] — float-array stores keep the
                         per-access charge unboxed (mutable float fields
@@ -13,10 +13,22 @@ type t = {
                                       hot path skips the DLS lookups *)
 }
 
+(* Words are unsigned 32-bit values held 4 bytes apiece in a [Bytes.t]:
+   half the host footprint of an [int array], and the GC never scans
+   it.  The unchecked primitives below are used only after [check] has
+   bounded the word address by [brk], and [ensure] keeps
+   [4 * brk <= Bytes.length mem].  Applied directly, the [int32] they
+   traffic in stays unboxed, so reads and writes allocate nothing. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let word_max = 0xFFFF_FFFF
+let get_word mem a = Int32.to_int (get32u mem (a lsl 2)) land word_max
+let set_word mem a v = set32u mem (a lsl 2) (Int32.of_int v)
+
 (* [ensure] doubles on demand, so this only sets the floor; a small
-   floor keeps the per-run [Array.make] zeroing and the host cache
-   footprint of idle machines proportional to what a run actually
-   allocates. *)
+   floor keeps the per-run zeroing and the host cache footprint of idle
+   machines proportional to what a run actually allocates. *)
 let initial_words = 1 lsl 12
 
 let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
@@ -32,7 +44,7 @@ let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
     node_name = name;
     p;
     hier;
-    mem = Array.make initial_words 0;
+    mem = Bytes.make (4 * initial_words) '\000';
     brk = 0;
     acc = [| 0.0; 0.0 |];
     prof = Obs.Profile.current ();
@@ -46,14 +58,14 @@ let hierarchy t = t.hier
 let words_allocated t = t.brk
 
 let ensure t limit =
-  let cap = Array.length t.mem in
+  let cap = Bytes.length t.mem / 4 in
   if limit > cap then begin
     let cap' = ref cap in
     while limit > !cap' do
       cap' := !cap' * 2
     done;
-    let mem' = Array.make !cap' 0 in
-    Array.blit t.mem 0 mem' 0 cap;
+    let mem' = Bytes.make (4 * !cap') '\000' in
+    Bytes.blit t.mem 0 mem' 0 (4 * cap);
     t.mem <- mem'
   end
 
@@ -81,20 +93,23 @@ let check t a =
       (Printf.sprintf "Machine.%s: word address %d outside [0,%d)" t.node_name
          a t.brk)
 
-(* [check] established [0 <= a < brk <= Array.length mem], so the data
-   reads/writes below are unchecked. *)
+let check_value t v =
+  if v land lnot word_max <> 0 then
+    invalid_arg
+      (Printf.sprintf "Machine.%s: value %d outside [0,2^32)" t.node_name v)
 
 let read t a =
   check t a;
   Cachesim.Hierarchy.access_into t.hier ~addr:(a * t.p.word_bytes)
     ~write:false ~charge:t.acc;
-  Array.unsafe_get t.mem a
+  get_word t.mem a
 
 let write t a v =
   check t a;
+  check_value t v;
   Cachesim.Hierarchy.access_into t.hier ~addr:(a * t.p.word_bytes) ~write:true
     ~charge:t.acc;
-  Array.unsafe_set t.mem a v
+  set_word t.mem a v
 
 let set_phase t phase = Cachesim.Hierarchy.set_phase t.hier phase
 let phase t = Cachesim.Hierarchy.phase t.hier
@@ -125,17 +140,21 @@ let busy_ns t = t.acc.(1)
 
 let peek t a =
   check t a;
-  t.mem.(a)
+  get_word t.mem a
 
 let poke t a v =
   check t a;
-  t.mem.(a) <- v
+  check_value t v;
+  set_word t.mem a v
 
 let poke_array t a vs =
   if Array.length vs > 0 then begin
     check t a;
     check t (a + Array.length vs - 1);
-    Array.blit vs 0 t.mem a (Array.length vs)
+    Array.iter (check_value t) vs;
+    for i = 0 to Array.length vs - 1 do
+      set_word t.mem (a + i) (Array.unsafe_get vs i)
+    done
   end
 
 let dma_write t a data =

@@ -2,8 +2,11 @@
     cache hierarchy, plus a local cost accumulator tied to the
     discrete-event clock.
 
-    Data is held in a flat, growable array of 4-byte words (the paper's
-    key/pointer width).  Every timed {!read}/{!write} routes through the
+    Data is held in a flat, growable byte store of 4-byte words (the
+    paper's key/pointer width), which the GC does not scan.  A word is an
+    unsigned 32-bit value: every store ({!write}, {!poke},
+    {!poke_array}, {!dma_write}) raises [Invalid_argument] for a value
+    outside [\[0, 2^32)] and leaves memory unchanged.  Every timed {!read}/{!write} routes through the
     {!Cachesim.Hierarchy}, accumulating nanoseconds locally; processes call
     {!sync} at communication points to convert accumulated cost into
     simulated time.  This keeps the event queue out of the per-access hot
@@ -37,9 +40,13 @@ val words_allocated : t -> int
 
 val read : t -> int -> int
 (** [read m a] returns the word at word-address [a], charging its cache
-    cost to the local accumulator. *)
+    cost to the local accumulator.  Unless an {!Obs.Profile} or
+    {!Obs.Cachescope} was recording when the machine was created, it
+    allocates nothing. *)
 
 val write : t -> int -> int -> unit
+(** [write m a v] stores [v] at word-address [a], charging its cache
+    cost to the local accumulator.  Allocates nothing, as {!read}. *)
 
 val compute : t -> float -> unit
 (** [compute m ns] charges [ns] of pure CPU time (key comparisons,

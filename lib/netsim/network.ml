@@ -17,12 +17,20 @@ type 'a t = {
   tx : Resource.t array;
   rx : Resource.t array;
   mailboxes : 'a envelope Channel.t array;
+  xfer_names : string array; (* [src * n + dst]: "xfer-<src>-><dst>" *)
+  deliver_names : string array; (* [src * n + dst]: "deliver-<src>-><dst>" *)
   mutable sent : int;
   mutable bytes : int;
   mutable delivered : int;
   mutable queue_ns : float; (* summed send-to-delivery time *)
   mutable in_flight : int;
 }
+
+(* Process names for every link, formatted once here rather than per
+   message: a spawn's name only shows in a failure report, but
+   formatting it cost as much as the spawn itself. *)
+let link_names nodes fmt =
+  Array.init (nodes * nodes) (fun i -> Printf.sprintf fmt (i / nodes) (i mod nodes))
 
 let create ?faults eng prof ~nodes =
   if nodes < 1 then invalid_arg "Network.create: need at least one node";
@@ -35,6 +43,8 @@ let create ?faults eng prof ~nodes =
     rx = Array.init nodes (fun i -> Resource.create ~name:(Printf.sprintf "rx%d" i) 1);
     mailboxes =
       Array.init nodes (fun i -> Channel.create ~name:(Printf.sprintf "mbox%d" i) ());
+    xfer_names = link_names nodes "xfer-%d->%d";
+    deliver_names = link_names nodes "deliver-%d->%d";
     sent = 0;
     bytes = 0;
     delivered = 0;
@@ -55,7 +65,7 @@ let check_node t i what =
    NIC for [wire], then the mailbox — unless the destination has crashed
    by the time the message lands. *)
 let spawn_deliver t env wire =
-  Engine.spawn t.eng ~name:(Printf.sprintf "deliver-%d->%d" env.src env.dst)
+  Engine.spawn t.eng ~name:t.deliver_names.((env.src * t.n) + env.dst)
     (fun () ->
       Engine.delay t.eng t.prof.Profile.latency_ns;
       Resource.with_resource t.eng t.rx.(env.dst) (fun () ->
@@ -161,7 +171,7 @@ let isend t ~src ~dst ?(tag = 0) ?(phase = "net") ~size payload =
        full bandwidth.  A delay spike stalls the TX NIC (not the message in
        flight), so per-link FIFO order — MPI non-overtaking — is preserved;
        a duplicate occupies the TX NIC twice and lands as two envelopes. *)
-    Engine.spawn t.eng ~name:(Printf.sprintf "xfer-%d->%d" src dst) (fun () ->
+    Engine.spawn t.eng ~name:t.xfer_names.((src * t.n) + dst) (fun () ->
         Resource.acquire t.eng t.tx.(src);
         if extra_delay_ns > 0.0 then Engine.delay t.eng extra_delay_ns;
         for _copy = 1 to copies do

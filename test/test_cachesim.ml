@@ -117,11 +117,32 @@ let test_cache_bad_geometry_rejected () =
     (Invalid_argument "Cache.create: size not a multiple of line * ways")
     (fun () -> ignore (Cache.create ~size_bytes:100 ~line_bytes:32 ~ways:2 ()))
 
+let test_cache_invalidate_middle_then_fill () =
+  (* One set of 4 ways.  Fill lines 0-3 (LRU first), drop line 2 from
+     the middle of the recency order, then fill line 4: it takes the
+     freed slot with no eviction, and the later fills evict the
+     survivors oldest first. *)
+  let c = Cache.create ~size_bytes:128 ~line_bytes:32 ~ways:4 () in
+  List.iter (fun l -> ignore (Cache.fill c ~addr:(l * 32) ~write:false)) [ 0; 1; 2; 3 ];
+  Cache.invalidate c ~addr:(2 * 32);
+  check_bool "fill into the freed way writes nothing back" false
+    (Cache.fill c ~addr:(4 * 32) ~write:false);
+  check_int "no victim" (-1) (Cache.last_victim c);
+  check_int "no eviction" 0 (Cache.stats c).Cache.evictions;
+  let victims =
+    List.map
+      (fun l ->
+        ignore (Cache.fill c ~addr:(l * 32) ~write:false);
+        Cache.last_victim c)
+      [ 5; 6; 7; 8 ]
+  in
+  Alcotest.(check (list int)) "survivors evicted in LRU order" [ 0; 1; 3; 4 ] victims
+
 (* Reference model for the optimized cache and the TLB: the same LRU
-   semantics written with none of the production tricks — separate
-   tag/stamp/dirty arrays instead of the interleaved [meta] array, a
-   stamp scan instead of the TLB's hash table and linked list, no unsafe
-   accesses.  The production paths must be bit-identical to this over
+   semantics written with none of the production tricks — per-slot LRU
+   stamps and separate tag/stamp/dirty arrays instead of recency-ordered
+   sets of tagged words, a stamp scan instead of the TLB's hash table
+   and linked list, no unsafe accesses.  The production paths must be bit-identical to this over
    arbitrary operation streams. *)
 module Ref_cache = struct
   type t = {
@@ -136,6 +157,7 @@ module Ref_cache = struct
     mutable misses : int;
     mutable evictions : int;
     mutable writebacks : int;
+    mutable last_victim : int;
     mutable probe_line : int;
     mutable probe_set : int;
   }
@@ -158,6 +180,7 @@ module Ref_cache = struct
       misses = 0;
       evictions = 0;
       writebacks = 0;
+      last_victim = -1;
       probe_line = -1;
       probe_set = 0;
     }
@@ -202,6 +225,7 @@ module Ref_cache = struct
           !best
       | empty -> empty
     in
+    t.last_victim <- t.tag.(s).(w);
     let wrote_back =
       if t.tag.(s).(w) <> -1 then begin
         t.evictions <- t.evictions + 1;
@@ -239,22 +263,26 @@ module Ref_cache = struct
     done
 end
 
-(* One random operation against both implementations; [`Access] is the
-   fused hot path (probe, fill on miss) exactly as Hierarchy drives it. *)
+(* One random operation against both implementations: ops 0-2 are the
+   fused hot path (probe, fill on miss) exactly as Hierarchy drives it,
+   3 a bare probe, 4 a residency check, 5 an invalidate or flush, and 6
+   a [rehit] of the line last hit or filled. *)
 let cache_op_gen =
   QCheck.Gen.(
-    pair (int_range 0 8191) (pair (int_range 0 5) bool)
+    pair (int_range 0 8191) (pair (int_range 0 6) bool)
     |> map (fun (addr, (op, write)) -> (addr, op, write)))
 
 let cache_op_print (addr, op, write) =
   Printf.sprintf "(addr=%d, op=%d, write=%b)" addr op write
 
 (* Geometries chosen to cover the production shapes: low-associativity
-   sets like L1 and L2, and one set of many ways. *)
+   sets like L1, the 8-way sets of the Pentium III L2, and one set of
+   many ways. *)
 let cache_geometries =
   [
     (1024, 32, 4);    (* 8 sets x 4 ways *)
     (512, 64, 2);     (* 4 sets x 2 ways *)
+    (2048, 32, 8);    (* 8 sets x 8 ways *)
     (1024, 64, 16);   (* fully associative, 16 ways *)
   ]
 
@@ -268,19 +296,33 @@ let prop_cache_fast_path_matches_reference =
         (fun (size_bytes, line_bytes, ways) ->
           let c = Cache.create ~size_bytes ~line_bytes ~ways () in
           let r = Ref_cache.create ~size_bytes ~line_bytes ~ways in
+          (* An address in the line [rehit] charges: the line last hit
+             or filled, while nothing has flushed or invalidated it. *)
+          let last = ref None in
+          let probe addr write =
+            let h = Cache.probe c ~addr ~write in
+            if h then last := Some addr;
+            h = Ref_cache.probe r ~addr ~write
+          in
           List.for_all
             (fun (addr, op, write) ->
-              match op with
-              | 0 | 1 | 2 ->
+              match (op, !last) with
+              | (0 | 1 | 2), _ ->
                   (* Fused access+fill, the steady-state path. *)
                   let h = Cache.probe c ~addr ~write in
                   let h' = Ref_cache.probe r ~addr ~write in
+                  last := Some addr;
                   h = h'
-                  &&
-                  if h then true
-                  else Cache.fill_probed c ~write = Ref_cache.fill_probed r ~write
-              | 3 -> Cache.probe c ~addr ~write = Ref_cache.probe r ~addr ~write
-              | 4 ->
+                  && (h
+                     || Cache.fill_probed c ~write
+                        = Ref_cache.fill_probed r ~write
+                        && Cache.last_victim c = r.Ref_cache.last_victim)
+              | 6, Some a ->
+                  (* A repeat of the last line: the reference probes it. *)
+                  Cache.rehit c ~write;
+                  Ref_cache.probe r ~addr:a ~write
+              | (3 | 6), _ -> probe addr write
+              | 4, _ ->
                   (* [fill] may only follow a missing probe (a resident
                      line must not be duplicated into a second way), so
                      the standalone-fill op checks residency instead. *)
@@ -294,6 +336,7 @@ let prop_cache_fast_path_matches_reference =
                   (if write then Cache.flush c else Cache.invalidate c ~addr);
                   (if write then Ref_cache.flush r
                    else Ref_cache.invalidate r ~addr);
+                  last := None;
                   true)
             ops
           &&
@@ -482,6 +525,25 @@ let test_hierarchy_costs_by_level () =
   (* Now resident everywhere: L1 hit costs l1_hit_ns = 0. *)
   let c2 = Hierarchy.access h ~addr:0 ~write:false in
   check_float "L1 hit" p3.Mem_params.l1_hit_ns c2
+
+let test_hierarchy_access_allocation_free () =
+  (* The uninstrumented access path allocates nothing, L2 misses
+     (prefetcher stream search, fills, write-backs) included. *)
+  let h = Hierarchy.create p3 in
+  let n = 1 lsl 16 in
+  let rng = Random.State.make [| 2005 |] in
+  let addrs = Array.init n (fun _ -> Random.State.int rng (1 lsl 26)) in
+  let charge = [| 0.0; 0.0 |] in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Hierarchy.access_into h ~addr:addrs.(i) ~write:(i land 1 = 0) ~charge
+  done;
+  let words = Gc.minor_words () -. before in
+  let s = Hierarchy.stats h in
+  check_bool "L2-miss heavy" true
+    (s.Hierarchy.seq_misses + s.Hierarchy.rand_misses > n / 2);
+  check_bool "write-backs taken" true (s.Hierarchy.writebacks > 0);
+  check_float "minor words" 0.0 words
 
 let test_hierarchy_l2_hit_cost () =
   let h = Hierarchy.create p3 in
@@ -937,6 +999,8 @@ let () =
           tc "stats" `Quick test_cache_stats_counting;
           tc "fully associative" `Quick test_cache_fully_associative;
           tc "bad geometry" `Quick test_cache_bad_geometry_rejected;
+          tc "invalidate middle, then fill" `Quick
+            test_cache_invalidate_middle_then_fill;
         ] );
       ("tlb", [ tc "LRU" `Quick test_tlb_lru ]);
       ( "prefetcher",
@@ -968,6 +1032,8 @@ let () =
           tc "reset stats all levels" `Quick test_hierarchy_reset_stats_all_levels;
           tc "pentium4 profile" `Quick test_pentium4_profile_sane;
           tc "stats add" `Quick test_hierarchy_stats_add;
+          tc "access allocates nothing" `Quick
+            test_hierarchy_access_allocation_free;
         ] );
       ( "scope",
         [

@@ -127,6 +127,82 @@ let test_write_then_read_visible () =
       check_int "timed write visible" 99 (Machine.read m a);
       check_int "visible to peek" 99 (Machine.peek m a))
 
+(* Words are unsigned 32-bit: the extremes and the largest op word a
+   batch carries (a delete of the largest key) must survive every store
+   path, and anything outside [0, 2^32) must be refused. *)
+let word_extremes =
+  [
+    0;
+    (1 lsl 32) - 1;
+    Dispatch.Proto.op_word [||]
+      (Workload.Mutation.Delete (Index.Key.sentinel - 1));
+  ]
+
+let test_word_roundtrip () =
+  with_machine (fun _ m ->
+      let a = Machine.alloc m 16 in
+      List.iter
+        (fun v ->
+          Machine.poke m a v;
+          check_int "poke/peek" v (Machine.peek m a);
+          Machine.write m (a + 1) v;
+          check_int "write/read" v (Machine.read m (a + 1));
+          Machine.poke_array m (a + 2) [| v; v |];
+          check_int "poke_array" v (Machine.peek m (a + 3));
+          Machine.dma_write m (a + 4) [| v |];
+          check_int "dma_write" v (Machine.read m (a + 4)))
+        word_extremes)
+
+let test_word_range_checked () =
+  with_machine (fun _ m ->
+      let a = Machine.alloc m 4 in
+      Machine.poke m a 7;
+      List.iter
+        (fun v ->
+          let raises name f =
+            check_bool name true
+              (match f () with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+          in
+          raises "poke" (fun () -> Machine.poke m a v);
+          raises "write" (fun () -> Machine.write m a v);
+          raises "poke_array" (fun () -> Machine.poke_array m a [| 1; v |]);
+          raises "dma_write" (fun () -> Machine.dma_write m a [| v |]);
+          check_int "refused stores leave the word" 7 (Machine.peek m a))
+        [ -1; 1 lsl 32 ])
+
+let test_contents_survive_growth () =
+  with_machine (fun _ m ->
+      let a = Machine.alloc m 100 in
+      for i = 0 to 99 do
+        Machine.poke m (a + i) ((1 lsl 32) - 1 - i)
+      done;
+      let b = Machine.alloc m (1 lsl 20) in
+      check_int "new words zeroed" 0 (Machine.peek m (b + (1 lsl 20) - 1));
+      for i = 0 to 99 do
+        check_int "kept" ((1 lsl 32) - 1 - i) (Machine.peek m (a + i))
+      done)
+
+let test_read_write_allocation_free () =
+  (* Timed reads and writes allocate nothing, on an L2-miss-heavy
+     stream as on hits. *)
+  with_machine (fun _ m ->
+      let words = 1 lsl 22 in
+      let a = Machine.alloc m words in
+      let n = 1 lsl 16 in
+      let rng = Random.State.make [| 4242 |] in
+      let addrs = Array.init (2 * n) (fun _ -> a + Random.State.int rng words) in
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        Machine.write m addrs.(2 * i) (Machine.read m addrs.((2 * i) + 1))
+      done;
+      let allocated = Gc.minor_words () -. before in
+      let s = Cachesim.Hierarchy.stats (Machine.hierarchy m) in
+      check_bool "L2-miss heavy" true
+        (s.Cachesim.Hierarchy.seq_misses + s.Cachesim.Hierarchy.rand_misses > n);
+      check_float "minor words" 0.0 allocated)
+
 let test_flush_caches_recolds () =
   with_machine (fun _ m ->
       let a = Machine.alloc m 8 in
@@ -170,6 +246,14 @@ let () =
           tc "bounds" `Quick test_bounds_checked;
           tc "growth" `Quick test_memory_grows;
           tc "write/read" `Quick test_write_then_read_visible;
+          tc "word round-trip" `Quick test_word_roundtrip;
+          tc "word range" `Quick test_word_range_checked;
+          tc "growth keeps contents" `Quick test_contents_survive_growth;
+        ] );
+      ( "allocation",
+        [
+          tc "read/write allocate nothing" `Quick
+            test_read_write_allocation_free;
         ] );
       ( "timing",
         [
