@@ -31,7 +31,7 @@ type cell = {
 }
 
 (* Host allocation counters around one measurement pass
-   ([Gc.quick_stat] deltas).  Like [Exec.Pool]'s wall-clock stats they
+   ([Gc.quick_stat] deltas).  Like {!Exec.host_stats}' wall-clock totals they
    are host-side provenance, suppressed under SOURCE_DATE_EPOCH. *)
 type gc = {
   minor_words : float;

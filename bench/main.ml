@@ -170,20 +170,19 @@ let micro_tests ~jobs =
        done;
        Simcore.Engine.run eng)
   in
-  let test_pool_overhead =
-    (* Cost of fanning 64 trivial jobs over the pool: the executor's fixed
-       overhead, to be compared against a multi-ms simulation job. *)
-    Test.make ~name:(Printf.sprintf "exec/pool-64-jobs-%dw" jobs)
+  let test_sweep_overhead =
+    (* Cost of sweeping 64 trivial cells: the executor's fixed overhead
+       (domain spawns and joins included), to be compared against a
+       multi-ms simulation cell. *)
+    Test.make ~name:(Printf.sprintf "exec/sweep-64-cells-%dw" jobs)
       (Staged.stage @@ fun () ->
-       ignore
-         (Exec.Sweep.map ~jobs ~f:(fun i -> i * i)
-            (List.init 64 (fun i -> i))))
+       ignore (Exec.sweep ~jobs (fun i -> i * i) (List.init 64 Fun.id)))
   in
   Test.make_grouped ~name:"micro"
     [ test_sorted_array; test_nary; test_csb; test_buffered;
       test_eytzinger; test_cache_access; test_cache_sequential;
       test_cache_tlb_strided; test_cache_access_scoped;
-      test_engine; test_mpi_collectives; test_pool_overhead ]
+      test_engine; test_mpi_collectives; test_sweep_overhead ]
 
 (* ------------------------------------------------------------------ *)
 (* One test per paper artefact *)

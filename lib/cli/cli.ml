@@ -76,7 +76,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Exec.Sweep.default_jobs ())
+    & opt int (Exec.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let methods_arg =
@@ -249,9 +249,27 @@ let spec_term =
       | "fast-ethernet" | "ethernet" -> Ok Netsim.Profile.fast_ethernet
       | other -> Error (`Msg (Printf.sprintf "unknown network %S" other))
     in
-    match (base, net) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok sc, Ok net ->
+    (* Reject out-of-range values here, as usage errors, before any run
+       starts. *)
+    let positive flag unit = function
+      | Some v when not (v > 0.0 && Float.is_finite v) ->
+          Some (Printf.sprintf "--%s must be a positive number of %s, got %g"
+                  flag unit v)
+      | _ -> None
+    in
+    let bad =
+      List.find_map Fun.id
+        [
+          positive "batch" "KB" (Option.map float_of_int batch);
+          positive "slo" "nanoseconds" slo;
+          positive "duration" "nanoseconds" duration;
+          positive "offered-load" "queries per second" offered_load;
+        ]
+    in
+    match (base, net, bad) with
+    | Error e, _, _ | _, Error e, _ -> Error e
+    | _, _, Some msg -> Error (`Msg msg)
+    | Ok sc, Ok net, None ->
         let sc =
           sc
           |> Workload.Scenario.with_net net

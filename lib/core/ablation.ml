@@ -11,14 +11,12 @@ let batch_overhead
     Report.Table.create
       ~headers:[ "Batch"; "C-3 ns/key"; "slave idle"; "master busy"; "messages" ]
   in
-  Exec.Sweep.run ~jobs:spec.Spec.jobs
-    (List.map
-       (fun batch ->
-         Exec.Job.make ~key:batch (fun () ->
-             Runner.run
-               (Workload.Scenario.with_batch sc batch)
-               ~method_id:Methods.C3 ~keys ~queries))
-       batches)
+  Exec.sweep ~jobs:spec.Spec.jobs
+    (fun batch ->
+      Runner.run
+        (Workload.Scenario.with_batch sc batch)
+        ~method_id:Methods.C3 ~keys ~queries)
+    batches
   |> List.iter (fun (batch, r) ->
          Report.Table.add_row tbl
            [
@@ -30,14 +28,11 @@ let batch_overhead
            ]);
   tbl
 
-let network ?profiles (spec : Spec.t) =
+let network (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let profiles =
-    match profiles with
-    | Some p -> p
-    | None ->
-        [ Netsim.Profile.myrinet; Netsim.Profile.gigabit_ethernet;
-          Netsim.Profile.fast_ethernet ]
+    [ Netsim.Profile.myrinet; Netsim.Profile.gigabit_ethernet;
+      Netsim.Profile.fast_ethernet ]
   in
   let keys, queries = Runner.workload sc in
   let batches = [ kib 8; kib 64; kib 256; kib 1024 ] in
@@ -52,16 +47,14 @@ let network ?profiles (spec : Spec.t) =
       profiles
   in
   let results =
-    Exec.Sweep.run ~jobs:spec.Spec.jobs
-      (List.map
-         (fun ((profile, batch) as key) ->
-           Exec.Job.make ~key (fun () ->
-               let sc =
-                 Workload.Scenario.with_net profile
-                   (Workload.Scenario.with_batch sc batch)
-               in
-               Runner.run sc ~method_id:Methods.C3 ~keys ~queries))
-         grid)
+    Exec.sweep ~jobs:spec.Spec.jobs
+      (fun (profile, batch) ->
+        let sc =
+          Workload.Scenario.with_net profile
+            (Workload.Scenario.with_batch sc batch)
+        in
+        Runner.run sc ~method_id:Methods.C3 ~keys ~queries)
+      grid
   in
   List.iter
     (fun (profile : Netsim.Profile.t) ->
@@ -102,19 +95,18 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
       exponents
   in
   let results =
-    Exec.Sweep.run ~jobs:spec.Spec.jobs
+    Exec.sweep ~jobs:spec.Spec.jobs
+      (fun ((_, queries), method_id) -> Runner.run sc ~method_id ~keys ~queries)
       (List.concat_map
-         (fun (s, queries) ->
+         (fun stream ->
            List.map
-             (fun method_id ->
-               Exec.Job.make ~key:(s, method_id) (fun () ->
-                   Runner.run sc ~method_id ~keys ~queries))
+             (fun method_id -> (stream, method_id))
              [ Methods.C3; Methods.B ])
          streams)
   in
   let find s method_id =
     snd
-      (List.find (fun ((s', m), _) -> s' = s && m = method_id) results)
+      (List.find (fun (((s', _), m), _) -> s' = s && m = method_id) results)
   in
   let tbl =
     Report.Table.create
@@ -134,7 +126,7 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
     exponents;
   tbl
 
-let masters ?(counts = [ 1; 2; 4 ]) (spec : Spec.t) =
+let masters (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let n_slaves = sc.Workload.Scenario.n_nodes - sc.Workload.Scenario.n_masters in
   let slave_keys = (sc.Workload.Scenario.n_keys + n_slaves - 1) / n_slaves in
@@ -147,18 +139,16 @@ let masters ?(counts = [ 1; 2; 4 ]) (spec : Spec.t) =
           "model ns/key"; "NIC floor ns/key";
         ]
   in
-  Exec.Sweep.run ~jobs:spec.Spec.jobs
-    (List.map
-       (fun n_masters ->
-         Exec.Job.make ~key:n_masters (fun () ->
-             (* Keep the slave pool fixed; masters are additional nodes. *)
-             let sc =
-               sc
-               |> Workload.Scenario.with_masters n_masters
-               |> Workload.Scenario.with_nodes (n_slaves + n_masters)
-             in
-             (sc, Runner.run sc ~method_id:Methods.C3 ~keys ~queries)))
-       counts)
+  Exec.sweep ~jobs:spec.Spec.jobs
+    (fun n_masters ->
+      (* Keep the slave pool fixed; masters are additional nodes. *)
+      let sc =
+        sc
+        |> Workload.Scenario.with_masters n_masters
+        |> Workload.Scenario.with_nodes (n_slaves + n_masters)
+      in
+      (sc, Runner.run sc ~method_id:Methods.C3 ~keys ~queries))
+    [ 1; 2; 4 ]
   |> List.iter (fun (n_masters, (sc, r)) ->
          let pred =
            Model.Predict.method_c3 sc.Workload.Scenario.params
@@ -184,21 +174,24 @@ let line_size (spec : Spec.t) =
      profile, so one generation serves both rows. *)
   let keys, queries = Runner.workload sc in
   let results =
-    Exec.Sweep.run ~jobs:spec.Spec.jobs
+    Exec.sweep ~jobs:spec.Spec.jobs
+      (fun (params, method_id) ->
+        Runner.run
+          (Workload.Scenario.with_params params sc)
+          ~method_id ~keys ~queries)
       (List.concat_map
-         (fun (params : Cachesim.Mem_params.t) ->
+         (fun params ->
            List.map
-             (fun method_id ->
-               Exec.Job.make ~key:(params.Cachesim.Mem_params.name, method_id)
-                 (fun () ->
-                   Runner.run
-                     (Workload.Scenario.with_params params sc)
-                     ~method_id ~keys ~queries))
+             (fun method_id -> (params, method_id))
              [ Methods.A; Methods.C3 ])
          machines)
   in
   let find name method_id =
-    snd (List.find (fun ((n, m), _) -> n = name && m = method_id) results)
+    snd
+      (List.find
+         (fun (((p : Cachesim.Mem_params.t), m), _) ->
+           p.Cachesim.Mem_params.name = name && m = method_id)
+         results)
   in
   let tbl =
     Report.Table.create
@@ -255,12 +248,8 @@ let hierarchy (spec : Spec.t) =
                 ~method_id:Methods.C3 ~keys ~queries ))
         [ 2; 3 ]
   in
-  Exec.Sweep.run ~jobs:spec.Spec.jobs
-    (List.map
-       (fun (label, nodes, work) ->
-         Exec.Job.make ~key:(label, nodes) work)
-       configs)
-  |> List.iter (fun ((label, nodes), (r : Run_result.t)) ->
+  Exec.sweep ~jobs:spec.Spec.jobs (fun (_, _, work) -> work ()) configs
+  |> List.iter (fun ((label, nodes, _), (r : Run_result.t)) ->
          Report.Table.add_row tbl
            [
              label;
@@ -301,10 +290,8 @@ let structures (spec : Spec.t) =
   let n_slaves = max 1 (sc.Workload.Scenario.n_nodes - sc.Workload.Scenario.n_masters) in
   let partition_keys = max 2 (sc.Workload.Scenario.n_keys / n_slaves) in
   let scales =
-    Exec.Sweep.run ~jobs:spec.Spec.jobs
-      (List.map
-         (fun n -> Exec.Job.make ~key:n (fun () -> measure n))
-         [ partition_keys; sc.Workload.Scenario.n_keys ])
+    Exec.sweep ~jobs:spec.Spec.jobs measure
+      [ partition_keys; sc.Workload.Scenario.n_keys ]
   in
   let resident = snd (List.nth scales 0) in
   let full = snd (List.nth scales 1) in
@@ -332,12 +319,9 @@ let slave_structure (spec : Spec.t) =
       ~headers:
         [ "Variant"; "ns/key"; "slave idle"; "L2 rand misses"; "L2 seq misses" ]
   in
-  Exec.Sweep.run ~jobs:spec.Spec.jobs
-    (List.map
-       (fun method_id ->
-         Exec.Job.make ~key:method_id (fun () ->
-             Runner.run sc ~method_id ~keys ~queries))
-       [ Methods.C1; Methods.C2; Methods.C3 ])
+  Exec.sweep ~jobs:spec.Spec.jobs
+    (fun method_id -> Runner.run sc ~method_id ~keys ~queries)
+    [ Methods.C1; Methods.C2; Methods.C3 ]
   |> List.iter (fun (method_id, (r : Run_result.t)) ->
          Report.Table.add_row tbl
            [
@@ -388,26 +372,24 @@ let updates (spec : Spec.t) =
       ratios
   in
   let results =
-    Exec.Sweep.run ~jobs:spec.Spec.jobs
-      (List.map
-         (fun ((u, method_id, batch) as key) ->
-           Exec.Job.make ~key (fun () ->
-               (* Thread Dynamic's private stats out around the
-                  instrumentation wrapper, which fixes the body's
-                  result type to Run_result.t alone. *)
-               let stats = ref None in
-               let r =
-                 Experiment.with_run_instrumented spec (fun () ->
-                     let r, st =
-                       Dynamic.run ~faults:spec.Spec.faults
-                         (Workload.Scenario.with_batch sc batch)
-                         ~updates:u ~method_id
-                     in
-                     stats := Some st;
-                     r)
-               in
-               (r, Option.get !stats)))
-         grid)
+    Exec.sweep ~jobs:spec.Spec.jobs
+      (fun (u, method_id, batch) ->
+        (* Thread Dynamic's private stats out around the instrumentation
+           wrapper, which fixes the body's result type to Run_result.t
+           alone. *)
+        let stats = ref None in
+        let r =
+          Experiment.with_run_instrumented spec (fun () ->
+              let r, st =
+                Dynamic.run ~faults:spec.Spec.faults
+                  (Workload.Scenario.with_batch sc batch)
+                  ~updates:u ~method_id
+              in
+              stats := Some st;
+              r)
+        in
+        (r, Option.get !stats))
+      grid
   in
   let tbl =
     Report.Table.create

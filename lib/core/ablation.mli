@@ -4,17 +4,16 @@
     Every driver takes a {!Experiment.Spec.t} positionally:
     [spec.scenario] (and [seed_override]) select the workload, and
     [spec.jobs] fans the study's simulation grid over that many worker
-    domains via {!Exec.Sweep} — results are collected in submission
-    order, so the table is identical at any worker count.  Genuinely
-    per-study knobs ([?batches], [?profiles], ...) stay optional. *)
+    domains via {!Exec.sweep} — results are collected in key order, so
+    the table is identical at any worker count.  Genuinely per-study
+    knobs ([?batches], [?exponents]) stay optional. *)
 
 val batch_overhead :
   ?batches:int list -> Experiment.Spec.t -> Report.Table.t
 (** Slave idle fraction and message count vs batch size for Method C-3
     (the paper reports 50% idle at 8 KB and 20% at 4 MB). *)
 
-val network :
-  ?profiles:Netsim.Profile.t list -> Experiment.Spec.t -> Report.Table.t
+val network : Experiment.Spec.t -> Report.Table.t
 (** Method C-3 under Myrinet / Gigabit Ethernet / Fast Ethernet at several
     batch sizes: tests the paper's claim (§2.2) that slower, higher-latency
     networks need much larger batches. *)
@@ -25,8 +24,8 @@ val skew : ?exponents:float list -> Experiment.Spec.t -> Report.Table.t
     split from the scenario PRNG sequentially before the sweep runs, so
     parallelism never changes the workload. *)
 
-val masters : ?counts:int list -> Experiment.Spec.t -> Report.Table.t
-(** Analytical: per-key cost of C-3 with multiple master nodes (the
+val masters : Experiment.Spec.t -> Report.Table.t
+(** Analytical: per-key cost of C-3 with 1, 2 and 4 master nodes (the
     paper's §3.2 remark on master overload). *)
 
 val line_size : Experiment.Spec.t -> Report.Table.t

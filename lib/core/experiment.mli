@@ -8,9 +8,9 @@
     as in the paper.
 
     Sweep-shaped drivers ([fig3], [table3], the {!Ablation} studies)
-    enumerate their grids as {!Exec.Job.t}s and fan them over
-    [spec.jobs] worker domains; results are collected in submission
-    order, so output is byte-identical at any [jobs] value.
+    enumerate their grids as key lists and run them through
+    {!Exec.sweep} on [spec.jobs] worker domains; results are collected
+    in key order, so output is byte-identical at any [jobs] value.
 
     Every driver takes a [Spec.t] positionally — build one with the
     [with_*] builders from {!Spec.default}.  (The pre-[Spec]
@@ -108,11 +108,10 @@ val fig3 : Spec.t -> fig3_row list
     Defaults: all five methods over the paper's 8 KB - 4 MB sweep,
     sequentially. *)
 
-val render_fig3 :
-  ?paper_queries:int -> scenario:Workload.Scenario.t -> fig3_row list -> string
+val render_fig3 : scenario:Workload.Scenario.t -> fig3_row list -> string
 (** Table plus ASCII plot.  Times are also re-expressed as seconds for
-    [paper_queries] lookups (default 2^23) so the y-axis is comparable to
-    the paper's Figure 3 regardless of the simulated query count. *)
+    the paper's 2^23 lookups so the y-axis is comparable to the paper's
+    Figure 3 regardless of the simulated query count. *)
 
 (** {2 Table 3 — analytical model vs simulation} *)
 
@@ -125,10 +124,11 @@ type table3_row = {
 
 val table3 : Spec.t -> table3_row list
 (** Methods A, B and C-3 at the scenario batch size (paper: 128 KB);
-    the three simulations run as one pool sweep. *)
+    the three simulations run as one {!Exec.sweep}. *)
 
-val render_table3 :
-  ?paper_queries:int -> scenario:Workload.Scenario.t -> table3_row list -> string
+val render_table3 : scenario:Workload.Scenario.t -> table3_row list -> string
+(** Predicted and simulated times as seconds for the paper's 2^23
+    lookups. *)
 
 (** {2 Figure 4 — future technology trends} *)
 

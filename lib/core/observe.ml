@@ -38,10 +38,14 @@ let kvs_of ~clause parts =
       match String.index_opt kv '=' with
       | Some i ->
           let k = String.trim (String.sub kv 0 i) in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+          let v =
+            String.trim (String.sub kv (i + 1) (String.length kv - i - 1))
+          in
           if List.mem_assoc k acc then
             Error (Printf.sprintf "%s: key %S given twice" clause k)
-          else Ok ((k, String.trim v) :: acc)
+          else if v = "" then
+            Error (Printf.sprintf "%s: %s= needs a value" clause k)
+          else Ok ((k, v) :: acc)
       | None -> Error (Printf.sprintf "%s: expected key=value, got %S" clause kv))
     parts (Ok [])
 

@@ -69,8 +69,9 @@ val default_profile : profile
 
 val parse : string -> (t, string) result
 (** Parse the grammar above.  Rejects unknown clauses and keys,
-    duplicate clauses, [metrics]/[trace] without [out], [window <= 0]
-    and [tail < 0]. *)
+    duplicate clauses, a key with an empty value (an empty [out=]
+    would only fail once the sweep has run), [metrics]/[trace] without
+    [out], [window <= 0] and [tail < 0]. *)
 
 val to_string : t -> string
 (** Canonical rendering, clauses in grammar order;

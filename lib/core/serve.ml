@@ -234,13 +234,11 @@ let run (spec : Experiment.Spec.t) =
     generate_workload ~updates:spec.Experiment.Spec.updates sc arrival
   in
   List.map snd
-    (Exec.Sweep.run ~jobs:spec.Experiment.Spec.jobs
-       (List.map
-          (fun method_id ->
-            Exec.Job.make ~key:method_id (fun () ->
-                run_method_spec spec sc ~arrival ~method_id ~keys ~queries
-                  ~arrivals ~ops))
-          spec.Experiment.Spec.methods))
+    (Exec.sweep ~jobs:spec.Experiment.Spec.jobs
+       (fun method_id ->
+         run_method_spec spec sc ~arrival ~method_id ~keys ~queries ~arrivals
+           ~ops)
+       spec.Experiment.Spec.methods)
 
 let load_sweep (spec : Experiment.Spec.t) ~loads =
   let sc0 = Experiment.Spec.scenario spec in
@@ -265,13 +263,11 @@ let load_sweep (spec : Experiment.Spec.t) ~loads =
       per_load
   in
   List.map snd
-    (Exec.Sweep.run ~jobs:spec.Experiment.Spec.jobs
-       (List.mapi
-          (fun i ((sc, arrival, keys, queries, arrivals, ops), method_id) ->
-            Exec.Job.make ~key:i (fun () ->
-                run_method_spec spec sc ~arrival ~method_id ~keys ~queries
-                  ~arrivals ~ops))
-          grid))
+    (Exec.sweep ~jobs:spec.Experiment.Spec.jobs
+       (fun ((sc, arrival, keys, queries, arrivals, ops), method_id) ->
+         run_method_spec spec sc ~arrival ~method_id ~keys ~queries ~arrivals
+           ~ops)
+       grid)
 
 let render ~(scenario : Workload.Scenario.t) reports =
   let tbl = Report.Table.create ~headers:Run_result.serving_header in

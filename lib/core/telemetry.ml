@@ -76,16 +76,16 @@ let run_label (r : Run_result.t) =
    sweeps and the long-running serve driver alike) produces
    byte-comparable files across runs and worker counts. *)
 let host_fields () =
-  let s = Exec.Pool.host_stats () in
-  if s.Exec.Pool.batches = 0 || Obs.Manifest.reproducible () then []
+  let s = Exec.host_stats () in
+  if s.Exec.batches = 0 || Obs.Manifest.reproducible () then []
   else
     [
-      ("pool_batches", Obs.Json.Int s.Exec.Pool.batches);
-      ("pool_tasks", Obs.Json.Int s.Exec.Pool.tasks);
-      ("pool_task_wall_s", Obs.Json.Float s.Exec.Pool.task_wall_s);
-      ("pool_batch_wall_s", Obs.Json.Float s.Exec.Pool.batch_wall_s);
-      ("pool_max_task_wall_s", Obs.Json.Float s.Exec.Pool.max_task_wall_s);
-      ("pool_max_workers", Obs.Json.Int s.Exec.Pool.max_workers);
+      ("pool_batches", Obs.Json.Int s.Exec.batches);
+      ("pool_tasks", Obs.Json.Int s.Exec.tasks);
+      ("pool_task_wall_s", Obs.Json.Float s.Exec.task_wall_s);
+      ("pool_batch_wall_s", Obs.Json.Float s.Exec.batch_wall_s);
+      ("pool_max_task_wall_s", Obs.Json.Float s.Exec.max_task_wall_s);
+      ("pool_max_workers", Obs.Json.Int s.Exec.max_workers);
     ]
 
 (* Note no [jobs] field: worker count is host execution provenance, not

@@ -197,16 +197,6 @@ let pending t ~dst =
   check_node t dst "pending";
   Channel.length t.mailboxes.(dst)
 
-let retry_with_backoff ?(backoff = 2.0) ~attempts ~timeout_ns f =
-  let rec go attempt timeout_ns =
-    if attempt > attempts then None
-    else
-      match f ~attempt ~timeout_ns with
-      | Some _ as hit -> hit
-      | None -> go (attempt + 1) (timeout_ns *. backoff)
-  in
-  go 0 timeout_ns
-
 let messages_sent t = t.sent
 let bytes_sent t = t.bytes
 let messages_delivered t = t.delivered

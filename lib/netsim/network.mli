@@ -65,19 +65,6 @@ val recv_timeout : 'a t -> dst:int -> timeout_ns:float -> 'a envelope option
 val try_recv : 'a t -> dst:int -> 'a envelope option
 val pending : 'a t -> dst:int -> int
 
-val retry_with_backoff :
-  ?backoff:float ->
-  attempts:int ->
-  timeout_ns:float ->
-  (attempt:int -> timeout_ns:float -> 'b option) ->
-  'b option
-(** [retry_with_backoff ~attempts ~timeout_ns f] runs
-    [f ~attempt ~timeout_ns] with [attempt = 0, 1, ..., attempts],
-    multiplying the timeout by [backoff] (default [2.0]) after each
-    [None], and returns the first [Some] result ([None] once the
-    attempt budget is exhausted).  A pure combinator: [f] does the
-    sending/receiving. *)
-
 (** {2 Accounting} *)
 
 val messages_sent : 'a t -> int

@@ -113,22 +113,14 @@ let snapshot (t : t) : snapshot =
 let empty =
   { count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity; buckets = [] }
 
-(* Combine two sorted bucket lists with [op] on counts, dropping zeros. *)
-let combine op a b =
-  let rec go a b =
-    match (a, b) with
-    | [], rest -> List.filter_map (fun (e, c) -> let c = op 0 c in if c = 0 then None else Some (e, c)) rest
-    | rest, [] -> rest
-    | (ea, ca) :: ta, (eb, cb) :: tb ->
-        if ea < eb then (ea, ca) :: go ta b
-        else if ea > eb then
-          let c = op 0 cb in
-          if c = 0 then go a tb else (eb, c) :: go a tb
-        else
-          let c = op ca cb in
-          if c = 0 then go ta tb else (ea, c) :: go ta tb
-  in
-  go a b
+(* Add two sorted bucket lists. *)
+let rec add_buckets a b =
+  match (a, b) with
+  | [], rest | rest, [] -> rest
+  | (ea, ca) :: ta, (eb, cb) :: tb ->
+      if ea < eb then (ea, ca) :: add_buckets ta b
+      else if ea > eb then (eb, cb) :: add_buckets a tb
+      else (ea, ca + cb) :: add_buckets ta tb
 
 let merge a b =
   {
@@ -136,16 +128,7 @@ let merge a b =
     sum = a.sum +. b.sum;
     min_v = Float.min a.min_v b.min_v;
     max_v = Float.max a.max_v b.max_v;
-    buckets = combine ( + ) a.buckets b.buckets;
-  }
-
-let diff ~after ~before =
-  {
-    count = after.count - before.count;
-    sum = after.sum -. before.sum;
-    min_v = after.min_v;
-    max_v = after.max_v;
-    buckets = combine ( - ) after.buckets before.buckets;
+    buckets = add_buckets a.buckets b.buckets;
   }
 
 let mean s = if s.count = 0 then 0.0 else s.sum /. float_of_int s.count

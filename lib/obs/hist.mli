@@ -5,7 +5,7 @@
     zero and negative values share a dedicated bottom bucket.  This
     gives ~60 buckets across the full double range, enough resolution
     for order-of-magnitude latency distributions while keeping merge
-    and diff exact (bucket counts just add/subtract — no rebinning).
+    exact (bucket counts just add — no rebinning).
 
     The exact running [sum], [count], [min] and [max] are tracked next
     to the buckets, so a mean computed from a histogram equals the mean
@@ -47,11 +47,6 @@ val merge_into : t -> t -> unit
 val empty : snapshot
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise sum; [min]/[max] combine accordingly. *)
-
-val diff : after:snapshot -> before:snapshot -> snapshot
-(** Bucketwise subtraction for monotone streams ([after] must extend
-    [before]); [min]/[max] are taken from [after] since the retired
-    observations cannot be reconstructed. *)
 
 val mean : snapshot -> float
 (** [0.] when empty. *)

@@ -25,7 +25,7 @@ val create :
   t
 (** [create fields] builds a manifest around caller-supplied fields
     (scenario name, seed, method list, ...).  [generator] names the
-    producing command; [host] carries volatile host-side facts (pool
+    producing command; [host] carries volatile host-side facts (sweep
     wall times, worker utilization) and is dropped entirely in
     reproducible mode. *)
 

@@ -56,8 +56,6 @@ module Snapshot = struct
 
   type t = entry list
 
-  let empty = []
-
   let compare_key a b =
     match compare a.name b.name with
     | 0 -> compare a.labels b.labels
@@ -70,46 +68,6 @@ module Snapshot = struct
     List.find_map
       (fun e -> if e.name = name && e.labels = labels then Some e.value else None)
       t
-
-  (* Merge two sorted snapshots with per-kind combinators. *)
-  let combine ~counter ~gauge:gauge_op ~hist a b =
-    let value_op va vb =
-      match (va, vb) with
-      | Counter x, Counter y -> Counter (counter x y)
-      | Gauge x, Gauge y -> Gauge (gauge_op x y)
-      | Histogram x, Histogram y -> Histogram (hist x y)
-      | _ -> vb (* kind change across snapshots: take the right side *)
-    in
-    let rec go a b =
-      match (a, b) with
-      | [], rest -> rest
-      | rest, [] -> rest
-      | ea :: ta, eb :: tb -> (
-          match compare_key ea eb with
-          | c when c < 0 -> ea :: go ta b
-          | c when c > 0 -> eb :: go a tb
-          | _ -> { ea with value = value_op ea.value eb.value } :: go ta tb)
-    in
-    go a b
-
-  let merge a b =
-    combine
-      ~counter:( +. )
-      ~gauge:(fun _ y -> y)
-      ~hist:Hist.merge a b
-
-  let diff ~after ~before =
-    (* Negate [before], then merge — but gauges must come from [after]
-       and entries present only in [before] must not survive. *)
-    let keys_after = List.map (fun e -> (e.name, e.labels)) after in
-    let before =
-      List.filter (fun e -> List.mem (e.name, e.labels) keys_after) before
-    in
-    combine
-      ~counter:(fun b a -> a -. b)
-      ~gauge:(fun _ a -> a)
-      ~hist:(fun b a -> Hist.diff ~after:a ~before:b)
-      before after
 
   (* ---------------------------------------------------------------- *)
   (* JSON *)

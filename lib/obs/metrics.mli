@@ -3,15 +3,15 @@
     set.
 
     A registry is the mutable collection side; a {!Snapshot.t} is the
-    immutable, deterministically-ordered view used for export, diffing
-    and merging.  Simulation code creates one registry {e per run} (so
-    parallel sweeps never share one — results merge in submission
-    order, which keeps every exported file byte-identical at any
-    worker-domain count) and the instrumented layers each contribute
-    their counters through [record_metrics]-style hooks.
+    immutable, deterministically-ordered view used for export.
+    Simulation code creates one registry {e per run} (so parallel sweeps
+    never share one — runs are reported in key order, which keeps every
+    exported file byte-identical at any worker-domain count) and the
+    instrumented layers each contribute their counters through
+    [record_metrics]-style hooks.
 
-    A registry is single-domain mutable state; cross-domain aggregation
-    happens on snapshots, which are plain immutable values. *)
+    A registry is single-domain mutable state: a run is always one
+    domain, so registries never combine across domains. *)
 
 type t
 
@@ -23,8 +23,7 @@ val create : unit -> t
 
 val incr : t -> ?labels:labels -> string -> int -> unit
 (** Add to a counter (creating it at zero).  Counters are monotone by
-    convention; negative increments are not rejected but make
-    {!Snapshot.diff} meaningless. *)
+    convention; negative increments are not rejected. *)
 
 val incr_f : t -> ?labels:labels -> string -> float -> unit
 (** Float counter increment (e.g. accumulated nanoseconds). *)
@@ -50,16 +49,6 @@ module Snapshot : sig
 
   type t = entry list
   (** Sorted by [(name, labels)]; keys are unique. *)
-
-  val empty : t
-
-  val diff : after:t -> before:t -> t
-  (** Counter/histogram subtraction, gauges from [after]; keyed on
-      [after]'s entries. *)
-
-  val merge : t -> t -> t
-  (** Counters and histograms add; on a gauge collision the right-hand
-      value wins (submission-order merging = "latest run wins"). *)
 
   val find : t -> ?labels:labels -> string -> value option
 

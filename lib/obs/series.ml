@@ -41,7 +41,6 @@ type t = {
 type builder = {
   w_ns : float;
   b_slo_ns : float;
-  b_budget : float;
   mutable cap : int;
   mutable n : int;  (* windows in use: 1 + highest touched index *)
   mutable offered : int array;
@@ -58,13 +57,15 @@ type builder = {
   mutable events : event list;  (* reverse recording order *)
 }
 
-let builder ~window_ns ~slo_ns ?(budget = 0.01) ?horizon_ns () =
+(* The SLO violation-rate budget: 1% of arrivals may finish over the
+   SLO. *)
+let budget = 0.01
+
+let builder ~window_ns ~slo_ns ?horizon_ns () =
   if not (window_ns > 0.0) then
     invalid_arg "Series.builder: window_ns must be positive";
   if not (slo_ns > 0.0) then
     invalid_arg "Series.builder: slo_ns must be positive";
-  if not (budget > 0.0 && budget <= 1.0) then
-    invalid_arg "Series.builder: budget must be in (0, 1]";
   let n =
     match horizon_ns with
     | None -> 0
@@ -77,7 +78,6 @@ let builder ~window_ns ~slo_ns ?(budget = 0.01) ?horizon_ns () =
   {
     w_ns = window_ns;
     b_slo_ns = slo_ns;
-    b_budget = budget;
     cap;
     n;
     offered = Array.make cap 0;
@@ -256,7 +256,7 @@ let finish b =
   {
     window_ns = b.w_ns;
     slo_ns = b.b_slo_ns;
-    budget = b.b_budget;
+    budget;
     windows;
     events;
   }

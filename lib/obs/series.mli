@@ -65,10 +65,9 @@ type t = {
 type builder
 
 val builder :
-  window_ns:float -> slo_ns:float -> ?budget:float -> ?horizon_ns:float ->
-  unit -> builder
-(** [window_ns] and [slo_ns] must be positive; [budget] (default 0.01)
-    in (0, 1].  [horizon_ns] pre-extends the series to cover the whole
+  window_ns:float -> slo_ns:float -> ?horizon_ns:float -> unit -> builder
+(** [window_ns] and [slo_ns] must be positive; the series' [budget] is
+    0.01.  [horizon_ns] pre-extends the series to cover the whole
     serving horizon even if its tail windows stay empty; deliveries
     after the horizon extend it further. *)
 

@@ -20,8 +20,8 @@ let sparkline ?v_min ?v_max values =
 let heat_row ?v_min ?v_max ~label values =
   Printf.sprintf "%-14s|%s" label (sparkline ?v_min ?v_max values)
 
-let render ?(width = 72) ?(height = 20) ?(logx = false) ?y_min ?y_max
-    ~x_label ~y_label series =
+let render ?(width = 72) ?(height = 20) ?(logx = false) ?y_min ~x_label
+    ~y_label series =
   let all_points = List.concat_map (fun s -> Array.to_list s.points) series in
   if all_points = [] then invalid_arg "Ascii_plot.render: no data";
   let xform x = if logx then log x /. log 2.0 else x in
@@ -30,7 +30,7 @@ let render ?(width = 72) ?(height = 20) ?(logx = false) ?y_min ?y_max
   let fmin = List.fold_left min infinity and fmax = List.fold_left max neg_infinity in
   let x0 = fmin xs and x1 = fmax xs in
   let y0 = match y_min with Some v -> v | None -> fmin ys in
-  let y1 = match y_max with Some v -> v | None -> fmax ys in
+  let y1 = fmax ys in
   let xr = if x1 > x0 then x1 -. x0 else 1.0 in
   let yr = if y1 > y0 then y1 -. y0 else 1.0 in
   let grid = Array.make_matrix height width ' ' in

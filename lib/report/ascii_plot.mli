@@ -12,14 +12,13 @@ val render :
   ?height:int ->
   ?logx:bool ->
   ?y_min:float ->
-  ?y_max:float ->
   x_label:string ->
   y_label:string ->
   series list ->
   string
 (** [render ~x_label ~y_label series] draws all series on a shared grid
-    (default 72x20), with axis ranges from the data unless overridden,
-    followed by a legend. *)
+    (default 72x20), with axis ranges from the data (the y-axis floor
+    overridable by [y_min]), followed by a legend. *)
 
 val sparkline : ?v_min:float -> ?v_max:float -> float array -> string
 (** One-line intensity strip: each value becomes one character from a

@@ -1,91 +1,78 @@
-(* Tests for the lib/exec domain-pool sweep executor: submission-order
-   determinism, exception surfacing without deadlock, and a parallel
-   sweep of real simulation jobs against a sequential one. *)
+(* Tests for the lib/exec sweep executor: key-order determinism,
+   exception surfacing after every cell has run, and a parallel sweep of
+   real simulation cells against a sequential one. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Pool basics *)
+(* Ordering *)
 
 let test_map_preserves_order () =
-  Exec.Pool.with_pool ~jobs:3 (fun p ->
-      let xs = Array.init 37 (fun i -> i) in
-      let ys = Exec.Pool.map p ~f:(fun i -> (i * 7) + 1) xs in
-      Alcotest.(check (array int))
-        "results indexed like inputs"
-        (Array.map (fun i -> (i * 7) + 1) xs)
-        ys)
+  let xs = List.init 37 Fun.id in
+  Alcotest.(check (list (pair int int)))
+    "results in key order"
+    (List.map (fun i -> (i, (i * 7) + 1)) xs)
+    (Exec.sweep ~jobs:3 (fun i -> (i * 7) + 1) xs)
 
 let test_map_empty_and_small () =
-  Exec.Pool.with_pool ~jobs:4 (fun p ->
-      check_int "empty" 0 (Array.length (Exec.Pool.map p ~f:(fun x -> x) [||]));
-      (* Fewer tasks than workers: the idle workers must not wedge the
-         batch. *)
-      Alcotest.(check (array int))
-        "singleton" [| 9 |]
-        (Exec.Pool.map p ~f:(fun x -> x * x) [| 3 |]))
-
-let test_pool_reusable_across_batches () =
-  Exec.Pool.with_pool ~jobs:2 (fun p ->
-      for round = 1 to 5 do
-        let ys = Exec.Pool.map p ~f:(fun i -> i + round) (Array.init 8 Fun.id) in
-        check_int "round result" (7 + round) ys.(7)
-      done)
-
-let test_create_rejects_zero_jobs () =
-  check_bool "jobs:0 rejected" true
-    (match Exec.Pool.create ~jobs:0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  check_int "empty" 0 (List.length (Exec.sweep ~jobs:4 Fun.id []));
+  (* Fewer cells than workers: only as many domains as cells. *)
+  Alcotest.(check (list (pair int int)))
+    "two cells, four workers" [ (3, 9); (4, 16) ]
+    (Exec.sweep ~jobs:4 (fun x -> x * x) [ 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Exception handling: a raising job must not deadlock or poison *)
+(* Exceptions: every cell runs, then the lowest raising key wins *)
 
 exception Boom of int
 
 let test_exception_surfaces_without_deadlock () =
-  let ran = Atomic.make 0 in
-  Exec.Pool.with_pool ~jobs:3 (fun p ->
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
       let raised =
         match
-          Exec.Pool.map p
-            ~f:(fun i ->
+          Exec.sweep ~jobs
+            (fun i ->
               Atomic.incr ran;
-              if i = 5 then raise (Boom i);
+              if i = 5 || i = 11 then raise (Boom i);
               i)
-            (Array.init 16 Fun.id)
+            (List.init 16 Fun.id)
         with
         | _ -> None
         | exception Boom i -> Some i
       in
-      check_bool "exception reached the caller" true (raised = Some 5);
-      (* Every task ran to completion before the raise was re-thrown:
-         nothing was abandoned and no worker deadlocked. *)
-      check_int "all 16 tasks executed" 16 (Atomic.get ran);
-      (* The pool survives for the next batch. *)
-      let ys = Exec.Pool.map p ~f:(fun i -> i * 2) (Array.init 4 Fun.id) in
-      Alcotest.(check (array int)) "pool still works" [| 0; 2; 4; 6 |] ys)
+      check_bool
+        (Printf.sprintf "jobs %d: lowest raising key reached the caller" jobs)
+        true (raised = Some 5);
+      check_int
+        (Printf.sprintf "jobs %d: all 16 cells ran" jobs)
+        16 (Atomic.get ran))
+    [ 1; 3 ]
 
 let test_first_exception_in_submission_order () =
-  Exec.Pool.with_pool ~jobs:4 (fun p ->
-      match
-        Exec.Pool.map p
-          ~f:(fun i -> if i >= 10 then raise (Boom i) else i)
-          (Array.init 16 Fun.id)
-      with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i -> check_int "lowest failing index wins" 10 i)
+  match
+    Exec.sweep ~jobs:4
+      (fun i -> if i >= 10 then raise (Boom i) else i)
+      (List.init 16 Fun.id)
+  with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> check_int "lowest failing key wins" 10 i
 
 (* ------------------------------------------------------------------ *)
-(* run *)
+(* Determinism *)
 
 let test_run_matches_sequential () =
-  let thunks = List.init 23 (fun i () -> i * i) in
-  Alcotest.(check (list int))
-    "jobs:4 = sequential"
-    (List.map (fun f -> f ()) thunks)
-    (Exec.Pool.run ~jobs:4 thunks)
+  let keys = List.init 23 Fun.id in
+  let seq = List.map (fun i -> (i, i * i)) keys in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "jobs %d = sequential" jobs)
+        seq
+        (Exec.sweep ~jobs (fun i -> i * i) keys))
+    [ 1; 2; 4; 64 ]
 
 (* The guarantee on real work: a parallel simulation sweep is
    bit-identical to a sequential [List.map].  Tiny scenario, two
@@ -107,28 +94,22 @@ let test_simulation_sweep_deterministic () =
       (Workload.Scenario.with_batch sc batch)
       ~method_id ~keys ~queries
   in
-  let par =
-    Exec.Sweep.run ~jobs:2
-      (List.map (fun k -> Exec.Job.make ~key:k (fun () -> cell k)) grid)
-  in
+  let par = Exec.sweep ~jobs:2 cell grid in
   let seq = List.map (fun k -> (k, cell k)) grid in
   check_bool "parallel = sequential" true (Stdlib.compare par seq = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sweep *)
+(* Keys *)
 
 let test_sweep_keyed_order () =
-  let js =
-    List.init 9 (fun i -> Exec.Job.make ~key:(Printf.sprintf "k%d" i) (fun () -> i))
-  in
-  let out = Exec.Sweep.run ~jobs:3 js in
+  let keys = List.init 9 (Printf.sprintf "k%d") in
   Alcotest.(check (list (pair string int)))
-    "keys travel with results in submission order"
-    (List.init 9 (fun i -> (Printf.sprintf "k%d" i, i)))
-    out
+    "keys travel with results in key order"
+    (List.mapi (fun i k -> (k, i)) keys)
+    (Exec.sweep ~jobs:3 (fun k -> int_of_string (String.sub k 1 1)) keys)
 
 let test_sweep_default_jobs_positive () =
-  check_bool "default jobs >= 1" true (Exec.Sweep.default_jobs () >= 1)
+  check_bool "default jobs >= 1" true (Exec.default_jobs () >= 1)
 
 let () =
   let tc = Alcotest.test_case in
@@ -138,8 +119,6 @@ let () =
         [
           tc "map preserves order" `Quick test_map_preserves_order;
           tc "empty and small batches" `Quick test_map_empty_and_small;
-          tc "reusable across batches" `Quick test_pool_reusable_across_batches;
-          tc "rejects zero jobs" `Quick test_create_rejects_zero_jobs;
         ] );
       ( "exceptions",
         [

@@ -51,12 +51,8 @@ let test_hist_algebra () =
   check_float "merge sum" 19.0 m.Obs.Hist.sum;
   check_float "merge min" 1.0 m.Obs.Hist.min_v;
   check_float "merge max" 9.0 m.Obs.Hist.max_v;
-  (* diff inverts merge on counts and sums (buckets with zero counts are
-     dropped, so structural equality holds too). *)
-  let d = Obs.Hist.diff ~after:m ~before:b in
-  check_int "diff count" a.Obs.Hist.count d.Obs.Hist.count;
-  check_float "diff sum" a.Obs.Hist.sum d.Obs.Hist.sum;
-  check_bool "diff buckets" true (d.Obs.Hist.buckets = a.Obs.Hist.buckets);
+  check_bool "merge buckets" true
+    (m.Obs.Hist.buckets = (mk [ 1.0; 2.0; 9.0; 3.0; 4.0 ]).Obs.Hist.buckets);
   (* add_snapshot merges into a live accumulator. *)
   let h = Obs.Hist.create () in
   Obs.Hist.observe h 5.0;
@@ -289,31 +285,6 @@ let test_snapshot_sorted_and_unique () =
   check_bool "sorted by (name, labels)" true (keys = List.sort compare keys);
   check_int "no duplicate keys" (List.length keys)
     (List.length (List.sort_uniq compare keys))
-
-let test_snapshot_algebra () =
-  let mk l =
-    let reg = Obs.Metrics.create () in
-    List.iter (fun (n, v) -> Obs.Metrics.incr reg n v) l;
-    Obs.Metrics.snapshot reg
-  in
-  let before = mk [ ("x", 2); ("y", 5) ] in
-  let after = mk [ ("x", 10); ("y", 5) ] in
-  let d = Obs.Metrics.Snapshot.diff ~after ~before in
-  (match Obs.Metrics.Snapshot.find d "x" with
-  | Some (Obs.Metrics.Snapshot.Counter v) -> check_float "diff subtracts" 8.0 v
-  | _ -> Alcotest.fail "x missing from diff");
-  let m = Obs.Metrics.Snapshot.merge before after in
-  (match Obs.Metrics.Snapshot.find m "x" with
-  | Some (Obs.Metrics.Snapshot.Counter v) -> check_float "merge adds" 12.0 v
-  | _ -> Alcotest.fail "x missing from merge");
-  (* merge with empty is identity. *)
-  check_bool "merge empty right" true
-    (Obs.Metrics.Snapshot.merge before Obs.Metrics.Snapshot.empty = before);
-  check_bool "merge empty left" true
-    (Obs.Metrics.Snapshot.merge Obs.Metrics.Snapshot.empty before = before);
-  (* diff after merge recovers the other operand for counters. *)
-  check_bool "merge then diff" true
-    (Obs.Metrics.Snapshot.diff ~after:m ~before = after)
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -1051,6 +1022,11 @@ let test_observe_grammar () =
       "metrics";
       "trace";
       "trace:out";
+      "metrics:out=";
+      "trace:out=";
+      "profile:out=";
+      "timeline:out= ";
+      "scope:out=";
     ]
 
 let test_observe_check () =
@@ -1097,7 +1073,7 @@ let () =
         [
           Alcotest.test_case "bucket boundaries" `Quick test_hist_buckets;
           Alcotest.test_case "exact stats" `Quick test_hist_stats;
-          Alcotest.test_case "merge/diff algebra" `Quick test_hist_algebra;
+          Alcotest.test_case "merge algebra" `Quick test_hist_algebra;
           Alcotest.test_case "p50/p95/p99 quantiles" `Quick
             test_hist_quantiles;
           Alcotest.test_case "empty histogram quantiles" `Quick
@@ -1135,7 +1111,6 @@ let () =
             test_metrics_counters;
           Alcotest.test_case "snapshot sorted+unique" `Quick
             test_snapshot_sorted_and_unique;
-          Alcotest.test_case "snapshot diff/merge" `Quick test_snapshot_algebra;
           Alcotest.test_case "render" `Quick test_render;
         ] );
       ( "json",
