@@ -257,6 +257,11 @@ let spec_term =
                   flag unit v)
       | _ -> None
     in
+    let at_least_one flag = function
+      | Some v when v < 1 ->
+          Some (Printf.sprintf "--%s must be at least 1, got %d" flag v)
+      | _ -> None
+    in
     let bad =
       List.find_map Fun.id
         [
@@ -264,6 +269,10 @@ let spec_term =
           positive "slo" "nanoseconds" slo;
           positive "duration" "nanoseconds" duration;
           positive "offered-load" "queries per second" offered_load;
+          at_least_one "keys" keys;
+          at_least_one "nodes" nodes;
+          at_least_one "masters" masters;
+          at_least_one "clients" clients;
         ]
     in
     match (base, net, bad) with
@@ -282,18 +291,35 @@ let spec_term =
           |> override offered_load Workload.Scenario.with_offered_load
           |> override clients Workload.Scenario.with_clients
         in
-        Ok
-          (Spec.default
-          |> Spec.with_scenario sc
-          |> Spec.with_jobs jobs
-          |> (match methods with [] -> Fun.id | ms -> Spec.with_methods ms)
-          |> override seed Spec.with_seed
-          |> Spec.with_observe observe
-          |> Spec.with_faults faults
-          |> override arrival Spec.with_arrival
-          |> override slo Spec.with_slo
-          |> override batches Spec.with_batches
-          |> Spec.with_updates updates)
+        let selected =
+          match methods with [] -> Spec.default.Spec.methods | ms -> ms
+        in
+        let n_nodes = sc.Workload.Scenario.n_nodes
+        and n_masters = sc.Workload.Scenario.n_masters in
+        (* Method C needs a slave beside its masters. *)
+        if
+          List.exists Dispatch.Methods.is_distributed selected
+          && n_nodes <= n_masters
+        then
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "--nodes (%d) must exceed --masters (%d) for the Method C \
+                  family"
+                 n_nodes n_masters))
+        else
+          Ok
+            (Spec.default
+            |> Spec.with_scenario sc
+            |> Spec.with_jobs jobs
+            |> (match methods with [] -> Fun.id | ms -> Spec.with_methods ms)
+            |> override seed Spec.with_seed
+            |> Spec.with_observe observe
+            |> Spec.with_faults faults
+            |> override arrival Spec.with_arrival
+            |> override slo Spec.with_slo
+            |> override batches Spec.with_batches
+            |> Spec.with_updates updates)
   in
   Term.(
     term_result ~usage:true

@@ -13,8 +13,12 @@
     This module is the one implementation of that protocol.  The nodes
     never communicate, so each node's timeline is one epoch on its own
     engine and machine; epochs run one after another on the calling
-    domain and merge in node order.  The driver varies
-    only along the axes of its inputs:
+    domain and merge in node order.  Every node starts from the same
+    replica, and building it is untimed, so each call builds it once,
+    into a {!Machine.image}, and every epoch (the single batch epoch
+    included) loads that image into its fresh machine and re-targets
+    the replica's descriptors there.  The image lives for the call
+    only.  The driver varies only along the axes of its inputs:
     - [source]: under {!Method_c.Batch}, one node (machine ["worker"])
       drains the whole stream and its time is divided by [n_nodes] —
       the paper's Figure 3 protocol, which charges the dispatcher and

@@ -60,6 +60,15 @@ let create ?budget_bytes ?(max_batch = 65536) tr =
   in
   { tr; m; grps; bufs; flushes = 0; total_buffer_words = !total }
 
+let retarget t m =
+  {
+    t with
+    tr = Nary_tree.retarget t.tr m;
+    m;
+    bufs = Array.map (Array.map (fun b -> { b with len = 0 })) t.bufs;
+    flushes = 0;
+  }
+
 let tree t = t.tr
 let groups t = Array.length t.grps
 let group_levels t = Array.map (fun g -> g.span) t.grps

@@ -29,6 +29,11 @@ val create :
     buffers sized for batches of up to [max_batch] queries (default
     65536). *)
 
+val retarget : t -> Machine.t -> t
+(** [retarget t m] is [t] (its tree included, see
+    {!Nary_tree.retarget}) over machine [m], loaded from an image of the
+    machine [t] was built on, with empty buffers and no flushes. *)
+
 val tree : t -> Nary_tree.t
 val groups : t -> int
 (** Number of level groups ([>= 1]). *)

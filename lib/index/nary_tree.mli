@@ -25,6 +25,12 @@ val build : ?keys_per_node:int -> Machine.t -> int array -> t
     be strictly increasing and non-empty.  [keys_per_node] defaults to
     half the machine's L2-line words (so one node = one line). *)
 
+val retarget : t -> Machine.t -> t
+(** [retarget t m] is [t] over machine [m], which must hold [t]'s
+    memory: [m] was loaded from a {!Machine.image} of the machine [t]
+    was built on.  Raises [Invalid_argument] if [m] has not allocated
+    the tree's words. *)
+
 val machine : t -> Machine.t
 val levels : t -> int
 (** T, counting the leaf level. *)

@@ -68,6 +68,9 @@ type t = {
   stats : stats;
 }
 
+let zero_stats () =
+  { inserts = 0; deletes = 0; noops = 0; seals = 0; merges = 0; majors = 0 }
+
 let create m ?(policy = default_policy) keys =
   check_policy policy;
   Key.check_sorted_unique keys;
@@ -88,9 +91,19 @@ let create m ?(policy = default_policy) keys =
     active_len = 0;
     sealed = [];
     delta_entries = 0;
-    stats =
-      { inserts = 0; deletes = 0; noops = 0; seals = 0; merges = 0; majors = 0 };
+    stats = zero_stats ();
   }
+
+let retarget t m =
+  let top =
+    List.fold_left
+      (fun a s -> max a (s.s_keys + (3 * s.s_len)))
+      (max (t.base + t.base_len) (t.active + (2 * t.pol.seg_capacity)))
+      t.sealed
+  in
+  if Machine.words_allocated m < top then
+    invalid_arg "Segments.retarget: machine does not hold the index";
+  { t with m; stats = zero_stats () }
 
 let machine t = t.m
 let length t = t.live

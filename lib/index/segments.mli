@@ -46,6 +46,13 @@ val create : Machine.t -> ?policy:policy -> int array -> t
     cache microscope.  Raises [Invalid_argument] on unsorted keys or a
     malformed policy. *)
 
+val retarget : t -> Machine.t -> t
+(** [retarget t m] is [t] over machine [m], loaded from an image of the
+    machine [t] was built on: the same base, segments and active log,
+    with {!stats} back at zero.  Later updates to either leave the other
+    unchanged.  Raises [Invalid_argument] if [m] has not allocated the
+    index's words. *)
+
 val machine : t -> Machine.t
 val length : t -> int
 (** Current number of live keys. *)

@@ -11,6 +11,17 @@ type t = {
   prof : Obs.Profile.t option; (* ambient recorders frozen at creation — *)
   tracer : Simcore.Trace.t option; (* installed around whole runs, so the
                                       hot path skips the DLS lookups *)
+  mutable labels : region list option;
+      (* [Some], newest first, only while the machine builds an image *)
+}
+
+and region = { label : string; base : int; words : int }
+
+type image = {
+  img_params : Cachesim.Mem_params.t;
+  store : Bytes.t; (* exactly [img_brk] words *)
+  img_brk : int;
+  regions : region list; (* labelling order *)
 }
 
 (* Words are unsigned 32-bit values held 4 bytes apiece in a [Bytes.t]:
@@ -26,9 +37,10 @@ let word_max = 0xFFFF_FFFF
 let get_word mem a = Int32.to_int (get32u mem (a lsl 2)) land word_max
 let set_word mem a v = set32u mem (a lsl 2) (Int32.of_int v)
 
-(* [ensure] doubles on demand, so this only sets the floor; a small
-   floor keeps the per-run zeroing and the host cache footprint of idle
-   machines proportional to what a run actually allocates. *)
+(* [ensure] doubles on demand (from this floor when the store is empty,
+   as a released or loaded one can be), so this only sets the floor; a
+   small floor keeps the per-run zeroing and the host cache footprint of
+   idle machines proportional to what a run actually allocates. *)
 let initial_words = 1 lsl 12
 
 let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
@@ -49,6 +61,7 @@ let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
     acc = [| 0.0; 0.0 |];
     prof = Obs.Profile.current ();
     tracer = Simcore.Trace.current ();
+    labels = None;
   }
 
 let engine t = t.eng
@@ -60,7 +73,7 @@ let words_allocated t = t.brk
 let ensure t limit =
   let cap = Bytes.length t.mem / 4 in
   if limit > cap then begin
-    let cap' = ref cap in
+    let cap' = ref (max cap initial_words) in
     while limit > !cap' do
       cap' := !cap' * 2
     done;
@@ -69,6 +82,9 @@ let ensure t limit =
     t.mem <- mem'
   end
 
+let line_words t = t.p.l2_line / t.p.word_bytes
+let align_up a align = (a + align - 1) / align * align
+
 let alloc t ?align_words n =
   if n < 0 then invalid_arg "Machine.alloc: negative size";
   let align =
@@ -76,9 +92,9 @@ let alloc t ?align_words n =
     | Some a ->
         if a < 1 then invalid_arg "Machine.alloc: bad alignment";
         a
-    | None -> t.p.l2_line / t.p.word_bytes
+    | None -> line_words t
   in
-  let base = (t.brk + align - 1) / align * align in
+  let base = align_up t.brk align in
   t.brk <- base + n;
   ensure t t.brk;
   base
@@ -165,6 +181,9 @@ let dma_write t a data =
 let flush_caches t = Cachesim.Hierarchy.flush t.hier
 
 let label_region t ~label ~base ~words =
+  (match t.labels with
+  | Some rs -> t.labels <- Some ({ label; base; words } :: rs)
+  | None -> ());
   match Cachesim.Hierarchy.scope t.hier with
   | Some node ->
       Obs.Cachescope.label_region node ~label ~lo:(base * t.p.word_bytes)
@@ -181,6 +200,71 @@ let labelled_alloc t ?align_words ~label n =
   let base = alloc t ?align_words n in
   label_region t ~label ~base ~words:n;
   base
+
+(* The private machine an image is built on: its own engine, no
+   ambient recorder (so no scope node, profile or trace sees it), and a
+   one-set hierarchy, since index construction only pokes.  Its store
+   goes to the image and is then dropped, so the descriptors built on it
+   keep nothing of its memory alive. *)
+let build_image (p : Cachesim.Mem_params.t) build =
+  let t =
+    {
+      eng = Simcore.Engine.create ();
+      node_name = "image";
+      p;
+      hier =
+        Cachesim.Hierarchy.create
+          {
+            p with
+            l1_size = p.l1_line * p.l1_ways;
+            l2_size = p.l2_line * p.l2_ways;
+            tlb_entries = 0;
+          };
+      mem = Bytes.empty;
+      brk = 0;
+      acc = [| 0.0; 0.0 |];
+      prof = None;
+      tracer = None;
+      labels = Some [];
+    }
+  in
+  let x = build t in
+  let img =
+    {
+      img_params = p;
+      store = Bytes.sub t.mem 0 (4 * t.brk);
+      img_brk = t.brk;
+      regions = List.rev (Option.get t.labels);
+    }
+  in
+  t.mem <- Bytes.empty;
+  t.brk <- 0;
+  t.labels <- None;
+  (img, x)
+
+let load_image t ?(then_alloc = []) img =
+  if t.brk <> 0 then
+    invalid_arg
+      (Printf.sprintf "Machine.load_image: %s is not empty" t.node_name);
+  if img.img_params != t.p && img.img_params <> t.p then
+    invalid_arg "Machine.load_image: image built for other parameters";
+  let cap =
+    List.fold_left
+      (fun brk n ->
+        if n < 0 then invalid_arg "Machine.load_image: negative size";
+        align_up brk (line_words t) + n)
+      img.img_brk then_alloc
+  in
+  let mem = Bytes.create (4 * cap) in
+  Bytes.blit img.store 0 mem 0 (4 * img.img_brk);
+  Bytes.fill mem (4 * img.img_brk) (4 * (cap - img.img_brk)) '\000';
+  t.mem <- mem;
+  t.brk <- img.img_brk;
+  List.iter
+    (fun r -> label_region t ~label:r.label ~base:r.base ~words:r.words)
+    img.regions
+
+let capacity_words t = Bytes.length t.mem / 4
 
 let sample_residency t =
   match Cachesim.Hierarchy.scope t.hier with

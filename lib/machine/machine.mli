@@ -15,7 +15,14 @@
 
     Untimed {!peek}/{!poke} bypass the cache model entirely; they are for
     setup (index construction is not part of any measured interval in the
-    paper) and for validation. *)
+    paper) and for validation.
+
+    Because construction is untimed, a built index is just memory: an
+    {!image} holds the words, the allocation mark and the labelled
+    regions of an index built once by {!build_image}, and
+    {!load_image} gives any number of fresh machines that same memory
+    without rebuilding it.  A loaded machine's caches start cold, as a
+    built one's do, so no simulated outcome can tell the two apart. *)
 
 type t
 
@@ -35,6 +42,10 @@ val alloc : t -> ?align_words:int -> int -> int
     index nodes start on line boundaries as the paper's layouts assume. *)
 
 val words_allocated : t -> int
+
+val capacity_words : t -> int
+(** Words the host store holds before the next allocation must grow it
+    (a doubling copy).  Diagnostic: no simulated cost depends on it. *)
 
 (** {2 Timed accesses} *)
 
@@ -114,6 +125,33 @@ val labelled : t -> label:string -> (unit -> 'a) -> 'a
 
 val labelled_alloc : t -> ?align_words:int -> label:string -> int -> int
 (** {!alloc} + {!label_region} in one step. *)
+
+(** {2 Images}
+
+    An image is immutable: it can be loaded into any number of machines
+    with its parameters, and a write into one of them changes neither
+    the image nor the others. *)
+
+type image
+
+val build_image : Cachesim.Mem_params.t -> (t -> 'a) -> image * 'a
+(** [build_image p build] runs [build] (index constructors: {!alloc},
+    {!poke}, labels) on a private machine with parameters [p] and
+    returns its exact-size image and [build]'s result.  The private
+    machine has its own engine and is seen by no ambient recorder: it
+    adds no {!Obs.Cachescope} node, profile charge or trace lane.  Its
+    store is released once imaged: descriptors [build] returned refer
+    to a machine with no words left (any access raises), and serve only
+    as shapes to re-target to a loaded machine. *)
+
+val load_image : t -> ?then_alloc:int list -> image -> unit
+(** [load_image m img] gives the empty machine [m] the image's words and
+    allocation mark, then replays its labels in labelling order (so an
+    ambient cache scope sees exactly the labels a build on [m] would
+    have made).  The store is sized once, to the image plus the
+    default-aligned allocations [then_alloc] that will follow, so those
+    never grow it.  Raises [Invalid_argument] if [m] has allocated
+    anything, or if [img] was built for other parameters. *)
 
 val sample_residency : t -> unit
 (** Freeze the current per-(level, region) residency fractions at the

@@ -556,6 +556,85 @@ let prop_all_structures_agree =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Images: a replica loaded from an image is the replica a fresh build
+   makes, word for word, label for label and nanosecond for nanosecond. *)
+
+let scope_regions sc name =
+  match
+    List.find_opt
+      (fun n -> Obs.Cachescope.node_name n = name)
+      (Obs.Cachescope.nodes sc)
+  with
+  | Some n -> Obs.Cachescope.regions n
+  | None -> Alcotest.failf "no scope node %s" name
+
+(* Under one cache scope: [build] on a fresh machine, and an image of
+   [build] loaded into a second machine.  Checks the two memories and
+   label sets are equal, and returns both machines, the fresh build's
+   result and the image's template. *)
+let fresh_and_loaded build =
+  let sc = Obs.Cachescope.create () in
+  Obs.Cachescope.with_recording sc (fun () ->
+      let fm = Machine.create (Engine.create ()) ~name:"fresh" p3 in
+      let fresh = build fm in
+      let img, template = Machine.build_image p3 build in
+      let lm = Machine.create (Engine.create ()) ~name:"loaded" p3 in
+      Machine.load_image lm img;
+      let n = Machine.words_allocated fm in
+      check_int "brk" n (Machine.words_allocated lm);
+      for a = 0 to n - 1 do
+        if Machine.peek fm a <> Machine.peek lm a then
+          Alcotest.failf "word %d differs" a
+      done;
+      check_bool "labelled regions" true
+        (scope_regions sc "fresh" = scope_regions sc "loaded");
+      check_bool "labelled" true (scope_regions sc "loaded" <> []);
+      (fm, fresh, lm, template))
+
+let build_tree keys m =
+  Machine.labelled m ~label:"partition" (fun () -> Index.Nary_tree.build m keys)
+
+let test_nary_image () =
+  let keys = make_keys 20_000 in
+  let fm, fresh, lm, template = fresh_and_loaded (build_tree keys) in
+  let loaded = Index.Nary_tree.retarget template lm in
+  List.iter
+    (fun q ->
+      let r = Index.Nary_tree.search fresh q in
+      check_int "rank" (Index.Ref_impl.rank keys q) r;
+      check_int "loaded rank" r (Index.Nary_tree.search loaded q))
+    (interesting_queries 20_000);
+  Alcotest.(check (float 0.0))
+    "same simulated cost" (Machine.busy_ns fm) (Machine.busy_ns lm);
+  check_bool "empty machine refused" true
+    (match Index.Nary_tree.retarget template (fresh_machine ()) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_buffered_image () =
+  let keys = make_keys 5000 in
+  let build m =
+    Index.Buffered.create ~budget_bytes:128 ~max_batch:64 (build_tree keys m)
+  in
+  let fm, fresh, lm, template = fresh_and_loaded build in
+  let loaded = Index.Buffered.retarget template lm in
+  let qs = Array.append (Array.make 300 5) (Array.init 300 (fun i -> i * 113)) in
+  let rs = run_batch fm fresh qs in
+  check_bool "loaded results" true (run_batch lm loaded qs = rs);
+  check_bool "flushed" true (Index.Buffered.overflow_flushes loaded > 0);
+  check_int "same flushes" (Index.Buffered.overflow_flushes fresh)
+    (Index.Buffered.overflow_flushes loaded);
+  Alcotest.(check (float 0.0))
+    "same simulated cost" (Machine.busy_ns fm) (Machine.busy_ns lm);
+  (* Re-targeting a used descriptor starts from a clean slate. *)
+  let img, _ = Machine.build_image p3 build in
+  let m3 = fresh_machine () in
+  Machine.load_image m3 img;
+  let again = Index.Buffered.retarget loaded m3 in
+  check_int "fresh flush count" 0 (Index.Buffered.overflow_flushes again);
+  check_bool "fresh copy answers" true (run_batch m3 again qs = rs)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "index"
@@ -606,6 +685,11 @@ let () =
           tc "single group" `Quick test_buffered_single_group_degenerates;
           tc "beats naive out of cache" `Slow
             test_buffered_cheaper_than_naive_out_of_cache;
+        ] );
+      ( "image",
+        [
+          tc "nary tree" `Quick test_nary_image;
+          tc "tree + buffered" `Quick test_buffered_image;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -234,6 +234,139 @@ let test_sequential_scan_cheaper_than_random () =
          show sequential at least 5x cheaper on a 256 KB scan. *)
       check_bool "sequential much cheaper" true (seq_cost *. 5.0 < rand_cost))
 
+(* ------------------------------------------------------------------ *)
+(* Images *)
+
+(* A small "index": two aligned blocks of distinct words, labelled as
+   the drivers label theirs. *)
+let build_sample m =
+  let a =
+    Machine.labelled m ~label:"partition" (fun () ->
+        let a = Machine.alloc m 13 in
+        for i = 0 to 12 do
+          Machine.poke m (a + i) (1000 + i)
+        done;
+        a)
+  in
+  let b = Machine.labelled_alloc m ~label:"delta" 5 in
+  Machine.poke_array m b [| 7; 8; 9; 10; 11 |];
+  (a, b)
+
+let words m = Array.init (Machine.words_allocated m) (Machine.peek m)
+
+let test_image_equals_build () =
+  with_machine (fun eng m ->
+      let fresh_addrs = build_sample m in
+      let img, addrs = Machine.build_image p3 build_sample in
+      check_bool "same addresses" true (addrs = fresh_addrs);
+      let l = Machine.create eng ~name:"l" p3 in
+      Machine.load_image l img;
+      check_int "brk" (Machine.words_allocated m) (Machine.words_allocated l);
+      check_bool "words" true (words m = words l);
+      check_float "loading is untimed" 0.0 (Machine.busy_ns l))
+
+let test_image_copies_independent () =
+  let img, (a, _) = Machine.build_image p3 build_sample in
+  let load () =
+    let l = Machine.create (Engine.create ()) ~name:"l" p3 in
+    Machine.load_image l img;
+    l
+  in
+  let l1 = load () and l2 = load () in
+  let before = words l2 in
+  Machine.write l1 a 42;
+  Machine.poke l1 (a + 1) 43;
+  check_int "written" 42 (Machine.peek l1 a);
+  check_bool "other copy unchanged" true (words l2 = before);
+  check_bool "image unchanged" true (words (load ()) = before)
+
+let test_load_image_needs_empty_machine () =
+  let img, _ = Machine.build_image p3 build_sample in
+  with_machine (fun _ m ->
+      ignore (Machine.alloc m 1);
+      check_bool "non-empty raises" true
+        (match Machine.load_image m img with
+        | () -> false
+        | exception Invalid_argument _ -> true));
+  with_machine (fun _ m ->
+      Machine.load_image m img;
+      check_bool "second load raises" true
+        (match Machine.load_image m img with
+        | () -> false
+        | exception Invalid_argument _ -> true));
+  let p4 = Machine.create (Engine.create ()) Cachesim.Mem_params.pentium4 in
+  check_bool "other parameters raise" true
+    (match Machine.load_image p4 img with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+let test_load_image_sizes_store_once () =
+  let img, _ = Machine.build_image p3 build_sample in
+  with_machine (fun _ m ->
+      Machine.load_image m img ~then_alloc:[ 3; 1000 ];
+      let cap = Machine.capacity_words m in
+      let q = Machine.alloc m 3 in
+      let r = Machine.alloc m 1000 in
+      check_int "known allocations fit exactly" cap
+        (Machine.words_allocated m);
+      check_int "no growth" cap (Machine.capacity_words m);
+      check_int "fresh words are zero" 0 (Machine.peek m (r + 999));
+      check_int "aligned" 0 (q mod 8);
+      ignore (Machine.alloc m 1);
+      check_bool "growth past them still works" true
+        (Machine.capacity_words m > cap);
+      check_int "image words kept" 1003 (Machine.peek m 3));
+  (* An empty image loads as an empty store, which must still grow. *)
+  let empty, () = Machine.build_image p3 ignore in
+  with_machine (fun _ m ->
+      Machine.load_image m empty;
+      check_int "empty store" 0 (Machine.capacity_words m);
+      let a = Machine.alloc m 5 in
+      Machine.poke m (a + 4) 9;
+      check_int "grew from empty" 9 (Machine.peek m (a + 4)))
+
+let scope_regions sc name =
+  match
+    List.find_opt
+      (fun n -> Obs.Cachescope.node_name n = name)
+      (Obs.Cachescope.nodes sc)
+  with
+  | Some n -> Obs.Cachescope.regions n
+  | None -> Alcotest.failf "no scope node %s" name
+
+let test_image_scope () =
+  let sc = Obs.Cachescope.create () in
+  Obs.Cachescope.with_recording sc (fun () ->
+      let img, _ = Machine.build_image p3 build_sample in
+      check_int "building adds no scope node" 0
+        (List.length (Obs.Cachescope.nodes sc));
+      let eng = Engine.create () in
+      let fresh = Machine.create eng ~name:"fresh" p3 in
+      ignore (build_sample fresh);
+      let loaded = Machine.create eng ~name:"loaded" p3 in
+      Machine.load_image loaded img;
+      check_int "one node per machine" 2 (List.length (Obs.Cachescope.nodes sc));
+      check_bool "labels replayed in order" true
+        (scope_regions sc "fresh" = scope_regions sc "loaded");
+      check_int "two labels" 2 (List.length (scope_regions sc "loaded")))
+
+(* A descriptor built on the private machine keeps none of its memory:
+   the store went to the image. *)
+let test_image_template_released () =
+  let img, (template, (a, _)) =
+    Machine.build_image p3 (fun m -> (m, build_sample m))
+  in
+  check_int "template emptied" 0 (Machine.words_allocated template);
+  check_int "template store released" 0 (Machine.capacity_words template);
+  check_bool "template access raises" true
+    (match Machine.peek template a with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  with_machine (fun _ m ->
+      Machine.load_image m img;
+      check_int "image exact" (Machine.words_allocated m)
+        (Machine.capacity_words m))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "machine"
@@ -268,4 +401,13 @@ let () =
         [ tc "dma_write invalidates" `Quick test_dma_write_invalidates ] );
       ( "isolation",
         [ tc "independent caches" `Quick test_two_machines_independent_caches ] );
+      ( "image",
+        [
+          tc "load equals build" `Quick test_image_equals_build;
+          tc "copies independent" `Quick test_image_copies_independent;
+          tc "needs empty machine" `Quick test_load_image_needs_empty_machine;
+          tc "store sized once" `Quick test_load_image_sizes_store_once;
+          tc "scope" `Quick test_image_scope;
+          tc "template released" `Quick test_image_template_released;
+        ] );
     ]

@@ -206,6 +206,80 @@ let prop_oracle_identity =
            = Index.Ref_impl.Dyn.to_sorted_array oracle;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Images: a Segments replica loaded from an image behaves exactly as a
+   freshly built one, and each loaded copy moves on its own. *)
+
+let scope_regions sc name =
+  match
+    List.find_opt
+      (fun n -> Obs.Cachescope.node_name n = name)
+      (Obs.Cachescope.nodes sc)
+  with
+  | Some n -> Obs.Cachescope.regions n
+  | None -> Alcotest.failf "no scope node %s" name
+
+let test_image () =
+  let policy =
+    { Index.Segments.seg_capacity = 4; merge_threshold = 2;
+      major_fraction = 0.05 }
+  in
+  let keys = make_keys 300 in
+  let build m = Index.Segments.create m ~policy keys in
+  let sc = Obs.Cachescope.create () in
+  Obs.Cachescope.with_recording sc (fun () ->
+      let fm = Machine.create (Engine.create ()) ~name:"fresh" p3 in
+      let fresh = build fm in
+      let img, template = Machine.build_image p3 build in
+      let load name =
+        let m = Machine.create (Engine.create ()) ~name p3 in
+        Machine.load_image m img;
+        (m, Index.Segments.retarget template m)
+      in
+      let lm, loaded = load "loaded" in
+      let n = Machine.words_allocated fm in
+      check_int "brk" n (Machine.words_allocated lm);
+      for a = 0 to n - 1 do
+        if Machine.peek fm a <> Machine.peek lm a then
+          Alcotest.failf "word %d differs" a
+      done;
+      check_bool "labelled regions" true
+        (scope_regions sc "fresh" = scope_regions sc "loaded");
+      let _, other = load "other" in
+      (* The same stream on the fresh and the loaded replica: seals,
+         merges and major compactions included. *)
+      let g = Prng.Splitmix.create 9 in
+      for _ = 1 to 200 do
+        let k = Prng.Splitmix.int g 3000 in
+        (match Prng.Splitmix.int g 3 with
+        | 0 ->
+            check_bool "insert" (Index.Segments.insert fresh k)
+              (Index.Segments.insert loaded k)
+        | 1 ->
+            check_bool "delete" (Index.Segments.delete fresh k)
+              (Index.Segments.delete loaded k)
+        | _ -> ());
+        check_int "search" (Index.Segments.search fresh k)
+          (Index.Segments.search loaded k)
+      done;
+      let st = Index.Segments.stats loaded in
+      check_bool "stats equal" true (Index.Segments.stats fresh = st);
+      check_bool "majors ran" true (st.Index.Segments.majors > 0);
+      Alcotest.(check (float 0.0))
+        "same simulated cost" (Machine.busy_ns fm) (Machine.busy_ns lm);
+      check_bool "live keys" true
+        (Index.Segments.live_keys fresh = Index.Segments.live_keys loaded);
+      (* The other copy still holds the image's index, with no stats. *)
+      check_bool "other copy unchanged" true
+        (Index.Segments.live_keys other = keys);
+      check_int "other stats" 0 (Index.Segments.stats other).Index.Segments.inserts;
+      let _, again = load "again" in
+      check_bool "image unchanged" true (Index.Segments.live_keys again = keys);
+      check_bool "empty machine refused" true
+        (match Index.Segments.retarget template (fresh_machine ()) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "segments"
@@ -220,6 +294,7 @@ let () =
           tc "empty base" `Quick test_empty_base;
           tc "charges time" `Quick test_charges_time;
           tc "policy validation" `Quick test_policy_validation;
+          tc "image" `Quick test_image;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_oracle_identity ] );
