@@ -135,6 +135,26 @@ let micro_tests ~jobs =
       (Staged.stage @@ fun () ->
        Array.iter (fun a -> ignore (Cachesim.Hierarchy.access h ~addr:a ~write:false)) addrs)
   in
+  let test_cache_l2_misses =
+    (* Random words over 64 MB, 128 times the L2: the addresses come from
+       a 2^18-entry pool (8 MB of lines, 16 times the L2) walked 4k at a
+       time, so nearly every reference misses L1 and L2 and most miss
+       the TLB.  No other cachesim stream misses L2 at random. *)
+    let h = Cachesim.Hierarchy.create Cachesim.Mem_params.pentium3 in
+    let g = Prng.Splitmix.create 7 in
+    let pool = 1 lsl 18 in
+    let addrs = Array.init pool (fun _ -> 4 * Prng.Splitmix.int g (1 lsl 24)) in
+    let next = ref 0 in
+    Test.make ~name:"cachesim/4k-l2-random-misses"
+      (Staged.stage @@ fun () ->
+       let base = !next in
+       for i = base to base + 4095 do
+         ignore
+           (Cachesim.Hierarchy.access h ~addr:(Array.unsafe_get addrs i)
+              ~write:false)
+       done;
+       next := (base + 4096) land (pool - 1))
+  in
   let test_cache_access_scoped =
     (* Same access stream as cachesim/4k-accesses but with a cache
        microscope attached: the delta is the classifier's overhead
@@ -181,7 +201,7 @@ let micro_tests ~jobs =
   Test.make_grouped ~name:"micro"
     [ test_sorted_array; test_nary; test_csb; test_buffered;
       test_eytzinger; test_cache_access; test_cache_sequential;
-      test_cache_tlb_strided; test_cache_access_scoped;
+      test_cache_tlb_strided; test_cache_l2_misses; test_cache_access_scoped;
       test_engine; test_mpi_collectives; test_sweep_overhead ]
 
 (* ------------------------------------------------------------------ *)

@@ -103,8 +103,11 @@ let rec find_way_from slots n_ways base key w =
 let find_way t base line = find_way_from t.slots t.n_ways base ((line * 2) + 1) 0
 
 (* Move the entries at [base, base + w) back one slot, to
-   [base + 1, base + w]; the entry at [base + w] is overwritten. *)
-let rec shift_back slots base w =
+   [base + 1, base + w]; the entry at [base + w] is overwritten.
+   The [int array] annotations here and on [shift_forward] matter:
+   unannotated, the helper is polymorphic and each stored slot is a
+   [caml_modify] call (the write barrier), seven per L2 fill. *)
+let rec shift_back (slots : int array) base w =
   if w > 0 then begin
     Array.unsafe_set slots (base + w) (Array.unsafe_get slots (base + w - 1));
     shift_back slots base (w - 1)
@@ -173,7 +176,7 @@ let resident t ~addr =
   find_way t base line >= 0
 
 (* Move the entries at [(i, last]] forward one slot, to [[i, last)]. *)
-let rec shift_forward slots i last =
+let rec shift_forward (slots : int array) i last =
   if i < last then begin
     Array.unsafe_set slots i (Array.unsafe_get slots (i + 1));
     shift_forward slots (i + 1) last

@@ -24,8 +24,10 @@ let create ?(streams = 16) () =
 
 (* Top-level recursion with explicit arguments: a local [let rec]
    capturing [t]/[line] would allocate a closure on every L2 miss
-   without flambda. *)
-let rec find_stream last_lines prev i =
+   without flambda.  The [int] annotations matter too: unannotated, the
+   [=] below is a polymorphic [caml_equal] call per stream, up to 16 on
+   every L2 miss. *)
+let rec find_stream (last_lines : int array) (prev : int) i =
   if i = Array.length last_lines then -1
   else if Array.unsafe_get last_lines i = prev then i
   else find_stream last_lines prev (i + 1)

@@ -269,6 +269,7 @@ let spec_term =
           positive "slo" "nanoseconds" slo;
           positive "duration" "nanoseconds" duration;
           positive "offered-load" "queries per second" offered_load;
+          at_least_one "queries" queries;
           at_least_one "keys" keys;
           at_least_one "nodes" nodes;
           at_least_one "masters" masters;
@@ -295,18 +296,27 @@ let spec_term =
           match methods with [] -> Spec.default.Spec.methods | ms -> ms
         in
         let n_nodes = sc.Workload.Scenario.n_nodes
-        and n_masters = sc.Workload.Scenario.n_masters in
-        (* Method C needs a slave beside its masters. *)
-        if
-          List.exists Dispatch.Methods.is_distributed selected
-          && n_nodes <= n_masters
-        then
+        and n_masters = sc.Workload.Scenario.n_masters
+        and n_keys = sc.Workload.Scenario.n_keys in
+        let distributed = List.exists Dispatch.Methods.is_distributed selected in
+        (* Method C needs a slave beside its masters, and a key for every
+           slave.  A one-master run (update forwarding, the masters
+           ablation) partitions over [n_nodes - 1] slaves, the most any
+           C-family run of this scenario uses. *)
+        if distributed && n_nodes <= n_masters then
           Error
             (`Msg
               (Printf.sprintf
                  "--nodes (%d) must exceed --masters (%d) for the Method C \
                   family"
                  n_nodes n_masters))
+        else if distributed && n_keys < n_nodes - 1 then
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "--keys (%d) must be at least the Method C slave count (%d \
+                  with --nodes %d)"
+                 n_keys (n_nodes - 1) n_nodes))
         else
           Ok
             (Spec.default

@@ -102,7 +102,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   in
   let expected =
     match ops with
-    | Queries -> Array.map (fun q -> Index.Ref_impl.rank keys q) queries
+    | Queries -> Index.Ref_impl.ranks keys queries
     | Updates _ -> Array.make (max 1 n) (-1)
   in
   let errors = ref 0 in

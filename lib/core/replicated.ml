@@ -74,9 +74,13 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
     let replica = attach m in
     let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
     let r_base = Machine.labelled_alloc m ~label:"results" (max 1 cnt) in
-    Machine.poke_array m q_base
-      (if stride = 1 then queries
-       else Array.init cnt (fun j -> queries.(node + (j * stride))));
+    (* This node's queries, slot by slot; built again for the post-run
+       check rather than held through the run. *)
+    let own_queries () =
+      if stride = 1 then queries
+      else Array.init cnt (fun j -> queries.(node + (j * stride)))
+    in
+    Machine.poke_array m q_base (own_queries ());
     let lat = Latency.create () in
     let errors = ref 0 in
     let update_ns = ref 0.0 in
@@ -273,12 +277,13 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
        checked online, answer by answer. *)
     (match replica with
     | Tree _ ->
+        let expected = Index.Ref_impl.ranks keys (own_queries ()) in
         for j = 0 to cnt - 1 do
-          if
-            Machine.peek m (r_base + j)
-            <> Index.Ref_impl.rank keys queries.(node + (j * stride))
-          then incr errors
-        done
+          if Machine.peek m (r_base + j) <> expected.(j) then incr errors
+        done;
+        (* The epochs are kept until the roll-up, which reads only the
+           machine's counters. *)
+        Machine.release_store m
     | Segments _ -> ());
     {
       eng;

@@ -91,38 +91,40 @@ let info t =
     fanout = t.f;
   }
 
-(* Child slot: first i with q < separator_i; a full node has no sentinel,
-   in which case the scan runs off the separators and lands on slot k,
-   i.e. the last child. *)
-let child_slot ~read t addr q =
-  let rec scan i = if i = t.k || q < read (addr + i) then i else scan (i + 1) in
-  scan 0
+(* Child slot (interior node) and leaf count (leaf): the first i with
+   q < key_i.  A full node has no sentinel, in which case the scan runs
+   off the k keys and lands on slot k, i.e. the last child.  The scans
+   are top-level, int-typed recursions with explicit arguments: a local
+   [let rec] would allocate a closure per visited node without flambda,
+   and a [read] parameter left [<] polymorphic, one [caml_lessthan] call
+   per key compared. *)
+let rec scan_timed m k addr (q : int) i =
+  if i = k || q < Machine.read m (addr + i) then i
+  else scan_timed m k addr q (i + 1)
 
-let leaf_count ~read t addr q =
-  let rec scan i = if i = t.k || q < read (addr + i) then i else scan (i + 1) in
-  scan 0
+let rec scan_untimed m k addr (q : int) i =
+  if i = k || q < Machine.peek m (addr + i) then i
+  else scan_untimed m k addr q (i + 1)
 
 let node_cost t = (Machine.params t.m).Cachesim.Mem_params.comp_cost_node_ns
 let leaf_index t addr = (addr - t.bases.(t.t_levels - 1)) / t.nw
 
 let search t q =
-  let read = Machine.read t.m in
   let a = ref t.bases.(0) in
   for _ = 1 to t.t_levels - 1 do
     Machine.compute t.m (node_cost t);
-    let i = child_slot ~read t !a q in
-    let first_child = read (!a + t.k) in
+    let i = scan_timed t.m t.k !a q 0 in
+    let first_child = Machine.read t.m (!a + t.k) in
     a := first_child + (i * t.nw)
   done;
   Machine.compute t.m (node_cost t);
-  (leaf_index t !a * t.k) + leaf_count ~read t !a q
+  (leaf_index t !a * t.k) + scan_timed t.m t.k !a q 0
 
 let search_untimed t q =
-  let read = Machine.peek t.m in
   let a = ref t.bases.(0) in
   for _ = 1 to t.t_levels - 1 do
-    let i = child_slot ~read t !a q in
-    let first_child = read (!a + t.k) in
+    let i = scan_untimed t.m t.k !a q 0 in
+    let first_child = Machine.peek t.m (!a + t.k) in
     a := first_child + (i * t.nw)
   done;
-  (leaf_index t !a * t.k) + leaf_count ~read t !a q
+  (leaf_index t !a * t.k) + scan_untimed t.m t.k !a q 0

@@ -10,6 +10,65 @@ let rank_prefix (keys : int array) (len : int) (q : int) =
   !lo
 
 let rank keys q = rank_prefix keys (Array.length keys) q
+
+(* Bulk oracle.  Each query in [0, 2^30) is packed with its index as
+   [q lsl 32 lor i]; a two-pass LSD radix sort, 15 bits of [q] a pass,
+   orders the packed words by query, and one merge over [keys] then
+   hands every query its rank.  That is O(n + |keys|) where one [rank]
+   each is O(n log |keys|) of cache-missing probes.  A query outside
+   [0, 2^30), or 2^32 queries or more, takes the per-query path. *)
+let digit_bits = 15
+let digit_mask = (1 lsl digit_bits) - 1
+let index_mask = (1 lsl 32) - 1
+
+let rec packable (qs : int array) i =
+  i = Array.length qs
+  || (let q = Array.unsafe_get qs i in
+      q >= 0 && q lsr (2 * digit_bits) = 0 && packable qs (i + 1))
+
+(* One stable counting pass from [src] to [dst] on the digit at bit
+   [shift]; [count] has [2^digit_bits + 1] slots. *)
+let radix_pass (src : int array) (dst : int array) (count : int array) shift =
+  Array.fill count 0 (Array.length count) 0;
+  Array.iter
+    (fun x ->
+      let d = ((x lsr shift) land digit_mask) + 1 in
+      count.(d) <- count.(d) + 1)
+    src;
+  for d = 1 to digit_mask do
+    count.(d) <- count.(d) + count.(d - 1)
+  done;
+  Array.iter
+    (fun x ->
+      let d = (x lsr shift) land digit_mask in
+      dst.(count.(d)) <- x;
+      count.(d) <- count.(d) + 1)
+    src
+
+let ranks (keys : int array) (qs : int array) =
+  let n = Array.length qs in
+  if n lsr 32 <> 0 || not (packable qs 0) then Array.map (rank keys) qs
+  else begin
+    let a = Array.make n 0 and b = Array.make n 0 in
+    for i = 0 to n - 1 do
+      a.(i) <- (qs.(i) lsl 32) lor i
+    done;
+    let count = Array.make (digit_mask + 2) 0 in
+    radix_pass a b count 32;
+    radix_pass b a count (32 + digit_bits);
+    (* [a] is sorted by query; [b] is free to take the ranks. *)
+    let nk = Array.length keys and j = ref 0 in
+    Array.iter
+      (fun x ->
+        let q = x lsr 32 in
+        while !j < nk && keys.(!j) <= q do
+          incr j
+        done;
+        b.(x land index_mask) <- !j)
+      a;
+    b
+  end
+
 let partition_of ~delimiters q = rank delimiters q
 
 (* Dynamic oracle: a blocked sorted array.  Each block holds a sorted run

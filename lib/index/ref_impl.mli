@@ -8,6 +8,12 @@ val rank : int array -> int -> int
     elements [<= q] — equivalently the index of the first element greater
     than [q].  Result is in [\[0, length keys\]]. *)
 
+val ranks : int array -> int array -> int array
+(** [ranks keys qs] is [Array.map (rank keys) qs], computed in bulk: a
+    radix sort of [qs] and one merge over [keys].  Queries in
+    [\[0, 2^30)] (every valid key) take the bulk path; any other query
+    sends the whole array through {!rank}. *)
+
 val partition_of : delimiters:int array -> int -> int
 (** [partition_of ~delimiters q] maps a key to the partition whose range
     contains it: with [p] delimiters (the least key of partitions

@@ -5,6 +5,9 @@ type t = {
   hier : Cachesim.Hierarchy.t;
   mutable mem : Bytes.t; (* 4 bytes per word, native byte order *)
   mutable brk : int; (* next free word *)
+  mutable limit : int;
+      (* words an access may touch: [brk], or 0 once the store is
+         released *)
   acc : float array; (* [|pending; busy|] — float-array stores keep the
                         per-access charge unboxed (mutable float fields
                         in this mixed record would box every addend) *)
@@ -27,7 +30,7 @@ type image = {
 (* Words are unsigned 32-bit values held 4 bytes apiece in a [Bytes.t]:
    half the host footprint of an [int array], and the GC never scans
    it.  The unchecked primitives below are used only after [check] has
-   bounded the word address by [brk], and [ensure] keeps
+   bounded the word address by [limit <= brk], and [ensure] keeps
    [4 * brk <= Bytes.length mem].  Applied directly, the [int32] they
    traffic in stays unboxed, so reads and writes allocate nothing. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -58,6 +61,7 @@ let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
     hier;
     mem = Bytes.make (4 * initial_words) '\000';
     brk = 0;
+    limit = 0;
     acc = [| 0.0; 0.0 |];
     prof = Obs.Profile.current ();
     tracer = Simcore.Trace.current ();
@@ -96,6 +100,7 @@ let alloc t ?align_words n =
   in
   let base = align_up t.brk align in
   t.brk <- base + n;
+  t.limit <- t.brk;
   ensure t t.brk;
   base
 
@@ -104,10 +109,10 @@ let charge t ns =
   Array.unsafe_set t.acc 1 (Array.unsafe_get t.acc 1 +. ns)
 
 let check t a =
-  if a < 0 || a >= t.brk then
+  if a < 0 || a >= t.limit then
     invalid_arg
       (Printf.sprintf "Machine.%s: word address %d outside [0,%d)" t.node_name
-         a t.brk)
+         a t.limit)
 
 let check_value t v =
   if v land lnot word_max <> 0 then
@@ -201,6 +206,10 @@ let labelled_alloc t ?align_words ~label n =
   label_region t ~label ~base ~words:n;
   base
 
+let release_store t =
+  t.mem <- Bytes.empty;
+  t.limit <- 0
+
 (* The private machine an image is built on: its own engine, no
    ambient recorder (so no scope node, profile or trace sees it), and a
    one-set hierarchy, since index construction only pokes.  Its store
@@ -222,6 +231,7 @@ let build_image (p : Cachesim.Mem_params.t) build =
           };
       mem = Bytes.empty;
       brk = 0;
+      limit = 0;
       acc = [| 0.0; 0.0 |];
       prof = None;
       tracer = None;
@@ -237,7 +247,7 @@ let build_image (p : Cachesim.Mem_params.t) build =
       regions = List.rev (Option.get t.labels);
     }
   in
-  t.mem <- Bytes.empty;
+  release_store t;
   t.brk <- 0;
   t.labels <- None;
   (img, x)
@@ -260,6 +270,7 @@ let load_image t ?(then_alloc = []) img =
   Bytes.fill mem (4 * img.img_brk) (4 * (cap - img.img_brk)) '\000';
   t.mem <- mem;
   t.brk <- img.img_brk;
+  t.limit <- t.brk;
   List.iter
     (fun r -> label_region t ~label:r.label ~base:r.base ~words:r.words)
     img.regions

@@ -47,6 +47,13 @@ val capacity_words : t -> int
 (** Words the host store holds before the next allocation must grow it
     (a doubling copy).  Diagnostic: no simulated cost depends on it. *)
 
+val release_store : t -> unit
+(** Free the host store of a machine whose words are no longer needed.
+    Its clock, counters and {!words_allocated} stay for the reports;
+    until the next {!alloc}, every access raises [Invalid_argument].  A driver that keeps
+    its node machines until the run's roll-up calls this once a node's
+    answers are checked, so finished nodes hold no memory. *)
+
 (** {2 Timed accesses} *)
 
 val read : t -> int -> int

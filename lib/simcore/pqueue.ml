@@ -94,7 +94,9 @@ let rec sift_hole_up q key seq i =
   end
 
 let push q ~time ~seq x =
-  if q.data = [||] then begin
+  (* [Array.length]: a polymorphic [q.data = [||]] would be a
+     [caml_equal] call on every push. *)
+  if Array.length q.data = 0 then begin
     (* First element ever: materialise the payload array now that we have a
        value of type ['a] to fill it with. *)
     q.data <- Array.make (Array.length q.keys) x;

@@ -49,6 +49,65 @@ let test_ref_partition_of () =
 
 module IS = Set.Make (Int)
 
+(* ------------------------------------------------------------------ *)
+(* Ref_impl.ranks, the bulk oracle, against one Ref_impl.rank a query *)
+
+let ranks_agree keys qs =
+  Index.Ref_impl.ranks keys qs = Array.map (Index.Ref_impl.rank keys) qs
+
+let test_ranks_edges () =
+  let top = Index.Key.sentinel - 1 in
+  let keys = [| 0; 5; 9; top |] in
+  let ranks = Alcotest.(check (array int)) in
+  ranks "no queries" [||] (Index.Ref_impl.ranks keys [||]);
+  ranks "no keys" [| 0; 0 |] (Index.Ref_impl.ranks [||] [| 0; top |]);
+  ranks "one key" [| 0; 1; 1; 0 |]
+    (Index.Ref_impl.ranks [| 7 |] [| 6; 7; top; 0 |]);
+  ranks "keys at 0 and sentinel - 1" [| 1; 1; 2; 3; 3; 4; 4 |]
+    (Index.Ref_impl.ranks keys [| 0; 4; 5; 9; top - 1; top; top |]);
+  ranks "duplicates in any order" [| 2; 0; 2; 2; 0 |]
+    (Index.Ref_impl.ranks [| 3; 5 |] [| 5; 2; 5; 6; 2 |]);
+  check_bool "below and above the keys" true
+    (ranks_agree [| 100; 200 |] [| 99; 0; 201; top; 150 |]);
+  (* Outside [0, 2^30) the whole array takes the per-query path. *)
+  check_bool "out-of-range queries" true
+    (ranks_agree keys [| -1; 5; Index.Key.sentinel; max_int; min_int |])
+
+let prop_ranks_match_rank =
+  QCheck.Test.make ~name:"Ref_impl.ranks = Array.map Ref_impl.rank"
+    ~count:120
+    QCheck.(quad int (int_range 0 400) (int_range 0 3000) bool)
+    (fun (seed, n_keys, n_queries, wide) ->
+      (* A wide span spreads queries over both radix digits; a narrow one
+         puts many queries on, beside and between the keys. *)
+      let g = Prng.Splitmix.create seed in
+      let top = Index.Key.sentinel - 1 in
+      let span = if wide then Index.Key.sentinel else (4 * n_keys) + 8 in
+      let draw () = Prng.Splitmix.int g span in
+      let ends =
+        (if Prng.Splitmix.int g 2 = 0 then [ 0 ] else [])
+        @ if Prng.Splitmix.int g 2 = 0 then [ top ] else []
+      in
+      let keys =
+        IS.of_list (ends @ List.init n_keys (fun _ -> draw ()))
+        |> IS.elements |> Array.of_list
+      in
+      let nk = Array.length keys in
+      let qs = Array.make n_queries 0 in
+      Array.iteri
+        (fun i _ ->
+          qs.(i) <-
+            (match Prng.Splitmix.int g 6 with
+            | 0 when nk > 0 -> keys.(Prng.Splitmix.int g nk)
+            | 1 when nk > 0 ->
+                let k = keys.(Prng.Splitmix.int g nk) in
+                max 0 (min top (k + Prng.Splitmix.int g 3 - 1))
+            | 2 -> if Prng.Splitmix.int g 2 = 0 then 0 else top
+            | 3 when i > 0 -> qs.(Prng.Splitmix.int g i)
+            | _ -> draw ()))
+        qs;
+      ranks_agree keys qs)
+
 type dyn_op = Ins of int | Del of int | Rank of int
 
 (* Replays [ops] on a [Dyn] built from [keys] and on a set model whose
@@ -643,6 +702,7 @@ let () =
         [
           tc "rank basics" `Quick test_ref_rank_basics;
           tc "partition_of" `Quick test_ref_partition_of;
+          tc "ranks edges" `Quick test_ranks_edges;
           tc "dyn dense burst" `Quick test_dyn_dense_burst;
           tc "dyn empty block" `Quick test_dyn_empty_block;
           tc "dyn extreme keys" `Quick test_dyn_extreme_keys;
@@ -694,5 +754,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_nary_level_geometry; prop_buffered_idempotent;
-            prop_all_structures_agree; prop_dyn_matches_model ] );
+            prop_all_structures_agree; prop_dyn_matches_model;
+            prop_ranks_match_rank ] );
     ]

@@ -367,6 +367,30 @@ let test_image_template_released () =
       check_int "image exact" (Machine.words_allocated m)
         (Machine.capacity_words m))
 
+let test_release_store () =
+  with_machine (fun _ m ->
+      let a = Machine.alloc m 100 in
+      Machine.poke m a 5;
+      ignore (Machine.read m a);
+      Machine.compute m 3.0;
+      let busy = Machine.busy_ns m in
+      Machine.release_store m;
+      check_int "store released" 0 (Machine.capacity_words m);
+      check_int "allocation mark kept" 100 (Machine.words_allocated m);
+      check_float "busy kept" busy (Machine.busy_ns m);
+      List.iter
+        (fun (what, access) ->
+          check_bool what true
+            (match access () with
+            | () -> false
+            | exception Invalid_argument _ -> true))
+        [
+          ("peek raises", fun () -> ignore (Machine.peek m a));
+          ("read raises", fun () -> ignore (Machine.read m (a + 99)));
+          ("poke raises", fun () -> Machine.poke m a 1);
+          ("write raises", fun () -> Machine.write m a 1);
+        ])
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "machine"
@@ -409,5 +433,6 @@ let () =
           tc "store sized once" `Quick test_load_image_sizes_store_once;
           tc "scope" `Quick test_image_scope;
           tc "template released" `Quick test_image_template_released;
+          tc "release store" `Quick test_release_store;
         ] );
     ]
