@@ -80,14 +80,14 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   let slaves =
     Array.init n_slaves (fun s -> machine (Printf.sprintf "slave%d" s))
   in
-  let slave_idx =
+  let slave_nodes =
     Array.init n_slaves (fun s ->
         let slice = Partition.slice part s in
         match ops with
-        | Queries ->
-            Slave_node.build variant slaves.(s) slice ~batch_keys ~params
+        | Queries -> Slave_node.build variant slaves.(s) slice ~batch_keys
         | Updates u ->
-            Slave_node.build_segments slaves.(s) slice ~policy:u.policy)
+            Slave_node.build_segments slaves.(s) slice ~policy:u.policy
+              ~batch_keys)
   in
   (* --- Host-side oracle and bookkeeping.  Under update forwarding the
      per-slave oracles advance at master staging time: one master and
@@ -141,13 +141,12 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
      updates a static snapshot cannot answer).  The flat layout places
      it below the delimiter table, the router tier above. *)
   let fallback_idx = Array.make n_masters None in
-  let build_fallback mi =
+  let build_fallback m =
     if Option.is_some fo && not dynamic then
-      let m = masters.(mi) in
-      fallback_idx.(mi) <-
-        Some
-          (Machine.labelled m ~label:"fallback" (fun () ->
-               Index.Sorted_array.build m keys))
+      Some
+        (Machine.labelled m ~label:"fallback" (fun () ->
+             Index.Sorted_array.build m keys))
+    else None
   in
   (* Delimiters between consecutive slave groups [bounds]: the first key
      of every group but the first. *)
@@ -158,6 +157,17 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
              (Array.length bounds - 2)
              (fun i -> keys.(Partition.base part bounds.(i + 1)))))
   in
+  (* A dispatching node's static structures are built once as an image,
+     which [m] loads with its store sized for the regions [then_alloc]
+     it allocates behind them, in order, so the store is allocated once
+     at its exact size.  Returns [build]'s result, to retarget to [m]. *)
+  let load m ~then_alloc build =
+    let img, template = Machine.build_image params build in
+    Machine.load_image m img ~then_alloc;
+    template
+  in
+  (* The words [stager] allocates for [k] downstream nodes. *)
+  let staging_words k = List.init k (fun _ -> batch_keys) in
   (* --- One staging/flush routine for every dispatching node (master or
      router): one buffer per downstream node, each shipped as a [Data]
      batch the moment it holds [batch_keys / n_slaves] words (the
@@ -173,7 +183,8 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
           Machine.labelled_alloc m ~label:"mpi_staging" batch_keys)
     in
     let lens = Array.make k 0 in
-    let qids = Array.init k (fun _ -> Array.make batch_keys 0) in
+    (* [stage] flushes at [cap] words, so no batch carries more qids. *)
+    let qids = Array.init k (fun _ -> Array.make cap 0) in
     let n_qids = Array.make k 0 in
     let flush s =
       let len = lens.(s) in
@@ -182,7 +193,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
         Machine.set_phase m "batch_xfer";
         Machine.compute m overhead;
         Machine.sync m;
-        let payload = Array.init len (fun j -> Machine.peek m (bufs.(s) + j)) in
+        let payload = Machine.peek_array m bufs.(s) len in
         let id = !next_batch_id in
         incr next_batch_id;
         Hashtbl.add in_flight id
@@ -241,9 +252,6 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   in
   let spawn_master mi =
     let m = masters.(mi) in
-    if n_routers = 0 then build_fallback mi;
-    let delims = delimiters m groups in
-    if n_routers > 0 then build_fallback mi;
     (* The master's stream: the words it reads, and the query id behind
        each query word. *)
     let words, qid_at =
@@ -261,11 +269,25 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     in
     let cnt = Array.length words in
     rem.(mi) <- cnt;
-    let base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
-    Machine.poke_array m base words;
     let dsts =
       Array.init (Array.length groups - 1) (fun d -> n_masters + d)
     in
+    let fallback, delims =
+      load m
+        ~then_alloc:(max 1 cnt :: staging_words (Array.length dsts))
+        (fun im ->
+          if n_routers = 0 then
+            let fallback = build_fallback im in
+            (fallback, delimiters im groups)
+          else
+            let delims = delimiters im groups in
+            (build_fallback im, delims))
+    in
+    fallback_idx.(mi) <-
+      Option.map (fun fb -> Index.Sorted_array.retarget fb m) fallback;
+    let delims = Index.Sorted_array.retarget delims m in
+    let base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
+    Machine.poke_array m base words;
     let stage, flush_all =
       stager m ~src:mi ~home:mi ~dsts ~phase:"dispatch"
         ~cap:(max 1 (batch_keys / Array.length dsts))
@@ -336,8 +358,15 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   let spawn_router r =
     let m = routers.(r) and node = n_masters + r in
     let g_lo = groups.(r) and g_hi = groups.(r + 1) in
+    let dsts = Array.init (g_hi - g_lo) (fun i -> first_slave + g_lo + i) in
     let delims =
-      delimiters m (Array.init (g_hi - g_lo + 1) (fun i -> g_lo + i))
+      Index.Sorted_array.retarget
+        (load m
+           ~then_alloc:
+             (batch_keys :: batch_keys :: staging_words (Array.length dsts))
+           (fun im ->
+             delimiters im (Array.init (g_hi - g_lo + 1) (fun i -> g_lo + i))))
+        m
     in
     let rx =
       [|
@@ -345,7 +374,6 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
         Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
       |]
     in
-    let dsts = Array.init (g_hi - g_lo) (fun i -> first_slave + g_lo + i) in
     let stage, flush_all =
       stager m ~src:node ~home:0 ~dsts ~phase:"route"
         ~cap:(max 1 (batch_keys / n_slaves))
@@ -393,9 +421,8 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
      reply to the originating master (every batch's home is node 0
      under a router tier). *)
   for s = 0 to n_slaves - 1 do
-    Slave_node.spawn eng net slaves.(s) ~node:(first_slave + s)
+    Slave_node.spawn eng net slave_nodes.(s) ~node:(first_slave + s)
       ~terms_expected:(if n_routers = 0 then n_masters else 1)
-      ~batch_keys ~index:slave_idx.(s)
       ~reply_dst:(if n_routers = 0 then fun ~src -> src else fun ~src:_ -> 0)
       ~overhead_ns:overhead ?batch_profile ?faults:plan ()
   done;
@@ -588,7 +615,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     | Some f -> Failover.degraded f
   in
   let segments =
-    List.filter_map Slave_node.segments (Array.to_list slave_idx)
+    List.filter_map Slave_node.segments (Array.to_list slave_nodes)
   in
   let lost_updates = !lost_updates in
   let run =
@@ -610,7 +637,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
       overflow_flushes =
         Array.fold_left
           (fun acc i -> acc + Slave_node.overflow_flushes i)
-          0 slave_idx;
+          0 slave_nodes;
       mean_response_ns = Latency.mean lat;
       p95_response_ns = Latency.percentile lat 0.95;
       metrics =

@@ -6,36 +6,21 @@ type index =
   | S_array of Index.Sorted_array.t
   | S_segments of Index.Segments.t
 
-let build variant machine slice ~batch_keys ~(params : Cachesim.Mem_params.t) =
-  Machine.labelled machine ~label:"partition" (fun () ->
-      match (variant : Methods.id) with
-      | Methods.C1 -> S_csb (Index.Csb_tree.build machine slice)
-      | Methods.C2 ->
-          let tree = Index.Nary_tree.build machine slice in
-          (* Zhou-Ross buffering against the L1: subtrees must fit in half
-             the L1 alongside their buffers (Section 3.2). *)
-          S_buffered
-            (Index.Buffered.create
-               ~budget_bytes:(params.Cachesim.Mem_params.l1_size / 2)
-               ~max_batch:batch_keys tree)
-      | Methods.C3 -> S_array (Index.Sorted_array.build machine slice)
-      | Methods.A | Methods.B ->
-          invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3")
+type t = { m : Machine.t; index : index; rx : int array; reply : int }
 
-(* [Segments] labels its own base and delta regions. *)
-let build_segments machine slice ~policy =
-  S_segments (Index.Segments.create machine ~policy slice)
+let retarget m = function
+  | S_csb c -> S_csb (Index.Csb_tree.retarget c m)
+  | S_buffered b -> S_buffered (Index.Buffered.retarget b m)
+  | S_array a -> S_array (Index.Sorted_array.retarget a m)
+  | S_segments s -> S_segments (Index.Segments.retarget s m)
 
-let overflow_flushes = function
-  | S_buffered b -> Index.Buffered.overflow_flushes b
-  | S_csb _ | S_array _ | S_segments _ -> 0
-
-let segments = function S_segments s -> Some s | _ -> None
-
-let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
-    ~overhead_ns ?batch_profile ?faults () =
-  let params = Machine.params m in
-  let word = params.Cachesim.Mem_params.word_bytes in
+(* The index is built once as an image, which [m] loads with its store
+   sized for the index plus the three serving buffers allocated behind
+   it: the store is allocated once, and only grows if a [Segments]
+   partition outgrows it during the run. *)
+let create m ~batch_keys build =
+  let img, template = Machine.build_image (Machine.params m) build in
+  Machine.load_image m img ~then_alloc:[ batch_keys; batch_keys; batch_keys ];
   let rx =
     [|
       Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;
@@ -43,6 +28,42 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
     |]
   in
   let reply = Machine.labelled_alloc m ~label:"mpi_staging" batch_keys in
+  { m; index = retarget m template; rx; reply }
+
+let build variant m slice ~batch_keys =
+  create m ~batch_keys (fun im ->
+      Machine.labelled im ~label:"partition" (fun () ->
+          match (variant : Methods.id) with
+          | Methods.C1 -> S_csb (Index.Csb_tree.build im slice)
+          | Methods.C2 ->
+              let tree = Index.Nary_tree.build im slice in
+              (* Zhou-Ross buffering against the L1: subtrees must fit in
+                 half the L1 alongside their buffers (Section 3.2). *)
+              S_buffered
+                (Index.Buffered.create
+                   ~budget_bytes:
+                     ((Machine.params im).Cachesim.Mem_params.l1_size / 2)
+                   ~max_batch:batch_keys tree)
+          | Methods.C3 -> S_array (Index.Sorted_array.build im slice)
+          | Methods.A | Methods.B ->
+              invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3"))
+
+(* [Segments] labels its own base and delta regions. *)
+let build_segments m slice ~policy ~batch_keys =
+  create m ~batch_keys (fun im ->
+      S_segments (Index.Segments.create im ~policy slice))
+
+let overflow_flushes t =
+  match t.index with
+  | S_buffered b -> Index.Buffered.overflow_flushes b
+  | S_csb _ | S_array _ | S_segments _ -> 0
+
+let segments t = match t.index with S_segments s -> Some s | _ -> None
+
+let spawn eng net { m; index; rx; reply } ~node ~terms_expected ~reply_dst
+    ~overhead_ns ?batch_profile ?faults () =
+  let params = Machine.params m in
+  let word = params.Cachesim.Mem_params.word_bytes in
   let slow_factor =
     match faults with
     | Some plan -> Fault.Plan.slow_factor plan ~node
@@ -154,9 +175,7 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
                   (("cpu", cpu)
                   :: Cachesim.Hierarchy.stats_breakdown params ds)
             | None -> ());
-            let ranks =
-              Array.init n_ranks (fun j -> Machine.peek m (reply + j))
-            in
+            let ranks = Machine.peek_array m reply n_ranks in
             Netsim.Network.isend net ~src:node
               ~dst:(reply_dst ~src:env.Netsim.Network.src)
               ~tag:Proto.reply_tag ~phase:"reply" ~size:(n_ranks * word)

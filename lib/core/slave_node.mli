@@ -3,40 +3,43 @@
     {!Method_c} protocol (batch and serving, static and dynamic, flat
     and router-tier). *)
 
-type index
-(** A built slave-side index: CSB+ tree (C-1), buffered n-ary tree (C-2),
-    sorted array (C-3), or — under update forwarding — a log-structured
-    {!Index.Segments} partition for every variant. *)
+type t
+(** A slave node laid out for serving: its partition index — CSB+ tree
+    (C-1), buffered n-ary tree (C-2), sorted array (C-3), or, under
+    update forwarding, a log-structured {!Index.Segments} partition for
+    every variant — followed by its two receive buffers and its reply
+    buffer, [batch_keys] words each.  The index is built once as a
+    {!Machine.image} and loaded with the store sized for all of it, so
+    the node's store is allocated once, at its exact size; only
+    {!Index.Segments} growth during a run enlarges it. *)
 
-val build :
-  Methods.id ->
-  Machine.t ->
-  int array ->
-  batch_keys:int ->
-  params:Cachesim.Mem_params.t ->
-  index
-(** Build the structure for the given sub-method over the slice of keys.
-    Raises [Invalid_argument] for methods [A]/[B]. *)
+val build : Methods.id -> Machine.t -> int array -> batch_keys:int -> t
+(** Lay out the empty machine with the structure for the given
+    sub-method over the slice of keys.  Raises [Invalid_argument] for
+    methods [A]/[B]. *)
 
 val build_segments :
-  Machine.t -> int array -> policy:Index.Segments.policy -> index
-(** A log-structured partition over the slice, for update forwarding
-    (every C variant serves its dynamic partition the same way). *)
+  Machine.t ->
+  int array ->
+  policy:Index.Segments.policy ->
+  batch_keys:int ->
+  t
+(** The same, with a log-structured partition over the slice, for update
+    forwarding (every C variant serves its dynamic partition the same
+    way). *)
 
-val overflow_flushes : index -> int
+val overflow_flushes : t -> int
 (** Early buffer drains (C-2 only; 0 otherwise). *)
 
-val segments : index -> Index.Segments.t option
+val segments : t -> Index.Segments.t option
 (** The dynamic partition, for update accounting. *)
 
 val spawn :
   Simcore.Engine.t ->
   Proto.t Netsim.Network.t ->
-  Machine.t ->
+  t ->
   node:int ->
   terms_expected:int ->
-  batch_keys:int ->
-  index:index ->
   reply_dst:(src:int -> int) ->
   overhead_ns:float ->
   ?batch_profile:(int, (string * float) list) Hashtbl.t ->

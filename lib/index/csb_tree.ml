@@ -69,6 +69,13 @@ let build ?node_words m keys =
   done;
   { m; k; f; nw; n; t_levels; bases; counts }
 
+let retarget t m =
+  let last = t.t_levels - 1 in
+  let top = t.bases.(last) + (t.counts.(last) * t.nw) in
+  if Machine.words_allocated m < top then
+    invalid_arg "Csb_tree.retarget: machine does not hold the tree";
+  { t with m }
+
 let machine t = t.m
 let levels t = t.t_levels
 let keys_per_node t = t.k

@@ -18,6 +18,11 @@ val build : ?node_words:int -> Machine.t -> int array -> t
     (8 on the Pentium III profile).  Keys must be strictly increasing and
     non-empty. *)
 
+val retarget : t -> Machine.t -> t
+(** [retarget t m] is [t] over machine [m], which must hold [t]'s
+    memory (see {!Nary_tree.retarget}).  Raises [Invalid_argument] if
+    [m] has not allocated the tree's words. *)
+
 val machine : t -> Machine.t
 val levels : t -> int
 val keys_per_node : t -> int

@@ -7,6 +7,11 @@ let build m keys =
   Machine.poke_array m base keys;
   { m; base; len }
 
+let retarget t m =
+  if Machine.words_allocated m < t.base + t.len then
+    invalid_arg "Sorted_array.retarget: machine does not hold the array";
+  { t with m }
+
 let machine t = t.m
 let length t = t.len
 let base_addr t = t.base

@@ -12,6 +12,12 @@ val build : Machine.t -> int array -> t
     allocated memory of [m] (untimed: index construction is outside every
     measured interval in the paper). *)
 
+val retarget : t -> Machine.t -> t
+(** [retarget t m] is [t] over machine [m], which must hold [t]'s
+    memory: [m] was loaded from a {!Machine.image} of the machine [t]
+    was built on.  Raises [Invalid_argument] if [m] has not allocated
+    the array's words. *)
+
 val machine : t -> Machine.t
 val length : t -> int
 val base_addr : t -> int

@@ -43,7 +43,9 @@ let set_word mem a v = set32u mem (a lsl 2) (Int32.of_int v)
 (* [ensure] doubles on demand (from this floor when the store is empty,
    as a released or loaded one can be), so this only sets the floor; a
    small floor keeps the per-run zeroing and the host cache footprint of
-   idle machines proportional to what a run actually allocates. *)
+   idle machines proportional to what a run actually allocates.  A node
+   whose layout is known up front loads it with {!load_image}, sized
+   once, so doubling is left to growth during a run. *)
 let initial_words = 1 lsl 12
 
 let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
@@ -176,6 +178,20 @@ let poke_array t a vs =
     for i = 0 to Array.length vs - 1 do
       set_word t.mem (a + i) (Array.unsafe_get vs i)
     done
+  end
+
+let peek_array t a n =
+  if n < 0 then invalid_arg "Machine.peek_array: negative length";
+  if n = 0 then [||]
+  else begin
+    check t a;
+    check t (a + n - 1);
+    let mem = t.mem in
+    let vs = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set vs i (get_word mem (a + i))
+    done;
+    vs
   end
 
 let dma_write t a data =

@@ -103,6 +103,12 @@ val poke : t -> int -> int -> unit
 val poke_array : t -> int -> int array -> unit
 (** Bulk {!poke} of consecutive words. *)
 
+val peek_array : t -> int -> int -> int array
+(** [peek_array m a n] is the [n] words from [a] on, read as {!peek}
+    reads one, with one bounds check for the whole range.  Raises
+    [Invalid_argument] if [n < 0] or the range leaves the allocated
+    words. *)
+
 val dma_write : t -> int -> int array -> unit
 (** [dma_write m a data] models a NIC depositing an incoming message at
     word address [a]: the words are stored (untimed — transfer time is the

@@ -190,6 +190,31 @@ let test_scale_invariance_of_per_key_cost () =
     true
     (Float.abs (f -. h) /. f < 0.15)
 
+(* A slave's store is allocated once: the index image and the three
+   serving buffers behind it fill it exactly. *)
+let test_slave_store_sized_once () =
+  let keys = Array.init 5000 (fun i -> (3 * i) + 1) in
+  let batch_keys = 1000 in
+  let laid_out what build =
+    let m =
+      Machine.create (Simcore.Engine.create ()) ~name:"slave"
+        Cachesim.Mem_params.pentium3
+    in
+    ignore (build m);
+    check_bool (what ^ " holds its buffers") true
+      (Machine.words_allocated m > 3 * batch_keys);
+    check_int (what ^ " store = allocation") (Machine.words_allocated m)
+      (Machine.capacity_words m)
+  in
+  List.iter
+    (fun v ->
+      laid_out (Dispatch.Methods.to_string v) (fun m ->
+          Dispatch.Slave_node.build v m keys ~batch_keys))
+    Dispatch.Methods.[ C1; C2; C3 ];
+  laid_out "segments" (fun m ->
+      Dispatch.Slave_node.build_segments m keys
+        ~policy:Index.Segments.default_policy ~batch_keys)
+
 let test_method_c_rejects_bad_config () =
   let keys, queries = Lazy.force workload in
   check_bool "one node rejected" true
@@ -451,6 +476,7 @@ let () =
           tc "paper headline ordering" `Slow test_paper_headline_ordering;
           tc "per-key scale invariance" `Slow test_scale_invariance_of_per_key_cost;
           tc "bad configs rejected" `Quick test_method_c_rejects_bad_config;
+          tc "slave store sized once" `Quick test_slave_store_sized_once;
           tc "slave scaling" `Slow test_more_slaves_help_method_c;
         ] );
       ("run_result", [ tc "helpers" `Quick test_run_result_helpers ]);

@@ -654,22 +654,44 @@ let fresh_and_loaded build =
 let build_tree keys m =
   Machine.labelled m ~label:"partition" (fun () -> Index.Nary_tree.build m keys)
 
-let test_nary_image () =
-  let keys = make_keys 20_000 in
-  let fm, fresh, lm, template = fresh_and_loaded (build_tree keys) in
-  let loaded = Index.Nary_tree.retarget template lm in
+(* [build] under a label, fresh and through an image: the loaded copy
+   answers every query with the fresh build's rank at the same simulated
+   cost, and its template is refused by a machine that does not hold
+   it. *)
+let check_image_roundtrip ~build ~search ~retarget n =
+  let keys = make_keys n in
+  let fm, fresh, lm, template =
+    fresh_and_loaded (fun m ->
+        Machine.labelled m ~label:"partition" (fun () -> build m keys))
+  in
+  let loaded = retarget template lm in
   List.iter
     (fun q ->
-      let r = Index.Nary_tree.search fresh q in
+      let r = search fresh q in
       check_int "rank" (Index.Ref_impl.rank keys q) r;
-      check_int "loaded rank" r (Index.Nary_tree.search loaded q))
-    (interesting_queries 20_000);
+      check_int "loaded rank" r (search loaded q))
+    (interesting_queries n);
   Alcotest.(check (float 0.0))
     "same simulated cost" (Machine.busy_ns fm) (Machine.busy_ns lm);
   check_bool "empty machine refused" true
-    (match Index.Nary_tree.retarget template (fresh_machine ()) with
+    (match retarget template (fresh_machine ()) with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+let test_nary_image () =
+  check_image_roundtrip
+    ~build:(fun m keys -> Index.Nary_tree.build m keys)
+    ~search:Index.Nary_tree.search ~retarget:Index.Nary_tree.retarget 20_000
+
+let test_sorted_array_image () =
+  check_image_roundtrip ~build:Index.Sorted_array.build
+    ~search:Index.Sorted_array.search ~retarget:Index.Sorted_array.retarget
+    20_000
+
+let test_csb_image () =
+  check_image_roundtrip
+    ~build:(fun m keys -> Index.Csb_tree.build m keys)
+    ~search:Index.Csb_tree.search ~retarget:Index.Csb_tree.retarget 20_000
 
 let test_buffered_image () =
   let keys = make_keys 5000 in
@@ -749,6 +771,8 @@ let () =
       ( "image",
         [
           tc "nary tree" `Quick test_nary_image;
+          tc "sorted array" `Quick test_sorted_array_image;
+          tc "csb tree" `Quick test_csb_image;
           tc "tree + buffered" `Quick test_buffered_image;
         ] );
       ( "properties",

@@ -39,6 +39,25 @@ let test_poke_array () =
         check_int "bulk poke" (i + 1) (Machine.peek m (a + i))
       done)
 
+let test_peek_array () =
+  with_machine (fun _ m ->
+      let a = Machine.alloc m 5 in
+      Machine.poke_array m a [| 1; 2; 0xFFFF_FFFF; 4; 5 |];
+      check_bool "bulk peek" true
+        (Machine.peek_array m (a + 1) 4 = [| 2; 0xFFFF_FFFF; 4; 5 |]);
+      check_bool "empty range" true (Machine.peek_array m (a + 5) 0 = [||]);
+      List.iter
+        (fun (what, start, n) ->
+          check_bool what true
+            (match Machine.peek_array m start n with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        [
+          ("past the end raises", a + 1, 5);
+          ("negative start raises", -1, 2);
+          ("negative length raises", a, -1);
+        ])
+
 let test_bounds_checked () =
   with_machine (fun _ m ->
       let _ = Machine.alloc m 4 in
@@ -325,6 +344,27 @@ let test_load_image_sizes_store_once () =
       Machine.poke m (a + 4) 9;
       check_int "grew from empty" 9 (Machine.peek m (a + 4)))
 
+(* Any list of sizes, zeros and sizes off a line multiple included,
+   allocated behind a loaded image fits the store it was sized for
+   exactly; the next allocation still grows it. *)
+let prop_then_alloc_fits_exactly =
+  let sizes =
+    QCheck.(list_of_size Gen.(0 -- 8) (oneof [ always 0; int_range 1 100 ]))
+  in
+  let img, _ = Machine.build_image p3 build_sample in
+  QCheck.Test.make ~count:200 ~name:"then_alloc sizes the store exactly" sizes
+    (fun ns ->
+      with_machine (fun _ m ->
+          Machine.load_image m img ~then_alloc:ns;
+          let cap = Machine.capacity_words m in
+          List.iter (fun n -> ignore (Machine.alloc m n)) ns;
+          let fits =
+            Machine.capacity_words m = cap
+            && Machine.words_allocated m = cap
+          in
+          ignore (Machine.alloc m 1);
+          fits && Machine.capacity_words m > cap))
+
 let scope_regions sc name =
   match
     List.find_opt
@@ -400,6 +440,7 @@ let () =
           tc "alloc alignment" `Quick test_alloc_alignment;
           tc "poke/peek" `Quick test_poke_peek_roundtrip;
           tc "poke_array" `Quick test_poke_array;
+          tc "peek_array" `Quick test_peek_array;
           tc "bounds" `Quick test_bounds_checked;
           tc "growth" `Quick test_memory_grows;
           tc "write/read" `Quick test_write_then_read_visible;
@@ -435,4 +476,7 @@ let () =
           tc "template released" `Quick test_image_template_released;
           tc "release store" `Quick test_release_store;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_then_alloc_fits_exactly ]
+      );
     ]
