@@ -157,17 +157,12 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
              (Array.length bounds - 2)
              (fun i -> keys.(Partition.base part bounds.(i + 1)))))
   in
-  (* A dispatching node's static structures are built once as an image,
-     which [m] loads with its store sized for the regions [then_alloc]
-     it allocates behind them, in order, so the store is allocated once
-     at its exact size.  Returns [build]'s result, to retarget to [m]. *)
-  let load m ~then_alloc build =
+  (* [m] loads its static structures from an image of [build]. *)
+  let load m build =
     let img, template = Machine.build_image params build in
-    Machine.load_image m img ~then_alloc;
+    Machine.load_image m img;
     template
   in
-  (* The words [stager] allocates for [k] downstream nodes. *)
-  let staging_words k = List.init k (fun _ -> batch_keys) in
   (* --- One staging/flush routine for every dispatching node (master or
      router): one buffer per downstream node, each shipped as a [Data]
      batch the moment it holds [batch_keys / n_slaves] words (the
@@ -273,9 +268,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
       Array.init (Array.length groups - 1) (fun d -> n_masters + d)
     in
     let fallback, delims =
-      load m
-        ~then_alloc:(max 1 cnt :: staging_words (Array.length dsts))
-        (fun im ->
+      load m (fun im ->
           if n_routers = 0 then
             let fallback = build_fallback im in
             (fallback, delimiters im groups)
@@ -361,10 +354,7 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     let dsts = Array.init (g_hi - g_lo) (fun i -> first_slave + g_lo + i) in
     let delims =
       Index.Sorted_array.retarget
-        (load m
-           ~then_alloc:
-             (batch_keys :: batch_keys :: staging_words (Array.length dsts))
-           (fun im ->
+        (load m (fun im ->
              delimiters im (Array.init (g_hi - g_lo + 1) (fun i -> g_lo + i))))
         m
     in

@@ -70,7 +70,7 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
     let name = if batch then "worker" else Printf.sprintf "node%d" node in
     let m = Machine.create eng ~name params in
     let cnt = (n - node + stride - 1) / stride in
-    Machine.load_image m image ~then_alloc:[ max 1 cnt; max 1 cnt ];
+    Machine.load_image m image;
     let replica = attach m in
     let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
     let r_base = Machine.labelled_alloc m ~label:"results" (max 1 cnt) in

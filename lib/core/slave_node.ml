@@ -14,13 +14,10 @@ let retarget m = function
   | S_array a -> S_array (Index.Sorted_array.retarget a m)
   | S_segments s -> S_segments (Index.Segments.retarget s m)
 
-(* The index is built once as an image, which [m] loads with its store
-   sized for the index plus the three serving buffers allocated behind
-   it: the store is allocated once, and only grows if a [Segments]
-   partition outgrows it during the run. *)
+(* The index is built once as an image for [m] to load. *)
 let create m ~batch_keys build =
   let img, template = Machine.build_image (Machine.params m) build in
-  Machine.load_image m img ~then_alloc:[ batch_keys; batch_keys; batch_keys ];
+  Machine.load_image m img;
   let rx =
     [|
       Machine.labelled_alloc m ~label:"mpi_staging" batch_keys;

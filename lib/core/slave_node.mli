@@ -9,9 +9,8 @@ type t
     update forwarding, a log-structured {!Index.Segments} partition for
     every variant — followed by its two receive buffers and its reply
     buffer, [batch_keys] words each.  The index is built once as a
-    {!Machine.image} and loaded with the store sized for all of it, so
-    the node's store is allocated once, at its exact size; only
-    {!Index.Segments} growth during a run enlarges it. *)
+    {!Machine.image} and loaded; a buffer holds host memory only for
+    the pages a batch or reply writes. *)
 
 val build : Methods.id -> Machine.t -> int array -> batch_keys:int -> t
 (** Lay out the empty machine with the structure for the given

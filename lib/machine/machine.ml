@@ -3,7 +3,8 @@ type t = {
   node_name : string;
   p : Cachesim.Mem_params.t;
   hier : Cachesim.Hierarchy.t;
-  mutable mem : Bytes.t; (* 4 bytes per word, native byte order *)
+  mutable pages : Bytes.t array; (* 4 KiB host pages covering [brk] *)
+  mutable owned : Bytes.t; (* per page: ['\001'] once this machine's copy *)
   mutable brk : int; (* next free word *)
   mutable limit : int;
       (* words an access may touch: [brk], or 0 once the store is
@@ -22,31 +23,54 @@ and region = { label : string; base : int; words : int }
 
 type image = {
   img_params : Cachesim.Mem_params.t;
-  store : Bytes.t; (* exactly [img_brk] words *)
+  img_pages : Bytes.t array; (* covering [img_brk]; owned by no machine *)
   img_brk : int;
   regions : region list; (* labelling order *)
 }
 
-(* Words are unsigned 32-bit values held 4 bytes apiece in a [Bytes.t]:
-   half the host footprint of an [int array], and the GC never scans
-   it.  The unchecked primitives below are used only after [check] has
-   bounded the word address by [limit <= brk], and [ensure] keeps
-   [4 * brk <= Bytes.length mem].  Applied directly, the [int32] they
-   traffic in stays unboxed, so reads and writes allocate nothing. *)
+(* Words are unsigned 32-bit values, 4 bytes apiece in 4 KiB pages the
+   GC never scans, each first the shared [zero_page].  A machine copies
+   a page on its first write to it and marks it owned, since no physical
+   test tells an image's pages from its own.  The unchecked primitives
+   are used only after [check] bounds the address by [limit <= brk] and
+   [alloc] covers [brk]; applied directly, their [int32] stays unboxed. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 let word_max = 0xFFFF_FFFF
-let get_word mem a = Int32.to_int (get32u mem (a lsl 2)) land word_max
-let set_word mem a v = set32u mem (a lsl 2) (Int32.of_int v)
+let page_bits = 10 (* 1,024 words *)
+let page_mask = (1 lsl page_bits) - 1
+let zero_page = Bytes.make (4 lsl page_bits) '\000'
 
-(* [ensure] doubles on demand (from this floor when the store is empty,
-   as a released or loaded one can be), so this only sets the floor; a
-   small floor keeps the per-run zeroing and the host cache footprint of
-   idle machines proportional to what a run actually allocates.  A node
-   whose layout is known up front loads it with {!load_image}, sized
-   once, so doubling is left to growth during a run. *)
-let initial_words = 1 lsl 12
+let[@inline] get_word t a =
+  let pg = Array.unsafe_get t.pages (a lsr page_bits) in
+  Int32.to_int (get32u pg ((a land page_mask) lsl 2)) land word_max
+
+let copy_page t i =
+  t.pages.(i) <- Bytes.copy t.pages.(i);
+  Bytes.set t.owned i '\001'
+
+let[@inline] set_word t a v =
+  let i = a lsr page_bits in
+  if Bytes.unsafe_get t.owned i = '\000' then copy_page t i;
+  set32u (Array.unsafe_get t.pages i) ((a land page_mask) lsl 2)
+    (Int32.of_int v)
+
+let make eng name p hier ~prof ~tracer ~labels =
+  {
+    eng;
+    node_name = name;
+    p;
+    hier;
+    pages = [||];
+    owned = Bytes.empty;
+    brk = 0;
+    limit = 0;
+    acc = [| 0.0; 0.0 |];
+    prof;
+    tracer;
+    labels;
+  }
 
 let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
   let hier = Cachesim.Hierarchy.create p in
@@ -56,36 +80,22 @@ let create eng ?(name = "node") (p : Cachesim.Mem_params.t) =
   (match Obs.Cachescope.current () with
   | Some sc -> ignore (Cachesim.Hierarchy.attach_scope hier sc ~node_name:name)
   | None -> ());
-  {
-    eng;
-    node_name = name;
-    p;
-    hier;
-    mem = Bytes.make (4 * initial_words) '\000';
-    brk = 0;
-    limit = 0;
-    acc = [| 0.0; 0.0 |];
-    prof = Obs.Profile.current ();
-    tracer = Simcore.Trace.current ();
-    labels = None;
-  }
+  make eng name p hier ~prof:(Obs.Profile.current ())
+    ~tracer:(Simcore.Trace.current ()) ~labels:None
 
-let engine t = t.eng
 let name t = t.node_name
 let params t = t.p
 let hierarchy t = t.hier
 let words_allocated t = t.brk
 
-let ensure t limit =
-  let cap = Bytes.length t.mem / 4 in
-  if limit > cap then begin
-    let cap' = ref (max cap initial_words) in
-    while limit > !cap' do
-      cap' := !cap' * 2
-    done;
-    let mem' = Bytes.make (4 * !cap') '\000' in
-    Bytes.blit t.mem 0 mem' 0 (4 * cap);
-    t.mem <- mem'
+(* Only the page table grows, at least doubling, with zero pages. *)
+let cover t words =
+  let n = Array.length t.pages in
+  let need = (words + page_mask) lsr page_bits in
+  if need > n then begin
+    let extra = max (need - n) n in
+    t.pages <- Array.append t.pages (Array.make extra zero_page);
+    t.owned <- Bytes.cat t.owned (Bytes.make extra '\000')
   end
 
 let line_words t = t.p.l2_line / t.p.word_bytes
@@ -103,7 +113,7 @@ let alloc t ?align_words n =
   let base = align_up t.brk align in
   t.brk <- base + n;
   t.limit <- t.brk;
-  ensure t t.brk;
+  cover t t.brk;
   base
 
 let charge t ns =
@@ -125,14 +135,14 @@ let read t a =
   check t a;
   Cachesim.Hierarchy.access_into t.hier ~addr:(a * t.p.word_bytes)
     ~write:false ~charge:t.acc;
-  get_word t.mem a
+  get_word t a
 
 let write t a v =
   check t a;
   check_value t v;
   Cachesim.Hierarchy.access_into t.hier ~addr:(a * t.p.word_bytes) ~write:true
     ~charge:t.acc;
-  set_word t.mem a v
+  set_word t a v
 
 let set_phase t phase = Cachesim.Hierarchy.set_phase t.hier phase
 let phase t = Cachesim.Hierarchy.phase t.hier
@@ -163,12 +173,12 @@ let busy_ns t = t.acc.(1)
 
 let peek t a =
   check t a;
-  get_word t.mem a
+  get_word t a
 
 let poke t a v =
   check t a;
   check_value t v;
-  set_word t.mem a v
+  set_word t a v
 
 let poke_array t a vs =
   if Array.length vs > 0 then begin
@@ -176,7 +186,7 @@ let poke_array t a vs =
     check t (a + Array.length vs - 1);
     Array.iter (check_value t) vs;
     for i = 0 to Array.length vs - 1 do
-      set_word t.mem (a + i) (Array.unsafe_get vs i)
+      set_word t (a + i) (Array.unsafe_get vs i)
     done
   end
 
@@ -186,10 +196,9 @@ let peek_array t a n =
   else begin
     check t a;
     check t (a + n - 1);
-    let mem = t.mem in
     let vs = Array.make n 0 in
     for i = 0 to n - 1 do
-      Array.unsafe_set vs i (get_word mem (a + i))
+      Array.unsafe_set vs i (get_word t (a + i))
     done;
     vs
   end
@@ -223,42 +232,35 @@ let labelled_alloc t ?align_words ~label n =
   base
 
 let release_store t =
-  t.mem <- Bytes.empty;
+  t.pages <- [||];
+  t.owned <- Bytes.empty;
   t.limit <- 0
+
+let owned_pages t =
+  Bytes.fold_left (fun n c -> if c = '\000' then n else n + 1) 0 t.owned
 
 (* The private machine an image is built on: its own engine, no
    ambient recorder (so no scope node, profile or trace sees it), and a
-   one-set hierarchy, since index construction only pokes.  Its store
-   goes to the image and is then dropped, so the descriptors built on it
-   keep nothing of its memory alive. *)
+   one-set hierarchy, since index construction only pokes.  Its pages
+   go to the image, frozen (it drops its page table, so nothing writes
+   them again), and the descriptors built on it keep none alive. *)
 let build_image (p : Cachesim.Mem_params.t) build =
   let t =
-    {
-      eng = Simcore.Engine.create ();
-      node_name = "image";
-      p;
-      hier =
-        Cachesim.Hierarchy.create
-          {
-            p with
-            l1_size = p.l1_line * p.l1_ways;
-            l2_size = p.l2_line * p.l2_ways;
-            tlb_entries = 0;
-          };
-      mem = Bytes.empty;
-      brk = 0;
-      limit = 0;
-      acc = [| 0.0; 0.0 |];
-      prof = None;
-      tracer = None;
-      labels = Some [];
-    }
+    make (Simcore.Engine.create ()) "image" p
+      (Cachesim.Hierarchy.create
+         {
+           p with
+           l1_size = p.l1_line * p.l1_ways;
+           l2_size = p.l2_line * p.l2_ways;
+           tlb_entries = 0;
+         })
+      ~prof:None ~tracer:None ~labels:(Some [])
   in
   let x = build t in
   let img =
     {
       img_params = p;
-      store = Bytes.sub t.mem 0 (4 * t.brk);
+      img_pages = Array.sub t.pages 0 ((t.brk + page_mask) lsr page_bits);
       img_brk = t.brk;
       regions = List.rev (Option.get t.labels);
     }
@@ -268,30 +270,19 @@ let build_image (p : Cachesim.Mem_params.t) build =
   t.labels <- None;
   (img, x)
 
-let load_image t ?(then_alloc = []) img =
+let load_image t img =
   if t.brk <> 0 then
     invalid_arg
       (Printf.sprintf "Machine.load_image: %s is not empty" t.node_name);
   if img.img_params != t.p && img.img_params <> t.p then
     invalid_arg "Machine.load_image: image built for other parameters";
-  let cap =
-    List.fold_left
-      (fun brk n ->
-        if n < 0 then invalid_arg "Machine.load_image: negative size";
-        align_up brk (line_words t) + n)
-      img.img_brk then_alloc
-  in
-  let mem = Bytes.create (4 * cap) in
-  Bytes.blit img.store 0 mem 0 (4 * img.img_brk);
-  Bytes.fill mem (4 * img.img_brk) (4 * (cap - img.img_brk)) '\000';
-  t.mem <- mem;
+  t.pages <- Array.copy img.img_pages;
+  t.owned <- Bytes.make (Array.length img.img_pages) '\000';
   t.brk <- img.img_brk;
   t.limit <- t.brk;
   List.iter
     (fun r -> label_region t ~label:r.label ~base:r.base ~words:r.words)
     img.regions
-
-let capacity_words t = Bytes.length t.mem / 4
 
 let sample_residency t =
   match Cachesim.Hierarchy.scope t.hier with

@@ -2,8 +2,9 @@
     cache hierarchy, plus a local cost accumulator tied to the
     discrete-event clock.
 
-    Data is held in a flat, growable byte store of 4-byte words (the
-    paper's key/pointer width), which the GC does not scan.  A word is an
+    Data is held in 4 KiB host pages of 4-byte words (the paper's
+    key/pointer width), copied on a machine's first write to them, so
+    words nothing writes cost no host memory.  A word is an
     unsigned 32-bit value: every store ({!write}, {!poke},
     {!poke_array}, {!dma_write}) raises [Invalid_argument] for a value
     outside [\[0, 2^32)] and leaves memory unchanged.  Every timed {!read}/{!write} routes through the
@@ -21,15 +22,15 @@
     {!image} holds the words, the allocation mark and the labelled
     regions of an index built once by {!build_image}, and
     {!load_image} gives any number of fresh machines that same memory
-    without rebuilding it.  A loaded machine's caches start cold, as a
-    built one's do, so no simulated outcome can tell the two apart. *)
+    without rebuilding it: they share its pages until they write.  A
+    loaded machine's caches start cold, as a built one's do, so no
+    simulated outcome can tell the two apart. *)
 
 type t
 
 val create :
   Simcore.Engine.t -> ?name:string -> Cachesim.Mem_params.t -> t
 
-val engine : t -> Simcore.Engine.t
 val name : t -> string
 val params : t -> Cachesim.Mem_params.t
 val hierarchy : t -> Cachesim.Hierarchy.t
@@ -43,12 +44,12 @@ val alloc : t -> ?align_words:int -> int -> int
 
 val words_allocated : t -> int
 
-val capacity_words : t -> int
-(** Words the host store holds before the next allocation must grow it
-    (a doubling copy).  Diagnostic: no simulated cost depends on it. *)
+val owned_pages : t -> int
+(** Host pages this machine has copied to write into, not counting
+    pages it shares.  Diagnostic: no simulated cost depends on it. *)
 
 val release_store : t -> unit
-(** Free the host store of a machine whose words are no longer needed.
+(** Free the host pages of a machine whose words are no longer needed.
     Its clock, counters and {!words_allocated} stay for the reports;
     until the next {!alloc}, every access raises [Invalid_argument].  A driver that keeps
     its node machines until the run's roll-up calls this once a node's
@@ -64,7 +65,8 @@ val read : t -> int -> int
 
 val write : t -> int -> int -> unit
 (** [write m a v] stores [v] at word-address [a], charging its cache
-    cost to the local accumulator.  Allocates nothing, as {!read}. *)
+    cost to the local accumulator.  Allocates nothing, as {!read}, but
+    a page's copy on the machine's first write to it. *)
 
 val compute : t -> float -> unit
 (** [compute m ns] charges [ns] of pure CPU time (key comparisons,
@@ -150,21 +152,20 @@ type image
 val build_image : Cachesim.Mem_params.t -> (t -> 'a) -> image * 'a
 (** [build_image p build] runs [build] (index constructors: {!alloc},
     {!poke}, labels) on a private machine with parameters [p] and
-    returns its exact-size image and [build]'s result.  The private
+    returns its image (its pages, uncopied) and [build]'s result.  The private
     machine has its own engine and is seen by no ambient recorder: it
     adds no {!Obs.Cachescope} node, profile charge or trace lane.  Its
     store is released once imaged: descriptors [build] returned refer
     to a machine with no words left (any access raises), and serve only
     as shapes to re-target to a loaded machine. *)
 
-val load_image : t -> ?then_alloc:int list -> image -> unit
+val load_image : t -> image -> unit
 (** [load_image m img] gives the empty machine [m] the image's words and
     allocation mark, then replays its labels in labelling order (so an
     ambient cache scope sees exactly the labels a build on [m] would
-    have made).  The store is sized once, to the image plus the
-    default-aligned allocations [then_alloc] that will follow, so those
-    never grow it.  Raises [Invalid_argument] if [m] has allocated
-    anything, or if [img] was built for other parameters. *)
+    have made).  [m] shares the image's pages until it writes to them.
+    Raises [Invalid_argument] if [m] has allocated anything, or if
+    [img] was built for other parameters. *)
 
 val sample_residency : t -> unit
 (** Freeze the current per-(level, region) residency fractions at the

@@ -183,22 +183,31 @@ let to_string t =
    so [1 - u] is in (0,1] and the log is finite. *)
 let exp_sample g ~mean = -.mean *. log (1.0 -. Prng.Splitmix.float g 1.0)
 
+(* The times [draw push] pushes, in order, as one unboxed array. *)
+let drawn draw =
+  let times = ref (Array.create_float 256) and len = ref 0 in
+  draw (fun tm ->
+      if !len = Array.length !times then
+        times := Array.append !times (Array.create_float !len);
+      !times.(!len) <- tm;
+      incr len);
+  Array.sub !times 0 !len
+
 (* One client's stream at a homogeneous rate (per nanosecond). *)
 let poisson_stream g ~rate_ns ~duration_ns =
-  let acc = ref [] in
+  drawn @@ fun push ->
   let t = ref (exp_sample g ~mean:(1.0 /. rate_ns)) in
   while !t < duration_ns do
-    acc := !t :: !acc;
+    push !t;
     t := !t +. exp_sample g ~mean:(1.0 /. rate_ns)
-  done;
-  List.rev !acc
+  done
 
 (* Two-state MMPP: alternate quiet/burst sojourns; within a sojourn the
    stream is Poisson at that state's rate, and the memorylessness of the
    exponential lets us discard the candidate that crosses the state
    boundary and redraw at the new rate. *)
 let mmpp_stream g ~rate_ns ~burst ~on_ns ~off_ns ~duration_ns =
-  let acc = ref [] in
+  drawn @@ fun push ->
   let t = ref 0.0 in
   let bursting = ref false in
   let state_end = ref (exp_sample g ~mean:off_ns) in
@@ -207,7 +216,7 @@ let mmpp_stream g ~rate_ns ~burst ~on_ns ~off_ns ~duration_ns =
     let cand = !t +. exp_sample g ~mean:(1.0 /. rate) in
     if cand < !state_end then begin
       t := cand;
-      if !t < duration_ns then acc := !t :: !acc
+      if !t < duration_ns then push !t
     end
     else begin
       t := !state_end;
@@ -215,8 +224,7 @@ let mmpp_stream g ~rate_ns ~burst ~on_ns ~off_ns ~duration_ns =
       state_end :=
         !state_end +. exp_sample g ~mean:(if !bursting then on_ns else off_ns)
     end
-  done;
-  List.rev !acc
+  done
 
 (* Non-homogeneous Poisson by thinning against the peak intensity. *)
 let diurnal_stream g ~rate_ns ~peak ~period_ns ~duration_ns =
@@ -227,14 +235,12 @@ let diurnal_stream g ~rate_ns ~peak ~period_ns ~duration_ns =
        )
   in
   let max_rate = rate_ns *. Float.max 1.0 peak in
-  let acc = ref [] in
+  drawn @@ fun push ->
   let t = ref (exp_sample g ~mean:(1.0 /. max_rate)) in
   while !t < duration_ns do
-    if Prng.Splitmix.float g 1.0 < intensity !t /. max_rate then
-      acc := !t :: !acc;
+    if Prng.Splitmix.float g 1.0 < intensity !t /. max_rate then push !t;
     t := !t +. exp_sample g ~mean:(1.0 /. max_rate)
-  done;
-  List.rev !acc
+  done
 
 let read_replay path ~duration_ns =
   let ic =
@@ -264,45 +270,49 @@ let read_replay path ~duration_ns =
       Array.stable_sort Float.compare arr;
       arr)
 
-let generate t ~seed ~clients ~duration_ns =
+(* Ascending [a] and [b] merged, [a]'s element first on a tie. *)
+let merge2 (a : float array) (b : float array) =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.create_float (na + nb) and i = ref 0 in
+  for o = 0 to na + nb - 1 do
+    let j = o - !i in
+    if j = nb || (!i < na && not (b.(j) < a.(!i))) then begin
+      out.(o) <- a.(!i);
+      incr i
+    end
+    else out.(o) <- b.(j)
+  done;
+  out
+
+(* Each half merged, then the halves: a tie goes to the lower stream. *)
+let merge streams =
+  let rec go lo hi =
+    if hi - lo = 1 then streams.(lo)
+    else merge2 (go lo ((lo + hi) / 2)) (go ((lo + hi) / 2) hi)
+  in
+  if Array.length streams = 0 then [||] else go 0 (Array.length streams)
+
+let streams t ~seed ~clients ~duration_ns =
+  let clients = max 1 clients in
+  let g = Prng.Splitmix.create seed in
+  let per_client rate = rate /. 1e9 /. float_of_int clients in
+  let each stream =
+    Array.init clients (fun _ -> stream (Prng.Splitmix.split g))
+  in
   if duration_ns <= 0.0 then [||]
   else
     match t.process with
-    | Replay { path } -> read_replay path ~duration_ns
-    | _ ->
-        let clients = max 1 clients in
-        let g = Prng.Splitmix.create seed in
-        let streams =
-          Array.init clients (fun _ -> Prng.Splitmix.split g)
-        in
-        let per_client rate = rate /. 1e9 /. float_of_int clients in
-        let stream_of c g =
-          let times =
-            match t.process with
-            | Poisson { rate } ->
-                poisson_stream g ~rate_ns:(per_client rate) ~duration_ns
-            | Mmpp { rate; burst; on_ns; off_ns } ->
-                mmpp_stream g ~rate_ns:(per_client rate) ~burst ~on_ns ~off_ns
-                  ~duration_ns
-            | Diurnal { rate; peak; period_ns } ->
-                diurnal_stream g ~rate_ns:(per_client rate) ~peak ~period_ns
-                  ~duration_ns
-            | Replay _ -> assert false
-          in
-          List.mapi (fun i tm -> (tm, c, i)) times
-        in
-        let all =
-          Array.of_list
-            (List.concat (List.init clients (fun c -> stream_of c streams.(c))))
-        in
-        (* Ties (vanishingly rare but possible) break by client then
-           per-client sequence: deterministic merge (times are never
-           NaN). *)
-        Array.sort
-          (fun (tm, c, i) (tm', c', i') ->
-            let o = Float.compare tm tm' in
-            if o <> 0 then o
-            else if c <> c' then Int.compare c c'
-            else Int.compare i i')
-          all;
-        Array.map (fun (tm, _, _) -> tm) all
+    | Replay { path } -> [| read_replay path ~duration_ns |]
+    | Poisson { rate } ->
+        each (poisson_stream ~rate_ns:(per_client rate) ~duration_ns)
+    | Mmpp { rate; burst; on_ns; off_ns } ->
+        each
+          (mmpp_stream ~rate_ns:(per_client rate) ~burst ~on_ns ~off_ns
+             ~duration_ns)
+    | Diurnal { rate; peak; period_ns } ->
+        each
+          (diurnal_stream ~rate_ns:(per_client rate) ~peak ~period_ns
+             ~duration_ns)
+
+let generate t ~seed ~clients ~duration_ns =
+  merge (streams t ~seed ~clients ~duration_ns)

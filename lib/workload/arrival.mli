@@ -68,3 +68,10 @@ val generate :
     the file's timestamps at [duration_ns].
 
     Raises [Failure] when a replay file is missing or malformed. *)
+
+val streams :
+  t -> seed:int -> clients:int -> duration_ns:float -> float array array
+(** The ascending per-client streams {!generate} merges (one for replay). *)
+
+val merge : float array array -> float array
+(** Ascending streams merged in O(n log streams), ties lower stream first. *)

@@ -32,27 +32,28 @@ let radix_sort (a : int array) =
   pass tmp a digit_bits
 
 (* The first [n] distinct draws, deduplicated through an open-addressed
-   table (linear probing, load at most 1/2, [-1] marks an empty slot). *)
+   table of 4-byte slots, [k + 1] or 0 when empty, at most 5/8 full. *)
 let index_keys g ~n =
   if n < 1 then invalid_arg "Keygen.index_keys: n must be >= 1";
   if n > key_space / 2 then invalid_arg "Keygen.index_keys: n too large";
   let bits = ref 1 in
-  while 1 lsl !bits < 2 * n do
+  while 5 lsl !bits < 8 * n do
     incr bits
   done;
   let mask = (1 lsl !bits) - 1 in
-  let table = Array.make (1 lsl !bits) (-1) in
+  let table = Bytes.make (4 lsl !bits) '\000' in
+  let slot_at i = Int32.to_int (Bytes.get_int32_ne table (4 * i)) in
   let out = Array.make n 0 in
   let filled = ref 0 in
   while !filled < n do
     let k = Prng.Splitmix.int g key_space in
     (* Multiplicative hashing: the top [bits] of the 63-bit product. *)
     let slot = ref ((k * 0x2545F4914F6CDD1D) lsr (63 - !bits)) in
-    while table.(!slot) <> k && table.(!slot) >= 0 do
+    while slot_at !slot <> k + 1 && slot_at !slot <> 0 do
       slot := (!slot + 1) land mask
     done;
-    if table.(!slot) < 0 then begin
-      table.(!slot) <- k;
+    if slot_at !slot = 0 then begin
+      Bytes.set_int32_ne table (4 * !slot) (Int32.of_int (k + 1));
       out.(!filled) <- k;
       incr filled
     end

@@ -190,30 +190,41 @@ let test_scale_invariance_of_per_key_cost () =
     true
     (Float.abs (f -. h) /. f < 0.15)
 
-(* A slave's store is allocated once: the index image and the three
-   serving buffers behind it fill it exactly. *)
-let test_slave_store_sized_once () =
-  let keys = Array.init 5000 (fun i -> (3 * i) + 1) in
-  let batch_keys = 1000 in
-  let laid_out what build =
-    let m =
-      Machine.create (Simcore.Engine.create ()) ~name:"slave"
-        Cachesim.Mem_params.pentium3
-    in
-    ignore (build m);
-    check_bool (what ^ " holds its buffers") true
-      (Machine.words_allocated m > 3 * batch_keys);
-    check_int (what ^ " store = allocation") (Machine.words_allocated m)
-      (Machine.capacity_words m)
+(* A slave's receive and reply buffers are [batch_keys] words each, but
+   a batch carries at most the flush threshold [cap]: the slave owns host
+   pages only for the words batches and replies write, and none of its
+   loaded index.  C-3 at the paper's 1024 KB batch over ten slaves. *)
+let test_slave_owns_written_pages () =
+  let keys = Array.init 32768 (fun i -> (3 * i) + 1) in
+  let batch_keys = 1024 * 1024 / 4 in
+  let cap = batch_keys / 10 in
+  let eng = Simcore.Engine.create () in
+  let net = Netsim.Network.create eng Netsim.Profile.myrinet ~nodes:2 in
+  let m = Machine.create eng ~name:"slave" Cachesim.Mem_params.pentium3 in
+  let slave =
+    Dispatch.Slave_node.build Dispatch.Methods.C3 m keys ~batch_keys
   in
-  List.iter
-    (fun v ->
-      laid_out (Dispatch.Methods.to_string v) (fun m ->
-          Dispatch.Slave_node.build v m keys ~batch_keys))
-    Dispatch.Methods.[ C1; C2; C3 ];
-  laid_out "segments" (fun m ->
-      Dispatch.Slave_node.build_segments m keys
-        ~policy:Index.Segments.default_policy ~batch_keys)
+  check_int "index pages shared with the image" 0 (Machine.owned_pages m);
+  Dispatch.Slave_node.spawn eng net slave ~node:1 ~terms_expected:1
+    ~reply_dst:(fun ~src -> src)
+    ~overhead_ns:0.0 ();
+  let rng = Random.State.make [| 7 |] in
+  Simcore.Engine.spawn eng (fun () ->
+      for id = 0 to 3 do
+        Netsim.Network.isend net ~src:0 ~dst:1 ~size:(4 * cap)
+          (Dispatch.Proto.Data
+             (id, Array.init cap (fun _ -> Random.State.int rng (1 lsl 20))))
+      done;
+      Netsim.Network.isend net ~src:0 ~dst:1 ~size:0 Dispatch.Proto.Term);
+  Simcore.Engine.run eng;
+  (* Each buffer's first [cap] words touch at least [cap / 1024] and at
+     most [cap / 1024 + 2] pages of 1,024 words. *)
+  let owned = Machine.owned_pages m in
+  check_bool
+    (Printf.sprintf "owns %d pages: 3 buffers of %d words" owned cap)
+    true
+    (owned >= 3 * (cap / 1024) && owned <= 3 * ((cap / 1024) + 2));
+  check_bool "not the buffers' full size" true (owned < batch_keys / 1024)
 
 let test_method_c_rejects_bad_config () =
   let keys, queries = Lazy.force workload in
@@ -476,7 +487,8 @@ let () =
           tc "paper headline ordering" `Slow test_paper_headline_ordering;
           tc "per-key scale invariance" `Slow test_scale_invariance_of_per_key_cost;
           tc "bad configs rejected" `Quick test_method_c_rejects_bad_config;
-          tc "slave store sized once" `Quick test_slave_store_sized_once;
+          tc "slave owns the pages it writes" `Quick
+            test_slave_owns_written_pages;
           tc "slave scaling" `Slow test_more_slaves_help_method_c;
         ] );
       ("run_result", [ tc "helpers" `Quick test_run_result_helpers ]);

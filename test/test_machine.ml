@@ -284,8 +284,10 @@ let test_image_equals_build () =
       check_bool "words" true (words m = words l);
       check_float "loading is untimed" 0.0 (Machine.busy_ns l))
 
+(* Machines loaded from one image share its pages until they write:
+   neither sees the other's writes, and neither does one loaded later. *)
 let test_image_copies_independent () =
-  let img, (a, _) = Machine.build_image p3 build_sample in
+  let img, (a, b) = Machine.build_image p3 build_sample in
   let load () =
     let l = Machine.create (Engine.create ()) ~name:"l" p3 in
     Machine.load_image l img;
@@ -295,9 +297,39 @@ let test_image_copies_independent () =
   let before = words l2 in
   Machine.write l1 a 42;
   Machine.poke l1 (a + 1) 43;
+  Machine.poke_array l2 b [| 1; 2 |];
+  Machine.dma_write l2 (a + 2) [| 44 |];
   check_int "written" 42 (Machine.peek l1 a);
-  check_bool "other copy unchanged" true (words l2 = before);
+  check_int "l1 sees not l2's poke_array" 7 (Machine.peek l1 b);
+  check_int "l1 sees not l2's dma_write" 1002 (Machine.peek l1 (a + 2));
+  check_int "l2 sees not l1's write" 1000 (Machine.peek l2 a);
+  check_int "l2 sees not l1's poke" 1001 (Machine.peek l2 (a + 1));
   check_bool "image unchanged" true (words (load ()) = before)
+
+(* A loaded machine holds none of the image's pages, nor of the words
+   it allocates behind them, until it writes: then it owns exactly the
+   pages its writes touched. *)
+let test_loaded_owns_nothing_until_written () =
+  let img, (a, _) = Machine.build_image p3 build_sample in
+  with_machine (fun _ m ->
+      Machine.load_image m img;
+      check_int "loaded" 0 (Machine.owned_pages m);
+      let big = Machine.alloc m 5000 in
+      ignore (Machine.read m a);
+      ignore (Machine.read m (big + 4999));
+      check_bool "reads" true
+        (Machine.peek_array m big 5000 = Array.make 5000 0);
+      check_int "allocated and read" 0 (Machine.owned_pages m);
+      Machine.write m a 1;
+      Machine.poke m (a + 1) 2;
+      check_int "image page written" 1 (Machine.owned_pages m);
+      (* Two words of [big] on either side of the page 1/2 boundary. *)
+      let lo = 2048 - 1 in
+      Machine.poke_array m lo [| 3; 4 |];
+      check_int "straddling poke_array" 3 (Machine.owned_pages m);
+      Machine.dma_write m lo [| 5; 6 |];
+      check_int "owned pages are written in place" 3 (Machine.owned_pages m);
+      check_int "dma_write" 6 (Machine.peek m 2048))
 
 let test_load_image_needs_empty_machine () =
   let img, _ = Machine.build_image p3 build_sample in
@@ -319,51 +351,94 @@ let test_load_image_needs_empty_machine () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-let test_load_image_sizes_store_once () =
-  let img, _ = Machine.build_image p3 build_sample in
-  with_machine (fun _ m ->
-      Machine.load_image m img ~then_alloc:[ 3; 1000 ];
-      let cap = Machine.capacity_words m in
-      let q = Machine.alloc m 3 in
-      let r = Machine.alloc m 1000 in
-      check_int "known allocations fit exactly" cap
-        (Machine.words_allocated m);
-      check_int "no growth" cap (Machine.capacity_words m);
-      check_int "fresh words are zero" 0 (Machine.peek m (r + 999));
-      check_int "aligned" 0 (q mod 8);
-      ignore (Machine.alloc m 1);
-      check_bool "growth past them still works" true
-        (Machine.capacity_words m > cap);
-      check_int "image words kept" 1003 (Machine.peek m 3));
-  (* An empty image loads as an empty store, which must still grow. *)
-  let empty, () = Machine.build_image p3 ignore in
-  with_machine (fun _ m ->
-      Machine.load_image m empty;
-      check_int "empty store" 0 (Machine.capacity_words m);
-      let a = Machine.alloc m 5 in
-      Machine.poke m (a + 4) 9;
-      check_int "grew from empty" 9 (Machine.peek m (a + 4)))
+(* The paged store against a flat [int array] model: from an empty
+   machine, or one loaded from the sample or an empty image, any
+   sequence of allocations and stores leaves every word as the model has
+   it, and unwritten words read 0.  Addresses and bulk lengths are taken
+   modulo what is allocated when the step runs. *)
+type op =
+  | Alloc of int * bool  (** words, line-aligned *)
+  | Write of int * int
+  | Poke of int * int
+  | Poke_array of int * int array
+  | Dma of int * int array
 
-(* Any list of sizes, zeros and sizes off a line multiple included,
-   allocated behind a loaded image fits the store it was sized for
-   exactly; the next allocation still grows it. *)
-let prop_then_alloc_fits_exactly =
-  let sizes =
-    QCheck.(list_of_size Gen.(0 -- 8) (oneof [ always 0; int_range 1 100 ]))
+let show_op = function
+  | Alloc (n, al) ->
+      Printf.sprintf "alloc %d%s" n (if al then "" else " packed")
+  | Write (a, v) -> Printf.sprintf "write %d %d" a v
+  | Poke (a, v) -> Printf.sprintf "poke %d %d" a v
+  | Poke_array (a, vs) ->
+      Printf.sprintf "poke_array %d [%d]" a (Array.length vs)
+  | Dma (a, vs) -> Printf.sprintf "dma_write %d [%d]" a (Array.length vs)
+
+let prop_paged_store_matches_model =
+  let open QCheck.Gen in
+  let word = oneof [ return 0; return 0xFFFF_FFFF; int_range 1 1_000_000 ] in
+  let bulk = array_size (int_range 0 2100) word in
+  let op =
+    frequency
+      [
+        (2, map2 (fun n al -> Alloc (n, al)) (int_range 0 2500) bool);
+        (3, map2 (fun a v -> Write (a, v)) nat word);
+        (3, map2 (fun a v -> Poke (a, v)) nat word);
+        (2, map2 (fun a vs -> Poke_array (a, vs)) nat bulk);
+        (2, map2 (fun a vs -> Dma (a, vs)) nat bulk);
+      ]
   in
-  let img, _ = Machine.build_image p3 build_sample in
-  QCheck.Test.make ~count:200 ~name:"then_alloc sizes the store exactly" sizes
-    (fun ns ->
+  let case = pair (int_range 0 2) (list_size (int_range 1 25) op) in
+  let print (start, ops) =
+    Printf.sprintf "start=%d: %s" start
+      (String.concat "; " (List.map show_op ops))
+  in
+  let images =
+    [|
+      None;
+      Some (fst (Machine.build_image p3 build_sample));
+      Some (fst (Machine.build_image p3 ignore));
+    |]
+  in
+  QCheck.Test.make ~count:200 ~name:"paged store matches a flat model"
+    (QCheck.make ~print case) (fun (start, ops) ->
       with_machine (fun _ m ->
-          Machine.load_image m img ~then_alloc:ns;
-          let cap = Machine.capacity_words m in
-          List.iter (fun n -> ignore (Machine.alloc m n)) ns;
-          let fits =
-            Machine.capacity_words m = cap
-            && Machine.words_allocated m = cap
+          Option.iter (Machine.load_image m) images.(start);
+          let model = Array.make (1 lsl 16) 0 in
+          Array.iteri (fun i v -> model.(i) <- v) (words m);
+          let brk = ref (Machine.words_allocated m) in
+          let ok = ref true in
+          let store a vs =
+            Array.iteri (fun i v -> model.(a + i) <- v) vs;
+            Array.iteri
+              (fun i v -> if Machine.peek m (a + i) <> v then ok := false)
+              vs
           in
-          ignore (Machine.alloc m 1);
-          fits && Machine.capacity_words m > cap))
+          let bulk f a vs =
+            if !brk > 0 then begin
+              let a = a mod !brk in
+              let vs = Array.sub vs 0 (min (Array.length vs) (!brk - a)) in
+              f m a vs;
+              store a vs
+            end
+          in
+          List.iter
+            (function
+              | Alloc (n, aligned) ->
+                  let align = if aligned then 8 else 1 in
+                  let base = (!brk + align - 1) / align * align in
+                  if Machine.alloc m ~align_words:align n <> base then
+                    ok := false;
+                  brk := base + n
+              | Write (a, v) ->
+                  bulk (fun m a vs -> Machine.write m a vs.(0)) a [| v |]
+              | Poke (a, v) ->
+                  bulk (fun m a vs -> Machine.poke m a vs.(0)) a [| v |]
+              | Poke_array (a, vs) -> bulk Machine.poke_array a vs
+              | Dma (a, vs) -> bulk Machine.dma_write a vs)
+            ops;
+          !ok
+          && Machine.words_allocated m = !brk
+          && words m = Array.sub model 0 !brk
+          && Machine.peek_array m 0 !brk = Array.sub model 0 !brk))
 
 let scope_regions sc name =
   match
@@ -397,15 +472,15 @@ let test_image_template_released () =
     Machine.build_image p3 (fun m -> (m, build_sample m))
   in
   check_int "template emptied" 0 (Machine.words_allocated template);
-  check_int "template store released" 0 (Machine.capacity_words template);
+  check_int "template store released" 0 (Machine.owned_pages template);
   check_bool "template access raises" true
     (match Machine.peek template a with
     | _ -> false
     | exception Invalid_argument _ -> true);
   with_machine (fun _ m ->
       Machine.load_image m img;
-      check_int "image exact" (Machine.words_allocated m)
-        (Machine.capacity_words m))
+      check_int "image words" 1000 (Machine.peek m a);
+      check_int "image pages shared" 0 (Machine.owned_pages m))
 
 let test_release_store () =
   with_machine (fun _ m ->
@@ -414,8 +489,9 @@ let test_release_store () =
       ignore (Machine.read m a);
       Machine.compute m 3.0;
       let busy = Machine.busy_ns m in
+      check_int "one page written" 1 (Machine.owned_pages m);
       Machine.release_store m;
-      check_int "store released" 0 (Machine.capacity_words m);
+      check_int "store released" 0 (Machine.owned_pages m);
       check_int "allocation mark kept" 100 (Machine.words_allocated m);
       check_float "busy kept" busy (Machine.busy_ns m);
       List.iter
@@ -471,12 +547,13 @@ let () =
           tc "load equals build" `Quick test_image_equals_build;
           tc "copies independent" `Quick test_image_copies_independent;
           tc "needs empty machine" `Quick test_load_image_needs_empty_machine;
-          tc "store sized once" `Quick test_load_image_sizes_store_once;
+          tc "loaded owns nothing until written" `Quick
+            test_loaded_owns_nothing_until_written;
           tc "scope" `Quick test_image_scope;
           tc "template released" `Quick test_image_template_released;
           tc "release store" `Quick test_release_store;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_then_alloc_fits_exactly ]
+        List.map QCheck_alcotest.to_alcotest [ prop_paged_store_matches_model ]
       );
     ]

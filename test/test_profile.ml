@@ -372,7 +372,7 @@ let test_committed_artefacts_load () =
   | Ok entries -> check_int "baseline entries" 26 (List.length entries)
   | Error e -> Alcotest.fail e);
   match Bench_harness.Throughput.load "../BENCH_009.json" with
-  | Ok samples -> check_int "trajectory samples" 27 (List.length samples)
+  | Ok samples -> check_int "trajectory samples" 31 (List.length samples)
   | Error e -> Alcotest.fail e
 
 let () =

@@ -156,6 +156,105 @@ let prop_index_keys_match_reference =
       Workload.Keygen.index_keys (Prng.Splitmix.create seed) ~n
       = reference_index_keys (Prng.Splitmix.create seed) ~n)
 
+(* The dedup table's load peaks at 5/8 exactly when [n] is 5 * 2^k / 8;
+   at, just below and just past those sizes the keys are still the first
+   [n] distinct draws. *)
+let test_index_keys_load_boundaries () =
+  List.iter
+    (fun k ->
+      let at = 5 lsl k / 8 in
+      List.iter
+        (fun n ->
+          if n >= 1 then
+            Alcotest.(check (array int))
+              (Printf.sprintf "n = %d" n)
+              (reference_index_keys (g ()) ~n)
+              (Workload.Keygen.index_keys (g ()) ~n))
+        [ at - 1; at; at + 1 ])
+    [ 1; 2; 3; 4; 5; 8; 11; 14 ]
+
+(* The reference superposition: every client's stream tagged
+   (time, client, sequence) and sorted. *)
+let reference_merge streams =
+  let tag c s = Array.mapi (fun i tm -> (tm, c, i)) s in
+  let tagged = Array.concat (Array.to_list (Array.mapi tag streams)) in
+  Array.sort
+    (fun (tm, c, i) (tm', c', i') ->
+      let o = Float.compare tm tm' in
+      if o <> 0 then o
+      else if c <> c' then Int.compare c c'
+      else Int.compare i i')
+    tagged;
+  Array.map (fun (tm, _, _) -> tm) tagged
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* [generate] is the reference sort of its own client streams, bit for
+   bit, for every process and 1-8 clients.  With [ties], the streams are
+   rounded to a coarse grid first, so equal times across and within
+   clients are common, and [merge] must still order them as the sort
+   does (a [-0.0] can come first only from a lower client). *)
+let prop_arrival_merge_matches_sort =
+  let open QCheck.Gen in
+  let process =
+    oneof
+      [
+        map
+          (fun rate -> Workload.Arrival.Poisson { rate })
+          (float_range 1e5 5e6);
+        map3
+          (fun rate burst (on_ns, off_ns) ->
+            Workload.Arrival.Mmpp { rate; burst; on_ns; off_ns })
+          (float_range 1e5 5e6) (float_range 1.0 8.0)
+          (pair (float_range 1e3 1e5) (float_range 1e3 1e5));
+        map3
+          (fun rate peak period_ns ->
+            Workload.Arrival.Diurnal { rate; peak; period_ns })
+          (float_range 1e5 2e6) (float_range 1.0 5.0) (float_range 1e4 1e6);
+      ]
+  in
+  let case = quad process (int_range 1 8) nat bool in
+  let print (p, clients, seed, ties) =
+    Printf.sprintf "%s clients=%d seed=%d ties=%b"
+      (Workload.Arrival.to_string { Workload.Arrival.process = p })
+      clients seed ties
+  in
+  QCheck.Test.make ~name:"arrival merge = (time, client, seq) sort" ~count:200
+    (QCheck.make ~print case) (fun (process, clients, seed, ties) ->
+      let a = { Workload.Arrival.process } in
+      let duration_ns = 1e6 in
+      let streams = Workload.Arrival.streams a ~seed ~clients ~duration_ns in
+      let ascending s =
+        let ok = ref true in
+        for i = 1 to Array.length s - 1 do
+          if s.(i) < s.(i - 1) then ok := false
+        done;
+        !ok
+      in
+      Array.length streams = clients
+      && Array.for_all ascending streams
+      &&
+      if ties then
+        (* Equal times are told apart only by the sign of a zero: odd
+           clients round their first grid cell to [-0.0]. *)
+        let coarse =
+          Array.mapi
+            (fun c ->
+              Array.map (fun tm ->
+                  let r = Float.round (tm /. 5e3) *. 5e3 in
+                  if r = 0.0 && c land 1 = 1 then -0.0 else r))
+            streams
+        in
+        same_bits (Workload.Arrival.merge coarse) (reference_merge coarse)
+      else
+        same_bits
+          (Workload.Arrival.generate a ~seed ~clients ~duration_ns)
+          (reference_merge streams))
+
 (* Any representable arrival spec survives a render/parse round-trip —
    the property golden serve CSVs and CLI flags depend on.  Floats are
    arbitrary positive finite values (the renderer falls back to %.17g
@@ -228,6 +327,8 @@ let () =
           tc "zipf skew" `Quick test_zipf_queries_skewed;
           tc "sorted queries" `Quick test_sorted_queries_sorted;
           tc "paper size = reference" `Quick test_index_keys_paper_size;
+          tc "load boundaries = reference" `Quick
+            test_index_keys_load_boundaries;
         ] );
       ( "scenario",
         [
@@ -243,5 +344,6 @@ let () =
             prop_index_keys_strictly_increasing;
             prop_index_keys_match_reference;
             prop_arrival_roundtrip;
+            prop_arrival_merge_matches_sort;
           ] );
     ]
