@@ -316,13 +316,26 @@ let serve_cmd =
       & opt (list ~sep:',' float) []
       & info [ "loads" ] ~docv:"QPS,..." ~doc)
   in
+  (* Serving applies --updates to the replicated methods only; the C
+     family's dynamic runs are batch runs, under `ablation updates`. *)
+  let run spec csv loads =
+    if
+      (not (Workload.Mutation.is_none spec.Spec.updates))
+      && List.exists Dispatch.Methods.is_distributed spec.Spec.methods
+    then
+      `Error
+        ( true,
+          "--updates serves methods A and B only (use `repro ablation \
+           updates` for the C family)" )
+    else `Ok (run_serve spec csv loads)
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Online serving: open-loop arrivals (--arrival, --offered-load, \
           --duration, --clients) through each method with SLO accounting \
           (--slo).")
-    Term.(const run_serve $ spec_term $ csv_arg $ loads)
+    Term.(ret (const run $ spec_term $ csv_arg $ loads))
 
 let all_cmd = cmd_of "all" "Run every table and figure in sequence." run_all
 

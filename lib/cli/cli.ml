@@ -299,6 +299,14 @@ let spec_term =
         and n_masters = sc.Workload.Scenario.n_masters
         and n_keys = sc.Workload.Scenario.n_keys in
         let distributed = List.exists Dispatch.Methods.is_distributed selected in
+        (* A fault must land on a node of the cluster. *)
+        let stray_node =
+          List.find_opt
+            (fun node -> node >= n_nodes)
+            (Option.to_list faults.Fault.Spec.degrade_node
+            @ List.map fst faults.Fault.Spec.crashes
+            @ List.map fst faults.Fault.Spec.slow)
+        in
         (* Method C needs a slave beside its masters, and a key for every
            slave.  A one-master run (update forwarding, the masters
            ablation) partitions over [n_nodes - 1] slaves, the most any
@@ -318,18 +326,29 @@ let spec_term =
                   with --nodes %d)"
                  n_keys (n_nodes - 1) n_nodes))
         else
-          Ok
-            (Spec.default
-            |> Spec.with_scenario sc
-            |> Spec.with_jobs jobs
-            |> (match methods with [] -> Fun.id | ms -> Spec.with_methods ms)
-            |> override seed Spec.with_seed
-            |> Spec.with_observe observe
-            |> Spec.with_faults faults
-            |> override arrival Spec.with_arrival
-            |> override slo Spec.with_slo
-            |> override batches Spec.with_batches
-            |> Spec.with_updates updates)
+          match stray_node with
+          | Some node ->
+              Error
+                (`Msg
+                  (Printf.sprintf
+                     "--faults names node %d, but the cluster's nodes are \
+                      0..%d"
+                     node (n_nodes - 1)))
+          | None ->
+              Ok
+                (Spec.default
+                |> Spec.with_scenario sc
+                |> Spec.with_jobs jobs
+                |> (match methods with
+                   | [] -> Fun.id
+                   | ms -> Spec.with_methods ms)
+                |> override seed Spec.with_seed
+                |> Spec.with_observe observe
+                |> Spec.with_faults faults
+                |> override arrival Spec.with_arrival
+                |> override slo Spec.with_slo
+                |> override batches Spec.with_batches
+                |> Spec.with_updates updates)
   in
   Term.(
     term_result ~usage:true

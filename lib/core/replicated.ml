@@ -8,10 +8,9 @@ type replica =
   | Tree of Index.Nary_tree.t * Index.Buffered.t option
   | Segments of Index.Segments.t * Index.Ref_impl.Dyn.t
 
-(* One node's whole timeline: the nodes never communicate, so each runs
-   on its own engine and its accumulators merge afterwards. *)
+(* One node's accumulators, read after the run: the nodes never
+   communicate, so each keeps its own and they merge in node order. *)
 type epoch = {
-  eng : Engine.t;
   machine : Machine.t;
   lat : Latency.t;
   errors : int;
@@ -40,7 +39,7 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
     | Method_c.Serve s -> (false, n_nodes, s.arrivals, s.start_at, s.done_at)
   in
   if stride < 1 then invalid_arg "Replicated: need at least one node";
-  (* The replica is built once, into an image every epoch loads: the
+  (* The replica is built once, into an image every node loads: the
      build is untimed, so a loaded replica is indistinguishable from a
      rebuilt one.  [attach m] is the replica over a machine [m] loaded
      from the image. *)
@@ -65,8 +64,11 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
                 (Index.Segments.retarget seg m, Index.Ref_impl.Dyn.create keys))
   in
   let prof = Obs.Profile.current () in
-  let epoch node =
-    let eng = Engine.create () in
+  (* Every replica is a process on one engine.  [spawn_node node] loads
+     node [node]'s machine and spawns its drain; the closure it returns
+     checks and collects the node once the engine has run. *)
+  let eng = Engine.create () in
+  let spawn_node node =
     let name = if batch then "worker" else Printf.sprintf "node%d" node in
     let m = Machine.create eng ~name params in
     let cnt = (n - node + stride - 1) / stride in
@@ -272,41 +274,41 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
           Machine.sync m;
           Machine.sample_residency m
         end);
-    Engine.run eng;
-    (* A static replica is validated after the run; a moving one was
-       checked online, answer by answer. *)
-    (match replica with
-    | Tree _ ->
-        let expected = Index.Ref_impl.ranks keys (own_queries ()) in
-        for j = 0 to cnt - 1 do
-          if Machine.peek m (r_base + j) <> expected.(j) then incr errors
-        done;
-        (* The epochs are kept until the roll-up, which reads only the
-           machine's counters. *)
-        Machine.release_store m
-    | Segments _ -> ());
-    {
-      eng;
-      machine = m;
-      lat;
-      errors = !errors;
-      flushes =
-        (match replica with
-        | Tree (_, Some b) -> Index.Buffered.overflow_flushes b
-        | Tree (_, None) | Segments _ -> 0);
-      update_ns = !update_ns;
-      segments = (match replica with Segments (s, _) -> [ s ] | Tree _ -> []);
-    }
+    fun () ->
+      (* A static replica is validated after the run; a moving one was
+         checked online, answer by answer. *)
+      (match replica with
+      | Tree _ ->
+          let expected = Index.Ref_impl.ranks keys (own_queries ()) in
+          for j = 0 to cnt - 1 do
+            if Machine.peek m (r_base + j) <> expected.(j) then incr errors
+          done;
+          (* The machine is kept until the roll-up, which reads only its
+             counters. *)
+          Machine.release_store m
+      | Segments _ -> ());
+      {
+        machine = m;
+        lat;
+        errors = !errors;
+        flushes =
+          (match replica with
+          | Tree (_, Some b) -> Index.Buffered.overflow_flushes b
+          | Tree (_, None) | Segments _ -> 0);
+        update_ns = !update_ns;
+        segments = (match replica with Segments (s, _) -> [ s ] | Tree _ -> []);
+      }
   in
-  (* Epochs run in node order and merge in node order. *)
-  let epochs = Array.init stride epoch in
+  (* Replicas spawn in node order, and are checked and merged in node
+     order. *)
+  let finish = Array.init stride spawn_node in
+  Engine.run eng;
+  let epochs = Array.map (fun f -> f ()) finish in
   let lat = Latency.create () in
   Array.iter (fun e -> Latency.merge_into lat e.lat) epochs;
   let sum f = Array.fold_left (fun a e -> a + f e) 0 epochs in
   let errors = sum (fun e -> e.errors) in
-  let raw =
-    Array.fold_left (fun a e -> Float.max a (Engine.now e.eng)) 0.0 epochs
-  in
+  let raw = Engine.now eng in
   let machines = Array.map (fun e -> e.machine) epochs in
   let cluster = Telemetry.rollup ~raw [ machines ] in
   let segments = List.concat_map (fun e -> e.segments) (Array.to_list epochs) in
@@ -318,7 +320,6 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
       ((raw -. upd) /. float_of_int n_nodes) +. upd
     else raw
   in
-  let engines = Array.to_list (Array.map (fun e -> e.eng) epochs) in
   let run =
     {
       Run_result.method_id;
@@ -339,8 +340,7 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
       mean_response_ns = Latency.mean lat;
       p95_response_ns = Latency.percentile lat 0.95;
       metrics =
-        Telemetry.snapshot ~eng:(List.hd engines)
-          ~more_engines:(List.tl engines) ~machines ~latency:lat
+        Telemetry.snapshot ~eng ~machines ~latency:lat
           ~validation_errors:errors
           ~counters:
             (match ops with

@@ -10,15 +10,15 @@
       queries go through the subtree pipeline at a time (Figure 3's
       x-axis).
 
-    This module is the one implementation of that protocol.  The nodes
-    never communicate, so each node's timeline is one epoch on its own
-    engine and machine; epochs run one after another on the calling
-    domain and merge in node order.  Every node starts from the same
-    replica, and building it is untimed, so each call builds it once,
-    into a {!Machine.image}, and every epoch (the single batch epoch
-    included) loads that image into its fresh machine and re-targets
-    the replica's descriptors there.  The image lives for the call
-    only.  The driver varies only along the axes of its inputs:
+    This module is the one implementation of that protocol.  Each call
+    runs one engine: every node is a machine on it with one drain
+    process, spawned in node order.  The nodes never communicate, so
+    each keeps its own accumulators, which merge in node order after
+    the run.  Every node starts from the same replica, and building it
+    is untimed, so each call builds it once, into a {!Machine.image},
+    and every node (the single batch node included) loads that image
+    into its fresh machine and re-targets the replica's descriptors
+    there.  The image lives for the call only.  The driver varies only along the axes of its inputs:
     - [source]: under {!Method_c.Batch}, one node (machine ["worker"])
       drains the whole stream and its time is divided by [n_nodes] —
       the paper's Figure 3 protocol, which charges the dispatcher and
@@ -31,7 +31,7 @@
       from admission; B batches greedily, draining everything that has
       arrived by the time its batch starts.
     - [ops]: {!Method_c.Queries} runs over a static tree, validated
-      after the run against {!Index.Ref_impl.rank}.
+      after the run against {!Index.Ref_impl.ranks}.
       {!Method_c.Updates} runs over an {!Index.Segments} replica: every
       node applies every update in stream order (updates are replicated
       work), and each answer is checked online against a replayed
@@ -50,7 +50,7 @@ val drive :
   queries:int array ->
   Method_c.outcome
 (** Run A or B once over [keys] and [queries].  The outcome's
-    [segments] are the epochs' [Segments] replicas in node order ([[]]
+    [segments] are the nodes' [Segments] replicas in node order ([[]]
     over a static tree), and [Updates] counters see them with
     [~lost_updates:0].  The source's [series] is not read, and the
     result's [serving] field is left [None] for the serving driver to

@@ -2,14 +2,10 @@
    registry here, so series names and label conventions stay uniform
    across Methods A..C-3 and the hierarchical variant. *)
 
-let snapshot ~eng ?(more_engines = []) ?net ~machines ~latency
-    ~validation_errors ?(counters = []) ?degraded () =
+let snapshot ~eng ?net ~machines ~latency ~validation_errors ?(counters = [])
+    ?degraded () =
   let reg = Obs.Metrics.create () in
   Simcore.Engine.record_metrics eng reg;
-  (* Parallel serving runs drive one engine per node: their counters sum
-     (Metrics.incr accumulates) and their gauges resolve last-wins, both
-     in the node order of this list — deterministic at any job count. *)
-  List.iter (fun e -> Simcore.Engine.record_metrics e reg) more_engines;
   Array.iter (fun m -> Machine.record_metrics m reg) machines;
   (match net with
   | Some net -> Netsim.Network.record_metrics net reg

@@ -15,7 +15,6 @@
 
 val snapshot :
   eng:Simcore.Engine.t ->
-  ?more_engines:Simcore.Engine.t list ->
   ?net:'a Netsim.Network.t ->
   machines:Machine.t array ->
   latency:Latency.t ->

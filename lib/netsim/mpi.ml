@@ -34,10 +34,6 @@ let count_collective t op =
   in
   t.collectives <- bump t.collectives
 
-let engine t = t.eng
-let ranks t = t.n
-let network t = t.net
-
 let check_rank t r what =
   if r < 0 || r >= t.n then
     invalid_arg (Printf.sprintf "Mpi.%s: rank %d outside [0,%d)" what r t.n)

@@ -23,11 +23,6 @@ val create : ?faults:Fault.Plan.t -> Simcore.Engine.t -> Profile.t -> ranks:int 
     (injected delay spikes stall the sender's link rather than reorder
     messages). *)
 
-val engine : 'a t -> Simcore.Engine.t
-val ranks : 'a t -> int
-val network : 'a t -> 'a Network.t
-(** The underlying network (for utilisation queries). *)
-
 val isend : 'a t -> src:int -> dst:int -> ?tag:int -> size:int -> 'a -> unit
 (** Non-blocking tagged send of [size] payload bytes. *)
 

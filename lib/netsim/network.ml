@@ -39,10 +39,9 @@ let create ?faults eng prof ~nodes =
     prof;
     n = nodes;
     faults;
-    tx = Array.init nodes (fun i -> Resource.create ~name:(Printf.sprintf "tx%d" i) 1);
-    rx = Array.init nodes (fun i -> Resource.create ~name:(Printf.sprintf "rx%d" i) 1);
-    mailboxes =
-      Array.init nodes (fun i -> Channel.create ~name:(Printf.sprintf "mbox%d" i) ());
+    tx = Array.init nodes (fun _ -> Resource.create 1);
+    rx = Array.init nodes (fun _ -> Resource.create 1);
+    mailboxes = Array.init nodes (fun _ -> Channel.create ());
     xfer_names = link_names nodes "xfer-%d->%d";
     deliver_names = link_names nodes "deliver-%d->%d";
     sent = 0;
@@ -51,11 +50,6 @@ let create ?faults eng prof ~nodes =
     queue_ns = 0.0;
     in_flight = 0;
   }
-
-let engine t = t.eng
-let profile t = t.prof
-let nodes t = t.n
-let faults t = t.faults
 
 let check_node t i what =
   if i < 0 || i >= t.n then
@@ -204,12 +198,6 @@ let messages_delivered t = t.delivered
 let tx_utilization t ~node =
   check_node t node "tx_utilization";
   Resource.utilization t.tx.(node) ~now:(Engine.now t.eng)
-
-let rx_utilization t ~node =
-  check_node t node "rx_utilization";
-  Resource.utilization t.rx.(node) ~now:(Engine.now t.eng)
-
-let queue_ns t = t.queue_ns
 
 let record_metrics t reg =
   Obs.Metrics.incr reg "net_messages_sent" t.sent;

@@ -35,12 +35,6 @@ val create : ?faults:Fault.Plan.t -> Simcore.Engine.t -> Profile.t -> nodes:int 
     interconnect is exactly the fault-free model (bit-identical event
     stream). *)
 
-val engine : 'a t -> Simcore.Engine.t
-val profile : 'a t -> Profile.t
-val nodes : 'a t -> int
-
-val faults : 'a t -> Fault.Plan.t option
-
 val isend :
   'a t -> src:int -> dst:int -> ?tag:int -> ?phase:string -> size:int -> 'a -> unit
 (** Asynchronous send; must be called from inside a simulated process or
@@ -73,13 +67,6 @@ val messages_delivered : 'a t -> int
 
 val tx_utilization : 'a t -> node:int -> float
 (** Fraction of elapsed simulated time node's TX NIC was busy. *)
-
-val rx_utilization : 'a t -> node:int -> float
-
-val queue_ns : 'a t -> float
-(** Summed simulated time messages spent between [isend] and landing in
-    the destination mailbox (wire latency + serialisation + NIC queueing),
-    over all delivered messages. *)
 
 val record_metrics : 'a t -> Obs.Metrics.t -> unit
 (** Dump interconnect counters into a metrics registry:

@@ -37,10 +37,3 @@ let fast_ethernet =
 let transfer_ns t bytes = float_of_int bytes /. t.bandwidth
 let delivery_ns t bytes = transfer_ns t bytes +. t.latency_ns
 let scale_bandwidth t f = { t with bandwidth = t.bandwidth *. f }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%s: latency %a, bandwidth %.0f MB/s, host overhead %a/msg" t.name
-    Simtime.pp t.latency_ns
-    (Simtime.mb_per_s_of_bytes_per_ns t.bandwidth)
-    Simtime.pp t.host_overhead_ns

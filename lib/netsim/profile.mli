@@ -35,5 +35,3 @@ val delivery_ns : t -> int -> float
 
 val scale_bandwidth : t -> float -> t
 (** Multiply bandwidth (for the future-trends model). *)
-
-val pp : Format.formatter -> t -> unit

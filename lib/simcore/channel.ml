@@ -9,19 +9,15 @@ exception Closed
 type 'a waiter = Deliver of 'a | Chan_closed
 
 type 'a t = {
-  chan_name : string;
   items : 'a Queue.t;
   readers : ('a waiter -> bool) Queue.t;
   mutable closed : bool;
 }
 
-let create ?(name = "chan") () =
-  { chan_name = name; items = Queue.create (); readers = Queue.create (); closed = false }
+let create () =
+  { items = Queue.create (); readers = Queue.create (); closed = false }
 
-let name t = t.chan_name
 let length t = Queue.length t.items
-let waiters t = Queue.length t.readers
-let is_closed t = t.closed
 
 let send t v =
   if t.closed then raise Closed;

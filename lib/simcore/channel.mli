@@ -10,8 +10,7 @@ exception Closed
 (** Raised by [recv] on a closed, drained channel and by [send] on a closed
     channel. *)
 
-val create : ?name:string -> unit -> 'a t
-val name : 'a t -> string
+val create : unit -> 'a t
 
 val send : 'a t -> 'a -> unit
 (** Enqueue a message; wakes the longest-waiting receiver if any. *)
@@ -34,11 +33,6 @@ val try_recv : 'a t -> 'a option
 val length : 'a t -> int
 (** Number of buffered (unreceived) messages. *)
 
-val waiters : 'a t -> int
-(** Number of processes blocked in [recv]. *)
-
 val close : Engine.t -> 'a t -> unit
 (** Close the channel: subsequent [send]s raise {!Closed}; blocked and
     future [recv]s raise {!Closed} once the buffer is drained. *)
-
-val is_closed : 'a t -> bool

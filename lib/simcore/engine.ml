@@ -31,7 +31,6 @@ let now t = t.now
 let events_executed t = t.events
 let processes_spawned t = t.spawned
 let processes_live t = t.live
-let max_heap_depth t = t.max_heap
 
 let schedule_at t time f =
   if time < t.now then
@@ -51,8 +50,6 @@ let suspend park = Effect.perform (Suspend park)
 let delay _t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative duration";
   if dt > 0.0 then suspend (fun eng resume -> schedule_after eng dt resume)
-
-let yield _t = suspend schedule_now
 
 let spawn t ?(name = "anon") body =
   t.spawned <- t.spawned + 1;

@@ -31,9 +31,6 @@ val processes_spawned : t -> int
 val processes_live : t -> int
 (** Number of spawned processes that have neither returned nor raised. *)
 
-val max_heap_depth : t -> int
-(** High-water mark of the event queue length (diagnostic). *)
-
 val record_metrics : t -> Obs.Metrics.t -> unit
 (** Dump the engine's counters into a metrics registry:
     [engine_events_executed], [engine_processes_spawned] (counters) and
@@ -65,9 +62,6 @@ val suspend : (t -> (unit -> unit) -> unit) -> unit
 val delay : t -> float -> unit
 (** [delay t dt] suspends the calling process for [dt >= 0] simulated
     nanoseconds. *)
-
-val yield : t -> unit
-(** Let other events at the current timestamp run first. *)
 
 val run : t -> unit
 (** Execute events until the queue is empty.  Re-raises the first process

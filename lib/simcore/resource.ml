@@ -1,5 +1,4 @@
 type t = {
-  res_name : string;
   capacity : int;
   mutable available : int;
   waiters : (unit -> unit) Queue.t;
@@ -7,10 +6,9 @@ type t = {
   mutable busy_since : float; (* valid when held > 0 *)
 }
 
-let create ?(name = "resource") capacity =
+let create capacity =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
   {
-    res_name = name;
     capacity;
     available = capacity;
     waiters = Queue.create ();
@@ -18,10 +16,6 @@ let create ?(name = "resource") capacity =
     busy_since = 0.0;
   }
 
-let name t = t.res_name
-let capacity t = t.capacity
-let available t = t.available
-let waiting t = Queue.length t.waiters
 let held t = t.capacity - t.available
 
 let note_take t now =
@@ -35,13 +29,6 @@ let note_give t now =
 let acquire engine t =
   if t.available > 0 then note_take t (Engine.now engine)
   else Engine.suspend (fun _eng resume -> Queue.push resume t.waiters)
-
-let try_acquire t =
-  if t.available > 0 then begin
-    t.available <- t.available - 1;
-    true
-  end
-  else false
 
 let release engine t =
   if held t <= 0 then invalid_arg "Resource.release: not held";

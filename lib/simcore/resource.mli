@@ -6,19 +6,11 @@
 
 type t
 
-val create : ?name:string -> int -> t
+val create : int -> t
 (** [create n] is a resource with [n >= 1] units, all available. *)
-
-val name : t -> string
-val capacity : t -> int
-val available : t -> int
-val waiting : t -> int
 
 val acquire : Engine.t -> t -> unit
 (** Take one unit, blocking the calling process until one is available. *)
-
-val try_acquire : t -> bool
-(** Take one unit if immediately available. *)
 
 val release : Engine.t -> t -> unit
 (** Return one unit; wakes the longest-waiting process.  Raises

@@ -1,4 +1,3 @@
-let ns x = x
 let us x = x *. 1e3
 let ms x = x *. 1e6
 let s x = x *. 1e9

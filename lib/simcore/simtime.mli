@@ -4,9 +4,6 @@
     this module centralises the conversions so magic constants never appear
     in model or dispatch code. *)
 
-val ns : float -> float
-(** Identity; marks a literal as nanoseconds at call sites. *)
-
 val us : float -> float
 (** Microseconds to nanoseconds. *)
 
@@ -20,7 +17,6 @@ val to_s : float -> float
 (** Nanoseconds to seconds. *)
 
 val to_us : float -> float
-val to_ms : float -> float
 
 val pp : Format.formatter -> float -> unit
 (** Human-readable duration with an auto-selected unit

@@ -144,6 +144,37 @@ let test_serve_reports_sane () =
         (s.Dispatch.Run_result.mean_ns >= s.Dispatch.Run_result.mean_queue_ns))
     reports
 
+(* A and B serve every replica as a process on one engine: all
+   [n_nodes] spawns are queued before the first event runs, and after
+   that each replica has at most one pending event, so the queue peaks
+   at exactly [n_nodes].  The engine's clock is the run's [raw_ns]. *)
+let test_replicas_share_one_engine () =
+  let n_nodes = serve_sc.Workload.Scenario.n_nodes in
+  let reports =
+    Dispatch.Serve.run
+      (Spec.with_methods [ Dispatch.Methods.A; Dispatch.Methods.B ] serve_spec)
+  in
+  check_int "one report per method" 2 (List.length reports);
+  List.iter
+    (fun { Dispatch.Serve.run; _ } ->
+      let m = Dispatch.Methods.to_string run.Dispatch.Run_result.method_id in
+      let metrics = run.Dispatch.Run_result.metrics in
+      let find name =
+        match Obs.Metrics.Snapshot.find metrics name with
+        | Some (Obs.Metrics.Snapshot.Counter v | Obs.Metrics.Snapshot.Gauge v)
+          ->
+            v
+        | Some (Obs.Metrics.Snapshot.Histogram _) | None ->
+            Alcotest.failf "%s: no scalar %s" m name
+      in
+      check_float (m ^ " heap depth = n_nodes") (float_of_int n_nodes)
+        (find "engine_max_heap_depth");
+      check_float (m ^ " engine now = raw_ns") run.Dispatch.Run_result.raw_ns
+        (find "engine_now_ns");
+      check_float (m ^ " one process per node") (float_of_int n_nodes)
+        (find "engine_processes_spawned"))
+    reports
+
 (* The SLO report must be byte-identical at any worker count: the CSV
    lines (what @serve-smoke pins down) compare equal across jobs.  The
    second input serves C-3 from two masters, each dealt every other
@@ -568,6 +599,8 @@ let () =
         [
           tc "reports sane" `Quick test_serve_reports_sane;
           tc "jobs invariant" `Quick test_serve_jobs_invariant;
+          tc "A/B replicas share one engine" `Quick
+            test_replicas_share_one_engine;
           tc "dynamic serving" `Quick test_serve_dynamic;
           tc "load sweep" `Quick test_load_sweep;
           tc "crash smoke" `Quick test_serve_with_crash;
