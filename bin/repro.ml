@@ -147,6 +147,16 @@ let run_fig4 spec years =
   print_string
     (Dispatch.Experiment.render_fig4 (Dispatch.Experiment.fig4 ~years spec))
 
+(* Only `serve` (methods A and B) and `ablation updates` run an update
+   stream; every other subcommand refuses --updates as a usage error
+   rather than run without it. *)
+let updates_refusal =
+  "--updates applies only to `serve` (methods A and B) and `ablation \
+   updates`"
+
+let static spec run =
+  if Spec.dynamic spec then `Error (true, updates_refusal) else `Ok (run ())
+
 (* The dynamic-index study exports per-cell results (base columns plus
    dyn.* update accounting) — it gets the full run treatment the other
    ablation tables don't need. *)
@@ -184,14 +194,22 @@ let run_ablation_updates spec csv =
   finish spec ~generator:"repro ablation updates" runs
 
 let run_ablation spec which csv =
-  if String.lowercase_ascii which = "updates" then begin
-    run_ablation_updates spec csv;
-    `Ok ()
-  end
-  else
-  let () = observing spec ~honours:[] in
+  let study = String.lowercase_ascii which in
+  let refusal =
+    if study = "updates" then Ok ()
+    else if Spec.dynamic spec then Error updates_refusal
+    else if study = "hierarchy" then Dispatch.Ablation.hierarchy_check spec
+    else Ok ()
+  in
+  match refusal with
+  | Error msg -> `Error (true, msg)
+  | Ok () when study = "updates" ->
+      run_ablation_updates spec csv;
+      `Ok ()
+  | Ok () ->
+  observing spec ~honours:[];
   let table =
-    match String.lowercase_ascii which with
+    match study with
     | "batch-overhead" -> Ok (Dispatch.Ablation.batch_overhead spec)
     | "network" -> Ok (Dispatch.Ablation.network spec)
     | "skew" -> Ok (Dispatch.Ablation.skew spec)
@@ -200,7 +218,7 @@ let run_ablation spec which csv =
     | "slave-structure" -> Ok (Dispatch.Ablation.slave_structure spec)
     | "structures" -> Ok (Dispatch.Ablation.structures spec)
     | "hierarchy" -> Ok (Dispatch.Ablation.hierarchy spec)
-    | other -> Error other
+    | _ -> Error which
   in
   match table with
   | Ok t ->
@@ -265,7 +283,8 @@ let run_all spec =
 (* Command wiring *)
 
 let cmd_of name doc f =
-  Cmd.v (Cmd.info name ~doc) Term.(const f $ spec_term)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(ret (const (fun spec -> static spec (fun () -> f spec)) $ spec_term))
 
 let table1_cmd = cmd_of "table1" "Reproduce Table 1 (index structure setup)." run_table1
 let table2_cmd = cmd_of "table2" "Reproduce Table 2 (measured machine parameters)." run_table2
@@ -274,7 +293,10 @@ let table3_cmd = cmd_of "table3" "Reproduce Table 3 (model vs simulation)." run_
 let fig3_cmd =
   Cmd.v
     (Cmd.info "fig3" ~doc:"Reproduce Figure 3 (search time vs batch size).")
-    Term.(const run_fig3 $ spec_term $ csv_arg)
+    Term.(
+      ret
+        (const (fun spec csv -> static spec (fun () -> run_fig3 spec csv))
+        $ spec_term $ csv_arg))
 
 let fig4_cmd =
   let years =
@@ -282,7 +304,10 @@ let fig4_cmd =
   in
   Cmd.v
     (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (future technology trends).")
-    Term.(const run_fig4 $ spec_term $ years)
+    Term.(
+      ret
+        (const (fun spec years -> static spec (fun () -> run_fig4 spec years))
+        $ spec_term $ years))
 
 let ablation_cmd =
   let which =
@@ -299,10 +324,9 @@ let ablation_cmd =
     Term.(ret (const run_ablation $ spec_term $ which $ csv_arg))
 
 let timeline_cmd =
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:"Gantt chart of per-node busy time for one method (default C-3).")
-    Term.(const run_timeline $ spec_term)
+  cmd_of "timeline"
+    "Gantt chart of per-node busy time for one method (default C-3)."
+    run_timeline
 
 let serve_cmd =
   let loads =

@@ -213,6 +213,40 @@ let line_size (spec : Spec.t) =
     machines;
   tbl
 
+(* The dispatch tiers `hierarchy` puts over one pool of [n_nodes - 1]
+   slaves: label, scenario and topology of each run. *)
+let hierarchy_runs (sc : Workload.Scenario.t) =
+  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
+  [
+    ("flat (1 master)", sc, Method_c.Flat);
+    ( "3 masters",
+      sc
+      |> Workload.Scenario.with_masters 3
+      |> Workload.Scenario.with_nodes (n_slaves + 3),
+      Method_c.Flat );
+  ]
+  @ List.map
+      (fun routers ->
+        ( Printf.sprintf "tree (%d routers)" routers,
+          Workload.Scenario.with_nodes (1 + routers + n_slaves) sc,
+          Method_c.Routers routers ))
+      [ 2; 3 ]
+
+let hierarchy_check (spec : Spec.t) =
+  let sc = Spec.scenario spec in
+  let infeasible (label, sc', topology) =
+    match Method_c.layout sc' ~ops:Method_c.Queries ~topology with
+    | Ok _ -> None
+    | Error msg -> Some (label, msg)
+  in
+  match List.find_map infeasible (hierarchy_runs sc) with
+  | None -> Ok ()
+  | Some (label, msg) ->
+      Error
+        (Printf.sprintf
+           "ablation hierarchy cannot lay out its %s run with --nodes %d: %s"
+           label sc.Workload.Scenario.n_nodes msg)
+
 let hierarchy (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
@@ -224,36 +258,18 @@ let hierarchy (spec : Spec.t) =
           "slave idle"; "errors";
         ]
   in
-  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
-  (* Same slave pool everywhere; the dispatch tier varies. *)
-  let configs =
-    [
-      ( "flat (1 master)", sc.Workload.Scenario.n_nodes,
-        fun () -> Runner.run sc ~method_id:Methods.C3 ~keys ~queries );
-      ( "3 masters", n_slaves + 3,
-        fun () ->
-          Runner.run
-            (sc
-            |> Workload.Scenario.with_masters 3
-            |> Workload.Scenario.with_nodes (n_slaves + 3))
-            ~method_id:Methods.C3 ~keys ~queries );
-    ]
-    @ List.map
-        (fun routers ->
-          ( Printf.sprintf "tree (%d routers)" routers,
-            1 + routers + n_slaves,
-            fun () ->
-              Runner.run ~routers
-                (Workload.Scenario.with_nodes (1 + routers + n_slaves) sc)
-                ~method_id:Methods.C3 ~keys ~queries ))
-        [ 2; 3 ]
+  let run (_, sc', topology) =
+    let routers =
+      match topology with Method_c.Flat -> None | Method_c.Routers r -> Some r
+    in
+    Runner.run ?routers sc' ~method_id:Methods.C3 ~keys ~queries
   in
-  Exec.sweep ~jobs:spec.Spec.jobs (fun (_, _, work) -> work ()) configs
-  |> List.iter (fun ((label, nodes, _), (r : Run_result.t)) ->
+  Exec.sweep ~jobs:spec.Spec.jobs run (hierarchy_runs sc)
+  |> List.iter (fun ((label, sc', _), (r : Run_result.t)) ->
          Report.Table.add_row tbl
            [
              label;
-             string_of_int nodes;
+             string_of_int sc'.Workload.Scenario.n_nodes;
              Report.Table.cell_f r.Run_result.per_key_ns;
              Simcore.Simtime.to_string r.Run_result.mean_response_ns;
              Report.Table.cell_pct r.Run_result.master_busy;

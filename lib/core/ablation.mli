@@ -39,6 +39,11 @@ val hierarchy : Experiment.Spec.t -> Report.Table.t
     [Runner.run ~routers] (the paper's T > 2L sketch).  Shows what the extra
     hop costs in response time and what it buys in dispatch capacity. *)
 
+val hierarchy_check : Experiment.Spec.t -> (unit, string) result
+(** Whether every topology {!hierarchy} runs fits the spec's node count
+    ({!Method_c.layout} of each), so a driver can refuse the study
+    before it starts. *)
+
 val structures : Experiment.Spec.t -> Report.Table.t
 (** Per-lookup steady-state cost of every index structure (sorted array,
     Eytzinger, CSB+, n-ary) at slave-partition scale (cache resident) and

@@ -26,6 +26,24 @@ type outcome = {
   lost_updates : int;
 }
 
+let layout (sc : Workload.Scenario.t) ~ops ~topology =
+  let n_routers = match topology with Flat -> 0 | Routers r -> r in
+  (* The router tier and update forwarding each run exactly one master:
+     per-slave update order is defined by one staging stream. *)
+  let n_masters =
+    match (topology, ops) with
+    | Flat, Queries -> sc.Workload.Scenario.n_masters
+    | _ -> 1
+  in
+  let n_slaves = sc.Workload.Scenario.n_nodes - n_masters - n_routers in
+  match (topology, ops) with
+  | Routers _, Updates _ -> Error "update forwarding has no router tier"
+  | _ when n_masters < 1 -> Error "need at least one master"
+  | Routers _, _ when n_routers < 1 -> Error "need at least one router"
+  | _ when n_slaves < max 1 n_routers ->
+      Error "need a master, and a slave per router"
+  | _ -> Ok (n_masters, n_routers, n_slaves)
+
 let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     ~keys ~queries =
   let params = sc.Workload.Scenario.params in
@@ -33,22 +51,11 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
   let n_nodes = sc.Workload.Scenario.n_nodes in
   let batch = match source with Batch -> true | Serve _ -> false in
   let dynamic = match ops with Queries -> false | Updates _ -> true in
-  let n_routers = match topology with Flat -> 0 | Routers r -> r in
-  (* The router tier and update forwarding each run exactly one master:
-     per-slave update order is defined by one staging stream. *)
-  let n_masters =
-    match (topology, ops) with
-    | Flat, Queries -> sc.Workload.Scenario.n_masters
-    | Routers _, Updates _ ->
-        invalid_arg "Method_c: update forwarding has no router tier"
-    | _ -> 1
+  let n_masters, n_routers, n_slaves =
+    match layout sc ~ops ~topology with
+    | Ok l -> l
+    | Error msg -> invalid_arg ("Method_c: " ^ msg)
   in
-  if n_masters < 1 then invalid_arg "Method_c: need at least one master";
-  if topology <> Flat && n_routers < 1 then
-    invalid_arg "Method_c: need at least one router";
-  let n_slaves = n_nodes - n_masters - n_routers in
-  if n_slaves < max 1 n_routers then
-    invalid_arg "Method_c: need a master, and a slave per router";
   (* Node layout: masters, then routers, then slaves. *)
   let first_slave = n_masters + n_routers in
   let n = Array.length queries in

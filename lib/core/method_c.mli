@@ -89,6 +89,17 @@ type outcome = {
   lost_updates : int;  (** Updates in batches abandoned by failover. *)
 }
 
+val layout :
+  Workload.Scenario.t ->
+  ops:ops ->
+  topology:topology ->
+  (int * int * int, string) result
+(** [(masters, routers, slaves)] of the node layout {!drive} builds for
+    the scenario, or why the scenario cannot hold it: a router tier
+    under [Updates], fewer than one master, or fewer slaves than
+    [max 1 routers].  Lets a driver refuse an infeasible grid before
+    anything runs. *)
+
 val drive :
   faults:Fault.Spec.t option ->
   Workload.Scenario.t ->
@@ -100,6 +111,5 @@ val drive :
   queries:int array ->
   outcome
 (** Run the protocol once.  Raises [Invalid_argument] for variants
-    [A]/[B], for fewer than one master, router or slave where one is
-    needed, and for [Updates] over [Routers].  The result's
+    [A]/[B], and wherever {!layout} returns [Error].  The result's
     [serving] field is left [None] for the serving driver to fill. *)

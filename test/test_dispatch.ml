@@ -246,6 +246,31 @@ let test_method_c_rejects_bad_config () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* [Method_c.layout] is the check [drive] makes, so a driver can refuse
+   an infeasible grid before anything runs: the hierarchy ablation's
+   3-router tree needs 3 slaves over its [n_nodes - 1]. *)
+let test_layout_refuses_before_running () =
+  let layout n topology =
+    Dispatch.Method_c.layout
+      (Workload.Scenario.with_nodes n small_sc)
+      ~ops:Dispatch.Method_c.Queries ~topology
+  in
+  check_bool "flat: one master, five slaves" true
+    (layout 6 Dispatch.Method_c.Flat = Ok (1, 0, 5));
+  check_bool "3 routers over 2 slaves refused" true
+    (Result.is_error (layout 6 (Dispatch.Method_c.Routers 3)));
+  check_bool "3 routers over 3 slaves" true
+    (layout 7 (Dispatch.Method_c.Routers 3) = Ok (1, 3, 3));
+  let hierarchy n =
+    Dispatch.Ablation.hierarchy_check
+      (Dispatch.Experiment.Spec.default
+      |> Dispatch.Experiment.Spec.with_scenario
+           (Workload.Scenario.with_nodes n small_sc))
+  in
+  check_bool "hierarchy on 3 nodes refused" true
+    (Result.is_error (hierarchy 3));
+  check_bool "hierarchy on 4 nodes" true (hierarchy 4 = Ok ())
+
 let test_more_slaves_help_method_c () =
   let keys, queries = Lazy.force workload in
   let with_nodes n = Workload.Scenario.with_nodes n small_sc in
@@ -487,6 +512,8 @@ let () =
           tc "paper headline ordering" `Slow test_paper_headline_ordering;
           tc "per-key scale invariance" `Slow test_scale_invariance_of_per_key_cost;
           tc "bad configs rejected" `Quick test_method_c_rejects_bad_config;
+          tc "layout refused before running" `Quick
+            test_layout_refuses_before_running;
           tc "slave owns the pages it writes" `Quick
             test_slave_owns_written_pages;
           tc "slave scaling" `Slow test_more_slaves_help_method_c;
