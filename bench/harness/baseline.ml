@@ -139,7 +139,11 @@ let variant_entries ~spec =
     @ serve_faulted @ (dynamic_crash :: dynamic_replicated) @ serve_dynamic)
 
 let capture ~spec =
-  let rows = Experiment.fig3 spec in
+  let rows =
+    match Experiment.run_grid spec (Experiment.fig3 spec) with
+    | Ok (rows, _) -> rows
+    | Error msg -> invalid_arg msg
+  in
   let batch_entries =
     List.concat_map
       (fun { Experiment.batch_bytes = _; results } -> List.map guarded results)

@@ -54,16 +54,18 @@ let print_degraded runs =
           (Dispatch.Run_result.completeness r))
     runs
 
+(* A usage error found once the command line has parsed: it exits with
+   cmdliner's own code (124), before anything runs. *)
+let refuse msg =
+  Printf.eprintf "repro: %s\n" msg;
+  exit Cmd.Exit.cli_error
+
 (* The observation clauses a run-producing subcommand honours; any
-   other clause is a usage error, raised before anything runs. *)
+   other clause is a usage error. *)
 let batch_clauses = [ "metrics"; "trace"; "profile"; "scope" ]
 
 let observing spec ~honours =
-  match Dispatch.Observe.check ~honours spec.Spec.observe with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "repro: %s\n" msg;
-      exit 2
+  Result.iter_error refuse (Dispatch.Observe.check ~honours spec.Spec.observe)
 
 (* The tail every run-producing subcommand shares: degraded-run lines,
    the session's terminal readings and files, then the oracle verdict. *)
@@ -78,6 +80,17 @@ let finish spec ~generator runs =
             ~batches:spec.Spec.batches)
        runs);
   check_validation runs
+
+(* Every grid subcommand: refuse what it cannot honour or lay out, run
+   its cells, print the scenario and the rows, then the shared tail. *)
+let run_grid spec ~generator grid print =
+  observing spec ~honours:batch_clauses;
+  match Dispatch.Experiment.run_grid spec (grid spec) with
+  | Error msg -> refuse msg
+  | Ok (rows, runs) ->
+      say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+      print rows;
+      finish spec ~generator runs
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands *)
@@ -94,52 +107,41 @@ let run_table2 spec =
     (Report.Table.render (Dispatch.Experiment.table2 spec))
 
 let run_table3 spec =
-  observing spec ~honours:batch_clauses;
-  let sc = Spec.scenario spec in
-  say "%a@\n" Workload.Scenario.pp sc;
-  let rows = Dispatch.Experiment.table3 spec in
-  print_string (Dispatch.Experiment.render_table3 ~scenario:sc rows);
-  let runs =
-    labelled (List.map (fun r -> r.Dispatch.Experiment.run) rows)
-  in
-  finish spec ~generator:"repro table3" runs
+  run_grid spec ~generator:"repro table3" Dispatch.Experiment.table3
+    (fun rows ->
+      print_string
+        (Dispatch.Experiment.render_table3 ~scenario:(Spec.scenario spec)
+           rows))
 
 let run_fig3 spec csv =
-  observing spec ~honours:batch_clauses;
-  let sc = Spec.scenario spec in
-  say "%a@\n" Workload.Scenario.pp sc;
-  let rows = Dispatch.Experiment.fig3 spec in
-  print_string (Dispatch.Experiment.render_fig3 ~scenario:sc rows);
-  (match csv with
-  | None -> ()
-  | Some path ->
-      (* Degraded columns appear only under --faults, so fault-free CSV
-         output stays byte-identical to pre-fault builds. *)
-      let faulted = Spec.faulted spec in
-      let cells r =
-        if faulted then
-          Dispatch.Run_result.to_cells r @ Dispatch.Run_result.degraded_cells r
-        else Dispatch.Run_result.to_cells r
-      in
-      let header =
-        if faulted then
-          Dispatch.Run_result.header @ Dispatch.Run_result.degraded_header
-        else Dispatch.Run_result.header
-      in
-      let flat =
-        List.concat_map
-          (fun { Dispatch.Experiment.results; _ } -> List.map cells results)
-          rows
-      in
-      Report.Csv.save ~path ~header flat;
-      say "wrote %s" path);
-  let runs =
-    labelled
-      (List.concat_map
-         (fun { Dispatch.Experiment.results; _ } -> results)
-         rows)
-  in
-  finish spec ~generator:"repro fig3" runs
+  run_grid spec ~generator:"repro fig3" Dispatch.Experiment.fig3 (fun rows ->
+      print_string
+        (Dispatch.Experiment.render_fig3 ~scenario:(Spec.scenario spec) rows);
+      match csv with
+      | None -> ()
+      | Some path ->
+          (* Degraded columns appear only under --faults, so fault-free
+             CSV output stays byte-identical to pre-fault builds. *)
+          let faulted = Spec.faulted spec in
+          let cells r =
+            if faulted then
+              Dispatch.Run_result.to_cells r
+              @ Dispatch.Run_result.degraded_cells r
+            else Dispatch.Run_result.to_cells r
+          in
+          let header =
+            if faulted then
+              Dispatch.Run_result.header @ Dispatch.Run_result.degraded_header
+            else Dispatch.Run_result.header
+          in
+          let flat =
+            List.concat_map
+              (fun { Dispatch.Experiment.results; _ } ->
+                List.map cells results)
+              rows
+          in
+          Report.Csv.save ~path ~header flat;
+          say "wrote %s" path)
 
 let run_fig4 spec years =
   observing spec ~honours:[];
@@ -194,44 +196,36 @@ let run_ablation_updates spec csv =
   finish spec ~generator:"repro ablation updates" runs
 
 let run_ablation spec which csv =
-  let study = String.lowercase_ascii which in
-  let refusal =
-    if study = "updates" then Ok ()
-    else if Spec.dynamic spec then Error updates_refusal
-    else if study = "hierarchy" then Dispatch.Ablation.hierarchy_check spec
-    else Ok ()
+  let grid g =
+    run_grid spec ~generator:("repro ablation " ^ which) g (fun t ->
+        say "ablation %s:@\n@\n%s" which (Report.Table.render t));
+    `Ok ()
   in
-  match refusal with
-  | Error msg -> `Error (true, msg)
-  | Ok () when study = "updates" ->
+  match String.lowercase_ascii which with
+  | "updates" ->
       run_ablation_updates spec csv;
       `Ok ()
-  | Ok () ->
-  observing spec ~honours:[];
-  let table =
-    match study with
-    | "batch-overhead" -> Ok (Dispatch.Ablation.batch_overhead spec)
-    | "network" -> Ok (Dispatch.Ablation.network spec)
-    | "skew" -> Ok (Dispatch.Ablation.skew spec)
-    | "masters" -> Ok (Dispatch.Ablation.masters spec)
-    | "linesize" | "line-size" -> Ok (Dispatch.Ablation.line_size spec)
-    | "slave-structure" -> Ok (Dispatch.Ablation.slave_structure spec)
-    | "structures" -> Ok (Dispatch.Ablation.structures spec)
-    | "hierarchy" -> Ok (Dispatch.Ablation.hierarchy spec)
-    | _ -> Error which
-  in
-  match table with
-  | Ok t ->
+  | _ when Spec.dynamic spec -> `Error (true, updates_refusal)
+  | "batch-overhead" -> grid (fun spec -> Dispatch.Ablation.batch_overhead spec)
+  | "network" -> grid Dispatch.Ablation.network
+  | "skew" -> grid (fun spec -> Dispatch.Ablation.skew spec)
+  | "masters" -> grid Dispatch.Ablation.masters
+  | "linesize" | "line-size" -> grid Dispatch.Ablation.line_size
+  | "slave-structure" -> grid Dispatch.Ablation.slave_structure
+  | "hierarchy" -> grid Dispatch.Ablation.hierarchy
+  | "structures" ->
+      observing spec ~honours:[];
+      let t = Dispatch.Ablation.structures spec in
       say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
       say "ablation %s:@\n@\n%s" which (Report.Table.render t);
       `Ok ()
-  | Error other ->
+  | _ ->
       `Error
         ( false,
           Printf.sprintf
             "unknown ablation %S (batch-overhead | network | skew | masters \
              | linesize | slave-structure | structures | hierarchy | updates)"
-            other )
+            which )
 
 let run_timeline spec =
   observing spec ~honours:batch_clauses;
@@ -317,7 +311,11 @@ let ablation_cmd =
       & info [] ~docv:"NAME"
           ~doc:
             "One of: batch-overhead, network, skew, masters, linesize, \
-             slave-structure, structures, hierarchy, updates.")
+             slave-structure, structures, hierarchy, updates.  Every study \
+             but $(b,structures) simulates runs and honours the metrics, \
+             trace, profile and scope clauses of $(b,--observe) and \
+             $(b,--faults); $(b,structures) times single machines, not \
+             runs, so it honours no clause and ignores $(b,--faults).")
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run an ablation study.")

@@ -2,73 +2,65 @@ module Spec = Experiment.Spec
 
 let kib n = n * 1024
 
+let table headers rows =
+  let t = Report.Table.create ~headers in
+  Report.Table.add_rows t rows;
+  t
+
 let batch_overhead
     ?(batches = [ kib 8; kib 32; kib 128; kib 512; kib 2048; kib 4096 ])
     (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
-  let tbl =
-    Report.Table.create
-      ~headers:[ "Batch"; "C-3 ns/key"; "slave idle"; "master busy"; "messages" ]
-  in
-  Exec.sweep ~jobs:spec.Spec.jobs
-    (fun batch ->
-      Runner.run
-        (Workload.Scenario.with_batch sc batch)
-        ~method_id:Methods.C3 ~keys ~queries)
-    batches
-  |> List.iter (fun (batch, r) ->
-         Report.Table.add_row tbl
-           [
-             Printf.sprintf "%d KB" (batch / 1024);
-             Report.Table.cell_f r.Run_result.per_key_ns;
-             Report.Table.cell_pct r.Run_result.slave_idle;
-             Report.Table.cell_pct r.Run_result.master_busy;
-             string_of_int r.Run_result.messages;
-           ]);
-  tbl
+  {
+    Experiment.cells =
+      List.map
+        (fun batch ->
+          Experiment.cell (Workload.Scenario.with_batch sc batch) ~keys
+            ~queries Methods.C3)
+        batches;
+    collect =
+      (fun results ->
+        table
+          [ "Batch"; "C-3 ns/key"; "slave idle"; "master busy"; "messages" ]
+          (List.map
+             (fun ((c : Experiment.cell), r) ->
+               [
+                 Printf.sprintf "%d KB"
+                   (c.Experiment.scenario.Workload.Scenario.batch_bytes / 1024);
+                 Report.Table.cell_f r.Run_result.per_key_ns;
+                 Report.Table.cell_pct r.Run_result.slave_idle;
+                 Report.Table.cell_pct r.Run_result.master_busy;
+                 string_of_int r.Run_result.messages;
+               ])
+             results));
+  }
 
 let network (spec : Spec.t) =
   let sc = Spec.scenario spec in
-  let profiles =
-    [ Netsim.Profile.myrinet; Netsim.Profile.gigabit_ethernet;
-      Netsim.Profile.fast_ethernet ]
-  in
   let keys, queries = Runner.workload sc in
   let batches = [ kib 8; kib 64; kib 256; kib 1024 ] in
-  let headers =
-    "Network"
-    :: List.map (fun b -> Printf.sprintf "%d KB ns/key" (b / 1024)) batches
-  in
-  let tbl = Report.Table.create ~headers in
-  let grid =
-    List.concat_map
-      (fun profile -> List.map (fun batch -> (profile, batch)) batches)
-      profiles
-  in
-  let results =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun (profile, batch) ->
-        let sc =
-          Workload.Scenario.with_net profile
-            (Workload.Scenario.with_batch sc batch)
-        in
-        Runner.run sc ~method_id:Methods.C3 ~keys ~queries)
-      grid
-  in
-  List.iter
-    (fun (profile : Netsim.Profile.t) ->
-      let cells =
-        List.filter_map
-          (fun (((p : Netsim.Profile.t), _), r) ->
-            if p.Netsim.Profile.name = profile.Netsim.Profile.name then
-              Some (Report.Table.cell_f r.Run_result.per_key_ns)
-            else None)
-          results
-      in
-      Report.Table.add_row tbl (profile.Netsim.Profile.name :: cells))
-    profiles;
-  tbl
+  Experiment.cross
+    ~rows:
+      [ Netsim.Profile.myrinet; Netsim.Profile.gigabit_ethernet;
+        Netsim.Profile.fast_ethernet ]
+    ~cols:batches
+    (fun profile batch ->
+      Experiment.cell ~axes:[ Experiment.Net ]
+        (Workload.Scenario.with_net profile
+           (Workload.Scenario.with_batch sc batch))
+        ~keys ~queries Methods.C3)
+    (fun rows ->
+      table
+        ("Network"
+        :: List.map (fun b -> Printf.sprintf "%d KB ns/key" (b / 1024)) batches)
+        (List.map
+           (fun ((profile : Netsim.Profile.t), results) ->
+             profile.Netsim.Profile.name
+             :: List.map
+                  (fun r -> Report.Table.cell_f r.Run_result.per_key_ns)
+                  results)
+           rows))
 
 let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
   let sc = Spec.scenario spec in
@@ -94,189 +86,142 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
         (s, queries))
       exponents
   in
-  let results =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun ((_, queries), method_id) -> Runner.run sc ~method_id ~keys ~queries)
-      (List.concat_map
-         (fun stream ->
-           List.map
-             (fun method_id -> (stream, method_id))
-             [ Methods.C3; Methods.B ])
-         streams)
-  in
-  let find s method_id =
-    snd
-      (List.find (fun (((s', _), m), _) -> s' = s && m = method_id) results)
-  in
-  let tbl =
-    Report.Table.create
-      ~headers:[ "Zipf s"; "C-3 ns/key"; "slave idle"; "B ns/key" ]
-  in
-  List.iter
-    (fun s ->
-      let rc = find s Methods.C3 in
-      let rb = find s Methods.B in
-      Report.Table.add_row tbl
-        [
-          Printf.sprintf "%.1f" s;
-          Report.Table.cell_f rc.Run_result.per_key_ns;
-          Report.Table.cell_pct rc.Run_result.slave_idle;
-          Report.Table.cell_f rb.Run_result.per_key_ns;
-        ])
-    exponents;
-  tbl
+  Experiment.cross ~rows:streams ~cols:[ Methods.C3; Methods.B ]
+    (fun (s, queries) ->
+      Experiment.cell ~axes:[ Experiment.Zipf s ] sc ~keys ~queries)
+    (fun rows ->
+      table
+        [ "Zipf s"; "C-3 ns/key"; "slave idle"; "B ns/key" ]
+        (List.map
+           (fun ((s, _), results) ->
+             let rc = List.nth results 0 and rb = List.nth results 1 in
+             [
+               Printf.sprintf "%.1f" s;
+               Report.Table.cell_f rc.Run_result.per_key_ns;
+               Report.Table.cell_pct rc.Run_result.slave_idle;
+               Report.Table.cell_f rb.Run_result.per_key_ns;
+             ])
+           rows))
 
 let masters (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let n_slaves = sc.Workload.Scenario.n_nodes - sc.Workload.Scenario.n_masters in
   let slave_keys = (sc.Workload.Scenario.n_keys + n_slaves - 1) / n_slaves in
   let keys, queries = Runner.workload sc in
-  let tbl =
-    Report.Table.create
-      ~headers:
-        [
-          "Masters"; "C-3 ns/key (sim)"; "master busy"; "slave idle";
-          "model ns/key"; "NIC floor ns/key";
-        ]
-  in
-  Exec.sweep ~jobs:spec.Spec.jobs
-    (fun n_masters ->
-      (* Keep the slave pool fixed; masters are additional nodes. *)
-      let sc =
-        sc
-        |> Workload.Scenario.with_masters n_masters
-        |> Workload.Scenario.with_nodes (n_slaves + n_masters)
-      in
-      (sc, Runner.run sc ~method_id:Methods.C3 ~keys ~queries))
-    [ 1; 2; 4 ]
-  |> List.iter (fun (n_masters, (sc, r)) ->
-         let pred =
-           Model.Predict.method_c3 sc.Workload.Scenario.params
-             sc.Workload.Scenario.net ~slave_keys ~n_masters ~n_slaves
-         in
-         Report.Table.add_row tbl
-           [
-             string_of_int n_masters;
-             Report.Table.cell_f r.Run_result.per_key_ns;
-             Report.Table.cell_pct r.Run_result.master_busy;
-             Report.Table.cell_pct r.Run_result.slave_idle;
-             Report.Table.cell_f pred;
-             Report.Table.cell_f
-               (Model.Predict.master_bound_ns sc.Workload.Scenario.net
-                  ~n_masters);
-           ]);
-  tbl
+  {
+    Experiment.cells =
+      List.map
+        (fun n_masters ->
+          (* Keep the slave pool fixed; masters are additional nodes. *)
+          Experiment.cell ~axes:[ Experiment.Masters ]
+            (sc
+            |> Workload.Scenario.with_masters n_masters
+            |> Workload.Scenario.with_nodes (n_slaves + n_masters))
+            ~keys ~queries Methods.C3)
+        [ 1; 2; 4 ];
+    collect =
+      (fun results ->
+        table
+          [
+            "Masters"; "C-3 ns/key (sim)"; "master busy"; "slave idle";
+            "model ns/key"; "NIC floor ns/key";
+          ]
+          (List.map
+             (fun ((c : Experiment.cell), r) ->
+               let sc = c.Experiment.scenario in
+               let n_masters = sc.Workload.Scenario.n_masters in
+               [
+                 string_of_int n_masters;
+                 Report.Table.cell_f r.Run_result.per_key_ns;
+                 Report.Table.cell_pct r.Run_result.master_busy;
+                 Report.Table.cell_pct r.Run_result.slave_idle;
+                 Report.Table.cell_f
+                   (Model.Predict.method_c3 sc.Workload.Scenario.params
+                      sc.Workload.Scenario.net ~slave_keys ~n_masters
+                      ~n_slaves);
+                 Report.Table.cell_f
+                   (Model.Predict.master_bound_ns sc.Workload.Scenario.net
+                      ~n_masters);
+               ])
+             results));
+  }
 
 let line_size (spec : Spec.t) =
   let sc = Spec.scenario spec in
-  let machines = [ Cachesim.Mem_params.pentium3; Cachesim.Mem_params.pentium4 ] in
   (* The workload depends only on the seed and counts, not the machine
      profile, so one generation serves both rows. *)
   let keys, queries = Runner.workload sc in
-  let results =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun (params, method_id) ->
-        Runner.run
-          (Workload.Scenario.with_params params sc)
-          ~method_id ~keys ~queries)
-      (List.concat_map
-         (fun params ->
-           List.map
-             (fun method_id -> (params, method_id))
-             [ Methods.A; Methods.C3 ])
-         machines)
-  in
-  let find name method_id =
-    snd
-      (List.find
-         (fun (((p : Cachesim.Mem_params.t), m), _) ->
-           p.Cachesim.Mem_params.name = name && m = method_id)
-         results)
-  in
-  let tbl =
-    Report.Table.create
-      ~headers:[ "Machine"; "A ns/key"; "C-3 ns/key"; "A / C-3" ]
-  in
-  List.iter
-    (fun (params : Cachesim.Mem_params.t) ->
-      let name = params.Cachesim.Mem_params.name in
-      let ra = find name Methods.A in
-      let rc = find name Methods.C3 in
-      Report.Table.add_row tbl
-        [
-          name;
-          Report.Table.cell_f ra.Run_result.per_key_ns;
-          Report.Table.cell_f rc.Run_result.per_key_ns;
-          Report.Table.cell_f
-            (ra.Run_result.per_key_ns /. rc.Run_result.per_key_ns);
-        ])
-    machines;
-  tbl
-
-(* The dispatch tiers `hierarchy` puts over one pool of [n_nodes - 1]
-   slaves: label, scenario and topology of each run. *)
-let hierarchy_runs (sc : Workload.Scenario.t) =
-  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
-  [
-    ("flat (1 master)", sc, Method_c.Flat);
-    ( "3 masters",
-      sc
-      |> Workload.Scenario.with_masters 3
-      |> Workload.Scenario.with_nodes (n_slaves + 3),
-      Method_c.Flat );
-  ]
-  @ List.map
-      (fun routers ->
-        ( Printf.sprintf "tree (%d routers)" routers,
-          Workload.Scenario.with_nodes (1 + routers + n_slaves) sc,
-          Method_c.Routers routers ))
-      [ 2; 3 ]
-
-let hierarchy_check (spec : Spec.t) =
-  let sc = Spec.scenario spec in
-  let infeasible (label, sc', topology) =
-    match Method_c.layout sc' ~ops:Method_c.Queries ~topology with
-    | Ok _ -> None
-    | Error msg -> Some (label, msg)
-  in
-  match List.find_map infeasible (hierarchy_runs sc) with
-  | None -> Ok ()
-  | Some (label, msg) ->
-      Error
-        (Printf.sprintf
-           "ablation hierarchy cannot lay out its %s run with --nodes %d: %s"
-           label sc.Workload.Scenario.n_nodes msg)
+  Experiment.cross
+    ~rows:[ Cachesim.Mem_params.pentium3; Cachesim.Mem_params.pentium4 ]
+    ~cols:[ Methods.A; Methods.C3 ]
+    (fun params ->
+      Experiment.cell ~axes:[ Experiment.Machine ]
+        (Workload.Scenario.with_params params sc)
+        ~keys ~queries)
+    (fun rows ->
+      table
+        [ "Machine"; "A ns/key"; "C-3 ns/key"; "A / C-3" ]
+        (List.map
+           (fun ((params : Cachesim.Mem_params.t), results) ->
+             let ra = List.nth results 0 and rc = List.nth results 1 in
+             [
+               params.Cachesim.Mem_params.name;
+               Report.Table.cell_f ra.Run_result.per_key_ns;
+               Report.Table.cell_f rc.Run_result.per_key_ns;
+               Report.Table.cell_f
+                 (ra.Run_result.per_key_ns /. rc.Run_result.per_key_ns);
+             ])
+           rows))
 
 let hierarchy (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
-  let tbl =
-    Report.Table.create
-      ~headers:
-        [
-          "Topology"; "nodes"; "ns/key"; "mean resp"; "master busy";
-          "slave idle"; "errors";
-        ]
+  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
+  (* Every dispatch tier sits over the same pool of [n_nodes - 1]
+     slaves. *)
+  let tier ~masters ~routers =
+    Experiment.cell ~axes:[ Experiment.Masters ]
+      ~topology:
+        (if routers = 0 then Method_c.Flat else Method_c.Routers routers)
+      (sc
+      |> Workload.Scenario.with_masters masters
+      |> Workload.Scenario.with_nodes (masters + routers + n_slaves))
+      ~keys ~queries Methods.C3
   in
-  let run (_, sc', topology) =
-    let routers =
-      match topology with Method_c.Flat -> None | Method_c.Routers r -> Some r
-    in
-    Runner.run ?routers sc' ~method_id:Methods.C3 ~keys ~queries
+  let name (c : Experiment.cell) =
+    match (c.Experiment.topology, c.Experiment.scenario.Workload.Scenario.n_masters) with
+    | Method_c.Flat, 1 -> "flat (1 master)"
+    | Method_c.Flat, m -> Printf.sprintf "%d masters" m
+    | Method_c.Routers r, _ -> Printf.sprintf "tree (%d routers)" r
   in
-  Exec.sweep ~jobs:spec.Spec.jobs run (hierarchy_runs sc)
-  |> List.iter (fun ((label, sc', _), (r : Run_result.t)) ->
-         Report.Table.add_row tbl
-           [
-             label;
-             string_of_int sc'.Workload.Scenario.n_nodes;
-             Report.Table.cell_f r.Run_result.per_key_ns;
-             Simcore.Simtime.to_string r.Run_result.mean_response_ns;
-             Report.Table.cell_pct r.Run_result.master_busy;
-             Report.Table.cell_pct r.Run_result.slave_idle;
-             Report.Table.cell_i r.Run_result.validation_errors;
-           ]);
-  tbl
+  {
+    Experiment.cells =
+      [
+        tier ~masters:1 ~routers:0;
+        tier ~masters:3 ~routers:0;
+        tier ~masters:1 ~routers:2;
+        tier ~masters:1 ~routers:3;
+      ];
+    collect =
+      (fun results ->
+        table
+          [
+            "Topology"; "nodes"; "ns/key"; "mean resp"; "master busy";
+            "slave idle"; "errors";
+          ]
+          (List.map
+             (fun ((c : Experiment.cell), (r : Run_result.t)) ->
+               [
+                 name c;
+                 string_of_int c.Experiment.scenario.Workload.Scenario.n_nodes;
+                 Report.Table.cell_f r.Run_result.per_key_ns;
+                 Simcore.Simtime.to_string r.Run_result.mean_response_ns;
+                 Report.Table.cell_pct r.Run_result.master_busy;
+                 Report.Table.cell_pct r.Run_result.slave_idle;
+                 Report.Table.cell_i r.Run_result.validation_errors;
+               ])
+             results));
+  }
 
 let structures (spec : Spec.t) =
   let sc = Spec.scenario spec in
@@ -330,24 +275,26 @@ let structures (spec : Spec.t) =
 let slave_structure (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
-  let tbl =
-    Report.Table.create
-      ~headers:
-        [ "Variant"; "ns/key"; "slave idle"; "L2 rand misses"; "L2 seq misses" ]
-  in
-  Exec.sweep ~jobs:spec.Spec.jobs
-    (fun method_id -> Runner.run sc ~method_id ~keys ~queries)
-    [ Methods.C1; Methods.C2; Methods.C3 ]
-  |> List.iter (fun (method_id, (r : Run_result.t)) ->
-         Report.Table.add_row tbl
-           [
-             Methods.to_string method_id;
-             Report.Table.cell_f r.Run_result.per_key_ns;
-             Report.Table.cell_pct r.Run_result.slave_idle;
-             string_of_int r.Run_result.cache.Cachesim.Hierarchy.rand_misses;
-             string_of_int r.Run_result.cache.Cachesim.Hierarchy.seq_misses;
-           ]);
-  tbl
+  {
+    Experiment.cells =
+      List.map
+        (Experiment.cell sc ~keys ~queries)
+        [ Methods.C1; Methods.C2; Methods.C3 ];
+    collect =
+      (fun results ->
+        table
+          [ "Variant"; "ns/key"; "slave idle"; "L2 rand misses"; "L2 seq misses" ]
+          (List.map
+             (fun ((c : Experiment.cell), (r : Run_result.t)) ->
+               [
+                 Methods.to_string c.Experiment.method_id;
+                 Report.Table.cell_f r.Run_result.per_key_ns;
+                 Report.Table.cell_pct r.Run_result.slave_idle;
+                 string_of_int r.Run_result.cache.Cachesim.Hierarchy.rand_misses;
+                 string_of_int r.Run_result.cache.Cachesim.Hierarchy.seq_misses;
+               ])
+             results));
+  }
 
 (* Dynamic-index interference: how much does an interleaved update
    stream cost each method?  Grid = update ratio x method x batch size,

@@ -2,47 +2,49 @@
     choice or hidden assumption called out in DESIGN.md.
 
     Every driver takes a {!Experiment.Spec.t} positionally:
-    [spec.scenario] (and [seed_override]) select the workload, and
-    [spec.jobs] fans the study's simulation grid over that many worker
-    domains via {!Exec.sweep} — results are collected in key order, so
-    the table is identical at any worker count.  Genuinely per-study
-    knobs ([?batches], [?exponents]) stay optional. *)
+    [spec.scenario] (and [seed_override]) select the workload.  The
+    studies that simulate runs return an {!Experiment.grid}: their cells
+    (each label naming what the study varies) and a renderer of the
+    results as a table.  {!Experiment.run_grid} runs it like every
+    other grid — under the spec's observation session and faults, on
+    [spec.jobs] worker domains, byte-identical at any worker count.
+    [structures] times single machines rather than runs, and [updates]
+    runs the dynamic index; both sweep on their own.  Genuinely
+    per-study knobs ([?batches], [?exponents]) stay optional. *)
 
 val batch_overhead :
-  ?batches:int list -> Experiment.Spec.t -> Report.Table.t
+  ?batches:int list -> Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Slave idle fraction and message count vs batch size for Method C-3
     (the paper reports 50% idle at 8 KB and 20% at 4 MB). *)
 
-val network : Experiment.Spec.t -> Report.Table.t
+val network : Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Method C-3 under Myrinet / Gigabit Ethernet / Fast Ethernet at several
     batch sizes: tests the paper's claim (§2.2) that slower, higher-latency
     networks need much larger batches. *)
 
-val skew : ?exponents:float list -> Experiment.Spec.t -> Report.Table.t
+val skew :
+  ?exponents:float list -> Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Method C-3 under Zipf-skewed query keys: the paper assumes uniform
     keys; skew unbalances slave load.  Per-exponent query streams are
-    split from the scenario PRNG sequentially before the sweep runs, so
+    split from the scenario PRNG sequentially before any cell runs, so
     parallelism never changes the workload. *)
 
-val masters : Experiment.Spec.t -> Report.Table.t
-(** Analytical: per-key cost of C-3 with 1, 2 and 4 master nodes (the
-    paper's §3.2 remark on master overload). *)
+val masters : Experiment.Spec.t -> Report.Table.t Experiment.grid
+(** Per-key cost of C-3 with 1, 2 and 4 master nodes over a fixed slave
+    pool, simulated and from the model (the paper's §3.2 remark on
+    master overload). *)
 
-val line_size : Experiment.Spec.t -> Report.Table.t
+val line_size : Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Methods A and C-3 on Pentium III (32 B lines) vs a Pentium 4-like
     profile (128 B lines): the paper argues larger lines widen Method C's
     advantage. *)
 
-val hierarchy : Experiment.Spec.t -> Report.Table.t
+val hierarchy : Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Dispatch-topology comparison over a fixed slave pool: flat single
-    master vs replicated masters vs the two-tier router tree of
-    [Runner.run ~routers] (the paper's T > 2L sketch).  Shows what the extra
-    hop costs in response time and what it buys in dispatch capacity. *)
-
-val hierarchy_check : Experiment.Spec.t -> (unit, string) result
-(** Whether every topology {!hierarchy} runs fits the spec's node count
-    ({!Method_c.layout} of each), so a driver can refuse the study
-    before it starts. *)
+    master vs three replicated masters vs two-tier router trees of 2
+    and 3 routers (the paper's T > 2L sketch), all over the scenario's
+    [n_nodes - 1] slaves.  Shows what the extra hop costs in response
+    time and what it buys in dispatch capacity. *)
 
 val structures : Experiment.Spec.t -> Report.Table.t
 (** Per-lookup steady-state cost of every index structure (sorted array,
@@ -50,7 +52,7 @@ val structures : Experiment.Spec.t -> Report.Table.t
     full-index scale (cache overflowed) — quantifies both the paper's
     §4.1 space-pressure claim and the Eytzinger extension. *)
 
-val slave_structure : Experiment.Spec.t -> Report.Table.t
+val slave_structure : Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** C-1 vs C-2 vs C-3 head-to-head with per-variant cache statistics —
     the space-pressure explanation of §4.1. *)
 

@@ -73,6 +73,94 @@ end
 
 let with_run_instrumented spec body = Observe.record spec.Spec.observe body
 
+(* ------------------------------------------------------------------ *)
+(* Grids of runs *)
+
+type axis = Net | Machine | Masters | Zipf of float
+
+type cell = {
+  method_id : Methods.id;
+  scenario : Workload.Scenario.t;
+  topology : Method_c.topology;
+  keys : int array;
+  queries : int array;
+  axes : axis list;
+}
+
+let cell ?(topology = Method_c.Flat) ?(axes = []) scenario ~keys ~queries
+    method_id =
+  { method_id; scenario; topology; keys; queries; axes }
+
+let label c =
+  let sc = c.scenario in
+  let routers =
+    match c.topology with
+    | Method_c.Flat -> []
+    | Method_c.Routers r -> [ Printf.sprintf "routers=%d" r ]
+  in
+  let axis = function
+    | Net -> "net=" ^ sc.Workload.Scenario.net.Netsim.Profile.name
+    | Machine -> "machine=" ^ sc.Workload.Scenario.params.Cachesim.Mem_params.name
+    | Masters -> Printf.sprintf "masters=%d" sc.Workload.Scenario.n_masters
+    | Zipf s -> Printf.sprintf "zipf=%g" s
+  in
+  String.concat " "
+    (Printf.sprintf "%s %s batch=%dKB"
+       (Methods.to_string c.method_id)
+       sc.Workload.Scenario.name
+       (sc.Workload.Scenario.batch_bytes / 1024)
+    :: routers
+    @ List.map axis c.axes)
+
+type 'a grid = {
+  cells : cell list;
+  collect : (cell * Run_result.t) list -> 'a;
+}
+
+let cross ~rows ~cols cell collect =
+  let n = List.length cols in
+  {
+    cells = List.concat_map (fun r -> List.map (cell r) cols) rows;
+    collect =
+      (fun results ->
+        collect
+          (List.mapi
+             (fun i r ->
+               (r, List.filteri (fun j _ -> j / n = i) (List.map snd results)))
+             rows));
+  }
+
+let run_grid (spec : Spec.t) { cells; collect } =
+  let infeasible c =
+    if not (Methods.is_distributed c.method_id) then None
+    else
+      match
+        Method_c.layout c.scenario ~ops:Method_c.Queries ~topology:c.topology
+      with
+      | Ok _ -> None
+      | Error msg ->
+          Some
+            (Printf.sprintf "cannot lay out run %s on %d nodes: %s" (label c)
+               c.scenario.Workload.Scenario.n_nodes msg)
+  in
+  match List.find_map infeasible cells with
+  | Some msg -> Error msg
+  | None ->
+      (* Each cell builds its own engine inside [Runner.drive] and only
+         reads its [keys]/[queries], so the sweep is deterministic at
+         any worker count. *)
+      let results =
+        Exec.sweep ~jobs:spec.Spec.jobs
+          (fun c ->
+            with_run_instrumented spec (fun () ->
+                (Runner.drive ~faults:spec.Spec.faults ~topology:c.topology
+                   c.scenario ~source:Method_c.Batch ~ops:Method_c.Queries
+                   ~method_id:c.method_id ~keys:c.keys ~queries:c.queries)
+                  .Method_c.run))
+          cells
+      in
+      Ok (collect results, List.map (fun (c, r) -> (label c, r)) results)
+
 let scratch_tree (sc : Workload.Scenario.t) ~keys =
   let m = Machine.create (Engine.create ()) ~name:"scratch" sc.Workload.Scenario.params in
   Index.Nary_tree.build m keys
@@ -152,35 +240,10 @@ type fig3_row = { batch_bytes : int; results : Run_result.t list }
 let fig3 (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
-  (* One job per (batch, method) grid cell; each job builds its own
-     fresh engine inside [Runner.run], and the shared [keys]/[queries]
-     arrays are only ever read, so jobs are pure and the sweep is
-     deterministic at any worker count. *)
-  let grid =
-    List.concat_map
-      (fun batch_bytes ->
-        List.map (fun method_id -> (batch_bytes, method_id)) spec.Spec.methods)
-      spec.Spec.batches
-  in
-  let results =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun (batch_bytes, method_id) ->
-        with_run_instrumented spec (fun () ->
-            Runner.run ~faults:spec.Spec.faults
-              (Workload.Scenario.with_batch sc batch_bytes)
-              ~method_id ~keys ~queries))
-      grid
-  in
-  List.map
+  cross ~rows:spec.Spec.batches ~cols:spec.Spec.methods
     (fun batch_bytes ->
-      {
-        batch_bytes;
-        results =
-          List.filter_map
-            (fun ((b, _), r) -> if b = batch_bytes then Some r else None)
-            results;
-      })
-    spec.Spec.batches
+      cell (Workload.Scenario.with_batch sc batch_bytes) ~keys ~queries)
+    (List.map (fun (batch_bytes, results) -> { batch_bytes; results }))
 
 let glyph_of = function
   | Methods.A -> 'a'
@@ -301,18 +364,17 @@ let table3 (spec : Spec.t) =
           ~n_masters:1 ~n_slaves );
     ]
   in
-  let sims =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun (method_id, _) ->
-        with_run_instrumented spec (fun () ->
-            Runner.run ~faults:spec.Spec.faults sc ~method_id ~keys ~queries))
-      predictions
-  in
-  List.map2
-    (fun (method_id, predicted_ns) (_, r) ->
-      { method_id; predicted_ns; simulated_ns = r.Run_result.per_key_ns;
-        run = r })
-    predictions sims
+  {
+    cells =
+      List.map (fun (method_id, _) -> cell sc ~keys ~queries method_id)
+        predictions;
+    collect =
+      List.map2
+        (fun (method_id, predicted_ns) (_, r) ->
+          { method_id; predicted_ns; simulated_ns = r.Run_result.per_key_ns;
+            run = r })
+        predictions;
+  }
 
 let render_table3 ~(scenario : Workload.Scenario.t) rows =
   let tbl =

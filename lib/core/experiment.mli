@@ -7,10 +7,14 @@
     Methods A and B results are normalized by the cluster size exactly
     as in the paper.
 
-    Sweep-shaped drivers ([fig3], [table3], the {!Ablation} studies)
-    enumerate their grids as key lists and run them through
-    {!Exec.sweep} on [spec.jobs] worker domains; results are collected
-    in key order, so output is byte-identical at any [jobs] value.
+    Grid-shaped drivers ([fig3], [table3] and the simulating
+    {!Ablation} studies) declare their runs as a {!grid}: a list of
+    {!cell}s plus a function that turns the cells' results into the
+    driver's rows.  One runner, {!run_grid}, refuses a grid whose
+    layout cannot be built, then runs every cell under the spec's
+    observation session and faults on [spec.jobs] worker domains;
+    results are collected in cell order, so output is byte-identical at
+    any [jobs] value.
 
     Every driver takes a [Spec.t] positionally — build one with the
     [with_*] builders from {!Spec.default}.  (The pre-[Spec]
@@ -90,6 +94,66 @@ module Spec : sig
       actually run. *)
 end
 
+(** {2 Grids of runs} *)
+
+type axis =
+  | Net  (** [net=<network profile>] *)
+  | Machine  (** [machine=<memory profile>] *)
+  | Masters  (** [masters=<master count>] *)
+  | Zipf of float
+      (** [zipf=<s>]: the exponent the cell's query stream was drawn
+          with ([0] = uniform). *)
+(** A field a grid varies beyond method and batch size, named in its
+    cells' labels. *)
+
+type cell = {
+  method_id : Methods.id;
+  scenario : Workload.Scenario.t;
+  topology : Method_c.topology;
+  keys : int array;
+  queries : int array;
+  axes : axis list;  (** What {!label} adds, in order. *)
+}
+(** One simulation: a batch run of [method_id] over [keys] and
+    [queries]. *)
+
+val cell :
+  ?topology:Method_c.topology ->
+  ?axes:axis list ->
+  Workload.Scenario.t ->
+  keys:int array ->
+  queries:int array ->
+  Methods.id ->
+  cell
+(** Defaults: a [Flat] topology and no axes. *)
+
+val label : cell -> string
+(** ["<method> <scenario> batch=<n>KB"] ({!Telemetry.run_label}'s form),
+    then [routers=<r>] under a router tier, then each axis. *)
+
+type 'a grid = {
+  cells : cell list;
+  collect : (cell * Run_result.t) list -> 'a;
+      (** The driver's rows, from every cell's result in cell order. *)
+}
+
+val cross :
+  rows:'r list ->
+  cols:'c list ->
+  ('r -> 'c -> cell) ->
+  (('r * Run_result.t list) list -> 'a) ->
+  'a grid
+(** The row-major [rows x cols] grid; [collect] gets each row with its
+    results in column order. *)
+
+val run_grid :
+  Spec.t -> 'a grid -> ('a * (string * Run_result.t) list, string) result
+(** [Error] naming the first Method C family cell whose layout
+    ({!Method_c.layout}) cannot be built, before any cell runs.
+    Otherwise every cell runs once under {!with_run_instrumented} with
+    [spec.faults] (A and B ignore them), on [spec.jobs] worker domains;
+    returns the collected rows and the labelled runs, in cell order. *)
+
 (** {2 Table 1 — index structure setup} *)
 
 val table1 : Spec.t -> Report.Table.t
@@ -102,11 +166,10 @@ val table2 : Spec.t -> Report.Table.t
 
 type fig3_row = { batch_bytes : int; results : Run_result.t list }
 
-val fig3 : Spec.t -> fig3_row list
-(** Runs every method at every batch size on one shared workload,
-    fanning the (batch x method) grid over [spec.jobs] worker domains.
-    Defaults: all five methods over the paper's 8 KB - 4 MB sweep,
-    sequentially. *)
+val fig3 : Spec.t -> fig3_row list grid
+(** Every method at every batch size on one shared workload, one row
+    per batch size.  Defaults: all five methods over the paper's
+    8 KB - 4 MB sweep. *)
 
 val render_fig3 : scenario:Workload.Scenario.t -> fig3_row list -> string
 (** Table plus ASCII plot.  Times are also re-expressed as seconds for
@@ -122,9 +185,8 @@ type table3_row = {
   run : Run_result.t;  (** The full simulated run behind [simulated_ns]. *)
 }
 
-val table3 : Spec.t -> table3_row list
-(** Methods A, B and C-3 at the scenario batch size (paper: 128 KB);
-    the three simulations run as one {!Exec.sweep}. *)
+val table3 : Spec.t -> table3_row list grid
+(** Methods A, B and C-3 at the scenario batch size (paper: 128 KB). *)
 
 val render_table3 : scenario:Workload.Scenario.t -> table3_row list -> string
 (** Predicted and simulated times as seconds for the paper's 2^23

@@ -6,6 +6,10 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Run a driver's grid; every spec here lays out. *)
+let grid driver spec =
+  fst (Result.get_ok (Dispatch.Experiment.run_grid spec (driver spec)))
+
 module Astring_contains = struct
   let contains s sub =
     let n = String.length s and m = String.length sub in
@@ -246,8 +250,8 @@ let test_method_c_rejects_bad_config () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* [Method_c.layout] is the check [drive] makes, so a driver can refuse
-   an infeasible grid before anything runs: the hierarchy ablation's
+(* [Method_c.layout] is the check [drive] makes, and the grid runner
+   makes it for every cell before any runs: the hierarchy ablation's
    3-router tree needs 3 slaves over its [n_nodes - 1]. *)
 let test_layout_refuses_before_running () =
   let layout n topology =
@@ -262,14 +266,25 @@ let test_layout_refuses_before_running () =
   check_bool "3 routers over 3 slaves" true
     (layout 7 (Dispatch.Method_c.Routers 3) = Ok (1, 3, 3));
   let hierarchy n =
-    Dispatch.Ablation.hierarchy_check
-      (Dispatch.Experiment.Spec.default
+    let spec =
+      Dispatch.Experiment.Spec.default
       |> Dispatch.Experiment.Spec.with_scenario
-           (Workload.Scenario.with_nodes n small_sc))
+           (small_sc
+           |> Workload.Scenario.with_queries 4096
+           |> Workload.Scenario.with_nodes n)
+    in
+    let cells_run () = (Exec.host_stats ()).Exec.tasks in
+    let before = cells_run () in
+    let result =
+      Dispatch.Experiment.run_grid spec (Dispatch.Ablation.hierarchy spec)
+    in
+    (Result.map (fun (t, _) -> Report.Table.rows t) result,
+     cells_run () - before)
   in
-  check_bool "hierarchy on 3 nodes refused" true
-    (Result.is_error (hierarchy 3));
-  check_bool "hierarchy on 4 nodes" true (hierarchy 4 = Ok ())
+  check_bool "hierarchy on 3 nodes refused before any cell runs" true
+    (match hierarchy 3 with Error _, 0 -> true | _ -> false);
+  check_bool "hierarchy on 4 nodes runs its four tiers" true
+    (hierarchy 4 = (Ok 4, 4))
 
 let test_more_slaves_help_method_c () =
   let keys, queries = Lazy.force workload in
@@ -335,7 +350,7 @@ let test_experiment_table1 () =
 
 and test_experiment_fig3_structure () =
   let rows =
-    Dispatch.Experiment.fig3
+    grid Dispatch.Experiment.fig3
       (tiny_spec
       |> Dispatch.Experiment.Spec.with_methods
            [ Dispatch.Methods.A; Dispatch.Methods.C3 ]
@@ -355,7 +370,7 @@ and test_experiment_fig3_structure () =
   check_bool "plot legend present" true (Astring_contains.contains rendered "legend:")
 
 and test_experiment_table3_structure () =
-  let rows = Dispatch.Experiment.table3 tiny_spec in
+  let rows = grid Dispatch.Experiment.table3 tiny_spec in
   check_int "three strategies" 3 (List.length rows);
   List.iter
     (fun { Dispatch.Experiment.method_id = _; predicted_ns; simulated_ns; _ } ->
@@ -420,17 +435,18 @@ let test_ablations_produce_tables () =
     [
       ("batch-overhead",
        Report.Table.rows
-         (Dispatch.Ablation.batch_overhead ~batches:[ 8192; 65536 ]
+         (grid
+            (Dispatch.Ablation.batch_overhead ~batches:[ 8192; 65536 ])
             tiny_spec));
-      ("masters", Report.Table.rows (Dispatch.Ablation.masters tiny_spec));
+      ("masters", Report.Table.rows (grid Dispatch.Ablation.masters tiny_spec));
       ("slave-structure",
-       Report.Table.rows (Dispatch.Ablation.slave_structure tiny_spec));
+       Report.Table.rows (grid Dispatch.Ablation.slave_structure tiny_spec));
     ]
   in
   List.iter (fun (name, rows) -> check_bool name true (rows >= 2)) checks
 
 let test_ablation_skew_runs () =
-  let t = Dispatch.Ablation.skew ~exponents:[ 0.0; 1.0 ] tiny_spec in
+  let t = grid (Dispatch.Ablation.skew ~exponents:[ 0.0; 1.0 ]) tiny_spec in
   check_int "two rows" 2 (Report.Table.rows t)
 
 let prop_methods_string_roundtrip =

@@ -6,6 +6,10 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Run a driver's grid; every spec here lays out. *)
+let grid driver spec =
+  fst (Result.get_ok (Dispatch.Experiment.run_grid spec (driver spec)))
+
 (* ------------------------------------------------------------------ *)
 (* Spec parsing *)
 
@@ -397,7 +401,7 @@ let test_faulted_sweep_jobs_deterministic () =
          (parse_exn "drop:p=0.02+crash:node=3,at=5e4")
   in
   let runs_at jobs =
-    Dispatch.Experiment.fig3
+    grid Dispatch.Experiment.fig3
       (Dispatch.Experiment.Spec.with_jobs jobs spec)
     |> List.concat_map (fun row -> row.Dispatch.Experiment.results)
   in
@@ -408,6 +412,33 @@ let test_faulted_sweep_jobs_deterministic () =
        (fun (r : Dispatch.Run_result.t) ->
          Dispatch.Run_result.is_degraded r.Dispatch.Run_result.degraded)
        r1)
+
+(* An ablation's grid hands the spec's faults to every cell: each
+   batch size's C-3 run loses slave 3 mid-run and says so. *)
+let test_ablation_cells_get_faults () =
+  let runs faults =
+    let spec =
+      Dispatch.Experiment.Spec.default
+      |> Dispatch.Experiment.Spec.with_scenario small_sc
+      |> Dispatch.Experiment.Spec.with_faults faults
+    in
+    match
+      Dispatch.Experiment.run_grid spec
+        (Dispatch.Ablation.batch_overhead ~batches:[ 8 * 1024; 32 * 1024 ]
+           spec)
+    with
+    | Ok (_, runs) -> List.map snd runs
+    | Error msg -> Alcotest.fail msg
+  in
+  let faulted = runs (parse_exn "crash:node=3,at=5e4") in
+  check_int "one run per cell" 2 (List.length faulted);
+  check_bool "every cell degraded" true
+    (List.for_all
+       (fun (r : Dispatch.Run_result.t) ->
+         Dispatch.Run_result.is_degraded r.Dispatch.Run_result.degraded)
+       faulted);
+  check_bool "faulted results differ from fault-free" true
+    (faulted <> runs Fault.Spec.none)
 
 (* The hierarchical extension survives a crash too. *)
 let test_hier_crash_failover () =
@@ -498,6 +529,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_never_silently_wrong;
           Alcotest.test_case "faulted sweep jobs-deterministic" `Slow
             test_faulted_sweep_jobs_deterministic;
+          Alcotest.test_case "ablation cells get faults" `Quick
+            test_ablation_cells_get_faults;
           Alcotest.test_case "hierarchical crash failover" `Quick
             test_hier_crash_failover;
           Alcotest.test_case "tail counts total retried latency" `Quick

@@ -7,6 +7,10 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 let check_string = Alcotest.(check string)
 
+(* Run a driver's grid; every spec here lays out. *)
+let grid driver spec =
+  fst (Result.get_ok (Dispatch.Experiment.run_grid spec (driver spec)))
+
 (* ------------------------------------------------------------------ *)
 (* Hist *)
 
@@ -559,7 +563,7 @@ let test_run_metrics_deterministic () =
     |> Dispatch.Experiment.Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
   in
   let snaps_at jobs =
-    Dispatch.Experiment.fig3
+    grid Dispatch.Experiment.fig3
       (Dispatch.Experiment.Spec.with_jobs jobs spec)
     |> List.concat_map (fun row ->
            List.map
@@ -614,7 +618,7 @@ let test_traced_run () =
     |> Dispatch.Experiment.Spec.with_observe
          { Dispatch.Observe.none with trace = Some "/dev/null" }
   in
-  let rows = Dispatch.Experiment.fig3 spec in
+  let rows = grid Dispatch.Experiment.fig3 spec in
   let r =
     match rows with
     | [ { Dispatch.Experiment.results = [ r ]; _ } ] -> r
@@ -670,7 +674,7 @@ let test_cache_scope_deterministic () =
          { Dispatch.Observe.none with scope = Some None }
   in
   let scoped_at jobs =
-    Dispatch.Experiment.fig3 (Dispatch.Experiment.Spec.with_jobs jobs spec)
+    grid Dispatch.Experiment.fig3 (Dispatch.Experiment.Spec.with_jobs jobs spec)
     |> List.concat_map (fun row ->
            List.mapi
              (fun i (r : Dispatch.Run_result.t) ->
@@ -1066,6 +1070,38 @@ let test_timeline_honours_scope () =
        (Observe.report spec.Dispatch.Experiment.Spec.observe [ ("run", r) ])
        "L2")
 
+(* A multi-cell ablation honours every batch clause: each cell's run
+   carries the clause's reading, under a label no other cell shares. *)
+let test_ablation_honours_clauses () =
+  let sc = Workload.Scenario.with_queries 4096 Workload.Scenario.ci in
+  List.iter
+    (fun (clause, recorded) ->
+      let spec =
+        Dispatch.Experiment.Spec.default
+        |> Dispatch.Experiment.Spec.with_scenario sc
+        |> Dispatch.Experiment.Spec.with_observe
+             (Result.get_ok (Observe.parse clause))
+      in
+      let g = Dispatch.Ablation.skew spec in
+      match Dispatch.Experiment.run_grid spec g with
+      | Error msg -> Alcotest.fail msg
+      | Ok (_, runs) ->
+          check_int (clause ^ ": one reading per cell")
+            (List.length g.Dispatch.Experiment.cells)
+            (List.length (List.filter (fun (_, r) -> recorded r) runs));
+          check_int (clause ^ ": distinct labels") (List.length runs)
+            (List.length (List.sort_uniq compare (List.map fst runs))))
+    [
+      ( "metrics:out=unused.json",
+        fun (r : Dispatch.Run_result.t) ->
+          Obs.Metrics.Snapshot.find r.Dispatch.Run_result.metrics
+            "validation_errors"
+          <> None );
+      ("trace:out=unused.json", fun r -> r.Dispatch.Run_result.trace <> None);
+      ("profile", fun r -> r.Dispatch.Run_result.profile <> None);
+      ("scope", fun r -> r.Dispatch.Run_result.scope <> None);
+    ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -1151,5 +1187,7 @@ let () =
           Alcotest.test_case "honoured clauses" `Quick test_observe_check;
           Alcotest.test_case "timeline honours scope" `Quick
             test_timeline_honours_scope;
+          Alcotest.test_case "ablation honours every batch clause" `Quick
+            test_ablation_honours_clauses;
         ] );
     ]

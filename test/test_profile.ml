@@ -9,6 +9,10 @@ let check_string = Alcotest.(check string)
 
 module Spec = Dispatch.Experiment.Spec
 
+(* Run a driver's grid; every spec here lays out. *)
+let grid driver spec =
+  fst (Result.get_ok (Dispatch.Experiment.run_grid spec (driver spec)))
+
 (* ------------------------------------------------------------------ *)
 (* Profile unit semantics *)
 
@@ -155,7 +159,7 @@ let test_every_method_conserved () =
   (* Observe.record already fails loudly on a conservation violation;
      this re-checks the invariant on each returned profile and that the
      expected phases actually got charged. *)
-  let rows = Dispatch.Experiment.fig3 profiled_spec in
+  let rows = grid Dispatch.Experiment.fig3 profiled_spec in
   let runs = runs_of rows in
   check_int "full grid ran" (2 * List.length Dispatch.Methods.all)
     (List.length runs);
@@ -212,7 +216,7 @@ let test_hier_conserved () =
   check_bool "lookup phase charged" true (List.mem "lookup" phases)
 
 let test_tail_in_runs () =
-  let rows = Dispatch.Experiment.fig3 profiled_spec in
+  let rows = grid Dispatch.Experiment.fig3 profiled_spec in
   List.iter
     (fun (r : Dispatch.Run_result.t) ->
       let p = Option.get r.Dispatch.Run_result.profile in
@@ -235,7 +239,7 @@ let test_tail_in_runs () =
 let test_profiles_deterministic_across_jobs () =
   let render_at jobs =
     let rows =
-      Dispatch.Experiment.fig3 (Spec.with_jobs jobs profiled_spec)
+      grid Dispatch.Experiment.fig3 (Spec.with_jobs jobs profiled_spec)
     in
     let runs =
       List.map
