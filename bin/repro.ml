@@ -123,24 +123,19 @@ let run_fig3 spec csv =
           (* Degraded columns appear only under --faults, so fault-free
              CSV output stays byte-identical to pre-fault builds. *)
           let faulted = Spec.faulted spec in
-          let cells r =
-            if faulted then
-              Dispatch.Run_result.to_cells r
-              @ Dispatch.Run_result.degraded_cells r
-            else Dispatch.Run_result.to_cells r
-          in
           let header =
-            if faulted then
-              Dispatch.Run_result.header @ Dispatch.Run_result.degraded_header
-            else Dispatch.Run_result.header
+            Dispatch.Run_result.header
+            @ if faulted then Dispatch.Run_result.degraded_header else []
           in
-          let flat =
-            List.concat_map
-              (fun { Dispatch.Experiment.results; _ } ->
-                List.map cells results)
-              rows
+          let cells r =
+            Dispatch.Run_result.to_cells r
+            @ if faulted then Dispatch.Run_result.degraded_cells r else []
           in
-          Report.Csv.save ~path ~header flat;
+          Report.Csv.save ~path ~header
+            (List.concat_map
+               (fun { Dispatch.Experiment.results; _ } ->
+                 List.map cells results)
+               rows);
           say "wrote %s" path)
 
 let run_fig4 spec years =

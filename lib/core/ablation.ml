@@ -1,10 +1,12 @@
-module Spec = Experiment.Spec
+open Experiment
 
 let kib n = n * 1024
 
-let table headers rows =
+(* A table with one row per element of [xs]: partially applied, the
+   [collect] of a grid. *)
+let table headers row xs =
   let t = Report.Table.create ~headers in
-  Report.Table.add_rows t rows;
+  Report.Table.add_rows t (List.map row xs);
   t
 
 let batch_overhead
@@ -13,54 +15,47 @@ let batch_overhead
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
   {
-    Experiment.cells =
+    cells =
       List.map
         (fun batch ->
-          Experiment.cell (Workload.Scenario.with_batch sc batch) ~keys
-            ~queries Methods.C3)
+          cell (Workload.Scenario.with_batch sc batch) ~keys ~queries
+            Methods.C3)
         batches;
     collect =
-      (fun results ->
-        table
-          [ "Batch"; "C-3 ns/key"; "slave idle"; "master busy"; "messages" ]
-          (List.map
-             (fun ((c : Experiment.cell), r) ->
-               [
-                 Printf.sprintf "%d KB"
-                   (c.Experiment.scenario.Workload.Scenario.batch_bytes / 1024);
-                 Report.Table.cell_f r.Run_result.per_key_ns;
-                 Report.Table.cell_pct r.Run_result.slave_idle;
-                 Report.Table.cell_pct r.Run_result.master_busy;
-                 string_of_int r.Run_result.messages;
-               ])
-             results));
+      table [ "Batch"; "C-3 ns/key"; "slave idle"; "master busy"; "messages" ]
+        (fun (c, r) ->
+          [
+            Printf.sprintf "%d KB"
+              (c.scenario.Workload.Scenario.batch_bytes / 1024);
+            Report.Table.cell_f r.Run_result.per_key_ns;
+            Report.Table.cell_pct r.Run_result.slave_idle;
+            Report.Table.cell_pct r.Run_result.master_busy;
+            string_of_int r.Run_result.messages;
+          ]);
   }
 
 let network (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
   let batches = [ kib 8; kib 64; kib 256; kib 1024 ] in
-  Experiment.cross
+  cross
     ~rows:
       [ Netsim.Profile.myrinet; Netsim.Profile.gigabit_ethernet;
         Netsim.Profile.fast_ethernet ]
     ~cols:batches
     (fun profile batch ->
-      Experiment.cell ~axes:[ Experiment.Net ]
+      cell ~axes:[ Net ]
         (Workload.Scenario.with_net profile
            (Workload.Scenario.with_batch sc batch))
         ~keys ~queries Methods.C3)
-    (fun rows ->
-      table
-        ("Network"
-        :: List.map (fun b -> Printf.sprintf "%d KB ns/key" (b / 1024)) batches)
-        (List.map
-           (fun ((profile : Netsim.Profile.t), results) ->
-             profile.Netsim.Profile.name
-             :: List.map
-                  (fun r -> Report.Table.cell_f r.Run_result.per_key_ns)
-                  results)
-           rows))
+    (table
+       ("Network"
+       :: List.map (fun b -> Printf.sprintf "%d KB ns/key" (b / 1024)) batches)
+       (fun ((profile : Netsim.Profile.t), results) ->
+         profile.Netsim.Profile.name
+         :: List.map
+              (fun r -> Report.Table.cell_f r.Run_result.per_key_ns)
+              results))
 
 let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
   let sc = Spec.scenario spec in
@@ -86,22 +81,17 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
         (s, queries))
       exponents
   in
-  Experiment.cross ~rows:streams ~cols:[ Methods.C3; Methods.B ]
-    (fun (s, queries) ->
-      Experiment.cell ~axes:[ Experiment.Zipf s ] sc ~keys ~queries)
-    (fun rows ->
-      table
-        [ "Zipf s"; "C-3 ns/key"; "slave idle"; "B ns/key" ]
-        (List.map
-           (fun ((s, _), results) ->
-             let rc = List.nth results 0 and rb = List.nth results 1 in
-             [
-               Printf.sprintf "%.1f" s;
-               Report.Table.cell_f rc.Run_result.per_key_ns;
-               Report.Table.cell_pct rc.Run_result.slave_idle;
-               Report.Table.cell_f rb.Run_result.per_key_ns;
-             ])
-           rows))
+  cross ~rows:streams ~cols:[ Methods.C3; Methods.B ]
+    (fun (s, queries) -> cell ~axes:[ Zipf s ] sc ~keys ~queries)
+    (table [ "Zipf s"; "C-3 ns/key"; "slave idle"; "B ns/key" ]
+       (fun ((s, _), results) ->
+         let rc = List.nth results 0 and rb = List.nth results 1 in
+         [
+           Printf.sprintf "%.1f" s;
+           Report.Table.cell_f rc.Run_result.per_key_ns;
+           Report.Table.cell_pct rc.Run_result.slave_idle;
+           Report.Table.cell_f rb.Run_result.per_key_ns;
+         ]))
 
 let masters (spec : Spec.t) =
   let sc = Spec.scenario spec in
@@ -109,41 +99,34 @@ let masters (spec : Spec.t) =
   let slave_keys = (sc.Workload.Scenario.n_keys + n_slaves - 1) / n_slaves in
   let keys, queries = Runner.workload sc in
   {
-    Experiment.cells =
+    cells =
       List.map
         (fun n_masters ->
           (* Keep the slave pool fixed; masters are additional nodes. *)
-          Experiment.cell ~axes:[ Experiment.Masters ]
+          cell ~axes:[ Masters ]
             (sc
             |> Workload.Scenario.with_masters n_masters
             |> Workload.Scenario.with_nodes (n_slaves + n_masters))
             ~keys ~queries Methods.C3)
         [ 1; 2; 4 ];
     collect =
-      (fun results ->
-        table
+      table
+        [
+          "Masters"; "C-3 ns/key (sim)"; "master busy"; "slave idle";
+          "model ns/key"; "NIC floor ns/key";
+        ]
+        (fun (c, r) ->
+          let { Workload.Scenario.n_masters; params; net; _ } = c.scenario in
           [
-            "Masters"; "C-3 ns/key (sim)"; "master busy"; "slave idle";
-            "model ns/key"; "NIC floor ns/key";
-          ]
-          (List.map
-             (fun ((c : Experiment.cell), r) ->
-               let sc = c.Experiment.scenario in
-               let n_masters = sc.Workload.Scenario.n_masters in
-               [
-                 string_of_int n_masters;
-                 Report.Table.cell_f r.Run_result.per_key_ns;
-                 Report.Table.cell_pct r.Run_result.master_busy;
-                 Report.Table.cell_pct r.Run_result.slave_idle;
-                 Report.Table.cell_f
-                   (Model.Predict.method_c3 sc.Workload.Scenario.params
-                      sc.Workload.Scenario.net ~slave_keys ~n_masters
-                      ~n_slaves);
-                 Report.Table.cell_f
-                   (Model.Predict.master_bound_ns sc.Workload.Scenario.net
-                      ~n_masters);
-               ])
-             results));
+            string_of_int n_masters;
+            Report.Table.cell_f r.Run_result.per_key_ns;
+            Report.Table.cell_pct r.Run_result.master_busy;
+            Report.Table.cell_pct r.Run_result.slave_idle;
+            Report.Table.cell_f
+              (Model.Predict.method_c3 params net ~slave_keys ~n_masters
+                 ~n_slaves);
+            Report.Table.cell_f (Model.Predict.master_bound_ns net ~n_masters);
+          ]);
   }
 
 let line_size (spec : Spec.t) =
@@ -151,76 +134,58 @@ let line_size (spec : Spec.t) =
   (* The workload depends only on the seed and counts, not the machine
      profile, so one generation serves both rows. *)
   let keys, queries = Runner.workload sc in
-  Experiment.cross
+  cross
     ~rows:[ Cachesim.Mem_params.pentium3; Cachesim.Mem_params.pentium4 ]
     ~cols:[ Methods.A; Methods.C3 ]
     (fun params ->
-      Experiment.cell ~axes:[ Experiment.Machine ]
-        (Workload.Scenario.with_params params sc)
-        ~keys ~queries)
-    (fun rows ->
-      table
-        [ "Machine"; "A ns/key"; "C-3 ns/key"; "A / C-3" ]
-        (List.map
-           (fun ((params : Cachesim.Mem_params.t), results) ->
-             let ra = List.nth results 0 and rc = List.nth results 1 in
-             [
-               params.Cachesim.Mem_params.name;
-               Report.Table.cell_f ra.Run_result.per_key_ns;
-               Report.Table.cell_f rc.Run_result.per_key_ns;
-               Report.Table.cell_f
-                 (ra.Run_result.per_key_ns /. rc.Run_result.per_key_ns);
-             ])
-           rows))
+      cell ~axes:[ Machine ] (Workload.Scenario.with_params params sc) ~keys
+        ~queries)
+    (table [ "Machine"; "A ns/key"; "C-3 ns/key"; "A / C-3" ]
+       (fun ((params : Cachesim.Mem_params.t), results) ->
+         let ra = List.nth results 0 and rc = List.nth results 1 in
+         [
+           params.Cachesim.Mem_params.name;
+           Report.Table.cell_f ra.Run_result.per_key_ns;
+           Report.Table.cell_f rc.Run_result.per_key_ns;
+           Report.Table.cell_f
+             (ra.Run_result.per_key_ns /. rc.Run_result.per_key_ns);
+         ]))
 
 let hierarchy (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
-  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
-  (* Every dispatch tier sits over the same pool of [n_nodes - 1]
-     slaves. *)
-  let tier ~masters ~routers =
-    Experiment.cell ~axes:[ Experiment.Masters ]
+  (* Every dispatch tier sits over the same [n_nodes - 1] slaves. *)
+  let tier masters routers =
+    cell ~axes:[ Masters ]
       ~topology:
         (if routers = 0 then Method_c.Flat else Method_c.Routers routers)
       (sc
       |> Workload.Scenario.with_masters masters
-      |> Workload.Scenario.with_nodes (masters + routers + n_slaves))
+      |> Workload.Scenario.with_nodes
+           (masters + routers + sc.Workload.Scenario.n_nodes - 1))
       ~keys ~queries Methods.C3
   in
-  let name (c : Experiment.cell) =
-    match (c.Experiment.topology, c.Experiment.scenario.Workload.Scenario.n_masters) with
-    | Method_c.Flat, 1 -> "flat (1 master)"
-    | Method_c.Flat, m -> Printf.sprintf "%d masters" m
-    | Method_c.Routers r, _ -> Printf.sprintf "tree (%d routers)" r
-  in
   {
-    Experiment.cells =
-      [
-        tier ~masters:1 ~routers:0;
-        tier ~masters:3 ~routers:0;
-        tier ~masters:1 ~routers:2;
-        tier ~masters:1 ~routers:3;
-      ];
+    cells = [ tier 1 0; tier 3 0; tier 1 2; tier 1 3 ];
     collect =
-      (fun results ->
-        table
+      table
+        [
+          "Topology"; "nodes"; "ns/key"; "mean resp"; "master busy";
+          "slave idle"; "errors";
+        ]
+        (fun (c, r) ->
           [
-            "Topology"; "nodes"; "ns/key"; "mean resp"; "master busy";
-            "slave idle"; "errors";
-          ]
-          (List.map
-             (fun ((c : Experiment.cell), (r : Run_result.t)) ->
-               [
-                 name c;
-                 string_of_int c.Experiment.scenario.Workload.Scenario.n_nodes;
-                 Report.Table.cell_f r.Run_result.per_key_ns;
-                 Simcore.Simtime.to_string r.Run_result.mean_response_ns;
-                 Report.Table.cell_pct r.Run_result.master_busy;
-                 Report.Table.cell_pct r.Run_result.slave_idle;
-                 Report.Table.cell_i r.Run_result.validation_errors;
-               ])
-             results));
+            (match (c.topology, c.scenario.Workload.Scenario.n_masters) with
+            | Method_c.Flat, 1 -> "flat (1 master)"
+            | Method_c.Flat, m -> Printf.sprintf "%d masters" m
+            | Method_c.Routers r, _ -> Printf.sprintf "tree (%d routers)" r);
+            string_of_int c.scenario.Workload.Scenario.n_nodes;
+            Report.Table.cell_f r.Run_result.per_key_ns;
+            Simcore.Simtime.to_string r.Run_result.mean_response_ns;
+            Report.Table.cell_pct r.Run_result.master_busy;
+            Report.Table.cell_pct r.Run_result.slave_idle;
+            Report.Table.cell_i r.Run_result.validation_errors;
+          ]);
   }
 
 let structures (spec : Spec.t) =
@@ -256,44 +221,33 @@ let structures (spec : Spec.t) =
   in
   let resident = snd (List.nth scales 0) in
   let full = snd (List.nth scales 1) in
-  let tbl =
-    Report.Table.create
-      ~headers:
-        [
-          "Structure";
-          Printf.sprintf "ns/lookup, %d keys (slave partition)" partition_keys;
-          Printf.sprintf "ns/lookup, %d keys (full index)" sc.Workload.Scenario.n_keys;
-        ]
-  in
-  List.iter2
-    (fun (name, small) (_, big) ->
-      Report.Table.add_row tbl
-        [ name; Report.Table.cell_f small; Report.Table.cell_f big ])
-    resident full;
-  tbl
+  table
+    [
+      "Structure";
+      Printf.sprintf "ns/lookup, %d keys (slave partition)" partition_keys;
+      Printf.sprintf "ns/lookup, %d keys (full index)" sc.Workload.Scenario.n_keys;
+    ]
+    (fun ((name, small), (_, big)) ->
+      [ name; Report.Table.cell_f small; Report.Table.cell_f big ])
+    (List.combine resident full)
 
 let slave_structure (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let keys, queries = Runner.workload sc in
   {
-    Experiment.cells =
-      List.map
-        (Experiment.cell sc ~keys ~queries)
-        [ Methods.C1; Methods.C2; Methods.C3 ];
+    cells =
+      List.map (cell sc ~keys ~queries) [ Methods.C1; Methods.C2; Methods.C3 ];
     collect =
-      (fun results ->
-        table
-          [ "Variant"; "ns/key"; "slave idle"; "L2 rand misses"; "L2 seq misses" ]
-          (List.map
-             (fun ((c : Experiment.cell), (r : Run_result.t)) ->
-               [
-                 Methods.to_string c.Experiment.method_id;
-                 Report.Table.cell_f r.Run_result.per_key_ns;
-                 Report.Table.cell_pct r.Run_result.slave_idle;
-                 string_of_int r.Run_result.cache.Cachesim.Hierarchy.rand_misses;
-                 string_of_int r.Run_result.cache.Cachesim.Hierarchy.seq_misses;
-               ])
-             results));
+      table
+        [ "Variant"; "ns/key"; "slave idle"; "L2 rand misses"; "L2 seq misses" ]
+        (fun ((c : cell), (r : Run_result.t)) ->
+          [
+            Methods.to_string c.method_id;
+            Report.Table.cell_f r.Run_result.per_key_ns;
+            Report.Table.cell_pct r.Run_result.slave_idle;
+            string_of_int r.Run_result.cache.Cachesim.Hierarchy.rand_misses;
+            string_of_int r.Run_result.cache.Cachesim.Hierarchy.seq_misses;
+          ]);
   }
 
 (* Dynamic-index interference: how much does an interleaved update
@@ -354,30 +308,23 @@ let updates (spec : Spec.t) =
         (r, Option.get !stats))
       grid
   in
-  let tbl =
-    Report.Table.create
-      ~headers:
+  let rows = List.map (fun ((u, _, _), (r, st)) -> (u, r, st)) results in
+  ( table
+      [
+        "Updates/query"; "Method"; "Batch"; "ns/key"; "applied"; "no-ops";
+        "lost"; "segments"; "delta";
+      ]
+      (fun (u, r, (st : Dynamic.stats)) ->
         [
-          "Updates/query"; "Method"; "Batch"; "ns/key"; "applied"; "no-ops";
-          "lost"; "segments"; "delta";
-        ]
-  in
-  let rows =
-    List.map
-      (fun ((u, _, batch), (r, (st : Dynamic.stats))) ->
-        Report.Table.add_row tbl
-          [
-            Printf.sprintf "%g" u.Workload.Mutation.ratio;
-            Methods.to_string r.Run_result.method_id;
-            Printf.sprintf "%d KB" (batch / 1024);
-            Report.Table.cell_f r.Run_result.per_key_ns;
-            string_of_int st.Dynamic.applied;
-            string_of_int st.Dynamic.noops;
-            string_of_int st.Dynamic.lost_updates;
-            string_of_int st.Dynamic.segments;
-            string_of_int st.Dynamic.delta_entries;
-          ];
-        (u, r, st))
-      results
-  in
-  (tbl, rows)
+          Printf.sprintf "%g" u.Workload.Mutation.ratio;
+          Methods.to_string r.Run_result.method_id;
+          Printf.sprintf "%d KB" (r.Run_result.batch_bytes / 1024);
+          Report.Table.cell_f r.Run_result.per_key_ns;
+          string_of_int st.Dynamic.applied;
+          string_of_int st.Dynamic.noops;
+          string_of_int st.Dynamic.lost_updates;
+          string_of_int st.Dynamic.segments;
+          string_of_int st.Dynamic.delta_entries;
+        ])
+      rows,
+    rows )

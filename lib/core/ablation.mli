@@ -2,15 +2,10 @@
     choice or hidden assumption called out in DESIGN.md.
 
     Every driver takes a {!Experiment.Spec.t} positionally:
-    [spec.scenario] (and [seed_override]) select the workload.  The
-    studies that simulate runs return an {!Experiment.grid}: their cells
-    (each label naming what the study varies) and a renderer of the
-    results as a table.  {!Experiment.run_grid} runs it like every
-    other grid — under the spec's observation session and faults, on
-    [spec.jobs] worker domains, byte-identical at any worker count.
-    [structures] times single machines rather than runs, and [updates]
-    runs the dynamic index; both sweep on their own.  Genuinely
-    per-study knobs ([?batches], [?exponents]) stay optional. *)
+    [spec.scenario] (and [seed_override]) select the workload.  Every
+    study but [structures] and [updates] returns an {!Experiment.grid}
+    for {!Experiment.run_grid}, its labels naming what the study varies.
+    Genuinely per-study knobs ([?batches], [?exponents]) stay optional. *)
 
 val batch_overhead :
   ?batches:int list -> Experiment.Spec.t -> Report.Table.t Experiment.grid

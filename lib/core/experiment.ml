@@ -91,13 +91,7 @@ let cell ?(topology = Method_c.Flat) ?(axes = []) scenario ~keys ~queries
     method_id =
   { method_id; scenario; topology; keys; queries; axes }
 
-let label c =
-  let sc = c.scenario in
-  let routers =
-    match c.topology with
-    | Method_c.Flat -> []
-    | Method_c.Routers r -> [ Printf.sprintf "routers=%d" r ]
-  in
+let label { method_id; scenario = sc; topology; axes; _ } =
   let axis = function
     | Net -> "net=" ^ sc.Workload.Scenario.net.Netsim.Profile.name
     | Machine -> "machine=" ^ sc.Workload.Scenario.params.Cachesim.Mem_params.name
@@ -105,12 +99,12 @@ let label c =
     | Zipf s -> Printf.sprintf "zipf=%g" s
   in
   String.concat " "
-    (Printf.sprintf "%s %s batch=%dKB"
-       (Methods.to_string c.method_id)
-       sc.Workload.Scenario.name
-       (sc.Workload.Scenario.batch_bytes / 1024)
-    :: routers
-    @ List.map axis c.axes)
+    (Printf.sprintf "%s %s batch=%dKB" (Methods.to_string method_id)
+       sc.Workload.Scenario.name (sc.Workload.Scenario.batch_bytes / 1024)
+    :: (match topology with
+       | Method_c.Flat -> []
+       | Method_c.Routers r -> [ Printf.sprintf "routers=%d" r ])
+    @ List.map axis axes)
 
 type 'a grid = {
   cells : cell list;
@@ -132,16 +126,14 @@ let cross ~rows ~cols cell collect =
 
 let run_grid (spec : Spec.t) { cells; collect } =
   let infeasible c =
-    if not (Methods.is_distributed c.method_id) then None
-    else
-      match
-        Method_c.layout c.scenario ~ops:Method_c.Queries ~topology:c.topology
-      with
-      | Ok _ -> None
-      | Error msg ->
-          Some
-            (Printf.sprintf "cannot lay out run %s on %d nodes: %s" (label c)
-               c.scenario.Workload.Scenario.n_nodes msg)
+    match
+      Method_c.layout c.scenario ~ops:Method_c.Queries ~topology:c.topology
+    with
+    | Error msg when Methods.is_distributed c.method_id ->
+        Some
+          (Printf.sprintf "cannot lay out run %s on %d nodes: %s" (label c)
+             c.scenario.Workload.Scenario.n_nodes msg)
+    | _ -> None
   in
   match List.find_map infeasible cells with
   | Some msg -> Error msg
@@ -365,9 +357,7 @@ let table3 (spec : Spec.t) =
     ]
   in
   {
-    cells =
-      List.map (fun (method_id, _) -> cell sc ~keys ~queries method_id)
-        predictions;
+    cells = List.map (fun (m, _) -> cell sc ~keys ~queries m) predictions;
     collect =
       List.map2
         (fun (method_id, predicted_ns) (_, r) ->

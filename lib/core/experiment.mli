@@ -7,14 +7,10 @@
     Methods A and B results are normalized by the cluster size exactly
     as in the paper.
 
-    Grid-shaped drivers ([fig3], [table3] and the simulating
-    {!Ablation} studies) declare their runs as a {!grid}: a list of
-    {!cell}s plus a function that turns the cells' results into the
-    driver's rows.  One runner, {!run_grid}, refuses a grid whose
-    layout cannot be built, then runs every cell under the spec's
-    observation session and faults on [spec.jobs] worker domains;
-    results are collected in cell order, so output is byte-identical at
-    any [jobs] value.
+    [fig3], [table3] and the simulating {!Ablation} studies declare
+    their runs as a {!grid} of cells, which {!run_grid} checks and then
+    runs on [spec.jobs] worker domains; results are collected in cell
+    order, so output is byte-identical at any [jobs] value.
 
     Every driver takes a [Spec.t] positionally — build one with the
     [with_*] builders from {!Spec.default}.  (The pre-[Spec]
@@ -96,15 +92,10 @@ end
 
 (** {2 Grids of runs} *)
 
-type axis =
-  | Net  (** [net=<network profile>] *)
-  | Machine  (** [machine=<memory profile>] *)
-  | Masters  (** [masters=<master count>] *)
-  | Zipf of float
-      (** [zipf=<s>]: the exponent the cell's query stream was drawn
-          with ([0] = uniform). *)
-(** A field a grid varies beyond method and batch size, named in its
-    cells' labels. *)
+(** What a grid varies beyond method and batch size, named in its
+    cells' labels: the network, the memory profile, the master count,
+    and the Zipf exponent the cell's queries were drawn with. *)
+type axis = Net | Machine | Masters | Zipf of float
 
 type cell = {
   method_id : Methods.id;
@@ -114,8 +105,7 @@ type cell = {
   queries : int array;
   axes : axis list;  (** What {!label} adds, in order. *)
 }
-(** One simulation: a batch run of [method_id] over [keys] and
-    [queries]. *)
+(** One batch run of [method_id] over [keys] and [queries]. *)
 
 val cell :
   ?topology:Method_c.topology ->
