@@ -66,6 +66,12 @@ let serve_spec ~jobs =
   |> Experiment.Spec.with_slo 1e6
   |> Experiment.Spec.with_jobs jobs
 
+(* The runs of [grid spec], in cell order. *)
+let grid_runs spec grid =
+  match Experiment.run_grid spec (grid spec) with
+  | Ok (_, runs) -> List.map snd runs
+  | Error msg -> invalid_arg msg
+
 let guarded (r : Run_result.t) =
   if r.Run_result.validation_errors > 0 then
     failwith
@@ -99,13 +105,12 @@ let variant_entries ~spec =
   let serve ?(methods = [ c3 ]) name refine =
     let spec = serve_spec ~jobs in
     let sc = Experiment.Spec.scenario spec |> Workload.Scenario.with_name name in
-    List.map
-      (fun { Serve.run; _ } -> run)
-      (Serve.run
-         (spec
-         |> Experiment.Spec.with_scenario sc
-         |> Experiment.Spec.with_methods methods
-         |> refine))
+    grid_runs
+      (spec
+      |> Experiment.Spec.with_scenario sc
+      |> Experiment.Spec.with_methods methods
+      |> refine)
+      (Experiment.serve ~loads:[])
   in
   let serve_two_masters =
     serve "ci-serve-2m" (fun spec ->
@@ -139,22 +144,12 @@ let variant_entries ~spec =
     @ serve_faulted @ (dynamic_crash :: dynamic_replicated) @ serve_dynamic)
 
 let capture ~spec =
-  let rows =
-    match Experiment.run_grid spec (Experiment.fig3 spec) with
-    | Ok (rows, _) -> rows
-    | Error msg -> invalid_arg msg
-  in
-  let batch_entries =
-    List.concat_map
-      (fun { Experiment.batch_bytes = _; results } -> List.map guarded results)
-      rows
-  in
-  let serve_entries =
-    List.map
-      (fun { Serve.run; _ } -> guarded run)
-      (Serve.run (serve_spec ~jobs:spec.Experiment.Spec.jobs))
-  in
-  batch_entries @ serve_entries @ variant_entries ~spec
+  List.map guarded
+    (grid_runs spec Experiment.fig3
+    @ grid_runs
+        (serve_spec ~jobs:spec.Experiment.Spec.jobs)
+        (Experiment.serve ~loads:[]))
+  @ variant_entries ~spec
 
 (* ------------------------------------------------------------------ *)
 (* JSON round trip *)

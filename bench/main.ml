@@ -268,7 +268,10 @@ let artefact_tests () =
   in
   let test_serve =
     Test.make ~name:"serve/open-loop-B-C3"
-      (Staged.stage @@ fun () -> ignore (Dispatch.Serve.run serve_spec))
+      (Staged.stage @@ fun () ->
+       ignore
+         (Dispatch.Experiment.run_grid serve_spec
+            (Dispatch.Experiment.serve ~loads:[] serve_spec)))
   in
   Test.make_grouped ~name:"paper"
     [ test_table1; test_table2; test_fig3; test_table3; test_fig4;

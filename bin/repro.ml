@@ -7,7 +7,8 @@
    declaring its Arg in [Cli] and one line in its [build]. *)
 
 open Cmdliner
-module Spec = Dispatch.Experiment.Spec
+open Dispatch
+module Spec = Experiment.Spec
 
 let spec_term = Cli.spec_term
 let csv_arg = Cli.csv_arg
@@ -16,15 +17,13 @@ let say fmt = Format.printf (fmt ^^ "@.")
 (* Output files are written before this check, so a failed validation
    still leaves the evidence on disk. *)
 let check_validation runs =
-  let bad =
-    List.filter (fun (_, r) -> r.Dispatch.Run_result.validation_errors > 0) runs
-  in
+  let bad = List.filter (fun (_, r) -> r.Run_result.validation_errors > 0) runs in
   if bad <> [] then begin
     List.iter
       (fun (label, r) ->
         Printf.eprintf "repro: ERROR: %d validation error%s in run %s\n"
-          r.Dispatch.Run_result.validation_errors
-          (if r.Dispatch.Run_result.validation_errors = 1 then "" else "s")
+          r.Run_result.validation_errors
+          (if r.Run_result.validation_errors = 1 then "" else "s")
           label)
       bad;
     Printf.eprintf
@@ -33,25 +32,20 @@ let check_validation runs =
     exit 3
   end
 
-let labelled runs =
-  List.map (fun r -> (Dispatch.Telemetry.run_label r, r)) runs
-
 (* One line per degraded run: the table renderers keep the paper's
    column layout, so failover accounting goes to its own summary. *)
 let print_degraded runs =
   List.iter
     (fun (label, r) ->
-      let d = r.Dispatch.Run_result.degraded in
-      if Dispatch.Run_result.is_degraded d then
+      let d = r.Run_result.degraded in
+      if Run_result.is_degraded d then
         say
           "degraded %s: retries=%d redispatches=%d fallback=%d lost=%d \
            dead=[%s] completeness=%.6f"
-          label d.Dispatch.Run_result.retries d.Dispatch.Run_result.redispatches
-          d.Dispatch.Run_result.fallback_lookups
-          d.Dispatch.Run_result.lost_queries
-          (String.concat ","
-             (List.map string_of_int d.Dispatch.Run_result.dead_nodes))
-          (Dispatch.Run_result.completeness r))
+          label d.Run_result.retries d.Run_result.redispatches
+          d.Run_result.fallback_lookups d.Run_result.lost_queries
+          (String.concat "," (List.map string_of_int d.Run_result.dead_nodes))
+          (Run_result.completeness r))
     runs
 
 (* A usage error found once the command line has parsed: it exits with
@@ -65,32 +59,61 @@ let refuse msg =
 let batch_clauses = [ "metrics"; "trace"; "profile"; "scope" ]
 
 let observing spec ~honours =
-  Result.iter_error refuse (Dispatch.Observe.check ~honours spec.Spec.observe)
+  Result.iter_error refuse (Observe.check ~honours spec.Spec.observe)
+
+(* [f] of each run, without repeats, in order of first appearance. *)
+let firsts f runs =
+  List.fold_left
+    (fun acc (_, r) -> if List.mem (f r) acc then acc else acc @ [ f r ])
+    [] runs
 
 (* The tail every run-producing subcommand shares: degraded-run lines,
-   the session's terminal readings and files, then the oracle verdict. *)
+   the session's terminal readings and files (the manifest lists the
+   methods and batch sizes that ran), then the oracle verdict. *)
 let finish spec ~generator runs =
   print_degraded runs;
-  print_string (Dispatch.Observe.report spec.Spec.observe runs);
+  print_string (Observe.report spec.Spec.observe runs);
   List.iter (say "wrote %s")
-    (Dispatch.Observe.export spec.Spec.observe ~generator
+    (Observe.export spec.Spec.observe ~generator
        ~fields:
-         (Dispatch.Telemetry.manifest_fields ~faults:spec.Spec.faults
-            (Spec.scenario spec) ~methods:spec.Spec.methods
-            ~batches:spec.Spec.batches)
+         (Telemetry.manifest_fields ~faults:spec.Spec.faults
+            (Spec.scenario spec)
+            ~methods:(firsts (fun r -> r.Run_result.method_id) runs)
+            ~batches:(firsts (fun r -> r.Run_result.batch_bytes) runs))
        runs);
   check_validation runs
 
-(* Every grid subcommand: refuse what it cannot honour or lay out, run
-   its cells, print the scenario and the rows, then the shared tail. *)
+(* Every grid subcommand: refuse what it cannot honour (a timeline only
+   for a grid of serving cells) or lay out, run its cells, print the
+   scenario and the rows, then the shared tail. *)
 let run_grid spec ~generator grid print =
-  observing spec ~honours:batch_clauses;
-  match Dispatch.Experiment.run_grid spec (grid spec) with
+  let g = grid spec in
+  let serving c = c.Experiment.source <> Experiment.Batch in
+  observing spec
+    ~honours:
+      (if List.exists serving g.Experiment.cells then
+         "timeline" :: batch_clauses
+       else batch_clauses);
+  match Experiment.run_grid spec g with
   | Error msg -> refuse msg
   | Ok (rows, runs) ->
       say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
       print rows;
       finish spec ~generator runs
+
+(* Writes [--csv], when given. *)
+let save_csv csv ~header rows =
+  Option.iter
+    (fun path ->
+      Report.Csv.save ~path ~header rows;
+      say "wrote %s" path)
+    csv
+
+(* The degraded CSV columns, under --faults only, so fault-free CSV
+   output stays byte-identical to pre-fault builds. *)
+let degraded_columns spec =
+  if Spec.faulted spec then (Run_result.degraded_header, Run_result.degraded_cells)
+  else ([], fun _ -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands *)
@@ -99,50 +122,31 @@ let run_table1 spec =
   observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
   say "Table 1: the index structure setup@\n@\n%s"
-    (Report.Table.render (Dispatch.Experiment.table1 spec))
+    (Report.Table.render (Experiment.table1 spec))
 
 let run_table2 spec =
   observing spec ~honours:[];
   say "Table 2: parameters measured on the simulated cluster@\n@\n%s"
-    (Report.Table.render (Dispatch.Experiment.table2 spec))
+    (Report.Table.render (Experiment.table2 spec))
 
 let run_table3 spec =
-  run_grid spec ~generator:"repro table3" Dispatch.Experiment.table3
-    (fun rows ->
-      print_string
-        (Dispatch.Experiment.render_table3 ~scenario:(Spec.scenario spec)
-           rows))
+  run_grid spec ~generator:"repro table3" Experiment.table3 (fun rows ->
+      print_string (Experiment.render_table3 ~scenario:(Spec.scenario spec) rows))
 
 let run_fig3 spec csv =
-  run_grid spec ~generator:"repro fig3" Dispatch.Experiment.fig3 (fun rows ->
-      print_string
-        (Dispatch.Experiment.render_fig3 ~scenario:(Spec.scenario spec) rows);
-      match csv with
-      | None -> ()
-      | Some path ->
-          (* Degraded columns appear only under --faults, so fault-free
-             CSV output stays byte-identical to pre-fault builds. *)
-          let faulted = Spec.faulted spec in
-          let header =
-            Dispatch.Run_result.header
-            @ if faulted then Dispatch.Run_result.degraded_header else []
-          in
-          let cells r =
-            Dispatch.Run_result.to_cells r
-            @ if faulted then Dispatch.Run_result.degraded_cells r else []
-          in
-          Report.Csv.save ~path ~header
-            (List.concat_map
-               (fun { Dispatch.Experiment.results; _ } ->
-                 List.map cells results)
-               rows);
-          say "wrote %s" path)
+  run_grid spec ~generator:"repro fig3" Experiment.fig3 (fun rows ->
+      print_string (Experiment.render_fig3 ~scenario:(Spec.scenario spec) rows);
+      let header, cells = degraded_columns spec in
+      save_csv csv ~header:(Run_result.header @ header)
+        (List.concat_map
+           (fun { Experiment.results; _ } ->
+             List.map (fun r -> Run_result.to_cells r @ cells r) results)
+           rows))
 
 let run_fig4 spec years =
   observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
-  print_string
-    (Dispatch.Experiment.render_fig4 (Dispatch.Experiment.fig4 ~years spec))
+  print_string (Experiment.render_fig4 (Experiment.fig4 ~years spec))
 
 (* Only `serve` (methods A and B) and `ablation updates` run an update
    stream; every other subcommand refuses --updates as a usage error
@@ -154,41 +158,18 @@ let updates_refusal =
 let static spec run =
   if Spec.dynamic spec then `Error (true, updates_refusal) else `Ok (run ())
 
-(* The dynamic-index study exports per-cell results (base columns plus
-   dyn.* update accounting) — it gets the full run treatment the other
-   ablation tables don't need. *)
-let run_ablation_updates spec csv =
-  observing spec ~honours:batch_clauses;
-  let sc = Spec.scenario spec in
-  say "%a@\n" Workload.Scenario.pp sc;
-  let tbl, rows = Dispatch.Ablation.updates spec in
+(* The dynamic-index study also exports per-cell results: the updates
+   spec, the run columns and the dyn.* update accounting. *)
+let print_updates spec csv (tbl, rows) =
   say "ablation updates:@\n@\n%s" (Report.Table.render tbl);
-  let faulted = Spec.faulted spec in
-  (match csv with
-  | None -> ()
-  | Some path ->
-      let header =
-        ("updates" :: Dispatch.Run_result.header)
-        @ Dispatch.Dynamic.stats_header
-        @ (if faulted then Dispatch.Run_result.degraded_header else [])
-      in
-      let cells (u, r, st) =
-        (Workload.Mutation.to_string u :: Dispatch.Run_result.to_cells r)
-        @ Dispatch.Dynamic.stats_cells st
-        @
-        if faulted then Dispatch.Run_result.degraded_cells r else []
-      in
-      Report.Csv.save ~path ~header (List.map cells rows);
-      say "wrote %s" path);
-  let runs =
-    List.map
-      (fun (u, r, _) ->
-        ( Printf.sprintf "u=%g %s" u.Workload.Mutation.ratio
-            (Dispatch.Telemetry.run_label r),
-          r ))
-      rows
-  in
-  finish spec ~generator:"repro ablation updates" runs
+  let header, cells = degraded_columns spec in
+  save_csv csv
+    ~header:(("updates" :: Run_result.header) @ Dynamic.stats_header @ header)
+    (List.map
+       (fun (u, r, st) ->
+         (Workload.Mutation.to_string u :: Run_result.to_cells r)
+         @ Dynamic.stats_cells st @ cells r)
+       rows)
 
 let run_ablation spec which csv =
   let grid g =
@@ -198,19 +179,20 @@ let run_ablation spec which csv =
   in
   match String.lowercase_ascii which with
   | "updates" ->
-      run_ablation_updates spec csv;
+      run_grid spec ~generator:"repro ablation updates" Ablation.updates
+        (print_updates spec csv);
       `Ok ()
   | _ when Spec.dynamic spec -> `Error (true, updates_refusal)
-  | "batch-overhead" -> grid (fun spec -> Dispatch.Ablation.batch_overhead spec)
-  | "network" -> grid Dispatch.Ablation.network
-  | "skew" -> grid (fun spec -> Dispatch.Ablation.skew spec)
-  | "masters" -> grid Dispatch.Ablation.masters
-  | "linesize" | "line-size" -> grid Dispatch.Ablation.line_size
-  | "slave-structure" -> grid Dispatch.Ablation.slave_structure
-  | "hierarchy" -> grid Dispatch.Ablation.hierarchy
+  | "batch-overhead" -> grid (fun spec -> Ablation.batch_overhead spec)
+  | "network" -> grid Ablation.network
+  | "skew" -> grid (fun spec -> Ablation.skew spec)
+  | "masters" -> grid Ablation.masters
+  | "linesize" | "line-size" -> grid Ablation.line_size
+  | "slave-structure" -> grid Ablation.slave_structure
+  | "hierarchy" -> grid Ablation.hierarchy
   | "structures" ->
       observing spec ~honours:[];
-      let t = Dispatch.Ablation.structures spec in
+      let t = Ablation.structures spec in
       say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
       say "ablation %s:@\n@\n%s" which (Report.Table.render t);
       `Ok ()
@@ -227,38 +209,24 @@ let run_timeline spec =
   (* C-3 unless --methods narrows the set; the timeline traces one run. *)
   let method_id =
     match spec.Spec.methods with
-    | m :: _ when spec.Spec.methods <> Dispatch.Methods.all -> m
-    | _ -> Dispatch.Methods.C3
+    | m :: _ when spec.Spec.methods <> Methods.all -> m
+    | _ -> Methods.C3
   in
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
-  let rendered, r = Dispatch.Experiment.timeline_traced ~method_id spec in
+  let rendered, r = Experiment.timeline_traced ~method_id spec in
   print_string rendered;
-  let runs = labelled [ r ] in
-  finish spec ~generator:"repro timeline" runs
+  finish spec ~generator:"repro timeline" [ (Telemetry.run_label r, r) ]
 
 (* Open-loop serving with SLO accounting.  One run per method at the
    spec's offered load, or a load sweep when --loads is given. *)
 let run_serve spec csv loads =
-  observing spec ~honours:("timeline" :: batch_clauses);
-  let sc = Spec.scenario spec in
-  say "%a@\n" Workload.Scenario.pp sc;
-  let reports =
-    match loads with
-    | [] -> Dispatch.Serve.run spec
-    | loads -> Dispatch.Serve.load_sweep spec ~loads
-  in
-  print_string (Dispatch.Serve.render ~scenario:sc reports);
-  (match csv with
-  | None -> ()
-  | Some path ->
-      Report.Csv.save ~path ~header:Dispatch.Run_result.serving_header
+  run_grid spec ~generator:"repro serve" (Experiment.serve ~loads)
+    (fun reports ->
+      print_string (Serve.render ~scenario:(Spec.scenario spec) reports);
+      save_csv csv ~header:Run_result.serving_header
         (List.map
-           (fun { Dispatch.Serve.run; serving } ->
-             Dispatch.Run_result.serving_cells run serving)
-           reports);
-      say "wrote %s" path);
-  finish spec ~generator:"repro serve"
-    (labelled (List.map (fun r -> r.Dispatch.Serve.run) reports))
+           (fun { Serve.run; serving } -> Run_result.serving_cells run serving)
+           reports))
 
 let run_all spec =
   observing spec ~honours:[];
@@ -328,23 +296,7 @@ let serve_cmd =
        rescales the arrival process.  Without it, one run per method at \
        the spec's own load."
     in
-    Arg.(
-      value
-      & opt (list ~sep:',' float) []
-      & info [ "loads" ] ~docv:"QPS,..." ~doc)
-  in
-  (* Serving applies --updates to the replicated methods only; the C
-     family's dynamic runs are batch runs, under `ablation updates`. *)
-  let run spec csv loads =
-    if
-      (not (Workload.Mutation.is_none spec.Spec.updates))
-      && List.exists Dispatch.Methods.is_distributed spec.Spec.methods
-    then
-      `Error
-        ( true,
-          "--updates serves methods A and B only (use `repro ablation \
-           updates` for the C family)" )
-    else `Ok (run_serve spec csv loads)
+    Arg.(value & opt (list ~sep:',' float) [] & info [ "loads" ] ~docv:"QPS,..." ~doc)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -352,7 +304,7 @@ let serve_cmd =
          "Online serving: open-loop arrivals (--arrival, --offered-load, \
           --duration, --clients) through each method with SLO accounting \
           (--slo).")
-    Term.(ret (const run $ spec_term $ csv_arg $ loads))
+    Term.(const run_serve $ spec_term $ csv_arg $ loads)
 
 let all_cmd = cmd_of "all" "Run every table and figure in sequence." run_all
 

@@ -252,11 +252,11 @@ let slave_structure (spec : Spec.t) =
 
 (* Dynamic-index interference: how much does an interleaved update
    stream cost each method?  Grid = update ratio x method x batch size,
-   every cell a full {!Dynamic} run over the log-structured Segments
-   index.  Unlike the other studies this also returns the per-cell
-   results, because `repro ablation updates` exports them (Run_result
-   columns + dyn.* update accounting) as the CSV the determinism and
-   smoke tests diff. *)
+   every cell a dynamic run over the log-structured Segments index.
+   Unlike the other studies this also returns the per-cell results,
+   because `repro ablation updates` exports them (Run_result columns +
+   dyn.* update accounting) as the CSV the determinism and smoke tests
+   diff. *)
 let updates (spec : Spec.t) =
   let sc = Spec.scenario spec in
   let ratios =
@@ -280,51 +280,40 @@ let updates (spec : Spec.t) =
       spec.Spec.batches
     else [ sc.Workload.Scenario.batch_bytes ]
   in
-  let grid =
-    List.concat_map
-      (fun u ->
+  (* One op stream per ratio, shared read-only by its cells. *)
+  let streams = List.map (fun u -> (u, Dynamic.workload sc ~updates:u)) ratios in
+  cross ~rows:streams
+    ~cols:(List.concat_map (fun m -> List.map (fun b -> (m, b)) batches) methods)
+    (fun (u, (keys, queries, ops)) (m, b) ->
+      {
+        (cell ~axes:[ Update_ratio u.Workload.Mutation.ratio ]
+           (Workload.Scenario.with_batch sc b) ~keys ~queries m)
+        with
+        ops = Updates { updates = u; ops };
+      })
+    (fun rows ->
+      let rows =
         List.concat_map
-          (fun m -> List.map (fun b -> (u, m, b)) batches)
-          methods)
-      ratios
-  in
-  let results =
-    Exec.sweep ~jobs:spec.Spec.jobs
-      (fun (u, method_id, batch) ->
-        (* Thread Dynamic's private stats out around the instrumentation
-           wrapper, which fixes the body's result type to Run_result.t
-           alone. *)
-        let stats = ref None in
-        let r =
-          Experiment.with_run_instrumented spec (fun () ->
-              let r, st =
-                Dynamic.run ~faults:spec.Spec.faults
-                  (Workload.Scenario.with_batch sc batch)
-                  ~updates:u ~method_id
-              in
-              stats := Some st;
-              r)
-        in
-        (r, Option.get !stats))
-      grid
-  in
-  let rows = List.map (fun ((u, _, _), (r, st)) -> (u, r, st)) results in
-  ( table
-      [
-        "Updates/query"; "Method"; "Batch"; "ns/key"; "applied"; "no-ops";
-        "lost"; "segments"; "delta";
-      ]
-      (fun (u, r, (st : Dynamic.stats)) ->
-        [
-          Printf.sprintf "%g" u.Workload.Mutation.ratio;
-          Methods.to_string r.Run_result.method_id;
-          Printf.sprintf "%d KB" (r.Run_result.batch_bytes / 1024);
-          Report.Table.cell_f r.Run_result.per_key_ns;
-          string_of_int st.Dynamic.applied;
-          string_of_int st.Dynamic.noops;
-          string_of_int st.Dynamic.lost_updates;
-          string_of_int st.Dynamic.segments;
-          string_of_int st.Dynamic.delta_entries;
-        ])
-      rows,
-    rows )
+          (fun ((u, _), runs) ->
+            List.map (fun r -> (u, r, Dynamic.of_run r)) runs)
+          rows
+      in
+      ( table
+          [
+            "Updates/query"; "Method"; "Batch"; "ns/key"; "applied";
+            "no-ops"; "lost"; "segments"; "delta";
+          ]
+          (fun (u, r, (st : Dynamic.stats)) ->
+            [
+              Printf.sprintf "%g" u.Workload.Mutation.ratio;
+              Methods.to_string r.Run_result.method_id;
+              Printf.sprintf "%d KB" (r.Run_result.batch_bytes / 1024);
+              Report.Table.cell_f r.Run_result.per_key_ns;
+              string_of_int st.Dynamic.applied;
+              string_of_int st.Dynamic.noops;
+              string_of_int st.Dynamic.lost_updates;
+              string_of_int st.Dynamic.segments;
+              string_of_int st.Dynamic.delta_entries;
+            ])
+          rows,
+        rows ))

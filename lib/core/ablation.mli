@@ -3,7 +3,7 @@
 
     Every driver takes a {!Experiment.Spec.t} positionally:
     [spec.scenario] (and [seed_override]) select the workload.  Every
-    study but [structures] and [updates] returns an {!Experiment.grid}
+    study but [structures] returns an {!Experiment.grid}
     for {!Experiment.run_grid}, its labels naming what the study varies.
     Genuinely per-study knobs ([?batches], [?exponents]) stay optional. *)
 
@@ -53,13 +53,14 @@ val slave_structure : Experiment.Spec.t -> Report.Table.t Experiment.grid
 
 val updates :
   Experiment.Spec.t ->
-  Report.Table.t
-  * (Workload.Mutation.t * Run_result.t * Dynamic.stats) list
+  (Report.Table.t * (Workload.Mutation.t * Run_result.t * Dynamic.stats) list)
+  Experiment.grid
 (** Update/query interference over the dynamic {!Index.Segments} index:
-    update ratio x method x batch size, each cell a {!Dynamic} run.
-    [--updates] pins the single mutation spec (ratio and merge policy);
-    otherwise ratios 0 / 0.05 / 0.2 under the default policy.
-    [--methods] narrows the method set (default A, B, C-3) and
-    [--batches] widens the batch axis (default: the scenario's batch).
-    Also returns the per-cell results in submission order for the
-    [repro ablation updates] CSV/metrics exports. *)
+    update ratio x method x batch size, each an [Updates] cell with an
+    {!Experiment.Update_ratio} axis; each ratio's op stream is generated
+    once and shared by its cells.  [--updates] pins the single mutation
+    spec (ratio and merge policy); otherwise ratios 0 / 0.05 / 0.2 under
+    the default policy.  [--methods] narrows the method set (default A,
+    B, C-3) and [--batches] widens the batch axis (default: the
+    scenario's batch).  Also collects the per-cell results in cell order
+    for the [repro ablation updates] CSV export. *)

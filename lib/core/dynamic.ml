@@ -1,40 +1,15 @@
-(* Dynamic-index runs: the batch protocols re-run over a log-structured
-   [Index.Segments] index with an interleaved update/query stream from
-   [Workload.Mutation].  This module holds only what is particular to
-   them — the update/segment stats, the op-stream workload and the
-   fault guard — and [run] hands one [Updates] op stream to
-   [Runner.drive], which picks the core:
+(* Dynamic-index runs (see dynamic.mli).  Two design notes the interface
+   leaves out:
 
-   - Methods A and B run [Replicated.drive]: one simulated node
-     processes the whole stream, applying every update to its local
-     delta index (and eating the cache dirtying), and the cluster
-     makespan normalizes only the query work by [n_nodes] — replicated
-     update work runs on every node, so it does not divide.
-   - Method C runs [Method_c.drive], which forwards each update to the
-     owning slave's partition, master-mediated exactly like query
-     dispatch: updates are routed through the delimiter table under
-     phase ["update_forward"], ride the per-slave staging buffers, and
-     mutate that slave's in-cache [Segments] partition on arrival.
-     Partition ownership is by the static delimiters
-     (forward-to-owner), so routing stays consistent as keys come and
-     go.
-
-   Validation is oracle-exact and never-silently-wrong: every returned
-   rank is checked against a [Ref_impl.Dyn] sorted-array oracle replayed
-   to the same point of the stream.  For Method C the per-slave oracle
-   advances at master staging time — with a single master and
-   non-overtaking channels, staging order equals slave processing
-   order, so enqueue-time expectations are exact.
-
-   Faulted dynamic runs (Method C; A and B ignore faults) support the
-   crash / degrade / failover families only.  Drop, dup and delay
-   faults reorder or replay delivery, which breaks the in-order update
-   semantics (a replayed update batch would mutate the index twice);
-   slow nodes can outlive the retry timeout and cause the same replay.
-   Fallback resolution is ignored: the master's fallback index is a
-   static snapshot that cannot answer post-update queries, so a dead
-   slave's batches are always accounted lost — completeness accounting
-   stays exact, answers never go silently wrong. *)
+   - Method C forwards each update to its owner by the static
+     delimiters, so routing stays consistent as keys come and go, and
+     its per-slave oracle advances at master staging time: with a
+     single master and non-overtaking channels, staging order equals
+     slave processing order, so enqueue-time expectations are exact.
+   - Drop, dup and delay faults reorder or replay delivery, and a slow
+     node can outlive the retry timeout and cause the same replay: a
+     replayed update batch would mutate the index twice.  Hence
+     {!check}. *)
 
 type stats = {
   updates : int;  (** updates in the stream *)
@@ -114,45 +89,58 @@ let workload (sc : Workload.Scenario.t) ~updates =
 
 (* ------------------------------------------------------------------ *)
 
-let check_fault_support (spec : Fault.Spec.t) =
-  if spec.Fault.Spec.drop_p > 0.0 || spec.Fault.Spec.dup_p > 0.0
-     || spec.Fault.Spec.delay_p > 0.0
+let check ~faults (sc : Workload.Scenario.t) ~method_id =
+  if not (Methods.is_distributed method_id) then Ok ()
+  else if sc.Workload.Scenario.n_masters <> 1 then
+    Error
+      "method C requires a single master (per-slave update order is \
+       defined by one staging stream)"
+  else if
+    faults.Fault.Spec.drop_p > 0.0 || faults.Fault.Spec.dup_p > 0.0
+    || faults.Fault.Spec.delay_p > 0.0
   then
-    invalid_arg
-      "Dynamic: drop/dup/delay faults are unsupported (update streams \
-       require in-order, exactly-once delivery)";
-  if spec.Fault.Spec.slow <> [] then
-    invalid_arg
-      "Dynamic: slow-node faults are unsupported (a slow slave can outlive \
-       the retry timeout and replay update batches)"
+    Error
+      "drop/dup/delay faults are unsupported (update streams require \
+       in-order, exactly-once delivery)"
+  else if faults.Fault.Spec.slow <> [] then
+    Error
+      "slow-node faults are unsupported (a slow slave can outlive the \
+       retry timeout and replay update batches)"
+  else Ok ()
+
+let ops ~updates ~n_queries ops =
+  let n_updates = Workload.Mutation.n_updates updates ~n_queries in
+  Method_c.Updates
+    {
+      ops;
+      policy = Workload.Mutation.policy updates;
+      counters =
+        (fun segs ~lost_updates ->
+          counters (collect ~updates:n_updates ~lost_updates segs));
+    }
+
+let of_run (r : Run_result.t) =
+  let get k =
+    match Obs.Metrics.Snapshot.find r.Run_result.metrics ("dyn_" ^ k) with
+    | Some (Obs.Metrics.Snapshot.Counter v) -> int_of_float v
+    | _ -> invalid_arg ("Dynamic.of_run: no dyn_" ^ k ^ " counter")
+  in
+  { updates = get "updates"; applied = get "applied"; noops = get "noops";
+    lost_updates = get "lost_updates"; seals = get "seals";
+    merges = get "merges"; majors = get "majors"; segments = get "segments";
+    delta_entries = get "delta_entries" }
 
 let run ?faults (sc : Workload.Scenario.t) ~updates ~method_id =
-  let keys, queries, ops = workload sc ~updates in
-  let stats segs ~lost_updates =
-    collect
-      ~updates:
-        (Workload.Mutation.n_updates updates ~n_queries:(Array.length queries))
-      ~lost_updates segs
-  in
-  let ops =
-    Method_c.Updates
-      {
-        ops;
-        policy = Workload.Mutation.policy updates;
-        counters =
-          (fun segs ~lost_updates -> counters (stats segs ~lost_updates));
-      }
-  in
-  if Methods.is_distributed method_id then begin
-    if sc.Workload.Scenario.n_masters <> 1 then
-      invalid_arg
-        "Dynamic: method C requires a single master (per-slave update \
-         order is defined by one staging stream)";
-    Option.iter check_fault_support faults
-  end;
+  let keys, queries, stream = workload sc ~updates in
+  Result.iter_error
+    (fun msg -> invalid_arg ("Dynamic: " ^ msg))
+    (check ~faults:(Option.value faults ~default:Fault.Spec.none) sc ~method_id);
+  let n_queries = Array.length queries in
   let o =
-    Runner.drive ?faults sc ~source:Method_c.Batch ~ops ~method_id ~keys
-      ~queries
+    Runner.drive ?faults sc ~source:Method_c.Batch
+      ~ops:(ops ~updates ~n_queries stream) ~method_id ~keys ~queries
   in
   ( o.Method_c.run,
-    stats o.Method_c.segments ~lost_updates:o.Method_c.lost_updates )
+    collect
+      ~updates:(Workload.Mutation.n_updates updates ~n_queries)
+      ~lost_updates:o.Method_c.lost_updates o.Method_c.segments )

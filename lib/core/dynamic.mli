@@ -41,10 +41,6 @@ val stats_header : string list
 
 val stats_cells : stats -> string list
 
-val counters : stats -> (string * float) list
-(** The stats as [dyn_*] metrics counters (what the drivers feed to
-    [Telemetry.snapshot ~counters]). *)
-
 val workload :
   Workload.Scenario.t ->
   updates:Workload.Mutation.t ->
@@ -54,6 +50,22 @@ val workload :
     queries exactly the static baseline's data — and the op stream from
     a dedicated third split, so existing streams are untouched. *)
 
+val check :
+  faults:Fault.Spec.t -> Workload.Scenario.t -> method_id:Methods.id ->
+  (unit, string) result
+(** [Error] for a Method C family run with more than one master, or
+    under drop, dup, delay or slow-node faults; [Ok] for A and B. *)
+
+val ops :
+  updates:Workload.Mutation.t -> n_queries:int ->
+  Workload.Mutation.op array -> Method_c.ops
+(** The [Updates] stream {!run} drives: [updates]' merge policy, and the
+    stats recorded as the run's [dyn_*] metrics counters. *)
+
+val of_run : Run_result.t -> stats
+(** The stats of a run driven over {!ops}, read back from its [dyn_*]
+    counters.  Raises [Invalid_argument] for any other run. *)
+
 val run :
   ?faults:Fault.Spec.t ->
   Workload.Scenario.t ->
@@ -61,4 +73,5 @@ val run :
   method_id:Methods.id ->
   Run_result.t * stats
 (** One dynamic batch run.  [?faults] only affects the Method C family
-    (as in [Runner.run]); unsupported fault families raise. *)
+    (as in [Runner.run]); a run {!check} refuses raises
+    [Invalid_argument]. *)

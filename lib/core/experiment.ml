@@ -76,7 +76,17 @@ let with_run_instrumented spec body = Observe.record spec.Spec.observe body
 (* ------------------------------------------------------------------ *)
 (* Grids of runs *)
 
-type axis = Net | Machine | Masters | Zipf of float
+type axis =
+  | Net | Machine | Masters | Zipf of float | Load of float
+  | Update_ratio of float
+
+type source =
+  | Batch
+  | Serve of { arrival : Workload.Arrival.t; arrivals : float array; slo_ns : float }
+
+type ops =
+  | Queries
+  | Updates of { updates : Workload.Mutation.t; ops : Workload.Mutation.op array }
 
 type cell = {
   method_id : Methods.id;
@@ -84,12 +94,15 @@ type cell = {
   topology : Method_c.topology;
   keys : int array;
   queries : int array;
+  source : source;
+  ops : ops;
   axes : axis list;
 }
 
 let cell ?(topology = Method_c.Flat) ?(axes = []) scenario ~keys ~queries
     method_id =
-  { method_id; scenario; topology; keys; queries; axes }
+  { method_id; scenario; topology; keys; queries; source = Batch;
+    ops = Queries; axes }
 
 let label { method_id; scenario = sc; topology; axes; _ } =
   let axis = function
@@ -97,6 +110,8 @@ let label { method_id; scenario = sc; topology; axes; _ } =
     | Machine -> "machine=" ^ sc.Workload.Scenario.params.Cachesim.Mem_params.name
     | Masters -> Printf.sprintf "masters=%d" sc.Workload.Scenario.n_masters
     | Zipf s -> Printf.sprintf "zipf=%g" s
+    | Load qps -> Printf.sprintf "load=%g" qps
+    | Update_ratio u -> Printf.sprintf "u=%g" u
   in
   String.concat " "
     (Printf.sprintf "%s %s batch=%dKB" (Methods.to_string method_id)
@@ -124,33 +139,59 @@ let cross ~rows ~cols cell collect =
              rows));
   }
 
-let run_grid (spec : Spec.t) { cells; collect } =
-  let infeasible c =
-    match
-      Method_c.layout c.scenario ~ops:Method_c.Queries ~topology:c.topology
-    with
-    | Error msg when Methods.is_distributed c.method_id ->
-        Some
-          (Printf.sprintf "cannot lay out run %s on %d nodes: %s" (label c)
-             c.scenario.Workload.Scenario.n_nodes msg)
-    | _ -> None
+let core_ops c =
+  match c.ops with
+  | Queries -> Method_c.Queries
+  | Updates { updates; ops } ->
+      Dynamic.ops ~updates ~n_queries:(Array.length c.queries) ops
+
+(* Every refusal a cell can meet, so that [run_grid] makes them all
+   before any cell runs. *)
+let refusal (spec : Spec.t) c =
+  let guard =
+    match (c.source, c.ops) with
+    | _, Queries -> Ok ()
+    | Serve _, Updates { ops; _ } -> Serve.check ~method_id:c.method_id ~ops
+    | Batch, Updates _ ->
+        Dynamic.check ~faults:spec.Spec.faults c.scenario
+          ~method_id:c.method_id
   in
-  match List.find_map infeasible cells with
+  match
+    (guard, Method_c.layout c.scenario ~ops:(core_ops c) ~topology:c.topology)
+  with
+  | Error msg, _ -> Some (Printf.sprintf "cannot run %s: %s" (label c) msg)
+  | Ok (), Error msg when Methods.is_distributed c.method_id ->
+      Some
+        (Printf.sprintf "cannot lay out run %s on %d nodes: %s" (label c)
+           c.scenario.Workload.Scenario.n_nodes msg)
+  | Ok (), _ -> None
+
+(* Each cell builds its own engine and only reads its inputs, so the
+   sweep is deterministic at any worker count. *)
+let run_cell (spec : Spec.t) c =
+  match c.source with
+  | Batch ->
+      with_run_instrumented spec (fun () ->
+          (Runner.drive ~faults:spec.Spec.faults ~topology:c.topology
+             c.scenario ~source:Method_c.Batch ~ops:(core_ops c)
+             ~method_id:c.method_id ~keys:c.keys ~queries:c.queries)
+            .Method_c.run)
+  | Serve { arrival; arrivals; slo_ns } ->
+      let updates, ops =
+        match c.ops with
+        | Queries -> (Workload.Mutation.none, [||])
+        | Updates { updates; ops } -> (updates, ops)
+      in
+      (Serve.run_method ~faults:spec.Spec.faults ~observe:spec.Spec.observe
+         ~updates ~ops c.scenario ~arrival ~slo_ns ~method_id:c.method_id
+         ~keys:c.keys ~queries:c.queries ~arrivals)
+        .Serve.run
+
+let run_grid (spec : Spec.t) { cells; collect } =
+  match List.find_map (refusal spec) cells with
   | Some msg -> Error msg
   | None ->
-      (* Each cell builds its own engine inside [Runner.drive] and only
-         reads its [keys]/[queries], so the sweep is deterministic at
-         any worker count. *)
-      let results =
-        Exec.sweep ~jobs:spec.Spec.jobs
-          (fun c ->
-            with_run_instrumented spec (fun () ->
-                (Runner.drive ~faults:spec.Spec.faults ~topology:c.topology
-                   c.scenario ~source:Method_c.Batch ~ops:Method_c.Queries
-                   ~method_id:c.method_id ~keys:c.keys ~queries:c.queries)
-                  .Method_c.run))
-          cells
-      in
+      let results = Exec.sweep ~jobs:spec.Spec.jobs (run_cell spec) cells in
       Ok (collect results, List.map (fun (c, r) -> (label c, r)) results)
 
 let scratch_tree (sc : Workload.Scenario.t) ~keys =
@@ -392,6 +433,35 @@ let render_table3 ~(scenario : Workload.Scenario.t) rows =
     paper_queries
     (scenario.Workload.Scenario.batch_bytes / 1024)
     scenario.Workload.Scenario.n_nodes (Report.Table.render tbl)
+
+(* ------------------------------------------------------------------ *)
+(* Online serving *)
+
+let serve ~loads (spec : Spec.t) =
+  let sc = Spec.scenario spec in
+  let at qps = (Workload.Scenario.with_offered_load qps sc, [ Load qps ]) in
+  let rows = if loads = [] then [ (sc, []) ] else List.map at loads in
+  cross ~rows ~cols:spec.Spec.methods
+    (fun (sc, axes) ->
+      (* One workload per row, shared read-only by its cells. *)
+      let arrival = Serve.effective sc spec.Spec.arrival in
+      let keys, queries, arrivals, ops =
+        Serve.workload ~updates:spec.Spec.updates sc ~arrival:spec.Spec.arrival
+      in
+      fun method_id ->
+        {
+          (cell ~axes sc ~keys ~queries method_id) with
+          source = Serve { arrival; arrivals; slo_ns = spec.Spec.slo_ns };
+          ops =
+            (if Spec.dynamic spec then
+               Updates { updates = spec.Spec.updates; ops }
+             else Queries);
+        })
+    (List.concat_map (fun (_, runs) ->
+         List.map
+           (fun (run : Run_result.t) ->
+             { Serve.run; serving = Option.get run.Run_result.serving })
+           runs))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4 *)

@@ -7,15 +7,14 @@
     Methods A and B results are normalized by the cluster size exactly
     as in the paper.
 
-    [fig3], [table3] and the simulating {!Ablation} studies declare
-    their runs as a {!grid} of cells, which {!run_grid} checks and then
+    [fig3], [table3], [serve] and the simulating {!Ablation} studies
+    declare their runs as a {!grid} of cells, which {!run_grid} checks and then
     runs on [spec.jobs] worker domains; results are collected in cell
     order, so output is byte-identical at any [jobs] value.
 
     Every driver takes a [Spec.t] positionally — build one with the
-    [with_*] builders from {!Spec.default}.  (The pre-[Spec]
-    [?scenario]/[?methods]/[?batches] optional arguments are gone;
-    genuinely per-call knobs like [fig4]'s [?years] stay optional.) *)
+    [with_*] builders from {!Spec.default}; per-call knobs like
+    [fig4]'s [?years] stay optional. *)
 
 (** {2 Run specification} *)
 
@@ -94,8 +93,24 @@ end
 
 (** What a grid varies beyond method and batch size, named in its
     cells' labels: the network, the memory profile, the master count,
-    and the Zipf exponent the cell's queries were drawn with. *)
-type axis = Net | Machine | Masters | Zipf of float
+    the Zipf exponent the cell's queries were drawn with, the offered
+    load (queries per second) and the update ratio. *)
+type axis =
+  | Net | Machine | Masters | Zipf of float | Load of float
+  | Update_ratio of float
+
+(** Where a cell's ops come from: drained as fast as the method can
+    ({!Runner.drive}), or served open-loop ({!Serve.run_method}) at
+    [arrivals] under [arrival] ({!Serve.effective}) and an SLO. *)
+type source =
+  | Batch
+  | Serve of { arrival : Workload.Arrival.t; arrivals : float array; slo_ns : float }
+
+(** What a cell's ops are: queries, or a dynamic-index stream
+    ({!Dynamic.ops}) whose [Query qi] refers to [queries.(qi)]. *)
+type ops =
+  | Queries
+  | Updates of { updates : Workload.Mutation.t; ops : Workload.Mutation.op array }
 
 type cell = {
   method_id : Methods.id;
@@ -103,9 +118,11 @@ type cell = {
   topology : Method_c.topology;
   keys : int array;
   queries : int array;
+  source : source;
+  ops : ops;
   axes : axis list;  (** What {!label} adds, in order. *)
 }
-(** One batch run of [method_id] over [keys] and [queries]. *)
+(** One run of [method_id] over [keys] and [queries]. *)
 
 val cell :
   ?topology:Method_c.topology ->
@@ -115,7 +132,8 @@ val cell :
   queries:int array ->
   Methods.id ->
   cell
-(** Defaults: a [Flat] topology and no axes. *)
+(** A [Batch] cell over [Queries].  Defaults: a [Flat] topology and no
+    axes. *)
 
 val label : cell -> string
 (** ["<method> <scenario> batch=<n>KB"] ({!Telemetry.run_label}'s form),
@@ -138,11 +156,14 @@ val cross :
 
 val run_grid :
   Spec.t -> 'a grid -> ('a * (string * Run_result.t) list, string) result
-(** [Error] naming the first Method C family cell whose layout
-    ({!Method_c.layout}) cannot be built, before any cell runs.
-    Otherwise every cell runs once under {!with_run_instrumented} with
-    [spec.faults] (A and B ignore them), on [spec.jobs] worker domains;
-    returns the collected rows and the labelled runs, in cell order. *)
+(** [Error] naming the first cell that cannot run, before any cell runs:
+    one {!Serve.check}, {!Dynamic.check} (under [spec.faults]) or, for
+    the C family, {!Method_c.layout} refuses.  Otherwise every cell runs
+    once with [spec.faults] (A and B ignore them), on [spec.jobs] worker
+    domains: a [Batch] cell through {!Runner.drive} under
+    {!with_run_instrumented}, a [Serve] cell through {!Serve.run_method},
+    which records the session itself, [timeline] included.  Returns the
+    collected rows and the labelled runs, in cell order. *)
 
 (** {2 Table 1 — index structure setup} *)
 
@@ -181,6 +202,14 @@ val table3 : Spec.t -> table3_row list grid
 val render_table3 : scenario:Workload.Scenario.t -> table3_row list -> string
 (** Predicted and simulated times as seconds for the paper's 2^23
     lookups. *)
+
+(** {2 Online serving} *)
+
+val serve : loads:float list -> Spec.t -> Serve.report list grid
+(** [spec.methods] served open-loop under the spec's arrival process,
+    SLO and update stream: one row per offered load (queries per second,
+    a {!Load} axis), or one row at the spec's own load when [loads] is
+    empty.  A row's workload is generated once and shared. *)
 
 (** {2 Figure 4 — future technology trends} *)
 

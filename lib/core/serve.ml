@@ -156,6 +156,13 @@ let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
 
 (* ------------------------------------------------------------------ *)
 
+let check ~method_id ~ops =
+  if Array.length ops > 0 && Methods.is_distributed method_id then
+    Error
+      "--updates is supported for methods A and B only (use `repro \
+       ablation updates` for the C family)"
+  else Ok ()
+
 let run_method ?faults ?(observe = Observe.none)
     ?(updates = Workload.Mutation.none) ?(ops = [||]) (sc : Workload.Scenario.t)
     ~arrival ~slo_ns ~method_id ~keys ~queries ~arrivals =
@@ -169,10 +176,9 @@ let run_method ?faults ?(observe = Observe.none)
   let series =
     Observe.series observe ~slo_ns ~horizon_ns:sc.Workload.Scenario.duration_ns
   in
-  if Array.length ops > 0 && Methods.is_distributed method_id then
-    invalid_arg
-      "Serve: --updates is supported for methods A and B only (use `repro \
-       ablation updates` for the C family)";
+  Result.iter_error
+    (fun msg -> invalid_arg ("Serve: " ^ msg))
+    (check ~method_id ~ops);
   let source = Method_c.Serve { arrivals; start_at; done_at; series } in
   let drive () =
     (* Pin the fault plan's scheduled events to the timeline before the
@@ -217,57 +223,6 @@ let run_method ?faults ?(observe = Observe.none)
   match run.Run_result.serving with
   | Some serving -> { run; serving }
   | None -> assert false
-
-(* One spec-driven serving run under the spec's observation session —
-   the body every job of [run] and [load_sweep] executes. *)
-let run_method_spec (spec : Experiment.Spec.t) sc ~arrival ~method_id ~keys
-    ~queries ~arrivals ~ops =
-  run_method ~faults:spec.Experiment.Spec.faults
-    ~observe:spec.Experiment.Spec.observe ~updates:spec.Experiment.Spec.updates
-    ~ops sc ~arrival ~slo_ns:spec.Experiment.Spec.slo_ns ~method_id ~keys
-    ~queries ~arrivals
-
-let run (spec : Experiment.Spec.t) =
-  let sc = Experiment.Spec.scenario spec in
-  let arrival = effective sc spec.Experiment.Spec.arrival in
-  let keys, queries, arrivals, ops =
-    generate_workload ~updates:spec.Experiment.Spec.updates sc arrival
-  in
-  List.map snd
-    (Exec.sweep ~jobs:spec.Experiment.Spec.jobs
-       (fun method_id ->
-         run_method_spec spec sc ~arrival ~method_id ~keys ~queries ~arrivals
-           ~ops)
-       spec.Experiment.Spec.methods)
-
-let load_sweep (spec : Experiment.Spec.t) ~loads =
-  let sc0 = Experiment.Spec.scenario spec in
-  (* Workloads are generated once per load, sequentially, then shared
-     read-only by that load's method jobs — the same purity argument as
-     [Experiment.fig3]'s grid. *)
-  let per_load =
-    List.map
-      (fun qps ->
-        let sc = Workload.Scenario.with_offered_load qps sc0 in
-        let arrival = effective sc spec.Experiment.Spec.arrival in
-        let keys, queries, arrivals, ops =
-          generate_workload ~updates:spec.Experiment.Spec.updates sc arrival
-        in
-        (sc, arrival, keys, queries, arrivals, ops))
-      loads
-  in
-  let grid =
-    List.concat_map
-      (fun cell ->
-        List.map (fun method_id -> (cell, method_id)) spec.Experiment.Spec.methods)
-      per_load
-  in
-  List.map snd
-    (Exec.sweep ~jobs:spec.Experiment.Spec.jobs
-       (fun ((sc, arrival, keys, queries, arrivals, ops), method_id) ->
-         run_method_spec spec sc ~arrival ~method_id ~keys ~queries ~arrivals
-           ~ops)
-       grid)
 
 let render ~(scenario : Workload.Scenario.t) reports =
   let tbl = Report.Table.create ~headers:Run_result.serving_header in

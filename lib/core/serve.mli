@@ -16,11 +16,10 @@
     no interconnect) keep absorbing the same offered load — an ordering
     reversal no fixed-batch comparison can produce.
 
-    Construction is [Spec]-only: build an {!Experiment.Spec.t} (arrival
-    process, SLO budget, method set, worker count) over a
-    {!Workload.Scenario.t} (client populations, serving horizon,
-    offered-load override) and call {!run} or {!load_sweep}.  Runs are
-    deterministic and byte-identical at any [jobs] value. *)
+    This module holds the single serving run ({!run_method}), its
+    workload, the SLO rollup and the renderers.  A sweep of serving
+    runs is an {!Experiment.serve} grid, run by {!Experiment.run_grid}
+    like every other grid of runs. *)
 
 type report = {
   run : Run_result.t;  (** [run.serving] is always [Some serving]. *)
@@ -43,6 +42,14 @@ val workload :
     serving runs never perturb the batch drivers' streams and dynamic
     serving never perturbs static serving. *)
 
+val effective : Workload.Scenario.t -> Workload.Arrival.t -> Workload.Arrival.t
+(** The arrival process rescaled to the scenario's offered-load
+    override, if any: what {!workload} generates from. *)
+
+val check :
+  method_id:Methods.id -> ops:Workload.Mutation.op array -> (unit, string) result
+(** [Error] for a Method C family run with a non-empty op stream. *)
+
 val run_method :
   ?faults:Fault.Spec.t ->
   ?observe:Observe.t ->
@@ -57,8 +64,8 @@ val run_method :
   arrivals:float array ->
   report
 (** One open-loop serving run of one method on a prepared workload.
-    [arrival] must be the same spec [workload] generated from (it is
-    recorded, not re-generated).  Faults apply to the Method C family
+    [arrival] must be the {!effective} spec [workload] generated from
+    (it is recorded, not re-generated).  Faults apply to the Method C family
     only, exactly as in the batch driver: {!Runner.drive} runs the C
     family's one {!Method_c.drive} protocol under a [Serve] source,
     with retries, redispatches, fallbacks and losses noted on the
@@ -75,21 +82,11 @@ val run_method :
     every node applies every update in stream order (updates are
     replicated work) and serves its own round-robin share of the
     queries, with answers checked online against a replayed
-    {!Index.Ref_impl.Dyn} oracle.  The C family rejects a non-empty op
-    stream with [Invalid_argument] — its dynamic behaviour lives in the
-    batch {!Dynamic} drivers.
+    {!Index.Ref_impl.Dyn} oracle.  A run {!check} refuses (the C family
+    with a non-empty op stream: its dynamic behaviour lives in the batch
+    {!Dynamic} runs) raises [Invalid_argument].
 
-    The run uses the calling domain only; {!run} and {!load_sweep}
-    spread whole runs over [Experiment.Spec.jobs] worker domains. *)
-
-val run : Experiment.Spec.t -> report list
-(** One serving run per [spec.methods] entry on a shared workload,
-    fanned over [spec.jobs] worker domains; results in method order. *)
-
-val load_sweep : Experiment.Spec.t -> loads:float list -> report list
-(** [run] at each offered load (queries per second), load-major then
-    method order — the saturation experiment.  Each load rescales the
-    spec's arrival process via the scenario's offered-load override. *)
+    The run uses the calling domain only. *)
 
 val render : scenario:Workload.Scenario.t -> report list -> string
 (** SLO report table (one row per run). *)

@@ -286,6 +286,34 @@ let test_layout_refuses_before_running () =
   check_bool "hierarchy on 4 nodes runs its four tiers" true
     (hierarchy 4 = (Ok 4, 4))
 
+(* Every grid `repro` declares names each of its cells differently at
+   --scale ci, so no two runs of one export share a label.  Labels come
+   from the cells, so nothing is simulated. *)
+let test_grid_labels_distinct () =
+  let module E = Dispatch.Experiment in
+  let module Ab = Dispatch.Ablation in
+  let spec = E.Spec.with_scenario Workload.Scenario.ci E.Spec.default in
+  let labels g = List.map E.label g.E.cells in
+  List.iter
+    (fun (name, labels) ->
+      check_bool (name ^ " has cells") true (labels <> []);
+      check_int (name ^ " labels distinct") (List.length labels)
+        (List.length (List.sort_uniq String.compare labels)))
+    [
+      ("fig3", labels (E.fig3 spec));
+      ("table3", labels (E.table3 spec));
+      ("batch-overhead", labels (Ab.batch_overhead spec));
+      ("network", labels (Ab.network spec));
+      ("skew", labels (Ab.skew spec));
+      ("masters", labels (Ab.masters spec));
+      ("linesize", labels (Ab.line_size spec));
+      ("slave-structure", labels (Ab.slave_structure spec));
+      ("hierarchy", labels (Ab.hierarchy spec));
+      ("updates", labels (Ab.updates spec));
+      ("serve", labels (E.serve ~loads:[] spec));
+      ("serve --loads", labels (E.serve ~loads:[ 1e5; 2e5 ] spec));
+    ]
+
 let test_more_slaves_help_method_c () =
   let keys, queries = Lazy.force workload in
   let with_nodes n = Workload.Scenario.with_nodes n small_sc in
@@ -543,6 +571,7 @@ let () =
           tc "table3 structure" `Slow test_experiment_table3_structure;
           tc "fig4 structure" `Quick test_experiment_fig4_structure;
           tc "timeline" `Slow test_experiment_timeline;
+          tc "grid labels distinct" `Quick test_grid_labels_distinct;
           tc "gige batch claim" `Slow test_gige_needs_bigger_batches;
         ] );
       ( "properties",

@@ -315,6 +315,8 @@ let test_dynamic_crash_accounting () =
   check_bool "slave stats never exceed the stream" true
     (st.Dispatch.Dynamic.applied + st.Dispatch.Dynamic.noops
     <= st.Dispatch.Dynamic.updates);
+  check_bool "stats read back from the run's counters" true
+    (Dispatch.Dynamic.of_run r = st);
   (* Deterministic: an identical degraded dynamic run is bit-identical. *)
   let again =
     Dispatch.Dynamic.run ~faults small_sc ~updates
@@ -341,7 +343,26 @@ let test_dynamic_rejects_replay_faults () =
     | _ -> Alcotest.failf "dynamic run accepted fault spec %S" s
   in
   List.iter rejects
-    [ "drop:p=0.02"; "dup:p=0.01"; "delay:p=0.01"; "slow:node=2,factor=4" ]
+    [ "drop:p=0.02"; "dup:p=0.01"; "delay:p=0.01"; "slow:node=2,factor=4" ];
+  (* The updates grid refuses the same runs, and a C run with two
+     masters, before any cell runs. *)
+  let refused sc faults =
+    let spec =
+      Dispatch.Experiment.Spec.default
+      |> Dispatch.Experiment.Spec.with_scenario sc
+      |> Dispatch.Experiment.Spec.with_methods [ Dispatch.Methods.C3 ]
+      |> Dispatch.Experiment.Spec.with_updates updates
+      |> Dispatch.Experiment.Spec.with_faults (parse_exn faults)
+    in
+    match
+      Dispatch.Experiment.run_grid spec (Dispatch.Ablation.updates spec)
+    with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "updates grid accepted %S" faults
+  in
+  refused small_sc "drop:p=0.02";
+  refused small_sc "slow:node=2,factor=4";
+  refused (Workload.Scenario.with_masters 2 small_sc) "none"
 
 let test_slow_node () =
   let base = run_c3 () in

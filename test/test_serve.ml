@@ -15,6 +15,18 @@ let timeline_spec =
 
 let runs reports = List.map (fun r -> r.Dispatch.Serve.run) reports
 
+(* Every serving sweep is an [Experiment.serve] grid; a grid that
+   refuses a cell raises here, as a direct [Serve.run_method] call
+   would. *)
+let serve_grid ~loads spec =
+  match
+    Dispatch.Experiment.run_grid spec (Dispatch.Experiment.serve ~loads spec)
+  with
+  | Ok (reports, _) -> reports
+  | Error msg -> invalid_arg msg
+
+let serve spec = serve_grid ~loads:[] spec
+
 let parse_exn s =
   match Workload.Arrival.parse s with
   | Ok a -> a
@@ -125,7 +137,7 @@ let serve_spec =
   |> Spec.with_slo 1e6
 
 let test_serve_reports_sane () =
-  let reports = Dispatch.Serve.run serve_spec in
+  let reports = serve serve_spec in
   check_int "one report per method" 3 (List.length reports);
   List.iter
     (fun { Dispatch.Serve.run; serving } ->
@@ -151,7 +163,7 @@ let test_serve_reports_sane () =
 let test_replicas_share_one_engine () =
   let n_nodes = serve_sc.Workload.Scenario.n_nodes in
   let reports =
-    Dispatch.Serve.run
+    serve
       (Spec.with_methods [ Dispatch.Methods.A; Dispatch.Methods.B ] serve_spec)
   in
   check_int "one report per method" 2 (List.length reports);
@@ -190,15 +202,15 @@ let test_serve_jobs_invariant () =
   List.iter
     (fun spec ->
       let lines jobs =
-        Dispatch.Serve.csv_lines (Dispatch.Serve.run (Spec.with_jobs jobs spec))
+        Dispatch.Serve.csv_lines (serve (Spec.with_jobs jobs spec))
       in
       let j1 = lines 1 in
       check_bool "jobs 1 = 2" true (j1 = lines 2);
       check_bool "jobs 1 = 4" true (j1 = lines 4))
     [ serve_spec; two_masters ];
   match
-    ( Dispatch.Serve.run two_masters,
-      Dispatch.Serve.run (Spec.with_jobs 2 two_masters) )
+    ( serve two_masters,
+      serve (Spec.with_jobs 2 two_masters) )
   with
   | [ ({ Dispatch.Serve.run; serving } as r1) ], [ r2 ] ->
       check_int "two masters validated" 0
@@ -229,7 +241,7 @@ let test_serve_dynamic () =
     |> Spec.with_methods [ Dispatch.Methods.A ]
     |> Spec.with_updates updates
   in
-  (match Dispatch.Serve.run spec with
+  (match serve spec with
   | [ { Dispatch.Serve.run; serving } ] ->
       check_int "validated online" 0 run.Dispatch.Run_result.validation_errors;
       check_bool "completed all" true
@@ -237,13 +249,13 @@ let test_serve_dynamic () =
         = serving.Dispatch.Run_result.arrived)
   | _ -> Alcotest.fail "expected one report");
   let lines spec jobs =
-    Dispatch.Serve.csv_lines (Dispatch.Serve.run (Spec.with_jobs jobs spec))
+    Dispatch.Serve.csv_lines (serve (Spec.with_jobs jobs spec))
   in
   let j1 = lines spec 1 in
   check_bool "dynamic jobs 1 = 2" true (j1 = lines spec 2);
   check_bool "dynamic jobs 1 = 4" true (j1 = lines spec 4);
   let spec_b = Spec.with_methods [ Dispatch.Methods.B ] spec in
-  (match Dispatch.Serve.run spec_b with
+  (match serve spec_b with
   | [ { Dispatch.Serve.run; _ } ] ->
       check_int "B validated online" 0 run.Dispatch.Run_result.validation_errors
   | _ -> Alcotest.fail "expected one B report");
@@ -251,7 +263,7 @@ let test_serve_dynamic () =
   check_bool "dynamic B jobs 1 = 2" true (b1 = lines spec_b 2);
   check_bool "dynamic B jobs 1 = 4" true (b1 = lines spec_b 4);
   match
-    Dispatch.Serve.run (Spec.with_methods [ Dispatch.Methods.C3 ] spec)
+    serve (Spec.with_methods [ Dispatch.Methods.C3 ] spec)
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "serve C-3 accepted a dynamic stream"
@@ -263,7 +275,7 @@ let test_load_sweep () =
   let loads = [ 1e5; 3e5 ] in
   let methods = [ Dispatch.Methods.A; Dispatch.Methods.C3 ] in
   let spec = Spec.with_methods methods serve_spec in
-  let sweep jobs = Dispatch.Serve.load_sweep (Spec.with_jobs jobs spec) ~loads in
+  let sweep jobs = serve_grid ~loads (Spec.with_jobs jobs spec) in
   let reports = sweep 1 in
   Alcotest.(check (list string))
     "load-major, then method order"
@@ -284,7 +296,7 @@ let test_load_sweep () =
   let per_load =
     List.concat_map
       (fun qps ->
-        Dispatch.Serve.run
+        serve
           (Spec.with_scenario
              (Workload.Scenario.with_offered_load qps serve_sc)
              spec))
@@ -310,7 +322,7 @@ let test_serve_with_crash () =
     |> Spec.with_methods [ Dispatch.Methods.C3 ]
     |> Spec.with_faults faults
   in
-  match Dispatch.Serve.run spec with
+  match serve spec with
   | [ { Dispatch.Serve.run; serving } ] ->
       check_int "validated" 0 run.Dispatch.Run_result.validation_errors;
       let lost =
@@ -330,7 +342,7 @@ let contains hay needle =
   nn = 0 || go 0
 
 let test_serve_render () =
-  let reports = Dispatch.Serve.run serve_spec in
+  let reports = serve serve_spec in
   let text = Dispatch.Serve.render ~scenario:serve_sc reports in
   List.iter
     (fun needle ->
@@ -349,7 +361,7 @@ let timeline_of run =
 
 let test_timeline_recorded () =
   let spec = timeline_spec serve_spec in
-  let reports = Dispatch.Serve.run spec in
+  let reports = serve spec in
   check_int "one report per method" 3 (List.length reports);
   List.iter
     (fun { Dispatch.Serve.run; serving } ->
@@ -387,9 +399,9 @@ let test_timeline_off_by_default () =
     (fun { Dispatch.Serve.run; _ } ->
       check_bool "no timeline without the flag" true
         (run.Dispatch.Run_result.timeline = None))
-    (Dispatch.Serve.run serve_spec);
+    (serve serve_spec);
   check_bool "render empty" true
-    (Observe.render_timeline (runs (Dispatch.Serve.run serve_spec)) = "")
+    (Observe.render_timeline (runs (serve serve_spec)) = "")
 
 (* A mid-run crash is pinned, as an instant event, to the window its
    fault-plan time falls in, and the window series shows the failover
@@ -406,7 +418,7 @@ let test_timeline_crash_pinned () =
     |> Spec.with_faults faults
     |> timeline_spec
   in
-  match Dispatch.Serve.run spec with
+  match serve spec with
   | [ { Dispatch.Serve.run; _ } ] ->
       let t = timeline_of run in
       let crash =
@@ -446,7 +458,7 @@ let test_timeline_jobs_invariant () =
   let lines jobs =
     Observe.timeline_csv_lines
       (runs
-         (Dispatch.Serve.run
+         (serve
             (serve_spec
             |> Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
             |> timeline_spec |> Spec.with_jobs jobs)))
@@ -466,7 +478,7 @@ let test_timeline_matches_serving () =
     | Error e -> Alcotest.failf "faults: %s" e
   in
   let reports =
-    Dispatch.Serve.run
+    serve
       (serve_spec
       |> Spec.with_methods
            [ Dispatch.Methods.A; Dispatch.Methods.B; Dispatch.Methods.C3 ]
@@ -515,12 +527,12 @@ let test_cold_warm_split () =
         (s.Dispatch.Run_result.warm_p50_ns <= s.Dispatch.Run_result.warm_p95_ns
         && s.Dispatch.Run_result.warm_p95_ns
            <= s.Dispatch.Run_result.warm_p99_ns))
-    (Dispatch.Serve.run serve_spec);
+    (serve serve_spec);
   List.iter
     (fun { Dispatch.Serve.serving = s; _ } ->
       check_float "a timeline window leaves the split alone" (2e6 /. 8.0)
         s.Dispatch.Run_result.cold_until_ns)
-    (Dispatch.Serve.run
+    (serve
        (Spec.with_observe
           {
             Observe.none with
@@ -529,7 +541,7 @@ let test_cold_warm_split () =
           serve_spec));
   check_int "serving cells match header width"
     (List.length Dispatch.Run_result.serving_header)
-    (match Dispatch.Serve.run serve_spec with
+    (match serve serve_spec with
     | { Dispatch.Serve.run; serving } :: _ ->
         List.length (Dispatch.Run_result.serving_cells run serving)
     | [] -> -1)
@@ -555,7 +567,7 @@ let test_tail_breakdown () =
                     (Float.abs (q +. s -. e.Obs.Tail.ns) < 1e-6)
               | _ -> Alcotest.fail "queue/service breakdown missing")
             worst)
-    (Dispatch.Serve.run spec)
+    (serve spec)
 
 (* ------------------------------------------------------------------ *)
 (* Spec builder guards *)
