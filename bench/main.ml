@@ -178,16 +178,19 @@ let micro_tests ~jobs =
            done);
        Simcore.Engine.run eng)
   in
-  let test_mpi_collectives =
-    Test.make ~name:"mpi/barrier+reduce-8-ranks"
+  let test_network_stream =
+    Test.make ~name:"netsim/1k-msgs-2-nodes"
       (Staged.stage @@ fun () ->
        let eng = Simcore.Engine.create () in
-       let comm = Netsim.Mpi.create eng Netsim.Profile.myrinet ~ranks:8 in
-       for r = 0 to 7 do
-         Simcore.Engine.spawn eng (fun () ->
-             Netsim.Mpi.barrier comm ~rank:r ~fill:0;
-             ignore (Netsim.Mpi.reduce comm ~rank:r ~root:0 ~size:8 ~op:( + ) r))
-       done;
+       let net = Netsim.Network.create eng Netsim.Profile.myrinet ~nodes:2 in
+       Simcore.Engine.spawn eng (fun () ->
+           for i = 1 to 1000 do
+             Netsim.Network.isend net ~src:0 ~dst:1 ~size:64 i
+           done);
+       Simcore.Engine.spawn eng (fun () ->
+           for _ = 1 to 1000 do
+             ignore (Netsim.Network.recv net ~dst:1)
+           done);
        Simcore.Engine.run eng)
   in
   let test_sweep_overhead =
@@ -202,7 +205,7 @@ let micro_tests ~jobs =
     [ test_sorted_array; test_nary; test_csb; test_buffered;
       test_eytzinger; test_cache_access; test_cache_sequential;
       test_cache_tlb_strided; test_cache_l2_misses; test_cache_access_scoped;
-      test_engine; test_mpi_collectives; test_sweep_overhead ]
+      test_engine; test_network_stream; test_sweep_overhead ]
 
 (* ------------------------------------------------------------------ *)
 (* One test per paper artefact *)

@@ -61,6 +61,14 @@ let batch_clauses = [ "metrics"; "trace"; "profile"; "scope" ]
 let observing spec ~honours =
   Result.iter_error refuse (Observe.check ~honours spec.Spec.observe)
 
+(* table1, table2, fig4 and `ablation structures` simulate no run, so
+   they honour no observation clause and refuse --faults rather than
+   ignore it.  `all` passes its faults on to fig3 and table3. *)
+let simulates_nothing spec ~name =
+  observing spec ~honours:[];
+  if Spec.faulted spec then
+    refuse (Printf.sprintf "%s simulates no run, so --faults does not apply" name)
+
 (* [f] of each run, without repeats, in order of first appearance. *)
 let firsts f runs =
   List.fold_left
@@ -119,13 +127,11 @@ let degraded_columns spec =
 (* Subcommands *)
 
 let run_table1 spec =
-  observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
   say "Table 1: the index structure setup@\n@\n%s"
     (Report.Table.render (Experiment.table1 spec))
 
 let run_table2 spec =
-  observing spec ~honours:[];
   say "Table 2: parameters measured on the simulated cluster@\n@\n%s"
     (Report.Table.render (Experiment.table2 spec))
 
@@ -144,7 +150,6 @@ let run_fig3 spec csv =
            rows))
 
 let run_fig4 spec years =
-  observing spec ~honours:[];
   say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
   print_string (Experiment.render_fig4 (Experiment.fig4 ~years spec))
 
@@ -191,7 +196,7 @@ let run_ablation spec which csv =
   | "slave-structure" -> grid Ablation.slave_structure
   | "hierarchy" -> grid Ablation.hierarchy
   | "structures" ->
-      observing spec ~honours:[];
+      simulates_nothing spec ~name:"ablation structures";
       let t = Ablation.structures spec in
       say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
       say "ablation %s:@\n@\n%s" which (Report.Table.render t);
@@ -243,8 +248,17 @@ let cmd_of name doc f =
   Cmd.v (Cmd.info name ~doc)
     Term.(ret (const (fun spec -> static spec (fun () -> f spec)) $ spec_term))
 
-let table1_cmd = cmd_of "table1" "Reproduce Table 1 (index structure setup)." run_table1
-let table2_cmd = cmd_of "table2" "Reproduce Table 2 (measured machine parameters)." run_table2
+let table1_cmd =
+  cmd_of "table1" "Reproduce Table 1 (index structure setup)." (fun spec ->
+      simulates_nothing spec ~name:"table1";
+      run_table1 spec)
+
+let table2_cmd =
+  cmd_of "table2" "Reproduce Table 2 (measured machine parameters)."
+    (fun spec ->
+      simulates_nothing spec ~name:"table2";
+      run_table2 spec)
+
 let table3_cmd = cmd_of "table3" "Reproduce Table 3 (model vs simulation)." run_table3
 
 let fig3_cmd =
@@ -263,7 +277,10 @@ let fig4_cmd =
     (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (future technology trends).")
     Term.(
       ret
-        (const (fun spec years -> static spec (fun () -> run_fig4 spec years))
+        (const (fun spec years ->
+             static spec (fun () ->
+                 simulates_nothing spec ~name:"fig4";
+                 run_fig4 spec years))
         $ spec_term $ years))
 
 let ablation_cmd =
@@ -278,7 +295,7 @@ let ablation_cmd =
              but $(b,structures) simulates runs and honours the metrics, \
              trace, profile and scope clauses of $(b,--observe) and \
              $(b,--faults); $(b,structures) times single machines, not \
-             runs, so it honours no clause and ignores $(b,--faults).")
+             runs, so it honours no clause and refuses $(b,--faults).")
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run an ablation study.")

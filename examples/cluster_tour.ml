@@ -1,13 +1,13 @@
 (* A tour of the simulation substrates underneath the reproduction:
    build a small cluster by hand with the public APIs — machines with
-   simulated caches, an MPI communicator, and the execution tracer — and
+   simulated caches, the interconnect, and the execution tracer — and
    watch a toy bulk-synchronous computation run on it.
 
    Each of 4 ranks owns a slice of a shared array, scans it (streaming,
    cheap), then performs random lookups into its own slice (latency-bound
-   while cold), synchronises on a barrier, and reduces a checksum to rank
-   0.  The lookup load is skewed across ranks, so the printed Gantt chart
-   shows the fast ranks idling at the barrier while rank 3 finishes.
+   while cold), and sends its checksum to rank 0, which sums them.  The
+   lookup load is skewed across ranks, so the printed Gantt chart shows
+   the fast ranks finishing while rank 3 is still busy.
 
    Run with:  dune exec examples/cluster_tour.exe *)
 
@@ -18,7 +18,7 @@ let slice_words = 1 lsl 16 (* 256 KB per rank: larger than L1, fits L2 *)
 
 let () =
   let eng = Engine.create () in
-  let comm = Netsim.Mpi.create eng Netsim.Profile.myrinet ~ranks in
+  let net = Netsim.Network.create eng Netsim.Profile.myrinet ~nodes:ranks in
   let machines =
     Array.init ranks (fun r ->
         Machine.create eng
@@ -46,29 +46,28 @@ let () =
                latency until the slice settles into L2. *)
             let g = Prng.Splitmix.create (100 + r) in
             (* Deliberately unbalanced: rank r does (r+1) x 15k lookups,
-               so the Gantt chart shows the faster ranks waiting at the
-               barrier. *)
+               so the Gantt chart shows rank 0 waiting for the others'
+               checksums. *)
             for _ = 1 to 15_000 * (r + 1) do
               sum := !sum + Machine.read m (base + Prng.Splitmix.int g slice_words)
             done;
             Machine.sync m;
-            (* Phase 3: synchronise, then reduce the checksums. *)
-            Netsim.Mpi.barrier comm ~rank:r ~fill:0;
-            match
-              Netsim.Mpi.reduce comm ~rank:r ~root:0 ~size:8 ~op:( + ) !sum
-            with
-            | Some total -> checksum := Some total
-            | None -> ())
+            (* Phase 3: reduce the checksums at rank 0. *)
+            if r > 0 then Netsim.Network.isend net ~src:r ~dst:0 ~size:8 !sum
+            else begin
+              for _ = 1 to ranks - 1 do
+                sum := !sum + (Netsim.Network.recv net ~dst:0).Netsim.Network.payload
+              done;
+              checksum := Some !sum
+            end)
       done;
       Engine.run eng);
 
-  (* The data checksum is exact: sum of 0 .. 4*slice_words-1 plus the
-     random-lookup contributions are all deterministic, but the simple
-     closed form below checks just the streaming part by re-deriving it
-     from the reduce of per-rank scans. *)
+  (* The checksum is deterministic: every rank's scan plus its seeded
+     random lookups. *)
   (match !checksum with
   | Some total -> Format.printf "reduced checksum at rank 0: %d@." total
-  | None -> failwith "reduce never completed");
+  | None -> failwith "reduction never completed");
   Format.printf "simulated wall time: %s@.@."
     (Simtime.to_string (Engine.now eng));
 

@@ -79,7 +79,6 @@ let create ?(name = "cache") ~size_bytes ~line_bytes ~ways () =
   }
 
 let name t = t.cache_name
-let size_bytes t = t.size
 let line_bytes t = t.line
 let ways t = t.n_ways
 let sets t = t.n_sets
@@ -204,12 +203,6 @@ let reset_stats (t : t) =
   t.misses <- 0;
   t.evictions <- 0;
   t.writebacks <- 0
-
-let pp_stats fmt s =
-  let total = s.hits + s.misses in
-  let ratio = if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total in
-  Format.fprintf fmt "hits %d, misses %d (%.1f%% hit), evictions %d, writebacks %d"
-    s.hits s.misses (100.0 *. ratio) s.evictions s.writebacks
 
 let record_metrics (t : t) ?(labels = []) reg =
   let labels = ("level", t.cache_name) :: labels in

@@ -26,7 +26,6 @@ val create :
     of two.  *)
 
 val name : t -> string
-val size_bytes : t -> int
 val line_bytes : t -> int
 val ways : t -> int
 val sets : t -> int
@@ -93,7 +92,6 @@ type stats = { hits : int; misses : int; evictions : int; writebacks : int }
 
 val stats : t -> stats
 val reset_stats : t -> unit
-val pp_stats : Format.formatter -> stats -> unit
 
 val record_metrics : t -> ?labels:(string * string) list -> Obs.Metrics.t -> unit
 (** Dump hit/miss/eviction/write-back counters into a metrics registry as

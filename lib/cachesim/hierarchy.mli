@@ -82,9 +82,6 @@ val attach_scope :
 
 val scope : t -> Obs.Cachescope.node option
 
-val level_specs : t -> Obs.Cachescope.level_spec list
-(** The geometry {!attach_scope} registers ([L1] then [L2]). *)
-
 (** {2 Statistics} *)
 
 type stats = {

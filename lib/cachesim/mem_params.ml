@@ -65,22 +65,3 @@ let pentium4 =
 let words_per_line t = t.l2_line / t.word_bytes
 
 let random_mem_bw t = float_of_int t.word_bytes /. t.b2_penalty_ns
-
-let pp fmt t =
-  let mb bw = Simcore.Simtime.mb_per_s_of_bytes_per_ns bw in
-  Format.fprintf fmt
-    "@[<v>Machine profile: %s@,\
-     L2 Cache Size           %d KB@,\
-     L1 Cache Size           %d KB@,\
-     L2 Cache line Size      %d bytes@,\
-     L1 Cache line Size      %d bytes@,\
-     B2 Miss Penalty         %.2f ns@,\
-     B1 Miss Penalty         %.2f ns@,\
-     TLB Entries             %d@,\
-     Comp Cost Node          %.1f ns@,\
-     W1 (Memory Bandwidth)   %.0f MB/s@,\
-     W1 random (implied)     %.0f MB/s@]"
-    t.name (t.l2_size / 1024) (t.l1_size / 1024) t.l2_line t.l1_line
-    t.b2_penalty_ns t.b1_penalty_ns t.tlb_entries t.comp_cost_node_ns
-    (mb t.mem_seq_bw)
-    (mb (random_mem_bw t))

@@ -52,6 +52,3 @@ val random_mem_bw : t -> float
     parameters: one word per L2 miss ([word_bytes / b2_penalty]).  For the
     Pentium III values this is ~36-48 MB/s, matching the measured
     48 MB/s. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render the record in the layout of the paper's Table 2. *)

@@ -77,4 +77,3 @@ let random_misses t = t.rand
 let fills t = t.fills
 let useful t = t.useful
 let useless t = t.useless
-let outstanding t = t.fills - t.useful - t.useless

@@ -48,6 +48,3 @@ val useful : t -> int
 
 val useless : t -> int
 (** Predictions retired unconsumed when their stream was replaced. *)
-
-val outstanding : t -> int
-(** [fills - useful - useless]: predictions still live. *)

@@ -136,11 +136,8 @@ let run ?faults (sc : Workload.Scenario.t) ~updates ~method_id =
     (fun msg -> invalid_arg ("Dynamic: " ^ msg))
     (check ~faults:(Option.value faults ~default:Fault.Spec.none) sc ~method_id);
   let n_queries = Array.length queries in
-  let o =
+  let r =
     Runner.drive ?faults sc ~source:Method_c.Batch
       ~ops:(ops ~updates ~n_queries stream) ~method_id ~keys ~queries
   in
-  ( o.Method_c.run,
-    collect
-      ~updates:(Workload.Mutation.n_updates updates ~n_queries)
-      ~lost_updates:o.Method_c.lost_updates o.Method_c.segments )
+  (r, of_run r)

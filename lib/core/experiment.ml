@@ -172,10 +172,9 @@ let run_cell (spec : Spec.t) c =
   match c.source with
   | Batch ->
       with_run_instrumented spec (fun () ->
-          (Runner.drive ~faults:spec.Spec.faults ~topology:c.topology
-             c.scenario ~source:Method_c.Batch ~ops:(core_ops c)
-             ~method_id:c.method_id ~keys:c.keys ~queries:c.queries)
-            .Method_c.run)
+          Runner.drive ~faults:spec.Spec.faults ~topology:c.topology
+            c.scenario ~source:Method_c.Batch ~ops:(core_ops c)
+            ~method_id:c.method_id ~keys:c.keys ~queries:c.queries)
   | Serve { arrival; arrivals; slo_ns } ->
       let updates, ops =
         match c.ops with

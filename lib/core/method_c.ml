@@ -20,12 +20,6 @@ type ops =
 
 type topology = Flat | Routers of int
 
-type outcome = {
-  run : Run_result.t;
-  segments : Index.Segments.t list;
-  lost_updates : int;
-}
-
 let layout (sc : Workload.Scenario.t) ~ops ~topology =
   let n_routers = match topology with Flat -> 0 | Routers r -> r in
   (* The router tier and update forwarding each run exactly one master:
@@ -611,48 +605,45 @@ let drive ~faults (sc : Workload.Scenario.t) ~source ~ops ~topology ~variant
     | None -> Run_result.no_degradation
     | Some f -> Failover.degraded f
   in
-  let segments =
-    List.filter_map Slave_node.segments (Array.to_list slave_nodes)
-  in
-  let lost_updates = !lost_updates in
-  let run =
-    {
-      Run_result.method_id = variant;
-      scenario = sc.Workload.Scenario.name;
-      n_queries = n;
-      n_nodes;
-      batch_bytes = sc.Workload.Scenario.batch_bytes;
-      total_ns = raw;
-      raw_ns = raw;
-      per_key_ns = raw /. float_of_int (max 1 n);
-      slave_idle = cluster.Telemetry.idle;
-      master_busy = cluster.Telemetry.busy;
-      messages = Netsim.Network.messages_sent net;
-      bytes_sent = Netsim.Network.bytes_sent net;
-      validation_errors = !errors;
-      cache = cluster.Telemetry.cache;
-      overflow_flushes =
-        Array.fold_left
-          (fun acc i -> acc + Slave_node.overflow_flushes i)
-          0 slave_nodes;
-      mean_response_ns = Latency.mean lat;
-      p95_response_ns = Latency.percentile lat 0.95;
-      metrics =
-        Telemetry.snapshot ~eng ~net
-          ~machines:(Array.concat [ masters; routers; slaves ])
-          ~latency:lat ~validation_errors:!errors
-          ~counters:
-            (match ops with
-            | Updates u -> u.counters segments ~lost_updates
-            | Queries -> [])
-          ?degraded:(Option.map (fun _ -> degraded) fo)
-          ();
-      trace = None;
-      profile = None;
-      degraded;
-      serving = None;
-      timeline = None;
-      scope = None;
-    }
-  in
-  { run; segments; lost_updates }
+  {
+    Run_result.method_id = variant;
+    scenario = sc.Workload.Scenario.name;
+    n_queries = n;
+    n_nodes;
+    batch_bytes = sc.Workload.Scenario.batch_bytes;
+    total_ns = raw;
+    raw_ns = raw;
+    per_key_ns = raw /. float_of_int (max 1 n);
+    slave_idle = cluster.Telemetry.idle;
+    master_busy = cluster.Telemetry.busy;
+    messages = Netsim.Network.messages_sent net;
+    bytes_sent = Netsim.Network.bytes_sent net;
+    validation_errors = !errors;
+    cache = cluster.Telemetry.cache;
+    overflow_flushes =
+      Array.fold_left
+        (fun acc i -> acc + Slave_node.overflow_flushes i)
+        0 slave_nodes;
+    mean_response_ns = Latency.mean lat;
+    p95_response_ns = Latency.percentile lat 0.95;
+    metrics =
+      Telemetry.snapshot ~eng ~net
+        ~machines:(Array.concat [ masters; routers; slaves ])
+        ~latency:lat ~validation_errors:!errors
+        ~counters:
+          (match ops with
+          | Updates u ->
+              u.counters
+                (List.filter_map Slave_node.segments
+                   (Array.to_list slave_nodes))
+                ~lost_updates:!lost_updates
+          | Queries -> [])
+        ?degraded:(Option.map (fun _ -> degraded) fo)
+        ();
+    trace = None;
+    profile = None;
+    degraded;
+    serving = None;
+    timeline = None;
+    scope = None;
+  }

@@ -24,8 +24,8 @@
     - {!ops}: queries only, or an interleaved query/insert/delete stream;
     - {!topology}: masters feeding slaves directly, or through routers.
 
-    {!source}, {!ops} and {!outcome} are shared with
-    {!Replicated.drive}, the one core for Methods A and B.
+    {!source} and {!ops} are shared with {!Replicated.drive}, the one
+    core for Methods A and B.
 
     Multiple masters (the paper's §3.2 remedy for master overload) are
     supported via [Scenario.n_masters] in the flat query topology: nodes
@@ -83,12 +83,6 @@ type topology =
           nothing in flight resolves the queries a dead router
           stranded. *)
 
-type outcome = {
-  run : Run_result.t;
-  segments : Index.Segments.t list;  (** Slave partitions under [Updates]. *)
-  lost_updates : int;  (** Updates in batches abandoned by failover. *)
-}
-
 val layout :
   Workload.Scenario.t ->
   ops:ops ->
@@ -109,7 +103,7 @@ val drive :
   variant:Methods.id ->
   keys:int array ->
   queries:int array ->
-  outcome
+  Run_result.t
 (** Run the protocol once.  Raises [Invalid_argument] for variants
     [A]/[B], and wherever {!layout} returns [Error].  The result's
     [serving] field is left [None] for the serving driver to fill. *)

@@ -19,4 +19,3 @@ let of_string s =
   | _ -> None
 
 let is_distributed = function A | B -> false | C1 | C2 | C3 -> true
-let pp fmt id = Format.pp_print_string fmt (to_string id)

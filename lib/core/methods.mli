@@ -22,5 +22,3 @@ val of_string : string -> id option
 val is_distributed : id -> bool
 (** True for the Method C family (single index distributed over the
     cluster); false for the replicated methods A and B. *)
-
-val pp : Format.formatter -> id -> unit

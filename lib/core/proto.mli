@@ -25,10 +25,9 @@ val term_tag : int
 
 val query_op : int
 val insert_op : int
-val delete_op : int
 
 val op : int -> int
-(** The op of a word: {!query_op}, {!insert_op} or {!delete_op}. *)
+(** The op of a word: {!query_op}, {!insert_op} or 2 (a delete). *)
 
 val key : int -> int
 

@@ -311,7 +311,6 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
   let raw = Engine.now eng in
   let machines = Array.map (fun e -> e.machine) epochs in
   let cluster = Telemetry.rollup ~raw [ machines ] in
-  let segments = List.concat_map (fun e -> e.segments) (Array.to_list epochs) in
   (* Batch: the one node's time over the cluster size, except for the
      replicated update work, which every node does. *)
   let total =
@@ -320,39 +319,39 @@ let drive (sc : Workload.Scenario.t) ~source ~ops ~method_id ~keys ~queries =
       ((raw -. upd) /. float_of_int n_nodes) +. upd
     else raw
   in
-  let run =
-    {
-      Run_result.method_id;
-      scenario = sc.Workload.Scenario.name;
-      n_queries = n;
-      n_nodes;
-      batch_bytes = sc.Workload.Scenario.batch_bytes;
-      total_ns = total;
-      raw_ns = raw;
-      per_key_ns = total /. float_of_int (max 1 n);
-      slave_idle = (if batch then 0.0 else cluster.Telemetry.idle);
-      master_busy = 0.0;
-      messages = 0;
-      bytes_sent = 0;
-      validation_errors = errors;
-      cache = cluster.Telemetry.cache;
-      overflow_flushes = sum (fun e -> e.flushes);
-      mean_response_ns = Latency.mean lat;
-      p95_response_ns = Latency.percentile lat 0.95;
-      metrics =
-        Telemetry.snapshot ~eng ~machines ~latency:lat
-          ~validation_errors:errors
-          ~counters:
-            (match ops with
-            | Method_c.Updates u -> u.counters segments ~lost_updates:0
-            | Method_c.Queries -> [])
-          ();
-      trace = None;
-      profile = None;
-      degraded = Run_result.no_degradation;
-      serving = None;
-      timeline = None;
-      scope = None;
-    }
-  in
-  { Method_c.run; segments; lost_updates = 0 }
+  {
+    Run_result.method_id;
+    scenario = sc.Workload.Scenario.name;
+    n_queries = n;
+    n_nodes;
+    batch_bytes = sc.Workload.Scenario.batch_bytes;
+    total_ns = total;
+    raw_ns = raw;
+    per_key_ns = total /. float_of_int (max 1 n);
+    slave_idle = (if batch then 0.0 else cluster.Telemetry.idle);
+    master_busy = 0.0;
+    messages = 0;
+    bytes_sent = 0;
+    validation_errors = errors;
+    cache = cluster.Telemetry.cache;
+    overflow_flushes = sum (fun e -> e.flushes);
+    mean_response_ns = Latency.mean lat;
+    p95_response_ns = Latency.percentile lat 0.95;
+    metrics =
+      Telemetry.snapshot ~eng ~machines ~latency:lat
+        ~validation_errors:errors
+        ~counters:
+          (match ops with
+          | Method_c.Updates u ->
+              u.counters
+                (List.concat_map (fun e -> e.segments) (Array.to_list epochs))
+                ~lost_updates:0
+          | Method_c.Queries -> [])
+        ();
+    trace = None;
+    profile = None;
+    degraded = Run_result.no_degradation;
+    serving = None;
+    timeline = None;
+    scope = None;
+  }

@@ -48,10 +48,9 @@ val drive :
   method_id:Methods.id ->
   keys:int array ->
   queries:int array ->
-  Method_c.outcome
-(** Run A or B once over [keys] and [queries].  The outcome's
-    [segments] are the nodes' [Segments] replicas in node order ([[]]
-    over a static tree), and [Updates] counters see them with
+  Run_result.t
+(** Run A or B once over [keys] and [queries].  [Updates] counters see
+    the nodes' [Segments] replicas in node order, with
     [~lost_updates:0].  The source's [series] is not read, and the
     result's [serving] field is left [None] for the serving driver to
     fill.  Raises [Invalid_argument] for the Method C family. *)

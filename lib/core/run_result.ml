@@ -138,29 +138,6 @@ let completeness t =
 let throughput_mqs t = if t.per_key_ns = 0.0 then 0.0 else 1e3 /. t.per_key_ns
 let scaled_total_s t ~queries = t.per_key_ns *. float_of_int queries /. 1e9
 
-let pp_degraded fmt d =
-  Format.fprintf fmt
-    "degraded: %d retries, %d redispatches, %d batches / %d queries lost, \
-     %d fallback lookups, dead nodes [%s], faults %d dropped / %d dup / %d \
-     delayed / %d blackholed"
-    d.retries d.redispatches d.lost_batches d.lost_queries d.fallback_lookups
-    (String.concat "," (List.map string_of_int d.dead_nodes))
-    d.msgs_dropped d.msgs_duplicated d.msgs_delayed d.msgs_blackholed
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>method %a on %s: %d queries, %d nodes, batch %d KB@,\
-     total %a (%.1f ns/key, %.1f Mq/s)@,\
-     slave idle %.1f%%, master busy %.1f%%, %d msgs / %d bytes@,\
-     validation errors %d%a@]"
-    Methods.pp t.method_id t.scenario t.n_queries t.n_nodes
-    (t.batch_bytes / 1024) Simcore.Simtime.pp t.total_ns t.per_key_ns
-    (throughput_mqs t) (100.0 *. t.slave_idle) (100.0 *. t.master_busy)
-    t.messages t.bytes_sent t.validation_errors
-    (fun fmt d ->
-      if is_degraded d then Format.fprintf fmt "@,%a" pp_degraded d)
-    t.degraded
-
 let header =
   [
     "method"; "scenario"; "queries"; "nodes"; "batch_bytes"; "total_ns";

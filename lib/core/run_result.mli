@@ -70,9 +70,6 @@ type serving = {
 (** Rollup of one online-serving run ({!Serve}): what the SLO report
     renders and the golden CSVs pin down. *)
 
-val violation_rate : serving -> float
-(** [violations / arrived]; [0.] when nothing arrived. *)
-
 type t = {
   method_id : Methods.id;
   scenario : string;
@@ -152,9 +149,6 @@ val serving_header : string list
 (** CSV column names matching {!serving_cells}. *)
 
 val serving_cells : t -> serving -> string list
-
-val pp : Format.formatter -> t -> unit
-(** Appends a degradation line when [is_degraded t.degraded]. *)
 
 val header : string list
 (** CSV/table column names matching {!to_cells}. *)

@@ -13,15 +13,14 @@ let drive ?faults ?topology sc ~source ~ops ~method_id ~keys ~queries =
 
 let run ?faults ?routers sc ~method_id ~keys ~queries =
   let topology = Option.map (fun r -> Method_c.Routers r) routers in
-  let o =
+  let r =
     drive ?faults ?topology sc ~source:Method_c.Batch ~ops:Method_c.Queries
       ~method_id ~keys ~queries
   in
   match routers with
-  | None -> o.Method_c.run
+  | None -> r
   | Some _ ->
-      { o.Method_c.run with
-        Run_result.scenario = sc.Workload.Scenario.name ^ "+hier" }
+      { r with Run_result.scenario = sc.Workload.Scenario.name ^ "+hier" }
 
 let workload (sc : Workload.Scenario.t) =
   let g = Prng.Splitmix.create sc.Workload.Scenario.seed in

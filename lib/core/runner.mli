@@ -12,7 +12,7 @@ val drive :
   method_id:Methods.id ->
   keys:int array ->
   queries:int array ->
-  Method_c.outcome
+  Run_result.t
 (** Run [method_id] once on its core, on the calling domain.  A and B
     ignore [?faults] and raise [Invalid_argument] under a [Routers]
     topology.  [?topology] defaults to [Flat]. *)
@@ -49,7 +49,7 @@ val run :
     reply timeouts re-send the batch up to the spec's retry budget,
     after which the destination is declared dead and its batches are
     resolved with the master's local full-key index (or reported lost
-    when the spec disables fallback).  The outcome is accounted in the
+    when the spec disables fallback).  The failover is accounted in the
     result's [degraded] field; a run never returns a silently-wrong
     rank.  Passing a spec for which [Fault.Spec.is_none] holds takes the
     exact fault-free code path (byte-identical result). *)

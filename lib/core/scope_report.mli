@@ -12,15 +12,6 @@
 val render : (string * Obs.Cachescope.t) list -> string
 (** Concatenated per-run reports; [""] when the list is empty. *)
 
-val csv_header : string
-(** [run,kind,node,level,phase,region,bucket,t0_ns,t1_ns,value] —
-    [kind] is one of [demand] (bucket [hits]/[misses]), [3c] (bucket
-    [compulsory]/[capacity]/[conflict], per phase), [reuse] (bucket =
-    power-of-two distance exponent, or [cold] for first touches, per
-    region), [setpressure] (bucket = set-range index, 64 ranges) and
-    [residency] (per region; [t0_ns]=[t1_ns]= sample time, value =
-    resident fraction). *)
-
 val csv : (string * Obs.Cachescope.t) list -> string
 (** Header plus one row per reading, runs in order, nodes in
     registration order, phases/regions sorted. *)

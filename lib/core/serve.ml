@@ -209,8 +209,8 @@ let run_method ?faults ?(observe = Observe.none)
             counters = (fun _ ~lost_updates:_ -> []);
           }
     in
-    let o = Runner.drive ?faults sc ~source ~ops ~method_id ~keys ~queries in
-    { o.Method_c.run with Run_result.serving = Some (finish ()) }
+    let r = Runner.drive ?faults sc ~source ~ops ~method_id ~keys ~queries in
+    { r with Run_result.serving = Some (finish ()) }
   in
   let run =
     Observe.record

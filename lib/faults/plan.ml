@@ -20,8 +20,6 @@ let create (spec : Spec.t) ~seed =
     blackholed = 0;
   }
 
-let spec t = t.spec
-
 type verdict = { drop : bool; duplicate : bool; extra_delay_ns : float }
 
 let on_send t ~src:_ ~dst:_ ~tag:_ ~size:_ ~now:_ =

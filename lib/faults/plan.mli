@@ -19,8 +19,6 @@ val create : Spec.t -> seed:int -> t
 (** [seed] is the scenario seed; a [seed=N] clause in the spec
     overrides it. *)
 
-val spec : t -> Spec.t
-
 (** {2 Per-message decisions} *)
 
 type verdict = {

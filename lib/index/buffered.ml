@@ -72,7 +72,6 @@ let retarget t m =
 let tree t = t.tr
 let groups t = Array.length t.grps
 let group_levels t = Array.map (fun g -> g.span) t.grps
-let buffer_count t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.bufs
 
 let buffer_bytes t =
   t.total_buffer_words * (Machine.params t.m).Cachesim.Mem_params.word_bytes

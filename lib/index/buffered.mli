@@ -41,9 +41,6 @@ val groups : t -> int
 val group_levels : t -> int array
 (** Levels spanned by each group, top first; sums to [Nary_tree.levels]. *)
 
-val buffer_count : t -> int
-(** Total subtree buffers across groups. *)
-
 val buffer_bytes : t -> int
 (** Memory footprint of the buffers. *)
 

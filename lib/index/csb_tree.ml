@@ -76,13 +76,10 @@ let retarget t m =
     invalid_arg "Csb_tree.retarget: machine does not hold the tree";
   { t with m }
 
-let machine t = t.m
 let levels t = t.t_levels
 let keys_per_node t = t.k
 let fanout t = t.f
 let node_words t = t.nw
-let n_keys t = t.n
-let root_addr t = t.bases.(0)
 
 let info t =
   let p = Machine.params t.m in
@@ -100,18 +97,14 @@ let info t =
 
 (* Child slot (interior node) and leaf count (leaf): the first i with
    q < key_i.  A full node has no sentinel, in which case the scan runs
-   off the k keys and lands on slot k, i.e. the last child.  The scans
-   are top-level, int-typed recursions with explicit arguments: a local
+   off the k keys and lands on slot k, i.e. the last child.  The scan is
+   a top-level, int-typed recursion with explicit arguments: a local
    [let rec] would allocate a closure per visited node without flambda,
    and a [read] parameter left [<] polymorphic, one [caml_lessthan] call
    per key compared. *)
 let rec scan_timed m k addr (q : int) i =
   if i = k || q < Machine.read m (addr + i) then i
   else scan_timed m k addr q (i + 1)
-
-let rec scan_untimed m k addr (q : int) i =
-  if i = k || q < Machine.peek m (addr + i) then i
-  else scan_untimed m k addr q (i + 1)
 
 let node_cost t = (Machine.params t.m).Cachesim.Mem_params.comp_cost_node_ns
 let leaf_index t addr = (addr - t.bases.(t.t_levels - 1)) / t.nw
@@ -126,12 +119,3 @@ let search t q =
   done;
   Machine.compute t.m (node_cost t);
   (leaf_index t !a * t.k) + scan_timed t.m t.k !a q 0
-
-let search_untimed t q =
-  let a = ref t.bases.(0) in
-  for _ = 1 to t.t_levels - 1 do
-    let i = scan_untimed t.m t.k !a q 0 in
-    let first_child = Machine.peek t.m (!a + t.k) in
-    a := first_child + (i * t.nw)
-  done;
-  (leaf_index t !a * t.k) + scan_untimed t.m t.k !a q 0

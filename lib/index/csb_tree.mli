@@ -23,7 +23,6 @@ val retarget : t -> Machine.t -> t
     memory (see {!Nary_tree.retarget}).  Raises [Invalid_argument] if
     [m] has not allocated the tree's words. *)
 
-val machine : t -> Machine.t
 val levels : t -> int
 val keys_per_node : t -> int
 (** Separators per node ([node_words - 1]). *)
@@ -32,11 +31,7 @@ val fanout : t -> int
 (** Children per interior node ([keys_per_node + 1]). *)
 
 val node_words : t -> int
-val n_keys : t -> int
-val root_addr : t -> int
 val info : t -> Layout_info.t
 
 val search : t -> int -> int
 (** Timed rank lookup (see {!Nary_tree.search}). *)
-
-val search_untimed : t -> int -> int

@@ -29,8 +29,6 @@ let build m keys =
   in
   { m; base; len = n; height }
 
-let machine t = t.m
-let length t = t.len
 let levels t = t.height
 
 let size_bytes t =

@@ -19,8 +19,6 @@ type t
 val build : Machine.t -> int array -> t
 (** Lay out the strictly-increasing keys in BFS pair order (untimed). *)
 
-val machine : t -> Machine.t
-val length : t -> int
 val size_bytes : t -> int
 val levels : t -> int
 (** Height of the implicit tree = worst-case probes. *)

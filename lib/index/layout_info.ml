@@ -8,11 +8,3 @@ type t = {
   keys_per_node : int;
   fanout : int;
 }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>%s tree: %d keys, T = %d levels, %d nodes of %d bytes \
-     (%d keys/node, fanout %d), %.2f MB total@]"
-    t.structure t.n_keys t.levels t.nodes t.node_bytes t.keys_per_node
-    t.fanout
-    (float_of_int t.total_bytes /. 1048576.0)

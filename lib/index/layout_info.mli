@@ -11,5 +11,3 @@ type t = {
   keys_per_node : int;
   fanout : int;  (** Maximum children per interior node. *)
 }
-
-val pp : Format.formatter -> t -> unit

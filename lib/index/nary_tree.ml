@@ -87,7 +87,6 @@ let machine t = t.m
 let levels t = t.t_levels
 let keys_per_node t = t.k
 let node_words t = t.node_words
-let n_keys t = t.n
 let root_addr t = t.bases.(0)
 
 let check_level t l what =
@@ -128,14 +127,6 @@ let step_timed t addr q =
   let i = scan_sep_timed t.m addr q 0 in
   Machine.read t.m (addr + t.k + i)
 
-let rec scan_sep_untimed m addr q i =
-  if q < Machine.peek m (addr + i) then i
-  else scan_sep_untimed m addr q (i + 1)
-
-let step_untimed t addr q =
-  let i = scan_sep_untimed t.m addr q 0 in
-  Machine.peek t.m (addr + t.k + i)
-
 let node_cost t = (Machine.params t.m).Cachesim.Mem_params.comp_cost_node_ns
 
 let descend t ~addr ~steps q =
@@ -151,10 +142,6 @@ let rec leaf_scan_timed m k addr q i =
   if i = k || q < Machine.read m (addr + i) then i
   else leaf_scan_timed m k addr q (i + 1)
 
-let rec leaf_scan_untimed m k addr q i =
-  if i = k || q < Machine.peek m (addr + i) then i
-  else leaf_scan_untimed m k addr q (i + 1)
-
 let leaf_index t addr = (addr - t.bases.(t.t_levels - 1)) / t.node_words
 
 let leaf_rank t ~addr q =
@@ -165,14 +152,6 @@ let leaf_rank t ~addr q =
 let search t q =
   let addr = descend t ~addr:t.bases.(0) ~steps:(t.t_levels - 1) q in
   leaf_rank t ~addr q
-
-let search_untimed t q =
-  let a = ref t.bases.(0) in
-  for _ = 1 to t.t_levels - 1 do
-    a := step_untimed t !a q
-  done;
-  let c = leaf_scan_untimed t.m t.k !a q 0 in
-  (leaf_index t !a * t.k) + c
 
 let node_index t ~level ~addr =
   check_level t level "node_index";

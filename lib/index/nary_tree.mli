@@ -37,7 +37,6 @@ val levels : t -> int
 
 val keys_per_node : t -> int
 val node_words : t -> int
-val n_keys : t -> int
 val root_addr : t -> int
 val level_base : t -> int -> int
 (** [level_base t l] is the word address of the first node of level
@@ -51,8 +50,6 @@ val search : t -> int -> int
 (** [search t q] = rank of [q] (number of indexed keys [<= q]).  Timed:
     one {!Cachesim.Mem_params.t} [comp_cost_node_ns] per level plus the
     memory reads of the traversal. *)
-
-val search_untimed : t -> int -> int
 
 (** {2 Partial traversal — used by the buffered access technique} *)
 

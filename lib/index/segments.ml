@@ -105,7 +105,6 @@ let retarget t m =
     invalid_arg "Segments.retarget: machine does not hold the index";
   { t with m; stats = zero_stats () }
 
-let machine t = t.m
 let length t = t.live
 let base_length t = t.base_len
 let segment_count t = List.length t.sealed

@@ -53,7 +53,6 @@ val retarget : t -> Machine.t -> t
     unchanged.  Raises [Invalid_argument] if [m] has not allocated the
     index's words. *)
 
-val machine : t -> Machine.t
 val length : t -> int
 (** Current number of live keys. *)
 

@@ -12,9 +12,6 @@ let retarget t m =
     invalid_arg "Sorted_array.retarget: machine does not hold the array";
   { t with m }
 
-let machine t = t.m
-let length t = t.len
-let base_addr t = t.base
 let size_bytes t = t.len * (Machine.params t.m).Cachesim.Mem_params.word_bytes
 
 let search t q =

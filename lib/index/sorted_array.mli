@@ -18,9 +18,6 @@ val retarget : t -> Machine.t -> t
     was built on.  Raises [Invalid_argument] if [m] has not allocated
     the array's words. *)
 
-val machine : t -> Machine.t
-val length : t -> int
-val base_addr : t -> int
 val size_bytes : t -> int
 
 val search : t -> int -> int

@@ -129,17 +129,13 @@ val flush_caches : t -> unit
     recording — in that case {!create} registered this node's
     hierarchy with it. *)
 
-val label_region : t -> label:string -> base:int -> words:int -> unit
-(** Attribute the word range [[base, base+words)] to a semantic region
-    ("partition", "queries", "mpi_staging", ...) for reuse-distance and
-    residency telemetry.  Label a range before accessing it. *)
-
 val labelled : t -> label:string -> (unit -> 'a) -> 'a
 (** [labelled t ~label build] runs [build] (typically an index
     constructor) and labels every word it allocated. *)
 
 val labelled_alloc : t -> ?align_words:int -> label:string -> int -> int
-(** {!alloc} + {!label_region} in one step. *)
+(** {!alloc}, then attribute the allocated words to region [label] for
+    reuse-distance and residency telemetry. *)
 
 (** {2 Images}
 

@@ -60,10 +60,10 @@ let method_b (p : Mem_params.t) shape ~group_levels ~batch_keys ~normalize_nodes
   per_key /. float_of_int normalize_nodes
 
 type method_c_inputs = {
-  slave_levels : int;
-  per_level_comp_ns : float;
-  per_level_mem_ns : float;
-  dispatch_ns : float;
+  slave_levels : int;  (* L: levels (or probes) at a slave *)
+  per_level_comp_ns : float;  (* comparison cost per level/probe *)
+  per_level_mem_ns : float;  (* memory cost per level/probe (B1) *)
+  dispatch_ns : float;  (* master-side routing cost per key *)
   n_masters : int;
   n_slaves : int;
 }

@@ -31,20 +31,6 @@ val method_b :
     access (Equation 7) + buffer read/write traffic, for subtrees of
     [group_levels] levels processed over batches of [batch_keys] keys. *)
 
-type method_c_inputs = {
-  slave_levels : int;  (** L: levels (or probes) at a slave. *)
-  per_level_comp_ns : float;  (** Comparison cost per level/probe. *)
-  per_level_mem_ns : float;  (** Memory cost per level/probe (B1). *)
-  dispatch_ns : float;  (** Master-side routing cost per key. *)
-  n_masters : int;
-  n_slaves : int;
-}
-
-val method_c :
-  Cachesim.Mem_params.t -> Netsim.Profile.t -> method_c_inputs -> float
-(** Section A.2.3 (Equation 8):
-    [max(master per-key cost / masters, slave per-key cost / slaves)]. *)
-
 val method_c3 :
   Cachesim.Mem_params.t ->
   Netsim.Profile.t ->
@@ -52,9 +38,11 @@ val method_c3 :
   n_masters:int ->
   n_slaves:int ->
   float
-(** {!method_c} specialised to the sorted-array slave: [L = log2
-    slave_keys] binary-search probes at [comp_cost_probe] each, hitting
-    L2 ([B1] penalty per probe). *)
+(** Section A.2.3 (Equation 8),
+    [max(master per-key cost / masters, slave per-key cost / slaves)],
+    for the sorted-array slave: [L = log2 slave_keys] binary-search
+    probes at [comp_cost_probe] each, hitting L2 ([B1] penalty per
+    probe). *)
 
 val master_bound_ns : Netsim.Profile.t -> n_masters:int -> float
 (** The network component of the master side ([4 / W2] per key):  the

@@ -183,10 +183,6 @@ let recv_timeout t ~dst ~timeout_ns =
   check_node t dst "recv_timeout";
   Channel.recv_timeout t.eng t.mailboxes.(dst) ~timeout_ns
 
-let try_recv t ~dst =
-  check_node t dst "try_recv";
-  Channel.try_recv t.mailboxes.(dst)
-
 let pending t ~dst =
   check_node t dst "pending";
   Channel.length t.mailboxes.(dst)

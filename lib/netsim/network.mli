@@ -56,7 +56,6 @@ val recv_timeout : 'a t -> dst:int -> timeout_ns:float -> 'a envelope option
     the last useful event; failover drivers track their own completion
     time. *)
 
-val try_recv : 'a t -> dst:int -> 'a envelope option
 val pending : 'a t -> dst:int -> int
 
 (** {2 Accounting} *)

@@ -75,7 +75,6 @@ let add_node t ~name specs =
   node
 
 let node_name n = n.node_name
-let level_names n = Array.to_list (Array.map (fun lv -> lv.spec.name) n.levels)
 
 (* ------------------------------------------------------------------ *)
 (* Regions *)

@@ -43,7 +43,6 @@ val nodes : t -> node list
 (** In registration order. *)
 
 val node_name : node -> string
-val level_names : node -> string list
 
 (** {2 Regions} *)
 

@@ -39,7 +39,3 @@ val reproducible : unit -> bool
 val timestamp : unit -> float
 (** Seconds since the epoch — from [SOURCE_DATE_EPOCH] when set, else
     the wall clock. *)
-
-val git_describe : unit -> string
-(** [git describe --always --dirty], or ["unknown"] when git or the
-    repository is unavailable.  Computed once per process. *)

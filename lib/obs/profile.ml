@@ -106,7 +106,6 @@ let finalize t ~total_ns =
   t.total <- Some total_ns
 
 let finalized t = t.total <> None
-let total_ns t = t.total
 
 (* For display: the lo term is sub-ulp noise, fold it in. *)
 let residual_ns t = t.residual +. t.residual_lo

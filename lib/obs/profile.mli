@@ -55,7 +55,6 @@ val finalize : t -> total_ns:float -> unit
     the run. *)
 
 val finalized : t -> bool
-val total_ns : t -> float option
 val residual_ns : t -> float
 
 val attributed_ns : t -> float
@@ -84,6 +83,3 @@ val folded_lines : ?prefix:string -> t -> string list
     dropped).  [prefix] prepends a root frame (e.g. the run label);
     frames are sanitized (no spaces or semicolons).  A negative
     residual is omitted — it has no stack-sample reading. *)
-
-val fmt_ns : float -> string
-(** Human duration formatting shared with {!Tail.render}. *)

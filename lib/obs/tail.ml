@@ -11,8 +11,6 @@ let create ~k =
   if k < 0 then invalid_arg "Tail.create: negative k";
   { k; worst = []; len = 0 }
 
-let k t = t.k
-
 (* Order: slowest first; ties broken towards the earlier (smaller) query
    id, so the kept set does not depend on how close calls arrive. *)
 let precedes a b = a.ns > b.ns || (a.ns = b.ns && a.id < b.id)

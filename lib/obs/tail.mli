@@ -27,8 +27,6 @@ type t
 val create : k:int -> t
 (** [k = 0] disables the inspector ({!note} becomes a no-op). *)
 
-val k : t -> int
-
 val qualifies : t -> float -> bool
 (** Would an observation of [ns] enter the kept set right now?  Lets
     callers skip building the breakdown for the fast majority. *)

@@ -33,7 +33,5 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -16,9 +16,6 @@ let create ~n ~s =
   cdf.(n - 1) <- 1.0;
   { n; s; cdf }
 
-let n t = t.n
-let exponent t = t.s
-
 let sample t g =
   let u = Splitmix.float g 1.0 in
   (* Smallest k with cdf.(k) > u. *)

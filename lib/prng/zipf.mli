@@ -16,9 +16,6 @@ val create : n:int -> s:float -> t
 (** [create ~n ~s] precomputes the distribution for [n >= 1] elements with
     exponent [s >= 0].  [s = 0] degenerates to the uniform distribution. *)
 
-val n : t -> int
-val exponent : t -> float
-
 val sample : t -> Splitmix.t -> int
 (** Draw an element index in [\[0, n)]. *)
 

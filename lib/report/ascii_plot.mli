@@ -20,13 +20,10 @@ val render :
     (default 72x20), with axis ranges from the data (the y-axis floor
     overridable by [y_min]), followed by a legend. *)
 
-val sparkline : ?v_min:float -> ?v_max:float -> float array -> string
-(** One-line intensity strip: each value becomes one character from a
-    ten-step ASCII ramp [" .:-=+*#%@"], scaled between [v_min]/[v_max]
-    (defaults: the data's own range; a constant series renders at the
-    bottom of the ramp).  Pure ASCII so golden files stay portable. *)
-
 val heat_row : ?v_min:float -> ?v_max:float -> label:string -> float array -> string
-(** [label] padded to a fixed 14-column gutter, a [|], then the
-    {!sparkline} of the values — stackable into a per-lane heat map
-    where rows share a scale via explicit [v_min]/[v_max]. *)
+(** [label] padded to a fixed 14-column gutter, a [|], then one
+    character per value from a ten-step ASCII ramp [" .:-=+*#%@"],
+    scaled between [v_min]/[v_max] (defaults: the data's own range; a
+    constant series renders at the bottom of the ramp) — stackable into
+    a per-lane heat map where rows share a scale.  Pure ASCII so golden
+    files stay portable. *)

@@ -37,7 +37,6 @@ let render t =
   List.iter render_row (List.rev t.body);
   Buffer.contents buf
 
-let pp fmt t = Format.pp_print_string fmt (render t)
 let cell_f ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 let cell_i = string_of_int
 let cell_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)

@@ -16,8 +16,6 @@ val rows : t -> int
 val render : t -> string
 (** Render with a header separator and right-padded columns. *)
 
-val pp : Format.formatter -> t -> unit
-
 val cell_f : ?decimals:int -> float -> string
 (** Format a float cell ([decimals] defaults to 2). *)
 

@@ -28,11 +28,6 @@ let send t v =
   in
   offer ()
 
-let try_recv t =
-  match Queue.take_opt t.items with
-  | Some v -> Some v
-  | None -> None
-
 let recv engine t =
   match Queue.take_opt t.items with
   | Some v -> v

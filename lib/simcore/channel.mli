@@ -27,9 +27,6 @@ val recv_timeout : Engine.t -> 'a t -> timeout_ns:float -> 'a option
     that care about the final clock value should track their own
     completion time.  Must be called from inside a process. *)
 
-val try_recv : 'a t -> 'a option
-(** Non-blocking receive. *)
-
 val length : 'a t -> int
 (** Number of buffered (unreceived) messages. *)
 

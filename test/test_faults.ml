@@ -1,5 +1,5 @@
 (* Tests for the fault-injection layer: spec parsing, plan determinism,
-   MPI non-overtaking under arbitrary fault plans, and the Method C
+   network non-overtaking under arbitrary fault plans, and the Method C
    failover semantics — a degraded run either returns validated-correct
    ranks or reports the remainder in [degraded], never silently wrong. *)
 
@@ -141,29 +141,27 @@ let test_plan_deterministic () =
     && not (Fault.Plan.crashed plan ~node:2 ~now:2e9))
 
 (* ------------------------------------------------------------------ *)
-(* MPI non-overtaking under faults *)
+(* Network non-overtaking under faults *)
 
-(* Drive a 2-rank communicator under a random lossy plan: whatever
-   subset of the 0->1 stream is delivered, it must arrive in send order
+(* Drive a 2-node network under a random lossy plan: whatever subset of
+   the 0->1 stream is delivered, it must arrive in send order
    (duplicates land next to their original, never reordered). *)
 let run_lossy_stream spec ~seed ~n =
   let eng = Simcore.Engine.create () in
   let plan = Fault.Plan.create spec ~seed in
-  let comm =
-    Netsim.Mpi.create ~faults:plan eng Netsim.Profile.myrinet ~ranks:2
+  let net =
+    Netsim.Network.create ~faults:plan eng Netsim.Profile.myrinet ~nodes:2
   in
   Simcore.Engine.spawn eng (fun () ->
       for i = 0 to n - 1 do
-        Netsim.Mpi.isend comm ~src:0 ~dst:1 ~size:64 i
+        Netsim.Network.isend net ~src:0 ~dst:1 ~size:64 i
       done);
   let received = ref [] in
   Simcore.Engine.spawn eng (fun () ->
       let continue = ref true in
       while !continue do
-        match
-          Netsim.Mpi.recv_timeout comm ~rank:1 ~timeout_ns:1e9 ()
-        with
-        | Some (_, _, v) -> received := v :: !received
+        match Netsim.Network.recv_timeout net ~dst:1 ~timeout_ns:1e9 with
+        | Some env -> received := env.Netsim.Network.payload :: !received
         | None -> continue := false
       done);
   Simcore.Engine.run eng;
@@ -190,8 +188,8 @@ let rec non_decreasing = function
   | [] | [ _ ] -> true
   | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
 
-let prop_mpi_non_overtaking =
-  QCheck.Test.make ~name:"MPI non-overtaking under fault plans" ~count:25
+let prop_non_overtaking =
+  QCheck.Test.make ~name:"non-overtaking under fault plans" ~count:25
     (QCheck.make
        ~print:(fun (s, seed) -> Printf.sprintf "%s (seed %d)" s seed)
        fault_mix_gen)
@@ -529,9 +527,9 @@ let () =
         ] );
       ( "plan",
         [ Alcotest.test_case "deterministic" `Quick test_plan_deterministic ] );
-      ( "mpi",
+      ( "network",
         [
-          QCheck_alcotest.to_alcotest prop_mpi_non_overtaking;
+          QCheck_alcotest.to_alcotest prop_non_overtaking;
           Alcotest.test_case "lossless plan delivers all" `Quick
             test_lossless_plan_delivers_all;
         ] );

@@ -151,16 +151,16 @@ let test_bad_node_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_try_recv_and_pending () =
+let test_pending () =
   let eng = Engine.create () in
   let net = Network.create eng Profile.myrinet ~nodes:2 in
-  Alcotest.(check bool) "empty" true (Network.try_recv net ~dst:1 = None);
+  check_int "empty" 0 (Network.pending net ~dst:1);
   Engine.spawn eng (fun () -> Network.isend net ~src:0 ~dst:1 ~size:8 42);
   Engine.run eng;
   check_int "pending" 1 (Network.pending net ~dst:1);
-  (match Network.try_recv net ~dst:1 with
-  | Some env -> check_int "payload" 42 env.Network.payload
-  | None -> Alcotest.fail "message expected");
+  Engine.spawn eng (fun () ->
+      check_int "payload" 42 (Network.recv net ~dst:1).Network.payload);
+  Engine.run eng;
   check_int "drained" 0 (Network.pending net ~dst:1)
 
 let test_throughput_saturates_bandwidth () =
@@ -205,7 +205,7 @@ let () =
           tc "accounting" `Quick test_accounting;
           tc "zero-size message" `Quick test_zero_size_message;
           tc "bad node" `Quick test_bad_node_rejected;
-          tc "try_recv/pending" `Quick test_try_recv_and_pending;
+          tc "pending" `Quick test_pending;
           tc "throughput saturates" `Quick test_throughput_saturates_bandwidth;
         ] );
     ]

@@ -634,31 +634,6 @@ let test_traced_run () =
            (function Simcore.Trace.Instant _ -> true | _ -> false)
            (Simcore.Trace.events tr))
 
-let test_mpi_record_metrics () =
-  let eng = Simcore.Engine.create () in
-  let comm = Netsim.Mpi.create eng Netsim.Profile.myrinet ~ranks:4 in
-  for r = 0 to 3 do
-    Simcore.Engine.spawn eng (fun () ->
-        Netsim.Mpi.barrier comm ~rank:r ~fill:0;
-        ignore (Netsim.Mpi.reduce comm ~rank:r ~root:0 ~size:4 ~op:( + ) r))
-  done;
-  Simcore.Engine.run eng;
-  let reg = Obs.Metrics.create () in
-  Netsim.Mpi.record_metrics comm reg;
-  let s = Obs.Metrics.snapshot reg in
-  let counter ?labels name =
-    match Obs.Metrics.Snapshot.find s ?labels name with
-    | Some (Obs.Metrics.Snapshot.Counter v) -> v
-    | _ -> Alcotest.failf "counter %s missing" name
-  in
-  check_float "barrier calls" 4.0
-    (counter ~labels:[ ("op", "barrier") ] "mpi_collectives");
-  check_float "reduce calls" 4.0
-    (counter ~labels:[ ("op", "reduce") ] "mpi_collectives");
-  check_bool "sends counted" true (counter "mpi_sends" > 0.0);
-  check_bool "network counters chained" true
-    (counter "net_messages_sent" = counter "mpi_sends")
-
 let test_cache_scope_deterministic () =
   (* The cache microscope rides inside each run, so its readings — 3C
      classification, reuse profiles, residency samples, set pressure —
@@ -1178,7 +1153,6 @@ let () =
           Alcotest.test_case "traced run" `Quick test_traced_run;
           Alcotest.test_case "cache scope deterministic" `Quick
             test_cache_scope_deterministic;
-          Alcotest.test_case "mpi counters" `Quick test_mpi_record_metrics;
         ] );
       ( "observe",
         [

@@ -233,13 +233,6 @@ let test_channel_close_keeps_buffered () =
       | exception Channel.Closed -> ()));
   Engine.run eng
 
-let test_channel_try_recv () =
-  let ch = Channel.create () in
-  Alcotest.(check (option int)) "empty" None (Channel.try_recv ch);
-  Channel.send ch 9;
-  Alcotest.(check (option int)) "value" (Some 9) (Channel.try_recv ch);
-  Alcotest.(check (option int)) "drained" None (Channel.try_recv ch)
-
 (* ------------------------------------------------------------------ *)
 (* Resource *)
 
@@ -433,7 +426,6 @@ let () =
           tc "waiters fifo" `Quick test_channel_multiple_waiters_fifo;
           tc "close wakes waiters" `Quick test_channel_close_wakes_waiters;
           tc "close keeps buffered" `Quick test_channel_close_keeps_buffered;
-          tc "try_recv" `Quick test_channel_try_recv;
         ] );
       ( "resource",
         [
