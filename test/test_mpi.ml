@@ -1,5 +1,5 @@
-(* Tests for the MPI-flavoured layer: tag matching, non-overtaking
-   delivery, and the collectives. *)
+(* Tests for the point-to-point shim over Network: a send reaches its
+   rank, sends on one pair keep their order, and a bad rank is refused. *)
 
 open Simcore
 open Netsim
@@ -15,36 +15,11 @@ let with_comm ~ranks f =
 
 let test_send_recv_roundtrip () =
   with_comm ~ranks:2 (fun eng comm ->
-      Engine.spawn eng (fun () -> Mpi.isend comm ~src:0 ~dst:1 ~tag:5 ~size:64 "hi");
+      Engine.spawn eng (fun () -> Mpi.isend comm ~src:0 ~dst:1 ~size:64 "hi");
       Engine.spawn eng (fun () ->
-          let src, tag, payload = Mpi.recv comm ~rank:1 () in
-          check_int "src" 0 src;
-          check_int "tag" 5 tag;
-          Alcotest.(check string) "payload" "hi" payload))
-
-let test_recv_selects_on_tag () =
-  with_comm ~ranks:2 (fun eng comm ->
-      Engine.spawn eng (fun () ->
-          Mpi.isend comm ~src:0 ~dst:1 ~tag:1 ~size:8 "first";
-          Mpi.isend comm ~src:0 ~dst:1 ~tag:2 ~size:8 "second");
-      Engine.spawn eng (fun () ->
-          (* Ask for tag 2 first: tag 1 must be stashed, not lost. *)
-          let _, _, second = Mpi.recv comm ~rank:1 ~tag:2 () in
-          Alcotest.(check string) "tag 2 first" "second" second;
-          let _, _, first = Mpi.recv comm ~rank:1 ~tag:1 () in
-          Alcotest.(check string) "stashed tag 1" "first" first))
-
-let test_recv_selects_on_source () =
-  with_comm ~ranks:3 (fun eng comm ->
-      Engine.spawn eng (fun () -> Mpi.isend comm ~src:0 ~dst:2 ~size:8 "from0");
-      Engine.spawn eng (fun () ->
-          Engine.delay eng 1.0;
-          Mpi.isend comm ~src:1 ~dst:2 ~size:8 "from1");
-      Engine.spawn eng (fun () ->
-          let _, _, v1 = Mpi.recv comm ~rank:2 ~source:1 () in
-          Alcotest.(check string) "source 1" "from1" v1;
-          let _, _, v0 = Mpi.recv comm ~rank:2 ~source:0 () in
-          Alcotest.(check string) "source 0" "from0" v0))
+          let payload = Mpi.recv comm ~rank:1 () in
+          Alcotest.(check string) "payload" "hi" payload;
+          check_bool "arrives after the send" true (Engine.now eng > 0.0)))
 
 let test_non_overtaking_same_pair () =
   with_comm ~ranks:2 (fun eng comm ->
@@ -54,85 +29,8 @@ let test_non_overtaking_same_pair () =
           done);
       Engine.spawn eng (fun () ->
           for i = 1 to 10 do
-            let _, _, v = Mpi.recv comm ~rank:1 () in
-            check_int "fifo order" i v
+            check_int "fifo order" i (Mpi.recv comm ~rank:1 ())
           done))
-
-let test_probe () =
-  with_comm ~ranks:2 (fun eng comm ->
-      Engine.spawn eng (fun () -> Mpi.isend comm ~src:0 ~dst:1 ~tag:9 ~size:8 ());
-      Engine.spawn eng (fun () ->
-          Engine.delay eng 1e6;
-          check_bool "matching probe" true (Mpi.probe comm ~rank:1 ~tag:9 ());
-          check_bool "non-matching probe" false (Mpi.probe comm ~rank:1 ~tag:8 ());
-          ignore (Mpi.recv comm ~rank:1 ~tag:9 ())))
-
-let test_barrier_synchronises () =
-  let eng = Engine.create () in
-  let comm = Mpi.create eng Profile.myrinet ~ranks:4 in
-  let release_times = Array.make 4 nan in
-  for r = 0 to 3 do
-    Engine.spawn eng (fun () ->
-        (* Stagger arrivals; everyone leaves at/after the last arrival. *)
-        Engine.delay eng (float_of_int (1000 * (r + 1)));
-        Mpi.barrier comm ~rank:r ~fill:();
-        release_times.(r) <- Engine.now eng)
-  done;
-  Engine.run eng;
-  Array.iter
-    (fun t -> check_bool "released after last arrival" true (t >= 4000.0))
-    release_times
-
-let test_bcast () =
-  let eng = Engine.create () in
-  let comm = Mpi.create eng Profile.myrinet ~ranks:4 in
-  let got = Array.make 4 (-1) in
-  for r = 0 to 3 do
-    Engine.spawn eng (fun () ->
-        got.(r) <- Mpi.bcast comm ~rank:r ~root:1 ~size:128 (if r = 1 then 42 else -1))
-  done;
-  Engine.run eng;
-  Alcotest.(check (array int)) "all got root's value" [| 42; 42; 42; 42 |] got
-
-let test_scatter_gather () =
-  let eng = Engine.create () in
-  let comm = Mpi.create eng Profile.myrinet ~ranks:3 in
-  let gathered = ref [||] in
-  for r = 0 to 2 do
-    Engine.spawn eng (fun () ->
-        let mine =
-          Mpi.scatter comm ~rank:r ~root:0 ~size:64
-            (if r = 0 then [| 10; 20; 30 |] else [||])
-        in
-        check_int "scattered element" ((r + 1) * 10) mine;
-        let all = Mpi.gather comm ~rank:r ~root:2 ~size:64 (mine * 2) in
-        if r = 2 then gathered := all)
-  done;
-  Engine.run eng;
-  Alcotest.(check (array int)) "gathered doubled" [| 20; 40; 60 |] !gathered
-
-let test_reduce () =
-  let eng = Engine.create () in
-  let comm = Mpi.create eng Profile.myrinet ~ranks:4 in
-  let result = ref None in
-  for r = 0 to 3 do
-    Engine.spawn eng (fun () ->
-        let v = Mpi.reduce comm ~rank:r ~root:0 ~size:8 ~op:( + ) (r + 1) in
-        if r = 0 then result := v)
-  done;
-  Engine.run eng;
-  Alcotest.(check (option int)) "sum 1..4" (Some 10) !result
-
-let test_collectives_cost_time () =
-  (* A barrier over a real network cannot be free. *)
-  let eng = Engine.create () in
-  let comm = Mpi.create eng Profile.myrinet ~ranks:3 in
-  for r = 0 to 2 do
-    Engine.spawn eng (fun () -> Mpi.barrier comm ~rank:r ~fill:0)
-  done;
-  Engine.run eng;
-  check_bool "at least two latencies" true
-    (Engine.now eng >= 2.0 *. Profile.myrinet.Profile.latency_ns)
 
 let test_bad_rank_rejected () =
   let eng = Engine.create () in
@@ -149,18 +47,7 @@ let () =
       ( "point-to-point",
         [
           tc "roundtrip" `Quick test_send_recv_roundtrip;
-          tc "tag selection" `Quick test_recv_selects_on_tag;
-          tc "source selection" `Quick test_recv_selects_on_source;
           tc "non-overtaking" `Quick test_non_overtaking_same_pair;
-          tc "probe" `Quick test_probe;
           tc "bad rank" `Quick test_bad_rank_rejected;
-        ] );
-      ( "collectives",
-        [
-          tc "barrier" `Quick test_barrier_synchronises;
-          tc "bcast" `Quick test_bcast;
-          tc "scatter/gather" `Quick test_scatter_gather;
-          tc "reduce" `Quick test_reduce;
-          tc "collectives cost time" `Quick test_collectives_cost_time;
         ] );
     ]
