@@ -87,7 +87,7 @@ let guarded (r : Run_result.t) =
    for A.  Each scenario gets its own name so the keys stay distinct. *)
 let variant_entries ~spec =
   let jobs = spec.Experiment.Spec.jobs in
-  let sc = Experiment.Spec.scenario spec in
+  let sc = spec.Experiment.Spec.scenario in
   let renamed suffix =
     Workload.Scenario.with_name (sc.Workload.Scenario.name ^ suffix) sc
   in
@@ -104,7 +104,7 @@ let variant_entries ~spec =
   in
   let serve ?(methods = [ c3 ]) name refine =
     let spec = serve_spec ~jobs in
-    let sc = Experiment.Spec.scenario spec |> Workload.Scenario.with_name name in
+    let sc = spec.Experiment.Spec.scenario |> Workload.Scenario.with_name name in
     grid_runs
       (spec
       |> Experiment.Spec.with_scenario sc
@@ -115,7 +115,7 @@ let variant_entries ~spec =
   let serve_two_masters =
     serve "ci-serve-2m" (fun spec ->
         Experiment.Spec.with_scenario
-          (Workload.Scenario.with_masters 2 (Experiment.Spec.scenario spec))
+          (Workload.Scenario.with_masters 2 spec.Experiment.Spec.scenario)
           spec)
   in
   let serve_faulted =
@@ -168,33 +168,62 @@ let entry_to_json e =
     ]
 
 let manifest ~spec =
-  let sc = Experiment.Spec.scenario spec in
+  let sc = spec.Experiment.Spec.scenario in
   Obs.Manifest.create ~generator:"bench --save-baseline"
     (Telemetry.manifest_fields sc ~methods:spec.Experiment.Spec.methods
        ~batches:spec.Experiment.Spec.batches)
 
 let to_json ~spec entries =
-  Doc.to_json ~manifest:(manifest ~spec) ~section:"entries"
-    (List.map entry_to_json entries)
+  Obs.Json.Obj
+    [
+      ("manifest", Obs.Manifest.to_json (manifest ~spec));
+      ("entries", Obs.Json.List (List.map entry_to_json entries));
+    ]
+
+let field name j =
+  match Obs.Json.member name j with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "missing field %S" name)
 
 let entry_of_json j =
   {
-    key = Obs.Json.to_string_exn (Doc.field "key" j);
-    method_id = Obs.Json.to_string_exn (Doc.field "method" j);
-    scenario = Obs.Json.to_string_exn (Doc.field "scenario" j);
-    batch_bytes = Obs.Json.to_int_exn (Doc.field "batch_bytes" j);
-    per_key_ns = Obs.Json.to_float_exn (Doc.field "per_key_ns" j);
-    raw_ns = Obs.Json.to_float_exn (Doc.field "raw_ns" j);
-    messages = Obs.Json.to_int_exn (Doc.field "messages" j);
-    bytes_sent = Obs.Json.to_int_exn (Doc.field "bytes_sent" j);
+    key = Obs.Json.to_string_exn (field "key" j);
+    method_id = Obs.Json.to_string_exn (field "method" j);
+    scenario = Obs.Json.to_string_exn (field "scenario" j);
+    batch_bytes = Obs.Json.to_int_exn (field "batch_bytes" j);
+    per_key_ns = Obs.Json.to_float_exn (field "per_key_ns" j);
+    raw_ns = Obs.Json.to_float_exn (field "raw_ns" j);
+    messages = Obs.Json.to_int_exn (field "messages" j);
+    bytes_sent = Obs.Json.to_int_exn (field "bytes_sent" j);
   }
 
-let of_json = Doc.of_json ~section:"entries" entry_of_json
-let load = Doc.load ~section:"entries" entry_of_json
+(* A document without a manifest, or with another manifest schema, is
+   refused rather than half-read. *)
+let of_json j =
+  match Obs.Json.member "manifest" j with
+  | None -> Error "no \"manifest\" member"
+  | Some manifest -> (
+      match Obs.Json.member "schema_version" manifest with
+      | Some (Obs.Json.Int v) when v = Obs.Manifest.schema_version -> (
+          match Obs.Json.member "entries" j with
+          | Some (Obs.Json.List records) -> (
+              try Ok (List.map entry_of_json records)
+              with Failure m -> Error m)
+          | Some _ -> Error "\"entries\" is not a list"
+          | None -> Error "no \"entries\" member")
+      | _ ->
+          Error
+            (Printf.sprintf "manifest schema_version is not %d"
+               Obs.Manifest.schema_version))
+
+let load path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Obs.Json.of_string text with
+  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  | Ok j -> of_json j
 
 let save ~path ~spec entries =
-  Doc.save path ~manifest:(manifest ~spec) ~section:"entries"
-    (List.map entry_to_json entries)
+  Telemetry.write_json path (to_json ~spec entries)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison *)

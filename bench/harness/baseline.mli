@@ -61,7 +61,10 @@ val to_json : spec:Experiment.Spec.t -> entry list -> Obs.Json.t
     form, so saved baselines compare exactly after reload. *)
 
 val of_json : Obs.Json.t -> (entry list, string) result
-(** {!Doc.of_json} over the ["entries"] section. *)
+(** Parses every record of the ["entries"] list.  It is an error when
+    the manifest is missing, when its [schema_version] is not
+    {!Obs.Manifest.schema_version}, when ["entries"] is not a list, or
+    when a record lacks a field. *)
 
 val load : string -> (entry list, string) result
 val save : path:string -> spec:Experiment.Spec.t -> entry list -> unit

@@ -1,24 +1,18 @@
-(* Benchmark harness: one Bechamel test per paper artefact (Tables 1-3,
-   Figures 3-4) plus microbenchmarks of the index structures and the
-   simulation substrates.  It times the artefacts and does not print
-   them: `repro` renders every table and figure (for instance
-   `repro fig3 --scale paper --queries 131072 --batches 8,32,128,512`).
+(* Benchmark harness: Bechamel microbenchmarks of the index structures
+   and the simulation substrates, one per-layer host price each.  The
+   end-to-end host cost of the simulator is perfbench's job
+   (perfbench/README.md), and `repro` renders every table and figure.
 
    Flags are Cmdliner terms shared with `repro` (see {!Cli}), so unknown
    flags are errors and `bench --help` documents everything.  Two
    baseline-gate modes short-circuit the benchmarks entirely (the gate
-   and the throughput trajectory live in {!Bench_harness}):
+   lives in {!Bench_harness.Baseline}):
 
      bench --save-baseline FILE    capture the gated sweep's simulated
                                    costs (promote an intentional change)
      bench --check-baseline FILE   re-run the sweep and diff bit-for-bit
                                    against the committed file (exit 1 on
-                                   any drift) — the @bench-baseline alias
-
-   Scale note: Bechamel re-runs each staged function many times, so the
-   artefact tests use a reduced query volume (2^15-2^17).  Per-key results
-   are what the paper's figures compare and are stable under this scaling;
-   run `repro fig3 --scale paper` for full-scale numbers. *)
+                                   any drift) — the @bench-baseline alias *)
 
 open Bechamel
 open Toolkit
@@ -31,23 +25,6 @@ let bench_scenario =
   Workload.Scenario.paper
   |> Workload.Scenario.with_name "bench"
   |> Workload.Scenario.with_queries (1 lsl 15)
-
-let bench_spec =
-  Dispatch.Experiment.Spec.default
-  |> Dispatch.Experiment.Spec.with_scenario bench_scenario
-
-(* Open-loop serving fixture: a short horizon keeps one serving run in
-   the same cost envelope as the other artefact benchmarks. *)
-let serve_scenario =
-  bench_scenario
-  |> Workload.Scenario.with_name "bench-serve"
-  |> Workload.Scenario.with_duration 4e6
-  |> Workload.Scenario.with_clients 16
-
-let serve_spec =
-  Dispatch.Experiment.Spec.default
-  |> Dispatch.Experiment.Spec.with_scenario serve_scenario
-  |> Dispatch.Experiment.Spec.with_methods [ Dispatch.Methods.B; Dispatch.Methods.C3 ]
 
 let workload = lazy (Dispatch.Runner.workload bench_scenario)
 
@@ -208,79 +185,6 @@ let micro_tests ~jobs =
       test_engine; test_network_stream; test_sweep_overhead ]
 
 (* ------------------------------------------------------------------ *)
-(* One test per paper artefact *)
-
-let artefact_tests () =
-  let keys, queries = Lazy.force workload in
-  let test_table1 =
-    Test.make ~name:"table1/index-setup"
-      (Staged.stage @@ fun () ->
-       ignore (Dispatch.Experiment.table1 bench_spec))
-  in
-  let test_table2 =
-    Test.make ~name:"table2/calibration"
-      (Staged.stage @@ fun () ->
-       ignore
-         (Dispatch.Calibrate.measure Cachesim.Mem_params.pentium3
-            Netsim.Profile.myrinet))
-  in
-  let fig3_point method_id =
-    let sc = Workload.Scenario.with_batch bench_scenario (128 * 1024) in
-    Test.make ~name:(Printf.sprintf "fig3/method-%s" (Dispatch.Methods.to_string method_id))
-      (Staged.stage @@ fun () ->
-       let r = Dispatch.Runner.run sc ~method_id ~keys ~queries in
-       assert (r.Dispatch.Run_result.validation_errors = 0))
-  in
-  let test_fig3 =
-    Test.make_grouped ~name:"fig3"
-      (List.map fig3_point Dispatch.Methods.all)
-  in
-  let test_hier_point =
-    let sc =
-      Workload.Scenario.with_batch
-        (Workload.Scenario.with_nodes 13 bench_scenario)
-        (128 * 1024)
-    in
-    Test.make ~name:"extension/method-C3-hier"
-      (Staged.stage @@ fun () ->
-       let r =
-         Dispatch.Runner.run ~routers:2 sc ~method_id:Dispatch.Methods.C3
-           ~keys ~queries
-       in
-       assert (r.Dispatch.Run_result.validation_errors = 0))
-  in
-  let test_table3 =
-    Test.make ~name:"table3/model-predictions"
-      (Staged.stage @@ fun () ->
-       let sc = bench_scenario in
-       let shape = Dispatch.Experiment.model_shape sc ~keys in
-       let p = sc.Workload.Scenario.params in
-       ignore (Model.Predict.method_a p shape ~normalize_nodes:11);
-       ignore
-         (Model.Predict.method_b p shape
-            ~group_levels:(Dispatch.Experiment.group_height sc ~keys)
-            ~batch_keys:32768 ~normalize_nodes:11);
-       ignore
-         (Model.Predict.method_c3 p sc.Workload.Scenario.net ~slave_keys:32768
-            ~n_masters:1 ~n_slaves:10))
-  in
-  let test_fig4 =
-    Test.make ~name:"fig4/trend-model"
-      (Staged.stage @@ fun () ->
-       ignore (Dispatch.Experiment.fig4 ~years:5 bench_spec))
-  in
-  let test_serve =
-    Test.make ~name:"serve/open-loop-B-C3"
-      (Staged.stage @@ fun () ->
-       ignore
-         (Dispatch.Experiment.run_grid serve_spec
-            (Dispatch.Experiment.serve ~loads:[] serve_spec)))
-  in
-  Test.make_grouped ~name:"paper"
-    [ test_table1; test_table2; test_fig3; test_table3; test_fig4;
-      test_hier_point; test_serve ]
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel plumbing *)
 
 let benchmark tests =
@@ -319,9 +223,7 @@ let print_results results =
 
 let run_benchmarks ~jobs =
   print_endline "===== microbenchmarks (bechamel) =====";
-  print_results (benchmark (micro_tests ~jobs));
-  print_endline "\n===== paper-artefact benchmarks (bechamel) =====";
-  print_results (benchmark (artefact_tests ()))
+  print_results (benchmark (micro_tests ~jobs))
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
@@ -351,110 +253,23 @@ let check_baseline_arg =
     & opt (some string) None
     & info [ "check-baseline" ] ~docv:"FILE" ~doc)
 
-let throughput_arg =
-  let doc =
-    "Measure host wall-clock simulator throughput (simulated queries/sec \
-     and engine events/sec, fig3 grid + ci-serve saturation scenario), \
-     append a labelled sample to the trajectory artifact $(docv) \
-     (created when missing) and print the trajectory with per-cell \
-     speedups.  Skips the benchmarks."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "throughput" ] ~docv:"FILE" ~doc)
-
-let throughput_label_arg =
-  let doc = "Label for the sample appended by --throughput." in
-  Arg.(
-    value
-    & opt string "measured"
-    & info [ "throughput-label" ] ~docv:"LABEL" ~doc)
-
-let throughput_smoke_arg =
-  let doc =
-    "Validate the committed throughput trajectory $(docv) (JSON schema), \
-     run one reduced measurement per cell family and compare against the \
-     trajectory's last sample.  The comparison is advisory: warnings \
-     only, never a failing exit — wall-clock numbers flake on noisy \
-     hosts.  Run via `dune build @bench-throughput` in CI."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "throughput-smoke" ] ~docv:"FILE" ~doc)
-
-let run_throughput ~path ~label =
-  let sample = Bench_harness.Throughput.measure ~label () in
-  ignore (Bench_harness.Throughput.append ~path sample);
-  (* Also append a reduced-scale companion under the smoke key
-     namespace: it is what `--throughput-smoke` (the @bench-throughput
-     alias) compares freshly measured smoke cells against, so promoting
-     a trajectory entry re-baselines the CI advisory in the same
-     commit. *)
-  let smoke =
-    Bench_harness.Throughput.measure ~smoke:true ~label:(label ^ "-smoke") ()
-  in
-  let trajectory = Bench_harness.Throughput.append ~path smoke in
-  print_string (Bench_harness.Throughput.render_trajectory trajectory);
-  Printf.printf "wrote %s\n" path;
-  0
-
-let run_throughput_smoke ~path =
-  match Bench_harness.Throughput.load path with
-  | Error e ->
-      Printf.eprintf "bench: invalid throughput trajectory: %s\n" e;
-      1
-  | Ok trajectory ->
-      Printf.printf "%s: schema OK, %d sample%s\n" path
-        (List.length trajectory)
-        (if List.length trajectory = 1 then "" else "s");
-      let current = Bench_harness.Throughput.measure ~smoke:true ~label:"smoke" () in
-      print_string (Bench_harness.Throughput.render_sample current);
-      (* Compare against the most recent sample that has comparable
-         (same-key) cells — normally the committed smoke sample. *)
-      let comparable (s : Bench_harness.Throughput.sample) =
-        List.exists
-          (fun (c : Bench_harness.Throughput.cell) ->
-            List.exists
-              (fun (sc : Bench_harness.Throughput.cell) -> sc.key = c.key)
-              s.cells)
-          current.cells
-      in
-      (match List.find_opt comparable (List.rev trajectory) with
-      | None ->
-          Printf.printf
-            "advisory: no sample with comparable cells in trajectory\n"
-      | Some reference ->
-          let warnings = Bench_harness.Throughput.advisory ~reference ~current in
-          if warnings = [] then
-            Printf.printf "advisory: OK vs %S (threshold %.0f%%)\n"
-              reference.Bench_harness.Throughput.label
-              (100.0 *. Bench_harness.Throughput.advisory_threshold)
-          else List.iter print_endline warnings);
-      0
-
-let main jobs save check throughput throughput_label throughput_smoke =
-  match (save, check, throughput, throughput_smoke) with
-  | Some _, Some _, _, _ ->
+let main jobs save check =
+  match (save, check) with
+  | Some _, Some _ ->
       prerr_endline
         "bench: --save-baseline and --check-baseline are mutually exclusive";
       2
-  | _, _, Some _, Some _ ->
-      prerr_endline
-        "bench: --throughput and --throughput-smoke are mutually exclusive";
-      2
-  | _, _, Some path, None -> run_throughput ~path ~label:throughput_label
-  | _, _, None, Some path -> run_throughput_smoke ~path
-  | Some path, None, None, None ->
+  | Some path, None ->
       let spec = Bench_harness.Baseline.default_spec ~jobs in
       Bench_harness.Baseline.save ~path ~spec (Bench_harness.Baseline.capture ~spec);
       Printf.printf "wrote %s\n" path;
       0
-  | None, Some path, None, None ->
+  | None, Some path ->
       let spec = Bench_harness.Baseline.default_spec ~jobs in
       let drifts = Bench_harness.Baseline.check ~path ~spec in
       print_endline (Bench_harness.Baseline.render_drift drifts);
       if drifts = [] then 0 else 1
-  | None, None, None, None ->
+  | None, None ->
       run_benchmarks ~jobs;
       0
 
@@ -463,12 +278,9 @@ let () =
     Cmd.info "bench" ~version:"1.0.0"
       ~doc:
         "Benchmark harness for the index-over-CPU-caches reproduction: \
-         Bechamel microbenchmarks, per-artefact timings, the \
-         simulated-cost baseline gate and the host throughput trajectory."
+         Bechamel microbenchmarks and the simulated-cost baseline gate."
   in
   let term =
-    Term.(
-      const main $ Cli.jobs_arg $ save_baseline_arg $ check_baseline_arg $ throughput_arg
-      $ throughput_label_arg $ throughput_smoke_arg)
+    Term.(const main $ Cli.jobs_arg $ save_baseline_arg $ check_baseline_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

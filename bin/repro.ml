@@ -85,7 +85,7 @@ let finish spec ~generator runs =
     (Observe.export spec.Spec.observe ~generator
        ~fields:
          (Telemetry.manifest_fields ~faults:spec.Spec.faults
-            (Spec.scenario spec)
+            spec.Spec.scenario
             ~methods:(firsts (fun r -> r.Run_result.method_id) runs)
             ~batches:(firsts (fun r -> r.Run_result.batch_bytes) runs))
        runs);
@@ -105,7 +105,7 @@ let run_grid spec ~generator grid print =
   match Experiment.run_grid spec g with
   | Error msg -> refuse msg
   | Ok (rows, runs) ->
-      say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+      say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
       print rows;
       finish spec ~generator runs
 
@@ -127,7 +127,7 @@ let degraded_columns spec =
 (* Subcommands *)
 
 let run_table1 spec =
-  say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+  say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
   say "Table 1: the index structure setup@\n@\n%s"
     (Report.Table.render (Experiment.table1 spec))
 
@@ -137,11 +137,11 @@ let run_table2 spec =
 
 let run_table3 spec =
   run_grid spec ~generator:"repro table3" Experiment.table3 (fun rows ->
-      print_string (Experiment.render_table3 ~scenario:(Spec.scenario spec) rows))
+      print_string (Experiment.render_table3 ~scenario:spec.Spec.scenario rows))
 
 let run_fig3 spec csv =
   run_grid spec ~generator:"repro fig3" Experiment.fig3 (fun rows ->
-      print_string (Experiment.render_fig3 ~scenario:(Spec.scenario spec) rows);
+      print_string (Experiment.render_fig3 ~scenario:spec.Spec.scenario rows);
       let header, cells = degraded_columns spec in
       save_csv csv ~header:(Run_result.header @ header)
         (List.concat_map
@@ -150,7 +150,7 @@ let run_fig3 spec csv =
            rows))
 
 let run_fig4 spec years =
-  say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+  say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
   print_string (Experiment.render_fig4 (Experiment.fig4 ~years spec))
 
 (* Only `serve` (methods A and B) and `ablation updates` run an update
@@ -198,7 +198,7 @@ let run_ablation spec which csv =
   | "structures" ->
       simulates_nothing spec ~name:"ablation structures";
       let t = Ablation.structures spec in
-      say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+      say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
       say "ablation %s:@\n@\n%s" which (Report.Table.render t);
       `Ok ()
   | _ ->
@@ -217,7 +217,7 @@ let run_timeline spec =
     | m :: _ when spec.Spec.methods <> Methods.all -> m
     | _ -> Methods.C3
   in
-  say "%a@\n" Workload.Scenario.pp (Spec.scenario spec);
+  say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
   let rendered, r = Experiment.timeline_traced ~method_id spec in
   print_string rendered;
   finish spec ~generator:"repro timeline" [ (Telemetry.run_label r, r) ]
@@ -227,7 +227,7 @@ let run_timeline spec =
 let run_serve spec csv loads =
   run_grid spec ~generator:"repro serve" (Experiment.serve ~loads)
     (fun reports ->
-      print_string (Serve.render ~scenario:(Spec.scenario spec) reports);
+      print_string (Serve.render ~scenario:spec.Spec.scenario reports);
       save_csv csv ~header:Run_result.serving_header
         (List.map
            (fun { Serve.run; serving } -> Run_result.serving_cells run serving)

@@ -63,5 +63,3 @@ let pentium4 =
   }
 
 let words_per_line t = t.l2_line / t.word_bytes
-
-let random_mem_bw t = float_of_int t.word_bytes /. t.b2_penalty_ns

@@ -46,9 +46,3 @@ val pentium4 : t
 
 val words_per_line : t -> int
 (** L2-line capacity in words — the paper's [n] for n-ary tree nodes. *)
-
-val random_mem_bw : t -> float
-(** Effective random-access bandwidth in bytes/ns implied by the
-    parameters: one word per L2 miss ([word_bytes / b2_penalty]).  For the
-    Pentium III values this is ~36-48 MB/s, matching the measured
-    48 MB/s. *)

@@ -291,6 +291,7 @@ let spec_term =
           |> override duration Workload.Scenario.with_duration
           |> override offered_load Workload.Scenario.with_offered_load
           |> override clients Workload.Scenario.with_clients
+          |> override seed Workload.Scenario.with_seed
         in
         let selected =
           match methods with [] -> Spec.default.Spec.methods | ms -> ms
@@ -342,7 +343,6 @@ let spec_term =
                 |> (match methods with
                    | [] -> Fun.id
                    | ms -> Spec.with_methods ms)
-                |> override seed Spec.with_seed
                 |> Spec.with_observe observe
                 |> Spec.with_faults faults
                 |> override arrival Spec.with_arrival

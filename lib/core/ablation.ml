@@ -12,7 +12,7 @@ let table headers row xs =
 let batch_overhead
     ?(batches = [ kib 8; kib 32; kib 128; kib 512; kib 2048; kib 4096 ])
     (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   {
     cells =
@@ -35,7 +35,7 @@ let batch_overhead
   }
 
 let network (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   let batches = [ kib 8; kib 64; kib 256; kib 1024 ] in
   cross
@@ -58,7 +58,7 @@ let network (spec : Spec.t) =
               results))
 
 let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let g = Prng.Splitmix.create (sc.Workload.Scenario.seed + 17) in
   let keys =
     Workload.Keygen.index_keys (Prng.Splitmix.split g)
@@ -94,7 +94,7 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
          ]))
 
 let masters (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let n_slaves = sc.Workload.Scenario.n_nodes - sc.Workload.Scenario.n_masters in
   let slave_keys = (sc.Workload.Scenario.n_keys + n_slaves - 1) / n_slaves in
   let keys, queries = Runner.workload sc in
@@ -130,7 +130,7 @@ let masters (spec : Spec.t) =
   }
 
 let line_size (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   (* The workload depends only on the seed and counts, not the machine
      profile, so one generation serves both rows. *)
   let keys, queries = Runner.workload sc in
@@ -152,7 +152,7 @@ let line_size (spec : Spec.t) =
          ]))
 
 let hierarchy (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   (* Every dispatch tier sits over the same [n_nodes - 1] slaves. *)
   let tier masters routers =
@@ -189,7 +189,7 @@ let hierarchy (spec : Spec.t) =
   }
 
 let structures (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let p = sc.Workload.Scenario.params in
   let g = Prng.Splitmix.create (sc.Workload.Scenario.seed + 31) in
   let measure n_keys =
@@ -232,7 +232,7 @@ let structures (spec : Spec.t) =
     (List.combine resident full)
 
 let slave_structure (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   {
     cells =
@@ -258,7 +258,7 @@ let slave_structure (spec : Spec.t) =
    dyn.* update accounting) as the CSV the determinism and smoke tests
    diff. *)
 let updates (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let ratios =
     (* --updates pins the study to that exact mutation spec (ratio and
        merge policy); otherwise sweep a static baseline against a light

@@ -2,9 +2,9 @@
     choice or hidden assumption called out in DESIGN.md.
 
     Every driver takes a {!Experiment.Spec.t} positionally:
-    [spec.scenario] (and [seed_override]) select the workload.  Every
-    study but [structures] returns an {!Experiment.grid}
-    for {!Experiment.run_grid}, its labels naming what the study varies.
+    [spec.scenario] selects the workload.  Every study but [structures]
+    returns an {!Experiment.grid} for {!Experiment.run_grid}, its labels
+    naming what the study varies.
     Genuinely per-study knobs ([?batches], [?exponents]) stay optional. *)
 
 val batch_overhead :

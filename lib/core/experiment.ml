@@ -6,7 +6,6 @@ module Spec = struct
     methods : Methods.id list;
     batches : int list;
     jobs : int;
-    seed_override : int option;
     observe : Observe.t;
     faults : Fault.Spec.t;
     arrival : Workload.Arrival.t;
@@ -20,7 +19,6 @@ module Spec = struct
       methods = Methods.all;
       batches = Workload.Scenario.fig3_batches;
       jobs = 1;
-      seed_override = None;
       observe = Observe.none;
       faults = Fault.Spec.none;
       arrival = Workload.Arrival.default;
@@ -32,7 +30,6 @@ module Spec = struct
   let with_methods methods t = { t with methods }
   let with_batches batches t = { t with batches }
   let with_jobs jobs t = { t with jobs = max 1 jobs }
-  let with_seed seed t = { t with seed_override = Some seed }
   let with_observe observe t = { t with observe }
 
   let with_profile t =
@@ -64,11 +61,6 @@ module Spec = struct
   let with_updates updates t = { t with updates }
   let faulted t = not (Fault.Spec.is_none t.faults)
   let dynamic t = not (Workload.Mutation.is_none t.updates)
-
-  let scenario t =
-    match t.seed_override with
-    | None -> t.scenario
-    | Some seed -> Workload.Scenario.with_seed seed t.scenario
 end
 
 let with_run_instrumented spec body = Observe.record spec.Spec.observe body
@@ -197,6 +189,8 @@ let scratch_tree (sc : Workload.Scenario.t) ~keys =
   let m = Machine.create (Engine.create ()) ~name:"scratch" sc.Workload.Scenario.params in
   Index.Nary_tree.build m keys
 
+(* Tree shape (per-level node counts) of the Method A/B index for the
+   analytical model, from an actual layout. *)
 let model_shape sc ~keys =
   let tree = scratch_tree sc ~keys in
   let levels = Index.Nary_tree.levels tree in
@@ -208,6 +202,8 @@ let model_shape sc ~keys =
   Model.Predict.shape_of_counts counts
     ~lines_per_node:(max 1 (node_bytes / p.Cachesim.Mem_params.l2_line))
 
+(* Height of Method B's cache-resident subtree groups, from the actual
+   [Index.Buffered] plan. *)
 let group_height sc ~keys =
   let tree = scratch_tree sc ~keys in
   let b = Index.Buffered.create tree in
@@ -217,7 +213,7 @@ let group_height sc ~keys =
 (* Table 1 *)
 
 let table1 (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, _ = Runner.workload sc in
   let p = sc.Workload.Scenario.params in
   let tree = scratch_tree sc ~keys in
@@ -260,7 +256,7 @@ let table1 (spec : Spec.t) =
   t
 
 let table2 (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   Calibrate.table2
     (Calibrate.measure sc.Workload.Scenario.params sc.Workload.Scenario.net)
 
@@ -270,7 +266,7 @@ let table2 (spec : Spec.t) =
 type fig3_row = { batch_bytes : int; results : Run_result.t list }
 
 let fig3 (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   cross ~rows:spec.Spec.batches ~cols:spec.Spec.methods
     (fun batch_bytes ->
@@ -376,7 +372,7 @@ type table3_row = {
 }
 
 let table3 (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, queries = Runner.workload sc in
   let p = sc.Workload.Scenario.params in
   let nodes = sc.Workload.Scenario.n_nodes in
@@ -437,7 +433,7 @@ let render_table3 ~(scenario : Workload.Scenario.t) rows =
 (* Online serving *)
 
 let serve ~loads (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let at qps = (Workload.Scenario.with_offered_load qps sc, [ Load qps ]) in
   let rows = if loads = [] then [ (sc, []) ] else List.map at loads in
   cross ~rows ~cols:spec.Spec.methods
@@ -474,7 +470,7 @@ type fig4_row = {
 }
 
 let fig4 ?(years = 5) (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   let keys, _ = Runner.workload sc in
   let nodes = sc.Workload.Scenario.n_nodes in
   let n_slaves = nodes - 1 in
@@ -502,7 +498,7 @@ let fig4 ?(years = 5) (spec : Spec.t) =
       })
 
 let timeline_traced ?(method_id = Methods.C3) (spec : Spec.t) =
-  let sc = Spec.scenario spec in
+  let sc = spec.Spec.scenario in
   (* A short slice keeps the chart readable: ~6 batches worth or 32k
      queries, whichever is larger. *)
   let n_queries =

@@ -24,8 +24,6 @@ module Spec : sig
     methods : Methods.id list;  (** Method set for method-sweep drivers. *)
     batches : int list;  (** Batch-size grid (bytes) for batch sweeps. *)
     jobs : int;  (** Worker domains for sweeps; [1] = run in caller. *)
-    seed_override : int option;
-        (** When set, replaces the scenario's workload seed. *)
     observe : Observe.t;
         (** The observation session every run of the sweep records
             under ({!Observe.record}); {!Observe.none} by default. *)
@@ -50,7 +48,7 @@ module Spec : sig
 
   val default : t
   (** {!Workload.Scenario.scaled}, all five methods, the paper's
-      8 KB - 4 MB batch grid, [jobs = 1], no seed override. *)
+      8 KB - 4 MB batch grid, [jobs = 1]. *)
 
   val with_scenario : Workload.Scenario.t -> t -> t
   val with_methods : Methods.id list -> t -> t
@@ -59,7 +57,6 @@ module Spec : sig
   val with_jobs : int -> t -> t
   (** Clamped to at least 1. *)
 
-  val with_seed : int -> t -> t
   val with_observe : Observe.t -> t -> t
 
   val with_profile : t -> t
@@ -83,10 +80,6 @@ module Spec : sig
 
   val dynamic : t -> bool
   (** A non-[none] update spec is set — drivers run the dynamic index. *)
-
-  val scenario : t -> Workload.Scenario.t
-  (** The scenario with [seed_override] applied — what the drivers
-      actually run. *)
 end
 
 (** {2 Grids of runs} *)
@@ -247,14 +240,3 @@ val timeline_traced : ?method_id:Methods.id -> Spec.t -> string * Run_result.t
 val with_run_instrumented : Spec.t -> (unit -> Run_result.t) -> Run_result.t
 (** [Observe.record spec.observe]: run one driver body under the spec's
     observation session. *)
-
-(** {2 Shared plumbing} *)
-
-val model_shape :
-  Workload.Scenario.t -> keys:int array -> Model.Predict.tree_shape
-(** Tree shape (per-level node counts) of the Method A/B index for the
-    analytical model, from an actual layout. *)
-
-val group_height : Workload.Scenario.t -> keys:int array -> int
-(** Height of Method B's cache-resident subtree groups, from the actual
-    {!Index.Buffered} plan. *)

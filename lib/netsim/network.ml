@@ -183,10 +183,6 @@ let recv_timeout t ~dst ~timeout_ns =
   check_node t dst "recv_timeout";
   Channel.recv_timeout t.eng t.mailboxes.(dst) ~timeout_ns
 
-let pending t ~dst =
-  check_node t dst "pending";
-  Channel.length t.mailboxes.(dst)
-
 let messages_sent t = t.sent
 let bytes_sent t = t.bytes
 let messages_delivered t = t.delivered

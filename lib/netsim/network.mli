@@ -56,8 +56,6 @@ val recv_timeout : 'a t -> dst:int -> timeout_ns:float -> 'a envelope option
     the last useful event; failover drivers track their own completion
     time. *)
 
-val pending : 'a t -> dst:int -> int
-
 (** {2 Accounting} *)
 
 val messages_sent : 'a t -> int

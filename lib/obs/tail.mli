@@ -2,7 +2,7 @@
     of a run, each with a per-component cost breakdown of the work that
     served it.
 
-    Throughput says how fast the average key is; the paper's second
+    The mean per-key cost says how fast the average key is; the paper's second
     axis (§4.1) is response time, which is governed by the tail — the
     queries that sat longest in a batch or behind a saturated link.
     This keeps exactly the [k] slowest observations (deterministically:

@@ -17,8 +17,6 @@ type 'a t = {
 let create () =
   { items = Queue.create (); readers = Queue.create (); closed = false }
 
-let length t = Queue.length t.items
-
 let send t v =
   if t.closed then raise Closed;
   let rec offer () =

@@ -27,9 +27,6 @@ val recv_timeout : Engine.t -> 'a t -> timeout_ns:float -> 'a option
     that care about the final clock value should track their own
     completion time.  Must be called from inside a process. *)
 
-val length : 'a t -> int
-(** Number of buffered (unreceived) messages. *)
-
 val close : Engine.t -> 'a t -> unit
 (** Close the channel: subsequent [send]s raise {!Closed}; blocked and
     future [recv]s raise {!Closed} once the buffer is drained. *)

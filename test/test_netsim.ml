@@ -151,18 +151,6 @@ let test_bad_node_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_pending () =
-  let eng = Engine.create () in
-  let net = Network.create eng Profile.myrinet ~nodes:2 in
-  check_int "empty" 0 (Network.pending net ~dst:1);
-  Engine.spawn eng (fun () -> Network.isend net ~src:0 ~dst:1 ~size:8 42);
-  Engine.run eng;
-  check_int "pending" 1 (Network.pending net ~dst:1);
-  Engine.spawn eng (fun () ->
-      check_int "payload" 42 (Network.recv net ~dst:1).Network.payload);
-  Engine.run eng;
-  check_int "drained" 0 (Network.pending net ~dst:1)
-
 let test_throughput_saturates_bandwidth () =
   (* Pipelined messages through one TX NIC: total time ~ total bytes /
      bandwidth, not messages x delivery time. *)
@@ -205,7 +193,6 @@ let () =
           tc "accounting" `Quick test_accounting;
           tc "zero-size message" `Quick test_zero_size_message;
           tc "bad node" `Quick test_bad_node_rejected;
-          tc "pending" `Quick test_pending;
           tc "throughput saturates" `Quick test_throughput_saturates_bandwidth;
         ] );
     ]
