@@ -1,17 +1,14 @@
 (* Command-line driver that regenerates every table and figure of the
    paper, plus the ablation studies.  `repro --help` lists subcommands.
 
-   All subcommands share one Spec-producing term ({!Cli.spec_term},
-   shared with the bench harness): every flag folds into a single
-   Dispatch.Experiment.Spec.t, so adding a new flag is a matter of
-   declaring its Arg in [Cli] and one line in its [build]. *)
+   Each subcommand builds its Spec-producing term ({!Cli.term}) from
+   the flags it reads, with its own defaults: a flag it does not read is
+   unknown to Cmdliner and exits 124 before anything runs. *)
 
 open Cmdliner
 open Dispatch
 module Spec = Experiment.Spec
 
-let spec_term = Cli.spec_term
-let csv_arg = Cli.csv_arg
 let say fmt = Format.printf (fmt ^^ "@.")
 
 (* Output files are written before this check, so a failed validation
@@ -48,27 +45,6 @@ let print_degraded runs =
           (Run_result.completeness r))
     runs
 
-(* A usage error found once the command line has parsed: it exits with
-   cmdliner's own code (124), before anything runs. *)
-let refuse msg =
-  Printf.eprintf "repro: %s\n" msg;
-  exit Cmd.Exit.cli_error
-
-(* The observation clauses a run-producing subcommand honours; any
-   other clause is a usage error. *)
-let batch_clauses = [ "metrics"; "trace"; "profile"; "scope" ]
-
-let observing spec ~honours =
-  Result.iter_error refuse (Observe.check ~honours spec.Spec.observe)
-
-(* table1, table2, fig4 and `ablation structures` simulate no run, so
-   they honour no observation clause and refuse --faults rather than
-   ignore it.  `all` passes its faults on to fig3 and table3. *)
-let simulates_nothing spec ~name =
-  observing spec ~honours:[];
-  if Spec.faulted spec then
-    refuse (Printf.sprintf "%s simulates no run, so --faults does not apply" name)
-
 (* [f] of each run, without repeats, in order of first appearance. *)
 let firsts f runs =
   List.fold_left
@@ -91,19 +67,14 @@ let finish spec ~generator runs =
        runs);
   check_validation runs
 
-(* Every grid subcommand: refuse what it cannot honour (a timeline only
-   for a grid of serving cells) or lay out, run its cells, print the
-   scenario and the rows, then the shared tail. *)
+(* Every grid subcommand: refuse a grid that cannot run with cmdliner's
+   usage-error code (124), before anything runs; else run its cells,
+   print the scenario and the rows, then the shared tail. *)
 let run_grid spec ~generator grid print =
-  let g = grid spec in
-  let serving c = c.Experiment.source <> Experiment.Batch in
-  observing spec
-    ~honours:
-      (if List.exists serving g.Experiment.cells then
-         "timeline" :: batch_clauses
-       else batch_clauses);
-  match Experiment.run_grid spec g with
-  | Error msg -> refuse msg
+  match Experiment.run_grid spec (grid spec) with
+  | Error msg ->
+      Printf.eprintf "repro: %s\n" msg;
+      exit Cmd.Exit.cli_error
   | Ok (rows, runs) ->
       say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
       print rows;
@@ -153,70 +124,29 @@ let run_fig4 spec years =
   say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
   print_string (Experiment.render_fig4 (Experiment.fig4 ~years spec))
 
-(* Only `serve` (methods A and B) and `ablation updates` run an update
-   stream; every other subcommand refuses --updates as a usage error
-   rather than run without it. *)
-let updates_refusal =
-  "--updates applies only to `serve` (methods A and B) and `ablation \
-   updates`"
-
-let static spec run =
-  if Spec.dynamic spec then `Error (true, updates_refusal) else `Ok (run ())
-
 (* The dynamic-index study also exports per-cell results: the updates
    spec, the run columns and the dyn.* update accounting. *)
-let print_updates spec csv (tbl, rows) =
-  say "ablation updates:@\n@\n%s" (Report.Table.render tbl);
-  let header, cells = degraded_columns spec in
-  save_csv csv
-    ~header:(("updates" :: Run_result.header) @ Dynamic.stats_header @ header)
-    (List.map
-       (fun (u, r, st) ->
-         (Workload.Mutation.to_string u :: Run_result.to_cells r)
-         @ Dynamic.stats_cells st @ cells r)
-       rows)
+let run_updates spec csv =
+  run_grid spec ~generator:"repro ablation updates" Ablation.updates
+    (fun (tbl, rows) ->
+      say "ablation updates:@\n@\n%s" (Report.Table.render tbl);
+      let header, cells = degraded_columns spec in
+      save_csv csv
+        ~header:(("updates" :: Run_result.header) @ Dynamic.stats_header @ header)
+        (List.map
+           (fun (u, r, st) ->
+             (Workload.Mutation.to_string u :: Run_result.to_cells r)
+             @ Dynamic.stats_cells st @ cells r)
+           rows))
 
-let run_ablation spec which csv =
-  let grid g =
-    run_grid spec ~generator:("repro ablation " ^ which) g (fun t ->
-        say "ablation %s:@\n@\n%s" which (Report.Table.render t));
-    `Ok ()
-  in
-  match String.lowercase_ascii which with
-  | "updates" ->
-      run_grid spec ~generator:"repro ablation updates" Ablation.updates
-        (print_updates spec csv);
-      `Ok ()
-  | _ when Spec.dynamic spec -> `Error (true, updates_refusal)
-  | "batch-overhead" -> grid (fun spec -> Ablation.batch_overhead spec)
-  | "network" -> grid Ablation.network
-  | "skew" -> grid (fun spec -> Ablation.skew spec)
-  | "masters" -> grid Ablation.masters
-  | "linesize" | "line-size" -> grid Ablation.line_size
-  | "slave-structure" -> grid Ablation.slave_structure
-  | "hierarchy" -> grid Ablation.hierarchy
-  | "structures" ->
-      simulates_nothing spec ~name:"ablation structures";
-      let t = Ablation.structures spec in
-      say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
-      say "ablation %s:@\n@\n%s" which (Report.Table.render t);
-      `Ok ()
-  | _ ->
-      `Error
-        ( false,
-          Printf.sprintf
-            "unknown ablation %S (batch-overhead | network | skew | masters \
-             | linesize | slave-structure | structures | hierarchy | updates)"
-            which )
+let run_structures spec =
+  say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
+  say "ablation structures:@\n@\n%s"
+    (Report.Table.render (Ablation.structures spec))
 
+(* The timeline traces one run, of the spec's one method. *)
 let run_timeline spec =
-  observing spec ~honours:batch_clauses;
-  (* C-3 unless --methods narrows the set; the timeline traces one run. *)
-  let method_id =
-    match spec.Spec.methods with
-    | m :: _ when spec.Spec.methods <> Methods.all -> m
-    | _ -> Methods.C3
-  in
+  let method_id = List.hd spec.Spec.methods in
   say "%a@\n" Workload.Scenario.pp spec.Spec.scenario;
   let rendered, r = Experiment.timeline_traced ~method_id spec in
   print_string rendered;
@@ -234,7 +164,6 @@ let run_serve spec csv loads =
            reports))
 
 let run_all spec =
-  observing spec ~honours:[];
   run_table1 spec;
   run_table2 spec;
   run_fig3 spec None;
@@ -242,69 +171,109 @@ let run_all spec =
   run_fig4 spec 5
 
 (* ------------------------------------------------------------------ *)
-(* Command wiring *)
+(* Command wiring: each subcommand's term holds the flags it reads. *)
 
-let cmd_of name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(ret (const (fun spec -> static spec (fun () -> f spec)) $ spec_term))
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
+
+(* The scenario flags of a simulating subcommand, and the flags of
+   every grid of runs. *)
+let scenario = Cli.[ keys; queries; nodes; masters; batch; network; seed ]
+let runs = Cli.[ jobs; observe ~timeline:false; faults ]
 
 let table1_cmd =
-  cmd_of "table1" "Reproduce Table 1 (index structure setup)." (fun spec ->
-      simulates_nothing spec ~name:"table1";
-      run_table1 spec)
+  cmd "table1" "Reproduce Table 1 (index structure setup)."
+    Term.(const run_table1 $ Cli.(term ~always_c:true [ keys; nodes ]))
 
 let table2_cmd =
-  cmd_of "table2" "Reproduce Table 2 (measured machine parameters)."
-    (fun spec ->
-      simulates_nothing spec ~name:"table2";
-      run_table2 spec)
+  cmd "table2" "Reproduce Table 2 (measured machine parameters)."
+    Term.(const run_table2 $ Cli.(term [ network ]))
 
-let table3_cmd = cmd_of "table3" "Reproduce Table 3 (model vs simulation)." run_table3
+let table3_cmd =
+  cmd "table3" "Reproduce Table 3 (model vs simulation)."
+    Term.(const run_table3 $ Cli.term ~always_c:true (scenario @ runs))
 
 let fig3_cmd =
-  Cmd.v
-    (Cmd.info "fig3" ~doc:"Reproduce Figure 3 (search time vs batch size).")
+  (* Cmdliner reads an unambiguous prefix of a long flag as that flag, so
+     fig3 must name --batch to refuse it, or --batch 64 would mean
+     --batches 64.  The help does not list it. *)
+  let no_batch =
     Term.(
-      ret
-        (const (fun spec csv -> static spec (fun () -> run_fig3 spec csv))
-        $ spec_term $ csv_arg))
+      term_result' ~usage:true
+        (const (function
+           | None -> Ok Fun.id
+           | Some _ -> Error "fig3 sweeps --batches, not --batch")
+        $ Arg.(value & opt (some string) None & info [ "batch" ] ~docs:Manpage.s_none)))
+  in
+  cmd "fig3" "Reproduce Figure 3 (search time vs batch size)."
+    Term.(
+      const run_fig3
+      $ Cli.(
+          term
+            ([ keys; queries; nodes; masters; network; seed;
+               methods Methods.all; sweep_batches; no_batch ]
+            @ runs))
+      $ Cli.csv_arg)
 
 let fig4_cmd =
-  let years =
-    Arg.(value & opt int 5 & info [ "years" ] ~docv:"YEARS" ~doc:"Horizon in years.")
-  in
-  Cmd.v
-    (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (future technology trends).")
+  let years = Arg.(value & opt Cli.count 5 & info [ "years" ] ~doc:"Horizon in years.") in
+  cmd "fig4" "Reproduce Figure 4 (future technology trends)."
     Term.(
-      ret
-        (const (fun spec years ->
-             static spec (fun () ->
-                 simulates_nothing spec ~name:"fig4";
-                 run_fig4 spec years))
-        $ spec_term $ years))
+      const run_fig4
+      $ Cli.(term ~always_c:true [ keys; nodes; batch; network ])
+      $ years)
 
 let ablation_cmd =
-  let which =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "One of: batch-overhead, network, skew, masters, linesize, \
-             slave-structure, structures, hierarchy, updates.  Every study \
-             but $(b,structures) simulates runs and honours the metrics, \
-             trace, profile and scope clauses of $(b,--observe) and \
-             $(b,--faults); $(b,structures) times single machines, not \
-             runs, so it honours no clause and refuses $(b,--faults).")
+  let study name doc flags grid =
+    let run spec =
+      run_grid spec ~generator:("repro ablation " ^ name) grid (fun t ->
+          say "ablation %s:@\n@\n%s" name (Report.Table.render t))
+    in
+    cmd name doc Term.(const run $ Cli.term ~always_c:true (flags @ runs))
   in
-  Cmd.v
+  Cmd.group
     (Cmd.info "ablation" ~doc:"Run an ablation study.")
-    Term.(ret (const run_ablation $ spec_term $ which $ csv_arg))
+    [
+      study "batch-overhead" "C-3 slave idle and messages vs batch size."
+        Cli.[ keys; queries; nodes; masters; network; seed ]
+        (fun spec -> Ablation.batch_overhead spec);
+      study "network" "C-3 under each network profile at several batch sizes."
+        Cli.[ keys; queries; nodes; masters; seed ]
+        Ablation.network;
+      study "skew" "C-3 and B under Zipf-skewed query keys." scenario
+        (fun spec -> Ablation.skew spec);
+      study "masters" "C-3 with 1, 2 and 4 masters over --nodes minus one slaves."
+        Cli.[ keys; queries; nodes; batch; network; seed ]
+        Ablation.masters;
+      study "linesize" "A and C-3 on 32-byte and 128-byte cache lines."
+        scenario Ablation.line_size;
+      study "slave-structure" "C-1, C-2 and C-3 with per-variant cache counts."
+        scenario Ablation.slave_structure;
+      study "hierarchy" "Flat, multi-master and router-tree dispatch tiers."
+        Cli.[ keys; queries; nodes; batch; network; seed ]
+        Ablation.hierarchy;
+      cmd "structures" "Per-lookup cost of each index structure on one machine."
+        Term.(
+          const run_structures
+          $ Cli.(term ~always_c:true [ keys; nodes; masters; seed; jobs ]));
+      cmd "updates" "Update/query interference: update ratio x method x batch."
+        Term.(
+          const run_updates
+          $ Cli.(
+              term
+                (scenario
+                @ [ methods Methods.[ A; B; C3 ]; update_batches; updates ]
+                @ runs))
+          $ Cli.csv_arg);
+    ]
 
 let timeline_cmd =
-  cmd_of "timeline"
-    "Gantt chart of per-node busy time for one method (default C-3)."
-    run_timeline
+  cmd "timeline" "Gantt chart of per-node busy time for one method."
+    Term.(
+      const run_timeline
+      $ Cli.(
+          term
+            (scenario
+            @ [ one_method Methods.C3; observe ~timeline:false; faults ])))
 
 let serve_cmd =
   let loads =
@@ -313,17 +282,31 @@ let serve_cmd =
        rescales the arrival process.  Without it, one run per method at \
        the spec's own load."
     in
-    Arg.(value & opt (list ~sep:',' float) [] & info [ "loads" ] ~docv:"QPS,..." ~doc)
+    Arg.(
+      value
+      & opt (list ~sep:',' Cli.positive) []
+      & info [ "loads" ] ~docv:"QPS,..." ~doc)
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Online serving: open-loop arrivals (--arrival, --offered-load, \
-          --duration, --clients) through each method with SLO accounting \
-          (--slo).")
-    Term.(const run_serve $ spec_term $ csv_arg $ loads)
+  cmd "serve"
+    "Online serving: open-loop arrivals (--arrival, --offered-load, \
+     --duration, --clients) through each method with SLO accounting \
+     (--slo)."
+    Term.(
+      const run_serve
+      $ Cli.(
+          term
+            [ keys; nodes; masters; batch; network; seed; duration;
+              offered_load; clients; arrival; slo; updates;
+              methods Methods.all; jobs; observe ~timeline:true; faults ])
+      $ Cli.csv_arg $ loads)
 
-let all_cmd = cmd_of "all" "Run every table and figure in sequence." run_all
+let all_cmd =
+  cmd "all" "Run every table and figure in sequence."
+    Term.(
+      const run_all
+      $ Cli.(
+          term ~always_c:true
+            (scenario @ [ methods Methods.all; sweep_batches; jobs; faults ])))
 
 let () =
   let info =

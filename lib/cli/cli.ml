@@ -1,111 +1,170 @@
-(* Shared Cmdliner vocabulary for the executables: every flag folds into
-   a single [Dispatch.Experiment.Spec.t], so `repro` and `bench` accept
-   the same spelling for the same knob and unknown flags are rejected by
-   Cmdliner in both. *)
+(* Shared Cmdliner vocabulary for the executables: one spec-updating term
+   per flag, from which each `repro` subcommand builds the term of the
+   flags it reads, so a flag it does not read is unknown to Cmdliner. *)
 
 open Cmdliner
 module Spec = Dispatch.Experiment.Spec
+module Scenario = Workload.Scenario
+
+type flag = (Spec.t -> Spec.t) Term.t
 
 let kib n = n * 1024
+
+(* ------------------------------------------------------------------ *)
+(* Converters: out-of-range values are usage errors, before any run. *)
+
+let count =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some n -> Error (Printf.sprintf "must be at least 1, got %d" n)
+        | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)),
+      Format.pp_print_int )
+
+let positive =
+  Arg.conv'
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some v when v > 0.0 && Float.is_finite v -> Ok v
+        | Some v -> Error (Printf.sprintf "must be a positive number, got %g" v)
+        | None -> Error (Printf.sprintf "invalid value %S, expected a number" s)),
+      Format.pp_print_float )
+
+(* A case-insensitive name from [table]. *)
+let named what table =
+  Arg.conv'
+    ( (fun s ->
+        match List.assoc_opt (String.lowercase_ascii s) table with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "unknown %s %S" what s)),
+      fun fmt v ->
+        Format.pp_print_string fmt (fst (List.find (fun (_, v') -> v' == v) table)) )
+
+(* A spec grammar with its own parser and printer. *)
+let parsed parse print =
+  Arg.conv' (parse, fun fmt v -> Format.pp_print_string fmt (print v))
+
+let method_conv =
+  parsed
+    (fun s ->
+      Option.to_result
+        ~none:(Printf.sprintf "unknown method %S" s)
+        (Dispatch.Methods.of_string (String.trim s)))
+    Dispatch.Methods.to_string
+
+(* A flag that updates the spec when given and leaves it as it is when
+   absent. *)
+let opt c name ~docv ~doc set : flag =
+  Term.app
+    (Term.const (fun v spec -> Option.fold ~none:spec ~some:(fun v -> set v spec) v))
+    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
+
+(* A flag whose default always applies. *)
+let with_default c default name ~docv ~doc set : flag =
+  Term.app (Term.const set) Arg.(value & opt c default & info [ name ] ~docv ~doc)
+
+let scenario set v spec = Spec.with_scenario (set v spec.Spec.scenario) spec
 
 let scale_arg =
   let doc =
     "Workload scale: 'paper' (2^23 queries, as published), 'scaled' (2^21 \
-     queries, same per-key results, default) or 'ci' (tiny smoke test)."
-  in
-  Arg.(value & opt string "scaled" & info [ "scale" ] ~docv:"SCALE" ~doc)
-
-let queries_arg =
-  let doc = "Override the number of search keys (queries)." in
-  Arg.(value & opt (some int) None & info [ "queries" ] ~docv:"N" ~doc)
-
-let keys_arg =
-  let doc = "Override the number of indexed keys." in
-  Arg.(value & opt (some int) None & info [ "keys" ] ~docv:"N" ~doc)
-
-let nodes_arg =
-  let doc = "Override the cluster size (including the master)." in
-  Arg.(value & opt (some int) None & info [ "nodes" ] ~docv:"N" ~doc)
-
-let batch_arg =
-  let doc = "Override the batch/message size in KB." in
-  Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"KB" ~doc)
-
-let batches_arg =
-  let doc =
-    "Restrict a batch sweep (fig3) to this comma-separated list of \
-     batch/message sizes in KB, e.g. '64,128,256'."
-  in
-  let parse s =
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-          match int_of_string_opt (String.trim p) with
-          | Some kb when kb > 0 -> go (kib kb :: acc) rest
-          | Some _ | None ->
-              Error (`Msg (Printf.sprintf "bad batch size %S (KB)" p)))
-    in
-    go [] parts
-  in
-  let print fmt bs =
-    Format.pp_print_string fmt
-      (String.concat "," (List.map (fun b -> string_of_int (b / 1024)) bs))
+     queries, default) or 'ci' (tiny smoke test).  A reduced run is not \
+     the paper's run made cheaper: in the committed CSVs 'scaled' matches \
+     'paper' within 0.04% for methods A and B, but C-3 drifts from 0.09% \
+     at 8 KB to 58% at 4 MB, from the fill and drain of a finite stream; \
+     measure a reduced run against the full one before relying on it."
   in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
-    & info [ "batches" ] ~docv:"KBS" ~doc)
+    & opt
+        (named "scale" Scenario.[ ("paper", paper); ("scaled", scaled); ("ci", ci) ])
+        Scenario.scaled
+    & info [ "scale" ] ~docv:"SCALE" ~doc)
 
-let masters_arg =
-  let doc = "Number of master nodes for Method C (paper: 1)." in
-  Arg.(value & opt (some int) None & info [ "masters" ] ~docv:"N" ~doc)
+let queries =
+  opt count "queries" ~docv:"N" ~doc:"Override the number of search keys (queries)."
+    (scenario Scenario.with_queries)
 
-let network_arg =
-  let doc = "Network profile: myrinet | gige | fast-ethernet." in
-  Arg.(value & opt string "myrinet" & info [ "network" ] ~docv:"NET" ~doc)
+let keys =
+  opt count "keys" ~docv:"N" ~doc:"Override the number of indexed keys."
+    (scenario Scenario.with_keys)
 
-let seed_arg =
-  let doc = "Workload seed." in
-  Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
+let nodes =
+  opt count "nodes" ~docv:"N"
+    ~doc:"Override the cluster size (including the master)."
+    (scenario Scenario.with_nodes)
+
+let masters =
+  opt count "masters" ~docv:"N"
+    ~doc:"Number of master nodes for Method C (paper: 1)."
+    (scenario Scenario.with_masters)
+
+let batch =
+  opt count "batch" ~docv:"KB" ~doc:"Override the batch/message size in KB."
+    (scenario (fun kb sc -> Scenario.with_batch sc (kib kb)))
+
+let network =
+  opt
+    (named "network"
+       Netsim.Profile.
+         [ ("myrinet", myrinet); ("gige", gigabit_ethernet);
+           ("gigabit", gigabit_ethernet); ("gigabit-ethernet", gigabit_ethernet);
+           ("fast-ethernet", fast_ethernet); ("ethernet", fast_ethernet) ])
+    "network" ~docv:"NET"
+    ~doc:"Network profile: myrinet (default) | gige | fast-ethernet."
+    (scenario Scenario.with_net)
+
+let seed =
+  opt Arg.int "seed" ~docv:"SEED" ~doc:"Workload seed."
+    (scenario Scenario.with_seed)
 
 let jobs_arg =
-  let doc =
-    "Worker domains for simulation sweeps (default: available cores minus \
-     one, at least 1).  Results are byte-identical at any value."
-  in
   Arg.(
     value
     & opt int (Exec.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Worker domains for simulation sweeps (default: available cores \
+           minus one, at least 1).  Results are byte-identical at any value.")
 
-let methods_arg =
-  let doc = "Comma-separated methods to run (A,B,C-1,C-2,C-3)." in
-  let parse s =
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-          match Dispatch.Methods.of_string (String.trim p) with
-          | Some m -> go (m :: acc) rest
-          | None -> Error (`Msg (Printf.sprintf "unknown method %S" p)))
-    in
-    go [] parts
-  in
-  let print fmt ms =
-    Format.pp_print_string fmt
-      (String.concat "," (List.map Dispatch.Methods.to_string ms))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) []
-    & info [ "methods" ] ~docv:"METHODS" ~doc)
+let jobs = Term.(const Spec.with_jobs $ jobs_arg)
+
+let methods default =
+  with_default (Arg.list method_conv) default "methods" ~docv:"METHODS"
+    ~doc:"Comma-separated methods to run (A,B,C-1,C-2,C-3)."
+    Spec.with_methods
+
+let one_method default =
+  with_default method_conv default "methods" ~docv:"METHOD"
+    ~doc:"The one method to run (A, B, C-1, C-2 or C-3)."
+    (fun m -> Spec.with_methods [ m ])
+
+let batches ~absent default : flag =
+  let doc = "Comma-separated batch/message sizes in KB, e.g. '64,128,256'." in
+  Term.(
+    const (fun kbs spec ->
+        Spec.with_batches
+          (match kbs with Some kbs -> List.map kib kbs | None -> default spec)
+          spec)
+    $ Arg.(
+        value
+        & opt (some (list ~sep:',' count)) None
+        & info [ "batches" ] ~docv:"KBS" ~absent ~doc))
+
+let sweep_batches =
+  batches ~absent:"8,16,...,4096, the paper's sweep" (fun _ ->
+      Scenario.fig3_batches)
+
+let update_batches =
+  batches ~absent:"the scenario's batch" (fun spec ->
+      [ spec.Spec.scenario.Scenario.batch_bytes ])
 
 let csv_arg =
   let doc = "Also write raw results to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let observe_arg =
+let observe ~timeline : flag =
   let doc =
     "Observation session: 'none' (default) or '+'-joined clauses \
      metrics:out=FILE | trace:out=FILE | profile[:out=FILE,tail=K] | \
@@ -122,237 +181,119 @@ let observe_arg =
      byte-identical at any --jobs value; set SOURCE_DATE_EPOCH for \
      byte-reproducible manifests."
   in
-  let observe_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dispatch.Observe.parse s with
-          | Ok t -> Ok t
-          | Error msg -> Error (`Msg msg)),
-        fun fmt t -> Format.pp_print_string fmt (Dispatch.Observe.to_string t)
-      )
+  let honours =
+    (if timeline then [ "timeline" ] else [])
+    @ [ "metrics"; "trace"; "profile"; "scope" ]
   in
-  Arg.(
-    value
-    & opt observe_conv Dispatch.Observe.none
-    & info [ "observe" ] ~docv:"SPEC" ~doc)
-
-let faults_arg =
-  let doc =
-    "Fault-injection spec for Method C family runs: 'none' (default) or \
-     '+'-joined clauses drop:p=P | dup:p=P | delay:p=P,ns=NS | \
-     degrade:node=N,factor=F | crash:node=N,at=NS | slow:node=N,factor=F \
-     | failover:timeout=NS,retries=K,fallback=local|none | seed=N.  \
-     E.g. 'crash:node=3,at=2e6+failover:retries=3'.  Degraded runs are \
-     deterministic: byte-identical at any --jobs value."
-  in
-  let spec_conv =
-    Arg.conv
-      ( (fun s ->
-          match Fault.Spec.parse s with
-          | Ok spec -> Ok spec
-          | Error msg -> Error (`Msg msg)),
-        fun fmt spec -> Format.pp_print_string fmt (Fault.Spec.to_string spec)
-      )
-  in
-  Arg.(
-    value & opt spec_conv Fault.Spec.none & info [ "faults" ] ~docv:"SPEC" ~doc)
-
-let arrival_arg =
-  let doc =
-    "Arrival process for 'serve': poisson:rate=QPS (shorthand \
-     poisson:QPS) | mmpp:rate=QPS,burst=F,on=NS,off=NS | \
-     diurnal:rate=QPS,peak=F,period=NS | replay:path=FILE (shorthand \
-     replay:FILE).  Deterministic for a given scenario seed."
-  in
-  let arrival_conv =
-    Arg.conv
-      ( (fun s ->
-          match Workload.Arrival.parse s with
-          | Ok a -> Ok a
-          | Error msg -> Error (`Msg msg)),
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Arrival.to_string a) )
-  in
-  Arg.(
-    value
-    & opt (some arrival_conv) None
-    & info [ "arrival" ] ~docv:"SPEC" ~doc)
-
-let slo_arg =
-  let doc =
-    "Response-time budget for 'serve' SLO accounting, in simulated \
-     nanoseconds (default 1e6 = 1 ms)."
-  in
-  Arg.(value & opt (some float) None & info [ "slo" ] ~docv:"NS" ~doc)
-
-let duration_arg =
-  let doc =
-    "Serving horizon in simulated nanoseconds: arrivals are generated in \
-     [0, NS)."
-  in
-  Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"NS" ~doc)
-
-let offered_load_arg =
-  let doc =
-    "Rescale the arrival process to this time-average offered load \
-     (queries per second)."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "offered-load" ] ~docv:"QPS" ~doc)
-
-let clients_arg =
-  let doc = "Simulated client populations feeding the arrival process." in
-  Arg.(value & opt (some int) None & info [ "clients" ] ~docv:"N" ~doc)
-
-let updates_arg =
-  let doc =
-    "Update stream for the dynamic-index experiments: 'none' (default), \
-     a bare ratio like '0.2' (updates per query), or \
-     mix:ratio=R,inserts=F,segment=N,threshold=K,major=F with the \
-     insert fraction and the log-structured merge-policy knobs \
-     (segment capacity, size-tier merge threshold, major-compaction \
-     fraction).  E.g. 'mix:ratio=0.1,inserts=0.7,segment=128'."
-  in
-  let updates_conv =
-    Arg.conv
-      ( (fun s ->
-          match Workload.Mutation.parse s with
-          | Ok u -> Ok u
-          | Error msg -> Error (`Msg msg)),
-        fun fmt u ->
-          Format.pp_print_string fmt (Workload.Mutation.to_string u) )
-  in
-  Arg.(
-    value
-    & opt updates_conv Workload.Mutation.none
-    & info [ "updates" ] ~docv:"SPEC" ~doc)
-
-(* Apply an optional override; absent flags leave the value untouched. *)
-let override v f x = match v with Some v -> f v x | None -> x
-
-let spec_term =
-  let build scale queries keys nodes masters batch batches network seed jobs
-      methods observe faults arrival slo duration offered_load clients updates
-      =
-    let base =
-      match String.lowercase_ascii scale with
-      | "paper" -> Ok Workload.Scenario.paper
-      | "scaled" -> Ok Workload.Scenario.scaled
-      | "ci" -> Ok Workload.Scenario.ci
-      | other -> Error (`Msg (Printf.sprintf "unknown scale %S" other))
-    in
-    let net =
-      match String.lowercase_ascii network with
-      | "myrinet" -> Ok Netsim.Profile.myrinet
-      | "gige" | "gigabit" | "gigabit-ethernet" ->
-          Ok Netsim.Profile.gigabit_ethernet
-      | "fast-ethernet" | "ethernet" -> Ok Netsim.Profile.fast_ethernet
-      | other -> Error (`Msg (Printf.sprintf "unknown network %S" other))
-    in
-    (* Reject out-of-range values here, as usage errors, before any run
-       starts. *)
-    let positive flag unit = function
-      | Some v when not (v > 0.0 && Float.is_finite v) ->
-          Some (Printf.sprintf "--%s must be a positive number of %s, got %g"
-                  flag unit v)
-      | _ -> None
-    in
-    let at_least_one flag = function
-      | Some v when v < 1 ->
-          Some (Printf.sprintf "--%s must be at least 1, got %d" flag v)
-      | _ -> None
-    in
-    let bad =
-      List.find_map Fun.id
-        [
-          positive "batch" "KB" (Option.map float_of_int batch);
-          positive "slo" "nanoseconds" slo;
-          positive "duration" "nanoseconds" duration;
-          positive "offered-load" "queries per second" offered_load;
-          at_least_one "queries" queries;
-          at_least_one "keys" keys;
-          at_least_one "nodes" nodes;
-          at_least_one "masters" masters;
-          at_least_one "clients" clients;
-        ]
-    in
-    match (base, net, bad) with
-    | Error e, _, _ | _, Error e, _ -> Error e
-    | _, _, Some msg -> Error (`Msg msg)
-    | Ok sc, Ok net, None ->
-        let sc =
-          sc
-          |> Workload.Scenario.with_net net
-          |> override queries Workload.Scenario.with_queries
-          |> override keys Workload.Scenario.with_keys
-          |> override nodes Workload.Scenario.with_nodes
-          |> override masters Workload.Scenario.with_masters
-          |> override batch (fun b sc -> Workload.Scenario.with_batch sc (kib b))
-          |> override duration Workload.Scenario.with_duration
-          |> override offered_load Workload.Scenario.with_offered_load
-          |> override clients Workload.Scenario.with_clients
-          |> override seed Workload.Scenario.with_seed
-        in
-        let selected =
-          match methods with [] -> Spec.default.Spec.methods | ms -> ms
-        in
-        let n_nodes = sc.Workload.Scenario.n_nodes
-        and n_masters = sc.Workload.Scenario.n_masters
-        and n_keys = sc.Workload.Scenario.n_keys in
-        let distributed = List.exists Dispatch.Methods.is_distributed selected in
-        (* A fault must land on a node of the cluster. *)
-        let stray_node =
-          List.find_opt
-            (fun node -> node >= n_nodes)
-            (Option.to_list faults.Fault.Spec.degrade_node
-            @ List.map fst faults.Fault.Spec.crashes
-            @ List.map fst faults.Fault.Spec.slow)
-        in
-        (* Method C needs a slave beside its masters, and a key for every
-           slave.  A one-master run (update forwarding, the masters
-           ablation) partitions over [n_nodes - 1] slaves, the most any
-           C-family run of this scenario uses. *)
-        if distributed && n_nodes <= n_masters then
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "--nodes (%d) must exceed --masters (%d) for the Method C \
-                  family"
-                 n_nodes n_masters))
-        else if distributed && n_keys < n_nodes - 1 then
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "--keys (%d) must be at least the Method C slave count (%d \
-                  with --nodes %d)"
-                 n_keys (n_nodes - 1) n_nodes))
-        else
-          match stray_node with
-          | Some node ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "--faults names node %d, but the cluster's nodes are \
-                      0..%d"
-                     node (n_nodes - 1)))
-          | None ->
-              Ok
-                (Spec.default
-                |> Spec.with_scenario sc
-                |> Spec.with_jobs jobs
-                |> (match methods with
-                   | [] -> Fun.id
-                   | ms -> Spec.with_methods ms)
-                |> Spec.with_observe observe
-                |> Spec.with_faults faults
-                |> override arrival Spec.with_arrival
-                |> override slo Spec.with_slo
-                |> override batches Spec.with_batches
-                |> Spec.with_updates updates)
+  let arg =
+    Arg.(
+      value
+      & opt
+          (parsed Dispatch.Observe.parse Dispatch.Observe.to_string)
+          Dispatch.Observe.none
+      & info [ "observe" ] ~docv:"SPEC" ~doc)
   in
   Term.(
-    term_result ~usage:true
-      (const build $ scale_arg $ queries_arg $ keys_arg $ nodes_arg
-     $ masters_arg $ batch_arg $ batches_arg $ network_arg $ seed_arg
-     $ jobs_arg $ methods_arg $ observe_arg $ faults_arg $ arrival_arg
-     $ slo_arg $ duration_arg $ offered_load_arg $ clients_arg $ updates_arg))
+    term_result' ~usage:true
+      (const (fun o ->
+           Result.map (fun () -> Spec.with_observe o)
+             (Dispatch.Observe.check ~honours o))
+      $ arg))
+
+let faults =
+  opt (parsed Fault.Spec.parse Fault.Spec.to_string) "faults" ~docv:"SPEC"
+    ~doc:
+      "Fault-injection spec for Method C family runs: 'none' (default) or \
+       '+'-joined clauses drop:p=P | dup:p=P | delay:p=P,ns=NS | \
+       degrade:node=N,factor=F | crash:node=N,at=NS | slow:node=N,factor=F \
+       | failover:timeout=NS,retries=K,fallback=local|none | seed=N.  \
+       E.g. 'crash:node=3,at=2e6+failover:retries=3'.  Degraded runs are \
+       deterministic: byte-identical at any --jobs value."
+    Spec.with_faults
+
+let arrival =
+  opt
+    (parsed Workload.Arrival.parse Workload.Arrival.to_string)
+    "arrival" ~docv:"SPEC"
+    ~doc:
+      "Arrival process: poisson:rate=QPS (shorthand poisson:QPS) | \
+       mmpp:rate=QPS,burst=F,on=NS,off=NS | \
+       diurnal:rate=QPS,peak=F,period=NS | replay:path=FILE (shorthand \
+       replay:FILE).  Deterministic for a given scenario seed."
+    Spec.with_arrival
+
+let slo =
+  opt positive "slo" ~docv:"NS"
+    ~doc:
+      "Response-time budget for SLO accounting, in simulated nanoseconds \
+       (default 1e6 = 1 ms)."
+    Spec.with_slo
+
+let duration =
+  opt positive "duration" ~docv:"NS"
+    ~doc:
+      "Serving horizon in simulated nanoseconds: arrivals are generated in \
+       [0, NS)."
+    (scenario Scenario.with_duration)
+
+let offered_load =
+  opt positive "offered-load" ~docv:"QPS"
+    ~doc:
+      "Rescale the arrival process to this time-average offered load \
+       (queries per second)."
+    (scenario Scenario.with_offered_load)
+
+let clients =
+  opt count "clients" ~docv:"N"
+    ~doc:"Simulated client populations feeding the arrival process."
+    (scenario Scenario.with_clients)
+
+let updates =
+  opt
+    (parsed Workload.Mutation.parse Workload.Mutation.to_string)
+    "updates" ~docv:"SPEC"
+    ~doc:
+      "Update stream for the dynamic-index runs: 'none' (default), a bare \
+       ratio like '0.2' (updates per query), or \
+       mix:ratio=R,inserts=F,segment=N,threshold=K,major=F with the insert \
+       fraction and the log-structured merge-policy knobs (segment \
+       capacity, size-tier merge threshold, major-compaction fraction).  \
+       E.g. 'mix:ratio=0.1,inserts=0.7,segment=128'."
+    Spec.with_updates
+
+(* ------------------------------------------------------------------ *)
+(* A subcommand's term *)
+
+(* Method C needs a slave beside its masters and a key for every slave;
+   a one-master run (update forwarding, the masters ablation)
+   partitions over [n_nodes - 1] slaves, the most any C-family run of
+   the scenario uses.  A fault must land on a node of the cluster. *)
+let feasible ~always_c spec =
+  let { Scenario.n_nodes; n_masters; n_keys; _ } = spec.Spec.scenario in
+  let c_family =
+    always_c || List.exists Dispatch.Methods.is_distributed spec.Spec.methods
+  in
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  match List.find_opt (fun n -> n >= n_nodes) (Fault.Spec.nodes spec.Spec.faults) with
+  | _ when c_family && n_nodes <= n_masters ->
+      fail "--nodes (%d) must exceed --masters (%d) for the Method C family"
+        n_nodes n_masters
+  | _ when c_family && n_keys < n_nodes - 1 ->
+      fail "--keys (%d) must be at least the Method C slave count (%d with \
+            --nodes %d)" n_keys (n_nodes - 1) n_nodes
+  | Some node ->
+      fail "--faults names node %d, but the cluster's nodes are 0..%d" node
+        (n_nodes - 1)
+  | None -> Ok spec
+
+let term ?(always_c = false) flags =
+  let apply =
+    List.fold_left
+      (fun acc flag -> Term.(const (fun f g spec -> g (f spec)) $ acc $ flag))
+      (Term.const Fun.id) flags
+  in
+  Term.(
+    term_result' ~usage:true
+      (const (fun sc f ->
+           feasible ~always_c (f (Spec.with_scenario sc Spec.default)))
+      $ scale_arg $ apply))

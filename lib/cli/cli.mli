@@ -1,23 +1,66 @@
 (** Shared Cmdliner vocabulary for the [repro] and [bench] executables.
 
-    {!spec_term} folds every workload/observation flag into one
-    {!Dispatch.Experiment.Spec.t}; [--jobs] and [--csv] are also exposed
-    alone, for executables that compose a narrower flag set (the bench
-    harness reuses [--jobs] alone).  Both executables get unknown-flag
-    rejection and [--help] from Cmdliner for free. *)
+    Each flag is a term that updates a {!Dispatch.Experiment.Spec.t};
+    a subcommand's {!term} lists the flags it reads, so every other
+    flag is unknown to Cmdliner and exits 124 before anything runs.
+    Without its flag a field keeps its {!Dispatch.Experiment.Spec.default}
+    value, unless the flag takes a default below. *)
 
 open Cmdliner
 
-val spec_term : Dispatch.Experiment.Spec.t Term.t
-(** [--scale], workload overrides ([--queries], [--keys], [--nodes],
-    [--masters], [--batch], [--batches], [--network], [--seed]),
-    [--jobs], [--methods], the observation session ([--observe], see
-    {!Dispatch.Observe.parse} for the grammar), fault injection
-    ([--faults], see {!Fault.Spec.parse}), serving knobs ([--arrival],
-    [--slo], [--duration], [--offered-load], [--clients], see
-    {!Workload.Arrival.parse}) and the update stream ([--updates]). *)
+type flag = (Dispatch.Experiment.Spec.t -> Dispatch.Experiment.Spec.t) Term.t
 
-(** {2 Individual arguments} *)
+val term : ?always_c:bool -> flag list -> Dispatch.Experiment.Spec.t Term.t
+(** [--scale] picks the scenario, then each flag updates the spec in list
+    order ([update_batches] reads [--batch], so it comes after).  A usage
+    error when a Method C run has no node left for a slave or fewer keys
+    than slaves (checked when [spec.methods] holds a C-family method, or
+    always under [~always_c:true]), or a fault names a node outside the
+    cluster. *)
+
+(** {2 Flags}  Counts must be at least 1, and [--slo], [--duration] and
+    [--offered-load] positive and finite. *)
+
+val queries : flag
+val keys : flag
+val nodes : flag
+val masters : flag
+val batch : flag
+val network : flag
+val seed : flag
+val jobs : flag
+
+val methods : Dispatch.Methods.id list -> flag
+(** A comma-separated list, this default when absent. *)
+
+val one_method : Dispatch.Methods.id -> flag
+(** [--methods M]: one method, this default when absent. *)
+
+val sweep_batches : flag
+(** [--batches KBS], default the paper's 8 KB - 4 MB sweep. *)
+
+val update_batches : flag
+(** [--batches KBS], default the scenario's batch alone. *)
+
+val observe : timeline:bool -> flag
+(** The [metrics], [trace], [profile] and [scope] clauses, and [timeline]
+    under [~timeline:true]; any other clause is a usage error. *)
+
+val faults : flag
+val arrival : flag
+val slo : flag
+val duration : flag
+val offered_load : flag
+val clients : flag
+val updates : flag
+
+(** {2 Arguments outside the spec} *)
+
+val count : int Arg.conv
+(** An int of at least 1. *)
+
+val positive : float Arg.conv
+(** A positive finite float. *)
 
 val jobs_arg : int Term.t
 (** [--jobs N], for executables that take no other workload flag. *)

@@ -95,7 +95,7 @@ let skew ?(exponents = [ 0.0; 0.5; 1.0 ]) (spec : Spec.t) =
 
 let masters (spec : Spec.t) =
   let sc = spec.Spec.scenario in
-  let n_slaves = sc.Workload.Scenario.n_nodes - sc.Workload.Scenario.n_masters in
+  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
   let slave_keys = (sc.Workload.Scenario.n_keys + n_slaves - 1) / n_slaves in
   let keys, queries = Runner.workload sc in
   {
@@ -251,8 +251,9 @@ let slave_structure (spec : Spec.t) =
   }
 
 (* Dynamic-index interference: how much does an interleaved update
-   stream cost each method?  Grid = update ratio x method x batch size,
-   every cell a dynamic run over the log-structured Segments index.
+   stream cost each method?  Grid = update ratio x [spec.methods] x
+   [spec.batches], every cell a dynamic run over the log-structured
+   Segments index.
    Unlike the other studies this also returns the per-cell results,
    because `repro ablation updates` exports them (Run_result columns +
    dyn.* update accounting) as the CSV the determinism and smoke tests
@@ -269,21 +270,13 @@ let updates (spec : Spec.t) =
         (fun ratio -> { Workload.Mutation.none with Workload.Mutation.ratio })
         [ 0.0; 0.05; 0.2 ]
   in
-  let methods =
-    if spec.Spec.methods <> Methods.all then spec.Spec.methods
-    else [ Methods.A; Methods.B; Methods.C3 ]
-  in
-  let batches =
-    (* One batch size unless --batches widens the sweep: the default
-       grid is already ratios x methods. *)
-    if spec.Spec.batches <> Workload.Scenario.fig3_batches then
-      spec.Spec.batches
-    else [ sc.Workload.Scenario.batch_bytes ]
-  in
   (* One op stream per ratio, shared read-only by its cells. *)
   let streams = List.map (fun u -> (u, Dynamic.workload sc ~updates:u)) ratios in
   cross ~rows:streams
-    ~cols:(List.concat_map (fun m -> List.map (fun b -> (m, b)) batches) methods)
+    ~cols:
+      (List.concat_map
+         (fun m -> List.map (fun b -> (m, b)) spec.Spec.batches)
+         spec.Spec.methods)
     (fun (u, (keys, queries, ops)) (m, b) ->
       {
         (cell ~axes:[ Update_ratio u.Workload.Mutation.ratio ]

@@ -25,9 +25,9 @@ val skew :
     parallelism never changes the workload. *)
 
 val masters : Experiment.Spec.t -> Report.Table.t Experiment.grid
-(** Per-key cost of C-3 with 1, 2 and 4 master nodes over a fixed slave
-    pool, simulated and from the model (the paper's §3.2 remark on
-    master overload). *)
+(** Per-key cost of C-3 with 1, 2 and 4 master nodes over a fixed pool
+    of the scenario's [n_nodes - 1] slaves, simulated and from the model
+    (the paper's §3.2 remark on master overload). *)
 
 val line_size : Experiment.Spec.t -> Report.Table.t Experiment.grid
 (** Methods A and C-3 on Pentium III (32 B lines) vs a Pentium 4-like
@@ -60,7 +60,7 @@ val updates :
     {!Experiment.Update_ratio} axis; each ratio's op stream is generated
     once and shared by its cells.  [--updates] pins the single mutation
     spec (ratio and merge policy); otherwise ratios 0 / 0.05 / 0.2 under
-    the default policy.  [--methods] narrows the method set (default A,
-    B, C-3) and [--batches] widens the batch axis (default: the
+    the default policy.  The method and batch axes are [spec.methods]
+    and [spec.batches] (`repro` defaults them to A, B, C-3 and the
     scenario's batch).  Also collects the per-cell results in cell order
     for the [repro ablation updates] CSV export. *)

@@ -178,8 +178,32 @@ let run_cell (spec : Spec.t) c =
          ~keys:c.keys ~queries:c.queries ~arrivals)
         .Serve.run
 
+(* A fault node keeps one role (master, router or slave, in
+   [Method_c.layout]'s order) across the C-family cells of a grid. *)
+let mixed_role (spec : Spec.t) cells =
+  let role node c =
+    match Method_c.layout c.scenario ~ops:(core_ops c) ~topology:c.topology with
+    | Ok (m, r, _) when node < m + r -> if node < m then "master" else "router"
+    | _ -> "slave"
+  in
+  let c_cells = List.filter (fun c -> Methods.is_distributed c.method_id) cells in
+  List.find_map
+    (fun node ->
+      match List.sort_uniq compare (List.map (role node) c_cells) with
+      | [] | [ _ ] -> None
+      | roles ->
+          Some
+            (Printf.sprintf
+               "--faults names node %d, whose role differs between runs (%s)"
+               node (String.concat ", " roles)))
+    (Fault.Spec.nodes spec.Spec.faults)
+
 let run_grid (spec : Spec.t) { cells; collect } =
-  match List.find_map (refusal spec) cells with
+  match
+    match List.find_map (refusal spec) cells with
+    | None -> mixed_role spec cells
+    | refused -> refused
+  with
   | Some msg -> Error msg
   | None ->
       let results = Exec.sweep ~jobs:spec.Spec.jobs (run_cell spec) cells in

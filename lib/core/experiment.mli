@@ -151,7 +151,9 @@ val run_grid :
   Spec.t -> 'a grid -> ('a * (string * Run_result.t) list, string) result
 (** [Error] naming the first cell that cannot run, before any cell runs:
     one {!Serve.check}, {!Dynamic.check} (under [spec.faults]) or, for
-    the C family, {!Method_c.layout} refuses.  Otherwise every cell runs
+    the C family, {!Method_c.layout} refuses; or a node of
+    [spec.faults] that is a master, a router or a slave in one C-family
+    cell's layout but another role in another's.  Otherwise every cell runs
     once with [spec.faults] (A and B ignore them), on [spec.jobs] worker
     domains: a [Batch] cell through {!Runner.drive} under
     {!with_run_instrumented}, a [Serve] cell through {!Serve.run_method},

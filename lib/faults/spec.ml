@@ -33,6 +33,9 @@ let is_none t =
   t.drop_p = 0.0 && t.dup_p = 0.0 && t.delay_p = 0.0
   && t.degrade_factor = 1.0 && t.crashes = [] && t.slow = []
 
+let nodes t =
+  Option.to_list t.degrade_node @ List.map fst t.crashes @ List.map fst t.slow
+
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 

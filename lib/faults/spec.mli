@@ -66,6 +66,10 @@ val is_none : t -> bool
 (** [true] when the spec injects nothing (failover knobs are ignored:
     a fault-free run never times out). *)
 
+val nodes : t -> int list
+(** Every node id the spec names: the degraded node, then the crashed
+    and the slow nodes. *)
+
 val parse : string -> (t, string) result
 (** Parse the grammar above; [Error] carries a human-readable message. *)
 

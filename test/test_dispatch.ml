@@ -312,7 +312,20 @@ let test_grid_labels_distinct () =
       ("updates", labels (Ab.updates spec));
       ("serve", labels (E.serve ~loads:[] spec));
       ("serve --loads", labels (E.serve ~loads:[ 1e5; 2e5 ] spec));
-    ]
+    ];
+  (* The updates study's method and batch axes are the spec's, whatever
+     they are: all five methods, and the full fig3 sweep. *)
+  let updates =
+    Ab.updates
+      (spec
+      |> E.Spec.with_methods Dispatch.Methods.all
+      |> E.Spec.with_batches Workload.Scenario.fig3_batches)
+  in
+  let columns f = List.length (List.sort_uniq compare (List.map f updates.E.cells)) in
+  check_int "updates: five method columns" 5
+    (columns (fun c -> c.E.method_id));
+  check_int "updates: ten batch columns" 10
+    (columns (fun c -> c.E.scenario.Workload.Scenario.batch_bytes))
 
 let test_more_slaves_help_method_c () =
   let keys, queries = Lazy.force workload in
